@@ -34,6 +34,7 @@ from .errors import (
     NotHermitian,
     NotInvertibleOnRange,
     NotPSD,
+    NotRepresentable,
     ParseError,
     RangeNotIncluded,
     RankAmbiguous,

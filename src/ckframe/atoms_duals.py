@@ -27,28 +27,24 @@ from .errors import (
     SpaceMismatch,
 )
 from .frame_ops import (
-    analysis,
-    ckframe_check,
+    CkFrameReport,
+    _frame_check,
     frame_operator,
     map_field,
-    synthesis,
     whitened_synthesis_matrix,
 )
 from .linalg import (
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
     OperatorMatrix,
-    Unbounded,
+    _ranked_svd,
+    _RankedSVD,
     adjoint,
     as_operator,
-    hermitian_eig,
-    max_psd_multiplier,
     operator_norm,
     pseudoinverse,
-    range_basis,
-    range_projector,
 )
-from .measure import SampleField, ScalarField, l2_norm
+from .measure import SampleField
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,8 @@ def atom_coefficient_map(
     Solves the weighted least-norm problem columnwise: writing B for the
     whitened synthesis matrix (columns sqrt(w_i) f_i), the solution is
     m = diag(1/sqrt(w)) pinv(B) k, and the recorded bound constant is
-    ||pinv(B) k|| (the operator norm of m into weighted L2).
+    ||pinv(B) k|| (the operator norm of m into weighted L2), which is
+    1 / sqrt(A) for the ck-frame lower bound A.
 
     Raises
     ------
@@ -132,20 +129,17 @@ def atom_coefficient_map(
         can reproduce k in that case.
     """
     kk = as_operator(k)
-    report = ckframe_check(f, kk, rank_tol, tol)
+    report, b = _frame_check(f, kk, rank_tol, tol)
     if not report.range_included:
         raise RangeNotIncluded(
             f"range inclusion residual {report.residuals['range_inclusion']:.3e} "
             f"exceeds tolerance {tol:.1e}"
         )
-    b = whitened_synthesis_matrix(f)
-    whitened = pseudoinverse(b, rank_tol) @ kk
     w = f.space.weight_array
-    matrix = whitened / np.sqrt(w)[:, None]
     return CoefficientMap(
-        matrix=matrix,
+        matrix=b.solve(kk) / np.sqrt(w)[:, None],
         source_dims=(kk.shape[1], f.space.n_atoms),
-        bound=operator_norm(whitened),
+        bound=0.0 if report.degenerate else float(report.bounds.lower) ** -0.5,
     )
 
 
@@ -167,33 +161,56 @@ def verify_atomic_decomposition(
     if m.matrix.shape != (n_atoms, dim0) or n_atoms != f.space.n_atoms:
         raise DimMismatch("coefficient map shape does not match field")
 
-    scale = max(1.0, operator_norm(kk))
-    worst = 0.0
-    worst_coeff_norm = 0.0
-    for j in range(dim0):
-        coeff = ScalarField(f.space, m.matrix[:, j])
-        recon = synthesis(f, coeff)
-        worst = max(worst, float(np.linalg.norm(kk[:, j] - recon)) / scale)
-        worst_coeff_norm = max(worst_coeff_norm, l2_norm(coeff))
+    w = f.space.weight_array
+    mismatch = kk - f.samples.T @ (w[:, None] * m.matrix)
+    worst = _max_column_norm(mismatch) / max(1.0, operator_norm(kk))
+    worst_coeff_norm = float(np.sqrt(np.max(w @ np.abs(m.matrix) ** 2, initial=0.0)))
     bound_excess = max(0.0, worst_coeff_norm - m.bound) / max(1.0, m.bound)
     return max(worst, bound_excess)
+
+
+def _max_column_norm(m: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(m, axis=0), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
 # inverse on range(k) and the bound sandwiches
 
 
-def _require_ck_frame(f, kk, rank_tol, tol):
-    if operator_norm(kk) == 0.0:
+@dataclass(frozen=True)
+class _OnRange:
+    """S_f restricted to range(k), read off the SVDs of B and of k.
+
+    With U_k the retained left singular vectors of k and B = U Sigma V*,
+    c = Sigma_r U_r* U_k = p diag(sc) qh is B* restricted to range(k), so
+    the compression M = U_k* S_f U_k = c* c has eigenvalues sc^2 and
+    S_f U_k = U_r Sigma_r c.
+    """
+
+    report: CkFrameReport
+    b: _RankedSVD
+    k: _RankedSVD
+    p: np.ndarray
+    sc: np.ndarray
+    qh: np.ndarray
+
+
+def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -> _OnRange:
+    report, b = _frame_check(f, kk, rank_tol, tol)
+    if report.degenerate:
         raise DegenerateOperator("k = 0 holds vacuously; no closed-range certificate")
-    report = ckframe_check(f, kk, rank_tol, tol)
-    lower = report.bounds.lower
-    if not report.range_included or isinstance(lower, Unbounded) or lower <= tol:
+    if not report.is_ck_frame:
         raise NotInvertibleOnRange(
-            "f does not reproduce k: lower bound "
-            f"{lower!r} / range inclusion {report.range_included}"
+            "f does not reproduce k: range inclusion residual "
+            f"{report.residuals['range_inclusion']:.3e}"
         )
-    return report
+    ks = _ranked_svd(kk, rank_tol)
+    p, sc, qh = np.linalg.svd(b.s[:, None] * (b.u.conj().T @ ks.u), full_matrices=False)
+    # a passed check leaves this only when tol lets a retained direction of
+    # k escape range(B); rank is judged by the cutoff that decided B's rank
+    if sc.size < ks.s.size or sc[-1] <= rank_tol * b.top:
+        raise NotInvertibleOnRange("frame operator drops rank on range(k)")
+    return _OnRange(report, b, ks, p, sc, qh)
 
 
 def inverse_on_range(
@@ -214,36 +231,11 @@ def inverse_on_range(
     rank on range(k) or (f, k) fails the frame check; RankAmbiguous when
     the rank of k is numerically ill-determined.
     """
-    kk = as_operator(k)
-    _require_ck_frame(f, kk, rank_tol, tol)
-    u = range_basis(kk, rank_tol)
-    su = frame_operator(f) @ u
-    gram = pseudoinverse(su, rank_tol)
-    # rank(S_f U) must match rank(U) for S_f to be injective on range(k)
-    if np.linalg.matrix_rank(su, tol=rank_tol * max(1.0, operator_norm(su))) < u.shape[1]:
-        raise NotInvertibleOnRange("frame operator drops rank on range(k)")
-    return u @ gram
-
-
-def _compressed_inverse(f: SampleField, kk: OperatorMatrix, rank_tol: float) -> OperatorMatrix:
-    """Inverse of the compression of S_f to range(k), as a matrix on H.
-
-    Hermitian counterpart of inverse_on_range: U (U* S_f U)^-1 U* maps
-    range(k) back into range(k).  That invariance is what keeps the
-    canonical dual's optimal bounds inside the certified interval; the
-    one-sided inverse does not provide it.
-    """
-    u = range_basis(kk, rank_tol)
-    compression = u.conj().T @ frame_operator(f) @ u
-    eig = hermitian_eig(compression)
-    if eig.eigenvalues[0] <= rank_tol * max(1.0, eig.eigenvalues[-1]):
-        raise NotInvertibleOnRange("frame operator drops rank on range(k)")
-    return u @ np.linalg.inv(compression) @ u.conj().T
-
-
-def _pinv_norm(kk: OperatorMatrix, rank_tol: float) -> float:
-    """||pinv(k)|| = 1 / (smallest retained singular value)."""
-    return operator_norm(pseudoinverse(kk, rank_tol))
+    on = _on_range(f, as_operator(k), rank_tol, tol)
+    # S_f U = (U_r Sigma_r p) diag(sc) qh; the singular values of Sigma_r p
+    # lie in [sigma_r, sigma_max], so its pseudoinverse keeps them all
+    left = pseudoinverse(on.b.s[:, None] * on.p, rank_tol) @ on.b.u.conj().T
+    return on.k.u @ (on.qh.conj().T / on.sc) @ left
 
 
 def sandwich_check(
@@ -252,29 +244,22 @@ def sandwich_check(
     rank_tol: float = DEFAULT_RANK_TOL,
     tol: float = DEFAULT_CHECK_TOL,
 ) -> float:
-    """Worst slack of the two-sided bound on the inverted frame operator.
+    """Worst relative slack of the two-sided bound on the inverted frame operator.
 
     For G = inverse_on_range(f, k) and unit test vectors h in
     S_f(range(k)), the quadratic form <G h, h> must lie between 1/B and
     ||pinv(k)||^2 / A, where (A, B) are the ck-frame bounds.  The exact
-    extrema over the subspace are computed by compressing the form to an
-    orthonormal basis; the return value is negative iff some h violates
-    a side.
+    extrema over the subspace are computed from one SVD, and each side's
+    slack is taken relative to its bound, so rescaling f or k leaves it
+    unchanged; the return value is negative iff some h violates a side.
     """
-    kk = as_operator(k)
-    report = _require_ck_frame(f, kk, rank_tol, tol)
-    g = inverse_on_range(f, kk, rank_tol, tol)
-    u = range_basis(kk, rank_tol)
-    su = frame_operator(f) @ u
-    v = range_basis(su, rank_tol)
-    compressed = v.conj().T @ g @ v
-    compressed = 0.5 * (compressed + compressed.conj().T)
-    vals = np.linalg.eigvalsh(compressed)
-    a = float(report.bounds.lower)
-    b = float(report.bounds.upper)
-    dagger = _pinv_norm(kk, rank_tol)
-    lo_margin = float(vals[0]) - 1.0 / b
-    hi_margin = dagger**2 / a - float(vals[-1])
+    on = _on_range(f, as_operator(k), rank_tol, tol)
+    # h = S_f u with u = U_k qh* diag(1/sc) z gives <G h, h> = <u, S_f u> /
+    # ||S_f u||^2 = ||z||^2 / ||Sigma_r p z||^2
+    sv = np.linalg.svd(on.b.s[:, None] * on.p, compute_uv=False)
+    a = float(on.report.bounds.lower)
+    lo_margin = (on.b.top / float(sv[0])) ** 2 - 1.0
+    hi_margin = 1.0 - a * (float(on.k.s[-1]) / float(sv[-1])) ** 2
     return min(lo_margin, hi_margin)
 
 
@@ -284,30 +269,22 @@ def subspace_cframe_margin(
     rank_tol: float = DEFAULT_RANK_TOL,
     tol: float = DEFAULT_CHECK_TOL,
 ) -> float:
-    """Worst slack of the frame inequality for f restricted to range(k).
+    """Worst relative slack of the frame inequality for f restricted to range(k).
 
     On unit h in range(k), <S_f h, h> must lie in
-    [A / ||pinv(k)||^2, B]; computed exactly by compressing S_f to an
-    orthonormal basis of range(k).
+    [A / ||pinv(k)||^2, B]; computed exactly from the eigenvalues of the
+    compression of S_f to an orthonormal basis of range(k), with each
+    side's slack taken relative to its bound.
     """
-    kk = as_operator(k)
-    report = _require_ck_frame(f, kk, rank_tol, tol)
-    u = range_basis(kk, rank_tol)
-    compressed = u.conj().T @ frame_operator(f) @ u
-    compressed = 0.5 * (compressed + compressed.conj().T)
-    vals = np.linalg.eigvalsh(compressed)
-    a = float(report.bounds.lower)
-    b = float(report.bounds.upper)
-    dagger = _pinv_norm(kk, rank_tol)
-    return min(float(vals[0]) - a / dagger**2, b - float(vals[-1]))
+    on = _on_range(f, as_operator(k), rank_tol, tol)
+    a = float(on.report.bounds.lower)
+    lo_margin = (float(on.sc[-1]) / float(on.k.s[-1])) ** 2 / a - 1.0
+    hi_margin = 1.0 - (float(on.sc[0]) / on.b.top) ** 2
+    return min(lo_margin, hi_margin)
 
 
 # ---------------------------------------------------------------------------
 # dual pairs
-
-
-def _std_basis(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
 
 
 def verify_dual_pair(
@@ -329,6 +306,10 @@ def verify_dual_pair(
     bases.  When k (resp. k*) is surjective, the corresponding norm
     identity is evaluated as well; the adjoint-side identity is checked
     in squared form, which is the only scaling consistent with c4.
+
+    Every residual is a norm of the one mismatch D = k - sum_x w_x f_x g_x*:
+    c1 and c2 are the worst column norms of D and D* on the bases, c3 and
+    c4 the largest entry of D and of D* in basis coordinates, c5 that of D.
     """
     kk = as_operator(k)
     if f.space != g.space:
@@ -336,94 +317,66 @@ def verify_dual_pair(
     n, n0 = f.dim, g.dim
     if kk.shape != (n, n0):
         raise DimMismatch(f"k has shape {kk.shape}, expected {(n, n0)}")
-    e = _std_basis(n) if basis_h is None else as_operator(basis_h)
-    gamma = _std_basis(n0) if basis_h0 is None else as_operator(basis_h0)
+    e = np.eye(n, dtype=complex) if basis_h is None else as_operator(basis_h)
+    gamma = np.eye(n0, dtype=complex) if basis_h0 is None else as_operator(basis_h0)
     if e.shape != (n, n) or gamma.shape != (n0, n0):
         raise DimMismatch("basis matrices must be square of the ambient dims")
 
-    w = f.space.weight_array
-    scale = max(1.0, operator_norm(kk))
-
-    # c1: k h0 = T_f <h0, g(.)>  on a basis of H0
-    c1 = 0.0
-    for j in range(n0):
-        recon = synthesis(f, analysis(g, gamma[:, j]))
-        c1 = max(c1, float(np.linalg.norm(kk @ gamma[:, j] - recon)) / scale)
-
-    # c2: k* h = T_g <h, f(.)>  on a basis of H
-    kh = adjoint(kk)
-    c2 = 0.0
-    for i in range(n):
-        recon = synthesis(g, analysis(f, e[:, i]))
-        c2 = max(c2, float(np.linalg.norm(kh @ e[:, i] - recon)) / scale)
-
-    # c3: <k h0, h> = integral of <h0, g(x)> <f(x), h>
-    cross = (f.samples.T * w) @ g.samples.conj()  # sum_x w_x f_x g_x^H
-    d3 = e.conj().T @ (kk - cross) @ gamma
-    c3 = float(np.max(np.abs(d3))) / scale if d3.size else 0.0
-
-    # c4: <k* h, h0> = integral of <h, f(x)> <g(x), h0>
-    cross_adj = (g.samples.T * w) @ f.samples.conj()  # sum_x w_x g_x f_x^H
-    d4 = gamma.conj().T @ (kh - cross_adj) @ e
-    c4 = float(np.max(np.abs(d4))) / scale if d4.size else 0.0
-
-    # c5: the c4 identity pinned to standard coordinates
-    d5 = kh - cross_adj
-    c5 = float(np.max(np.abs(d5))) / scale if d5.size else 0.0
-
-    holds = max(c1, c2, c3, c4, c5) <= tol
-
-    # surjectivity-conditional norm identities
+    b_f = whitened_synthesis_matrix(f)
+    d = kk - b_f @ whitened_synthesis_matrix(g).conj().T
     sigma = np.linalg.svd(kk, compute_uv=False)
-    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0])) if sigma.size and sigma[0] > 0 else 0
-    onto_k = rank == n
-    onto_k_star = rank == n0
+    k_norm = float(sigma[0]) if sigma.size else 0.0
+    scale = max(1.0, k_norm)
+
+    # c1: k h0 = T_f <h0, g(.)>;  c2: k* h = T_g <h, f(.)>
+    d_gamma = d @ gamma
+    d_adj_e = d.conj().T @ e
+    c1 = _max_column_norm(d_gamma) / scale
+    c2 = _max_column_norm(d_adj_e) / scale
+    # c3: <k h0, h> = integral of <h0, g(x)> <f(x), h>;  c4, its adjoint
+    # identity, has the conjugate transpose of the same residual matrix
+    c3 = float(np.max(np.abs(e.conj().T @ d_gamma), initial=0.0)) / scale
+    c4 = c3
+    # c5: the c4 identity pinned to standard coordinates
+    c5 = float(np.max(np.abs(d), initial=0.0)) / scale
+
+    # surjectivity-conditional norm identities: ||k h0||^2 minus the
+    # integral of <h0, g(x)> <f(x), k h0> is <D h0, k h0>, and likewise
+    # on the adjoint side
+    rank = int(np.count_nonzero(sigma > rank_tol * k_norm)) if k_norm > 0.0 else 0
     notes: list[str] = []
     onto_res: Optional[tuple[Optional[float], Optional[float]]] = None
-    if onto_k or onto_k_star:
+    if rank in (n, n0):
+        sq_scale = max(1.0, k_norm**2)
         res_k: Optional[float] = None
         res_k_star: Optional[float] = None
-        sq_scale = max(1.0, float(operator_norm(kk)) ** 2)
-        if onto_k:
-            r = 0.0
-            for j in range(n0):
-                h0 = gamma[:, j]
-                kh0 = kk @ h0
-                integral = complex(
-                    np.sum(w * (g.samples.conj() @ h0) * (f.samples @ np.conj(kh0)))
-                )
-                r = max(r, abs(float(np.linalg.norm(kh0)) ** 2 - integral) / sq_scale)
-            res_k = r
-        if onto_k_star:
-            r = 0.0
-            for i in range(n):
-                h = e[:, i]
-                ksh = kh @ h
-                integral = complex(
-                    np.sum(w * (f.samples.conj() @ h) * (g.samples @ np.conj(ksh)))
-                )
-                r = max(r, abs(float(np.linalg.norm(ksh)) ** 2 - integral) / sq_scale)
-            res_k_star = r
+        if rank == n:
+            res_k = _max_column_inner(d_gamma, kk @ gamma) / sq_scale
+        if rank == n0:
+            res_k_star = _max_column_inner(d_adj_e, kk.conj().T @ e) / sq_scale
             notes.append(
                 "adjoint-side norm identity verified in squared form ||k* h||^2; "
                 "the unsquared form is dimensionally inconsistent with c4"
             )
         onto_res = (res_k, res_k_star)
 
-    upper_f = float(hermitian_eig(frame_operator(f), tol).eigenvalues[-1])
-    cert = 1.0 / upper_f if upper_f > 0.0 else float("inf")
-
+    upper_f = operator_norm(b_f) ** 2
     return DualPairReport(
         residual_c1=c1,
         residual_c2=c2,
         residual_c3=c3,
         residual_c4=c4,
         residual_c5=c5,
-        holds=holds,
+        holds=max(c1, c2, c3, c4, c5) <= tol,
         onto_variant_residuals=onto_res,
-        lower_bound_cert=cert,
+        lower_bound_cert=1.0 / upper_f if upper_f > 0.0 else float("inf"),
         notes=tuple(notes),
     )
+
+
+def _max_column_inner(u: np.ndarray, v: np.ndarray) -> float:
+    """max_j |<u_j, v_j>| over the columns of two equal-shape matrices."""
+    return float(np.max(np.abs(np.sum(u * v.conj(), axis=0)), initial=0.0))
 
 
 def canonical_dual(
@@ -438,17 +391,20 @@ def canonical_dual(
     of S_f to range(k); the projected frame is P f for P the orthogonal
     projector onto range(k).  The pair (P f, g) must verify as a dual
     pair for k, and the optimal bounds of g (as a frame against k*)
-    must land inside [1/B - tol, ||k||^2 ||pinv(k)||^2 / A + tol].
+    must land inside [1/B, ||k||^2 ||pinv(k)||^2 / A], to a relative
+    tolerance tol.
 
     Raises CanonicalDualFailed if either verification fails; degenerate
     and non-frame inputs raise as in inverse_on_range.
     """
     kk = as_operator(k)
-    report = _require_ck_frame(f, kk, rank_tol, tol)
-    g_op = _compressed_inverse(f, kk, rank_tol)
-    projector = range_projector(kk, rank_tol)
-    projected = map_field(projector, f)
-    dual = map_field(adjoint(kk) @ g_op, f)
+    on = _on_range(f, kk, rank_tol, tol)
+    # G = U (U* S_f U)^-1 U* maps range(k) back into range(k); that
+    # invariance keeps the dual's optimal bounds inside the certified
+    # interval, which the one-sided inverse_on_range does not provide
+    root = on.k.u @ (on.qh.conj().T / on.sc)
+    projected = map_field(on.k.u @ on.k.u.conj().T, f)
+    dual = map_field(adjoint(kk) @ root @ root.conj().T, f)
 
     pair = verify_dual_pair(projected, dual, kk, tol, rank_tol)
     if not pair.holds:
@@ -457,21 +413,19 @@ def canonical_dual(
             f"{pair.max_residual():.3e} > {tol:.1e})"
         )
 
-    a = float(report.bounds.lower)
-    b = float(report.bounds.upper)
-    k_norm = operator_norm(kk)
-    dagger = _pinv_norm(kk, rank_tol)
-    lower_bound = 1.0 / b
-    upper_bound = (k_norm**2) * (dagger**2) / a
+    a = float(on.report.bounds.lower)
+    lower_bound = 1.0 / float(on.report.bounds.upper)
+    upper_bound = (on.k.top / float(on.k.s[-1])) ** 2 / a
 
-    s_dual = frame_operator(dual)
-    best_lower = max_psd_multiplier(s_dual, adjoint(kk) @ kk, rank_tol, tol)
-    best_upper = float(hermitian_eig(s_dual, tol).eigenvalues[-1])
-    if isinstance(best_lower, Unbounded) or best_lower < lower_bound - tol:
+    # the dual's optimal bounds as a frame against k*, decided on its own B
+    best, _ = _frame_check(dual, adjoint(kk), rank_tol, tol)
+    best_lower = float(best.bounds.lower)
+    best_upper = best.bounds.upper
+    if best_lower < lower_bound * (1.0 - tol):
         raise CanonicalDualFailed(
-            f"dual lower bound {best_lower!r} under the certified {lower_bound:.6e}"
+            f"dual lower bound {best_lower:.6e} under the certified {lower_bound:.6e}"
         )
-    if best_upper > upper_bound + tol:
+    if best_upper > upper_bound * (1.0 + tol):
         raise CanonicalDualFailed(
             f"dual upper bound {best_upper:.6e} over the certified {upper_bound:.6e}"
         )
@@ -508,12 +462,12 @@ def dual_frame_bounds_check(
         raise NotADualPair(
             f"pair identities fail (max residual {pair.max_residual():.3e})"
         )
-    s_f = frame_operator(f)
-    s_g = frame_operator(g)
-    b_f = float(hermitian_eig(s_f, tol).eigenvalues[-1])
-    b_g = float(hermitian_eig(s_g, tol).eigenvalues[-1])
+    b_f = 1.0 / pair.lower_bound_cert
+    b_g = operator_norm(whitened_synthesis_matrix(g)) ** 2
     if b_f <= 0.0 or b_g <= 0.0:
         raise NotADualPair("a zero field cannot certify reciprocal bounds")
+    s_f = frame_operator(f)
+    s_g = frame_operator(g)
     defect_f = s_f - (kk @ adjoint(kk)) / b_g
     defect_g = s_g - (adjoint(kk) @ kk) / b_f
     margin_f = float(np.linalg.eigvalsh(0.5 * (defect_f + defect_f.conj().T))[0])

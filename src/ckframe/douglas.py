@@ -13,21 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import DimMismatch
 from .linalg import (
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
     GRAY_ZONE_FACTOR,
     OperatorMatrix,
-    Unbounded,
-    adjoint,
+    _ranked_svd,
     as_operator,
-    max_psd_multiplier,
     operator_norm,
-    pseudoinverse,
-    range_projector,
 )
 
 
@@ -59,11 +53,11 @@ def _checked_pair(l1, l2) -> tuple[OperatorMatrix, OperatorMatrix]:
     return a, b
 
 
-def _inclusion_residual(l1: OperatorMatrix, l2: OperatorMatrix, rank_tol: float) -> float:
-    """min_X ||l1 - l2 X|| / max(1, ||l1||), via the range projector of l2."""
-    proj = range_projector(l2, rank_tol)
-    eye = np.eye(l1.shape[0])
-    return operator_norm((eye - proj) @ l1) / max(1.0, operator_norm(l1))
+def _factored(l1, l2, rank_tol: float):
+    """(l1, one ranked SVD of l2, min_X ||l1 - l2 X|| / max(1, ||l1||))."""
+    a, b = _checked_pair(l1, l2)
+    svd = _ranked_svd(b, rank_tol)
+    return a, svd, svd.residual(a) / max(1.0, operator_norm(a))
 
 
 def range_included(
@@ -73,8 +67,7 @@ def range_included(
     tol: float = DEFAULT_CHECK_TOL,
 ) -> bool:
     """True iff range(l1) sits inside range(l2) at the given tolerance."""
-    a, b = _checked_pair(l1, l2)
-    return _inclusion_residual(a, b, rank_tol) <= tol
+    return _factored(l1, l2, rank_tol)[2] <= tol
 
 
 def minimal_multiplier(
@@ -85,20 +78,13 @@ def minimal_multiplier(
 ) -> Optional[float]:
     """Least lam >= 0 with l1 l1* <= lam * l2 l2*, or None if none exists.
 
-    Equals 1 / max_psd_multiplier(l2 l2*, l1 l1*) whenever both values are
-    finite and nonzero; l1 = 0 gives 0.0.
+    On inclusion this is ||pinv(l2) l1||^2, which equals
+    1 / max_psd_multiplier(l2 l2*, l1 l1*); l1 = 0 gives 0.0.
     """
-    a, b = _checked_pair(l1, l2)
-    if _inclusion_residual(a, b, rank_tol) > tol:
+    a, svd, residual = _factored(l1, l2, rank_tol)
+    if residual > tol:
         return None
-    if operator_norm(a) == 0.0:
-        return 0.0
-    inv = max_psd_multiplier(b @ adjoint(b), a @ adjoint(a), rank_tol, tol)
-    if isinstance(inv, Unbounded) or inv <= 0.0:
-        # inclusion passed but the quadratic-form comparison degenerated;
-        # only reachable on hairline inputs
-        return None
-    return 1.0 / inv
+    return operator_norm(svd.coords(a)) ** 2
 
 
 def douglas_factor(
@@ -113,8 +99,7 @@ def douglas_factor(
     the least admissible majorization multiplier.  Otherwise both are None
     and the result records how far l1 is from range(l2).
     """
-    a, b = _checked_pair(l1, l2)
-    residual = _inclusion_residual(a, b, rank_tol)
+    a, svd, residual = _factored(l1, l2, rank_tol)
     if residual > tol:
         return DouglasResult(
             included=False,
@@ -123,6 +108,10 @@ def douglas_factor(
             residual=residual,
             marginal=residual < GRAY_ZONE_FACTOR * tol,
         )
-    factor = pseudoinverse(b, rank_tol) @ a
-    lam = minimal_multiplier(a, b, rank_tol, tol)
-    return DouglasResult(included=True, factor=factor, lambda_min=lam, residual=residual)
+    coords = svd.coords(a)
+    return DouglasResult(
+        included=True,
+        factor=svd.vh.conj().T @ coords,
+        lambda_min=operator_norm(coords) ** 2,
+        residual=residual,
+    )

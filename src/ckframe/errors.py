@@ -28,6 +28,10 @@ class RankAmbiguous(CkFrameError):
     'clearly nonzero', so rank-dependent outputs would be unstable."""
 
 
+class NotRepresentable(CkFrameError):
+    """A valid input whose operators overflow double precision."""
+
+
 # ---------------------------------------------------------------------------
 # measure spaces and fields
 

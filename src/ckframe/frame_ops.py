@@ -18,19 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, SpaceMismatch
+from .errors import DimMismatch, NotRepresentable, SpaceMismatch
 from .linalg import (
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
     UNBOUNDED,
     OperatorMatrix,
     Unbounded,
-    adjoint,
+    _ranked_svd,
+    _RankedSVD,
     as_operator,
     hermitian_eig,
-    max_psd_multiplier,
     operator_norm,
-    range_projector,
 )
 from .measure import SampleField, ScalarField
 
@@ -91,9 +90,17 @@ def whitened_synthesis_matrix(f: SampleField) -> OperatorMatrix:
     The isometry g -> sqrt(w) * g turns the weighted space into plain C^N;
     in those coordinates T_f has column i equal to sqrt(w_i) * f_i.  Ranks,
     norms, and pseudoinverses of T_f are computed through this matrix.
+
+    Raises NotRepresentable when the trace of S_f = B B* overflows, or
+    underflows for a nonzero B, in double precision.
     """
     w = f.space.weight_array
-    return (f.samples * np.sqrt(w)[:, None]).T.copy()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        rows = f.samples * np.sqrt(w)[:, None]
+        energy = np.vdot(rows, rows).real
+    if not (np.isfinite(energy) and (energy >= np.finfo(float).tiny or not rows.any())):
+        raise NotRepresentable("the frame operator is outside double precision range")
+    return rows.T
 
 
 def frame_operator(f: SampleField) -> OperatorMatrix:
@@ -127,42 +134,46 @@ def ckframe_check(
 ) -> CkFrameReport:
     """Decide whether f reproduces the operator k.
 
-    Two independent certificates are computed and must agree away from
-    tolerance hairlines:
+    Everything is read off one SVD B = U Sigma V* of the whitened
+    synthesis matrix, with the rank r decided on the singular values of B:
 
-    * bounds.lower: the largest A with A k k* <= S_f (0.0 when range(k)
-      escapes range(S_f), UNBOUNDED when k = 0);
-    * range_included: ||(I - P_{range T_f}) k|| <= tol * ||k||.
+    * bounds.upper = sigma_max^2, the largest eigenvalue of S_f = B B*;
+    * range_included: ||(I - U_r U_r*) k|| <= tol * ||k||;
+    * bounds.lower: the largest A with A k k* <= S_f, which is
+      1 / ||Sigma_r^-1 U_r* k||^2 = 1 / ||pinv(B) k||^2 on inclusion and
+      0.0 otherwise (UNBOUNDED when k = 0).
 
-    The k = 0 case is vacuously a frame and flagged ``degenerate``.
+    A is positive exactly when range(k) is included, so is_ck_frame is
+    the inclusion verdict.  The k = 0 case is vacuously a frame and
+    flagged ``degenerate``.
     """
-    kk = as_operator(k)
+    return _frame_check(f, as_operator(k), rank_tol, tol)[0]
+
+
+def _frame_check(
+    f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float
+) -> tuple[CkFrameReport, _RankedSVD]:
+    """ckframe_check, also handing back the ranked SVD of B it was read from."""
     if kk.shape[0] != f.dim:
         raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
-
-    s = frame_operator(f)
-    eig = hermitian_eig(s, tol)
-    upper = max(float(eig.eigenvalues[-1]), 0.0)
-    lower = max_psd_multiplier(s, kk @ adjoint(kk), rank_tol, tol)
-
+    b = _ranked_svd(whitened_synthesis_matrix(f), rank_tol)
     k_norm = operator_norm(kk)
+    residual = b.residual(kk) / k_norm if k_norm > 0.0 else 0.0
+    included = residual <= tol
     if k_norm == 0.0:
-        inclusion_residual = 0.0
+        lower = UNBOUNDED
+    elif included:
+        with np.errstate(over="ignore", under="ignore"):
+            lower = float(np.float64(operator_norm(b.coords(kk))) ** -2)
+        if not 0.0 < lower < np.inf:
+            raise NotRepresentable("the lower frame bound is outside double precision range")
     else:
-        proj = range_projector(synthesis_matrix(f), rank_tol)
-        eye = np.eye(f.dim)
-        inclusion_residual = operator_norm((eye - proj) @ kk) / k_norm
-    range_included = inclusion_residual <= tol
-
-    degenerate = k_norm == 0.0
-    lower_positive = isinstance(lower, Unbounded) or lower > tol
-    if not isinstance(lower, Unbounded):
-        lower = max(float(lower), 0.0)
-
-    return CkFrameReport(
-        bounds=FrameBounds(lower=lower, upper=upper, kind=CK_FRAME),
-        range_included=range_included,
-        is_ck_frame=range_included and lower_positive,
-        residuals={"range_inclusion": float(inclusion_residual)},
-        degenerate=degenerate,
+        lower = 0.0
+    report = CkFrameReport(
+        bounds=FrameBounds(lower=lower, upper=b.top**2, kind=CK_FRAME),
+        range_included=included,
+        is_ck_frame=included,
+        residuals={"range_inclusion": residual},
+        degenerate=k_norm == 0.0,
     )
+    return report, b

@@ -143,13 +143,15 @@ def _as_complex(value, path: str) -> complex:
 def _as_matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
     _require(isinstance(value, list), "expected a nested array", path)
     _require(len(value) == rows, f"expected {rows} rows, got {len(value)}", path)
-    out = np.zeros((rows, cols), dtype=complex)
+    # check the shape against the data present before allocating for it
     for i, row in enumerate(value):
         _require(
             isinstance(row, list) and len(row) == cols,
             f"expected a row of {cols} complex pairs",
             f"{path}[{i}]",
         )
+    out = np.zeros((rows, cols), dtype=complex)
+    for i, row in enumerate(value):
         for j, cell in enumerate(row):
             out[i, j] = _as_complex(cell, f"{path}[{i}][{j}]")
     return out

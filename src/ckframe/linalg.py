@@ -151,6 +151,40 @@ def _separated_rank(sigma: np.ndarray, rank_tol: float) -> int:
     return int(np.count_nonzero(sigma > lo))
 
 
+@dataclass(frozen=True)
+class _RankedSVD:
+    """Thin SVD of a matrix, truncated to its separated numerical rank r.
+
+    u (rows, r), s (r,) descending and vh (r, cols) are the retained
+    factors; top is the largest singular value before truncation.
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    top: float
+
+    def coords(self, l1) -> np.ndarray:
+        """Sigma_r^-1 U_r* l1: pinv(m) l1 in the orthonormal basis vh."""
+        return (self.u.conj().T @ l1) / self.s[:, None]
+
+    def solve(self, l1) -> np.ndarray:
+        """Minimal-norm X minimizing ||m X - l1||: V_r Sigma_r^-1 U_r* l1."""
+        return self.vh.conj().T @ self.coords(l1)
+
+    def residual(self, l1) -> float:
+        """||l1 - U_r U_r* l1||, the distance of l1 from range(m)."""
+        return operator_norm(l1 - self.u @ (self.u.conj().T @ l1))
+
+
+def _ranked_svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> _RankedSVD:
+    """One SVD of m with the _separated_rank decision applied to it."""
+    a = as_operator(m)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    r = _separated_rank(s, rank_tol)
+    return _RankedSVD(u[:, :r], s[:r], vh[:r], float(s[0]) if s.size else 0.0)
+
+
 def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:
     """Moore-Penrose pseudoinverse with a relative rank cutoff.
 
@@ -163,12 +197,8 @@ def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:
         If some singular value falls in the gray zone where the rank
         decision would be unstable.
     """
-    a = as_operator(m)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = _separated_rank(s, rank_tol)
-    if r == 0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=complex)
-    return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+    svd = _ranked_svd(m, rank_tol)
+    return (svd.vh.conj().T / svd.s) @ svd.u.conj().T
 
 
 def range_basis(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:
@@ -176,10 +206,7 @@ def range_basis(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:
 
     Shape is (rows, rank); rank 0 gives a (rows, 0) matrix.
     """
-    a = as_operator(m)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = _separated_rank(s, rank_tol)
-    return u[:, :r]
+    return _ranked_svd(m, rank_tol).u
 
 
 def range_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:
@@ -240,25 +267,15 @@ def max_psd_multiplier(
     c_norm = operator_norm(b)
     if c_norm == 0.0:
         return UNBOUNDED
-
+    # for PSD s = U Sigma U*, one SVD gives both range(s) and s^{+/2}
+    svd = _ranked_svd(a, rank_tol)
     # range(c) must sit inside range(s), otherwise some h has c-energy but
     # no s-energy and only a = 0 survives
-    proj = range_projector(a, rank_tol)
-    eye = np.eye(a.shape[0])
-    if operator_norm((eye - proj) @ b) > tol * c_norm:
+    if svd.residual(b) > tol * c_norm:
         return 0.0
-
-    eig = hermitian_eig(a, tol)
-    vals = np.clip(eig.eigenvalues, 0.0, None)
-    top = float(vals[-1]) if vals.size else 0.0
-    if top == 0.0:
-        # s = 0 with c != 0 cannot pass the range check; defensive only
-        return 0.0
-    inv_sqrt = np.where(vals > rank_tol * top, 1.0 / np.sqrt(np.where(vals > 0, vals, 1.0)), 0.0)
-    root = (eig.eigenvectors * inv_sqrt) @ eig.eigenvectors.conj().T
-    w = root @ b @ root
-    w = 0.5 * (w + w.conj().T)
-    lam = float(np.linalg.eigvalsh(w)[-1])
+    root = svd.u / np.sqrt(svd.s)
+    w = root.conj().T @ b @ root
+    lam = float(np.linalg.eigvalsh(0.5 * (w + w.conj().T))[-1])
     if lam <= 0.0:
         # c vanishes on range(s); with the range check passed this means
         # c is numerically zero relative to s

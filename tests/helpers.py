@@ -10,8 +10,9 @@ import re
 
 import numpy as np
 
-from ckframe import SampleField, make_measure_space
-from ckframe.frame_ops import synthesis_matrix
+from ckframe import SampleField, ScalarField, make_measure_space
+from ckframe.frame_ops import analysis, synthesis, synthesis_matrix
+from ckframe.measure import l2_norm
 
 
 def crandn(rng, *shape):
@@ -159,3 +160,73 @@ def strip_wall_time(text):
     """Normalize the wall_time entry so reports compare byte for byte."""
     text = re.sub(r'"wall_time": [^\n]+', '"wall_time": 0', text)
     return re.sub(r"wall_time: [^\n]+", "wall_time: 0", text)
+
+
+# ---------------------------------------------------------------------------
+# per-basis-vector references for the vectorized residuals
+
+
+def reference_dual_pair_residuals(f, g, k, basis_h, basis_h0, rank_tol=1e-10):
+    """The five dual-pair residuals and the onto variants, one basis vector
+    at a time through synthesis/analysis of ScalarFields.
+
+    Returns (c1, c2, c3, c4, c5, onto) with onto as in DualPairReport.
+    """
+    kk = np.asarray(k, dtype=complex)
+    e = np.asarray(basis_h, dtype=complex)
+    gamma = np.asarray(basis_h0, dtype=complex)
+    n, n0 = kk.shape
+    w = f.space.weight_array
+    kh = kk.conj().T
+    scale = max(1.0, float(np.linalg.norm(kk, 2)))
+
+    c1 = 0.0
+    for j in range(n0):
+        recon = synthesis(f, analysis(g, gamma[:, j]))
+        c1 = max(c1, float(np.linalg.norm(kk @ gamma[:, j] - recon)) / scale)
+    c2 = 0.0
+    for i in range(n):
+        recon = synthesis(g, analysis(f, e[:, i]))
+        c2 = max(c2, float(np.linalg.norm(kh @ e[:, i] - recon)) / scale)
+
+    cross = (f.samples.T * w) @ g.samples.conj()
+    cross_adj = (g.samples.T * w) @ f.samples.conj()
+    c3 = float(np.max(np.abs(e.conj().T @ (kk - cross) @ gamma))) / scale
+    c4 = float(np.max(np.abs(gamma.conj().T @ (kh - cross_adj) @ e))) / scale
+    c5 = float(np.max(np.abs(kh - cross_adj))) / scale
+
+    sigma = np.linalg.svd(kk, compute_uv=False)
+    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+    sq_scale = max(1.0, float(np.linalg.norm(kk, 2)) ** 2)
+    res_k = res_k_star = None
+    if rank == n:
+        res_k = 0.0
+        for j in range(n0):
+            h0 = gamma[:, j]
+            kh0 = kk @ h0
+            integral = complex(np.sum(w * (g.samples.conj() @ h0) * (f.samples @ np.conj(kh0))))
+            res_k = max(res_k, abs(float(np.linalg.norm(kh0)) ** 2 - integral) / sq_scale)
+    if rank == n0:
+        res_k_star = 0.0
+        for i in range(n):
+            h = e[:, i]
+            ksh = kh @ h
+            integral = complex(np.sum(w * (f.samples.conj() @ h) * (g.samples @ np.conj(ksh))))
+            res_k_star = max(res_k_star, abs(float(np.linalg.norm(ksh)) ** 2 - integral) / sq_scale)
+    onto = (res_k, res_k_star) if rank in (n, n0) else None
+    return c1, c2, c3, c4, c5, onto
+
+
+def reference_atomic_residual(f, k, m):
+    """verify_atomic_decomposition one H0 basis vector at a time."""
+    kk = np.asarray(k, dtype=complex)
+    scale = max(1.0, float(np.linalg.norm(kk, 2)))
+    worst = 0.0
+    worst_coeff_norm = 0.0
+    for j in range(kk.shape[1]):
+        coeff = ScalarField(f.space, m.matrix[:, j])
+        recon = synthesis(f, coeff)
+        worst = max(worst, float(np.linalg.norm(kk[:, j] - recon)) / scale)
+        worst_coeff_norm = max(worst_coeff_norm, l2_norm(coeff))
+    bound_excess = max(0.0, worst_coeff_norm - m.bound) / max(1.0, m.bound)
+    return max(worst, bound_excess)

@@ -39,7 +39,11 @@ from helpers import (
     crandn,
     excluded_instance,
     parseval_field,
+    random_field,
+    random_space,
     random_unitary,
+    reference_atomic_residual,
+    reference_dual_pair_residuals,
 )
 
 TOL = 1e-8
@@ -210,6 +214,12 @@ def test_inverse_rejects_degenerate_and_non_frames():
         inverse_on_range(scaled_field(), np.zeros((2, 2)))
     with pytest.raises(NotInvertibleOnRange):
         inverse_on_range(doubled_atom_field(), np.eye(2))
+    # a loose tol passes the frame check while a retained direction of k
+    # (singular value 1e-5) lies outside range(T_f)
+    k = np.diag([1.0, 1e-5])
+    assert ckframe_check(doubled_atom_field(), k, tol=1e-3).is_ck_frame
+    with pytest.raises(NotInvertibleOnRange):
+        inverse_on_range(doubled_atom_field(), k, tol=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +259,30 @@ def test_restricted_margin_nonnegative_on_random_instances():
     for _ in range(20):
         f, k = ckframe_instance(rng, 4, 2, 10)
         assert subspace_cframe_margin(f, k) >= -1e-9
+
+
+def test_margins_match_raw_frame_operator_oracle():
+    # extrema of <G h, h> on S_f(range(k)) (a generalized problem, not the
+    # reciprocal spectrum of the compression) and of the compression itself,
+    # from S_f and the one-sided inverse U pinv(S_f U)
+    rng = np.random.default_rng(59)
+    for n, n0, atoms in ((6, 3, 12), (4, 2, 10), (3, 3, 9)):
+        f, k = ckframe_instance(rng, n, n0, atoms)
+        check = ckframe_check(f, k)
+        a, b = check.bounds.lower, check.bounds.upper
+        sigma = np.linalg.svd(k, compute_uv=False)
+        u = np.linalg.svd(k, full_matrices=False)[0][:, : np.count_nonzero(sigma > 1e-10 * sigma[0])]
+        s = frame_operator(f)
+        su = s @ u
+        v = np.linalg.svd(su, full_matrices=False)[0]
+        g = u @ np.linalg.pinv(su)
+        inverted = np.linalg.eigvalsh(0.5 * (v.conj().T @ g @ v + (v.conj().T @ g @ v).conj().T))
+        dagger2 = 1.0 / sigma[u.shape[1] - 1] ** 2
+        expected = min(inverted[0] * b - 1.0, 1.0 - inverted[-1] * a / dagger2)
+        assert sandwich_check(f, k) == pytest.approx(expected, abs=1e-9)
+        compressed = np.linalg.eigvalsh(u.conj().T @ s @ u)
+        expected = min(compressed[0] * dagger2 / a - 1.0, 1.0 - compressed[-1] / b)
+        assert subspace_cframe_margin(f, k) == pytest.approx(expected, abs=1e-9)
 
 
 def test_margins_reject_zero_operator():
@@ -331,6 +365,32 @@ def test_dual_pair_onto_variants():
     assert r3.onto_variant_residuals is not None
     assert r3.onto_variant_residuals[0] <= TOL
     assert r3.onto_variant_residuals[1] is None
+
+
+def test_vectorized_residuals_match_per_basis_loops():
+    rel = 1e-12
+    rng = np.random.default_rng(58)
+    for n, n0, atoms in ((3, 3, 7), (4, 2, 9), (2, 4, 8)):
+        space = random_space(rng, atoms)
+        f = random_field(rng, space, n)
+        g = random_field(rng, space, n0)
+        k = crandn(rng, n, n0)
+        basis_h = random_unitary(rng, n)
+        basis_h0 = random_unitary(rng, n0)
+        report = verify_dual_pair(f, g, k, basis_h=basis_h, basis_h0=basis_h0)
+        *residuals, onto = reference_dual_pair_residuals(f, g, k, basis_h, basis_h0)
+        actual = [getattr(report, f"residual_c{i}") for i in range(1, 6)]
+        assert actual == pytest.approx(residuals, rel=rel)
+        assert (report.onto_variant_residuals[0] is None) == (onto[0] is None)
+        assert (report.onto_variant_residuals[1] is None) == (onto[1] is None)
+        for got, want in zip(report.onto_variant_residuals, onto):
+            if want is not None:
+                assert got == pytest.approx(want, rel=rel)
+        for bound in (0.5, 1e3):
+            m = CoefficientMap(crandn(rng, atoms, n0), source_dims=(n0, atoms), bound=bound)
+            assert verify_atomic_decomposition(f, k, m) == pytest.approx(
+                reference_atomic_residual(f, k, m), rel=rel
+            )
 
 
 def test_dual_pair_shape_guards():

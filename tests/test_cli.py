@@ -3,11 +3,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from ckframe.cli import main
-from ckframe.harness import emit_spec, generate_example, parse_problem
+from ckframe.harness import emit_spec, generate_example, parse_problem, run_command
 
 BROKEN_PAIR = {
     "space": {"labels": ["a", "b"], "weights": [1.0, 1.0]},
@@ -151,3 +152,52 @@ def test_module_entry_point(tmp_path):
         [[1.0, 0.0], [0.0, 0.0]],
         [[0.0, 0.0], [0.5, 0.0]],
     ]
+
+
+@pytest.mark.parametrize("scales", [[1.0, 1e-6], [1e-5, 1e-5], [1.0, 3e-5]])
+def test_scaled_onb_gets_one_verdict_from_every_command(scales, tmp_path):
+    # rank is decided on the singular values of B, and positivity of the
+    # lower bound by inclusion, so a tiny or badly scaled frame is still one
+    spec_path = tmp_path / "spec.json"
+    params = json.dumps({"scales": scales})
+    assert main(["gen", "--kind", "scaled_onb", "--params", params, "--out", str(spec_path)]) == 0
+    spec = parse_problem(spec_path.read_text())
+    reports = {
+        cmd: run_command(spec, cmd) for cmd in ("bounds", "atoms", "douglas", "dual", "sandwich")
+    }
+    assert {cmd: r.status for cmd, r in reports.items()} == dict.fromkeys(reports, "ok")
+    lower = reports["bounds"].results["lower"]
+    assert 1.0 / reports["douglas"].results["lambda_min"] == pytest.approx(lower, rel=1e-8)
+    assert reports["atoms"].results["bound_constant"] ** -2 == pytest.approx(lower, rel=1e-8)
+
+
+@pytest.mark.parametrize("weight,sample", [(1e308, 1e200), (1.0, 1e-200)])
+def test_unrepresentable_frame_operator_fails_without_stderr(weight, sample, tmp_path, capsys):
+    # S_f = B B* overflows in the first case and underflows to 0 in the second
+    doc = dict(BROKEN_PAIR)
+    doc["space"] = {"labels": ["a", "b"], "weights": [weight, weight]}
+    doc["field_f"] = [[[sample, 0], [0, 0]], [[0, 0], [sample, 0]]]
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cmd in ("bounds", "atoms", "douglas", "dual", "sandwich", "verify-pair"):
+            assert main([cmd, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert json.loads(captured.out)["results"]["error"] == "NotRepresentable"
+
+
+def test_row_lengths_checked_before_allocation(tmp_path, capsys):
+    # a 1 x 10**12 complex matrix would need 16 TB
+    doc = {
+        "space": {"labels": ["a"], "weights": [1.0]},
+        "dim_h": 10**12,
+        "dim_h0": 1,
+        "field_f": [[[1, 0]]],
+        "operator_k": [[[1, 0]]],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bounds", str(path)]) == 2
+    assert "'field_f[0]'" in capsys.readouterr().err

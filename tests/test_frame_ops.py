@@ -6,6 +6,7 @@ import pytest
 
 from ckframe import (
     DimMismatch,
+    NotRepresentable,
     SampleField,
     ScalarField,
     SpaceMismatch,
@@ -220,6 +221,12 @@ def test_ckframe_check_range_escape():
     assert not report.range_included
     assert report.bounds.lower == 0.0
     assert not report.is_ck_frame
+
+
+def test_ckframe_check_unrepresentable_lower_bound():
+    # A = 1 / ||pinv(B) k||^2 = 1e400 for k = 1e-200 I
+    with pytest.raises(NotRepresentable):
+        ckframe_check(onb_field(), 1e-200 * np.eye(2))
 
 
 def test_ckframe_check_dim_mismatch():

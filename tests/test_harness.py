@@ -1,6 +1,7 @@
 """Problem-spec JSON schema, example generators, and command dispatch."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -396,3 +397,57 @@ def test_report_rejects_unknown_format_and_nan():
     )
     with pytest.raises(ValueError):
         emit_report(poisoned, "json")
+
+
+# ---------------------------------------------------------------------------
+# factorization budget
+
+#: Dense factorizations per command on a gen-default spec: the SVD of the
+#: whitened synthesis matrix, of k and of small compressions, plus
+#: norm(., 2), which runs an SVD of its own.  bounds needs at most 4.
+FACTORIZATIONS = {
+    "atoms": 5,
+    "dual": 14,
+    "verify-pair": 2,
+    "douglas": 11,
+    "sandwich": 13,
+}
+
+
+def counted_factorizations(monkeypatch) -> Counter:
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "eigh", "eigvalsh", "inv", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    norm = np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            counts["norm2"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return counts
+
+
+def test_bounds_factorization_budget(monkeypatch):
+    spec = generate_example("random_ckframe", {})
+    counts = counted_factorizations(monkeypatch)
+    assert run_command(spec, "bounds").status == STATUS_OK
+    assert sum(counts.values()) <= 4
+
+
+@pytest.mark.parametrize("command", sorted(FACTORIZATIONS))
+def test_command_factorization_counts_are_pinned(command, monkeypatch):
+    kind = "random_bessel_pair" if command == "verify-pair" else "random_ckframe"
+    spec = generate_example(kind, {})
+    counts = counted_factorizations(monkeypatch)
+    run_command(spec, command)
+    assert sum(counts.values()) == FACTORIZATIONS[command], dict(counts)
