@@ -450,8 +450,11 @@ def dual_frame_bounds_check(
     For a verified pair, g satisfies the lower frame inequality against
     k with constant 1/B_f, and f the mirrored one against k* with
     constant 1/B_g (B_* the Bessel bounds).  Returns (margin_f,
-    margin_g), the smallest eigenvalues of the two defect forms; both
-    must be >= -tol for a genuine pair.
+    margin_g), the smallest eigenvalues of the two defect forms
+    S_f - k k* / B_g and S_g - k* k / B_f, each divided by its form's
+    Bessel bound (B_f and B_g), so rescaling f -> c f, g -> g / c leaves
+    them unchanged.  They lie in [-1, 1], and both must be >= -tol for a
+    genuine pair.
 
     Raises NotADualPair when the pair identities fail or a field is
     identically zero.
@@ -470,6 +473,6 @@ def dual_frame_bounds_check(
     s_g = frame_operator(g)
     defect_f = s_f - (kk @ adjoint(kk)) / b_g
     defect_g = s_g - (adjoint(kk) @ kk) / b_f
-    margin_f = float(np.linalg.eigvalsh(0.5 * (defect_f + defect_f.conj().T))[0])
-    margin_g = float(np.linalg.eigvalsh(0.5 * (defect_g + defect_g.conj().T))[0])
+    margin_f = float(np.linalg.eigvalsh(0.5 * (defect_f + defect_f.conj().T))[0]) / b_f
+    margin_g = float(np.linalg.eigvalsh(0.5 * (defect_g + defect_g.conj().T))[0]) / b_g
     return margin_f, margin_g

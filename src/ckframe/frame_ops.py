@@ -119,11 +119,18 @@ def map_field(u, f: SampleField) -> SampleField:
 
 
 def cframe_bounds(f: SampleField, tol: float = DEFAULT_CHECK_TOL) -> FrameBounds:
-    """Optimal plain frame bounds: extreme eigenvalues of S_f."""
-    eig = hermitian_eig(frame_operator(f), tol)
-    lower = max(float(eig.eigenvalues[0]), 0.0)
-    upper = max(float(eig.eigenvalues[-1]), 0.0)
-    return FrameBounds(lower=lower, upper=upper, kind=C_FRAME if lower > tol else C_BESSEL)
+    """Optimal plain frame bounds of f.
+
+    Whether f is a frame (spans H) is the rank decision on the singular
+    values of the whitened synthesis matrix B, as in ckframe_check; the
+    lower bound is then sigma_min(B)^2, else 0.0.  The upper bound is the
+    largest eigenvalue of S_f = B B*.
+    """
+    b = _ranked_svd(whitened_synthesis_matrix(f))
+    spans = b.s.size == f.dim
+    upper = max(float(hermitian_eig(frame_operator(f), tol).eigenvalues[-1]), 0.0)
+    lower = float(b.s[-1]) ** 2 if spans else 0.0
+    return FrameBounds(lower=lower, upper=upper, kind=C_FRAME if spans else C_BESSEL)
 
 
 def ckframe_check(

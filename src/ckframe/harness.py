@@ -15,7 +15,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Optional
+from itertools import chain
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -64,33 +65,10 @@ class ProblemSpec:
     def dim_h0(self) -> int:
         return int(self.operator_k.shape[1])
 
-    def to_json_dict(self) -> dict:
-        doc: dict[str, Any] = {
-            "space": {
-                "labels": list(self.space.labels),
-                "weights": list(self.space.weights),
-            },
-            "dim_h": self.dim_h,
-            "dim_h0": self.dim_h0,
-            "field_f": _matrix_pairs(self.field_f.samples),
-            "operator_k": _matrix_pairs(self.operator_k),
-            "field_g": _matrix_pairs(self.field_g.samples) if self.field_g is not None else None,
-        }
-        tols = {}
-        if self.rank_tol is not None:
-            tols["rank_tol"] = self.rank_tol
-        if self.check_tol is not None:
-            tols["check_tol"] = self.check_tol
-        if tols:
-            doc["tolerances"] = tols
-        if self.options:
-            doc["options"] = self.options
-        return doc
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProblemSpec):
             return NotImplemented
-        return self.to_json_dict() == other.to_json_dict()
+        return emit_spec(self) == emit_spec(other)
 
 
 @dataclass(frozen=True)
@@ -125,8 +103,12 @@ def _as_number(value, path: str) -> float:
         f"expected a number, got {type(value).__name__}",
         path,
     )
-    _require(math.isfinite(float(value)), "number must be finite", path)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValidationError("number is too large for double precision", path) from None
+    _require(math.isfinite(number), "number must be finite", path)
+    return number
 
 
 def _as_complex(value, path: str) -> complex:
@@ -150,11 +132,32 @@ def _as_matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
             f"expected a row of {cols} complex pairs",
             f"{path}[{i}]",
         )
+    fast = _matrix_from_lists(value, rows, cols)
+    if fast is not None:
+        return fast
+    # something is wrong with a cell: walk them to name its path
     out = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(value):
         for j, cell in enumerate(row):
             out[i, j] = _as_complex(cell, f"{path}[{i}][{j}]")
     return out
+
+
+def _matrix_from_lists(value: list, rows: int, cols: int) -> Optional[np.ndarray]:
+    """The matrix in one conversion when every cell is a pair of finite
+    int/float leaves (so no bool and no numeric string), else None."""
+    flat = chain.from_iterable
+    if set(map(type, flat(value))) != {list} or set(map(len, flat(value))) != {2}:
+        return None
+    if not set(map(type, flat(flat(value)))) <= {int, float}:
+        return None
+    try:
+        pairs = np.array(value, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(pairs).all():
+        return None
+    return pairs.view(complex).reshape(rows, cols)
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -241,13 +244,75 @@ def parse_problem(text: str) -> ProblemSpec:
     )
 
 
+def _spec_chunks(spec: ProblemSpec) -> Iterator[str]:
+    """The canonical spec text, piece by piece.
+
+    The text is what json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    gives for the spec as a JSON document.  json.dumps writes the small
+    entries; the matrices are written one row at a time from their float
+    arrays in the same layout.
+    """
+    doc: dict[str, Any] = {
+        "space": {"labels": list(spec.space.labels), "weights": list(spec.space.weights)},
+        "dim_h": spec.dim_h,
+        "dim_h0": spec.dim_h0,
+        "field_f": spec.field_f.samples,
+        "operator_k": spec.operator_k,
+        "field_g": spec.field_g.samples if spec.field_g is not None else None,
+    }
+    tols = {}
+    if spec.rank_tol is not None:
+        tols["rank_tol"] = spec.rank_tol
+    if spec.check_tol is not None:
+        tols["check_tol"] = spec.check_tol
+    if tols:
+        doc["tolerances"] = tols
+    if spec.options:
+        doc["options"] = spec.options
+    separator = "{\n  "
+    for key in sorted(doc):
+        yield f"{separator}{json.dumps(key)}: "
+        separator = ",\n  "
+        value = doc[key]
+        if isinstance(value, np.ndarray):
+            yield from _matrix_chunks(value)
+        else:
+            yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
+
+
+#: One complex cell of a spec matrix, as json.dumps(indent=2) lays it out
+#: at the depth of a top-level entry.
+_CELL = "      [\n        %r,\n        %r\n      ]"
+
+
+def _matrix_chunks(m: np.ndarray) -> Iterator[str]:
+    """A complex matrix as nested [re, im] pairs, one row per chunk."""
+    parts = np.ascontiguousarray(m, dtype=complex).view(float)
+    if parts.size == 0 or not np.isfinite(parts).all():
+        # json's own spelling of empty rows and of NaN / Infinity
+        nested = parts.reshape(*m.shape, 2).tolist()
+        yield json.dumps(nested, indent=2).replace("\n", "\n  ")
+        return
+    row_text = "    [\n" + ",\n".join([_CELL] * m.shape[1]) + "\n    ]"
+    separator = "[\n"
+    for row in parts:
+        yield separator + row_text % tuple(row.tolist())
+        separator = ",\n"
+    yield "\n  ]"
+
+
 def emit_spec(spec: ProblemSpec) -> str:
     """Serialize a spec at full float precision; parse(emit(s)) == s."""
-    return json.dumps(spec.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return "".join(_spec_chunks(spec))
 
 
 def spec_digest(spec: ProblemSpec) -> str:
-    return "sha256:" + hashlib.sha256(emit_spec(spec).encode()).hexdigest()
+    """sha256 of the canonical spec text, hashed chunk by chunk."""
+    digest = hashlib.sha256()
+    for chunk in _spec_chunks(spec):
+        digest.update(chunk.encode())
+    return "sha256:" + digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +663,13 @@ def generate_example(kind: str, params: dict, seed: int = 0) -> ProblemSpec:
             raise BadParams("parameter 'scales' must be a non-empty array of numbers")
         scales = []
         for i, s in enumerate(params["scales"]):
-            if not isinstance(s, (int, float)) or isinstance(s, bool) or not math.isfinite(float(s)):
-                raise BadParams(f"scales[{i}] must be a finite number")
-            if float(s) == 0.0:
+            try:
+                scale = _as_number(s, f"scales[{i}]")
+            except ValidationError:
+                raise BadParams(f"scales[{i}] must be a finite number") from None
+            if scale == 0.0:
                 raise BadParams(f"scales[{i}] must be nonzero")
-            scales.append(float(s))
+            scales.append(scale)
         n = len(scales)
         space = _counting_space(n)
         samples = np.diag(np.asarray(scales, dtype=complex))

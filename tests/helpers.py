@@ -6,6 +6,7 @@ instead of pseudoinverse composition, and Monte-Carlo minimization of
 Rayleigh-type quotients with local refinement.
 """
 
+import json
 import re
 
 import numpy as np
@@ -154,6 +155,33 @@ def min_quotient(rng, s, c, budget, rounds=14):
             center = cand[:, j]
         sigma *= 0.5
     return best
+
+
+def oracle_spec_text(spec):
+    """The canonical spec text the whole-document way: the spec as nested
+    lists and dicts, written by one json.dumps(sort_keys=True, indent=2)."""
+
+    def pairs(m):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+    doc = {
+        "space": {"labels": list(spec.space.labels), "weights": list(spec.space.weights)},
+        "dim_h": spec.dim_h,
+        "dim_h0": spec.dim_h0,
+        "field_f": pairs(spec.field_f.samples),
+        "operator_k": pairs(spec.operator_k),
+        "field_g": pairs(spec.field_g.samples) if spec.field_g is not None else None,
+    }
+    tols = {}
+    if spec.rank_tol is not None:
+        tols["rank_tol"] = spec.rank_tol
+    if spec.check_tol is not None:
+        tols["check_tol"] = spec.check_tol
+    if tols:
+        doc["tolerances"] = tols
+    if spec.options:
+        doc["options"] = spec.options
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def strip_wall_time(text):

@@ -33,6 +33,7 @@ from ckframe.frame_ops import (
     synthesis_matrix,
     whitened_synthesis_matrix,
 )
+from ckframe.harness import generate_example
 from ckframe.linalg import operator_norm, pseudoinverse, range_basis
 from helpers import (
     ckframe_instance,
@@ -520,6 +521,22 @@ def test_reciprocal_margins_random_pairs():
         )
         assert margin_f >= -1e-9
         assert margin_g >= -1e-9
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e-5])
+def test_reciprocal_margins_are_scale_invariant(scale):
+    # each margin is relative to its form's Bessel bound; absolute margins
+    # read -4.2e-4 at scale 1e5, the roundoff of 1e10-sized forms
+    spec = generate_example("random_ckframe", {"n": 3, "n0": 2, "atoms": 8}, seed=1)
+
+    def margins(c):
+        f = SampleField(spec.space, c * spec.field_f.samples)
+        dual = canonical_dual(f, spec.operator_k)
+        return dual_frame_bounds_check(dual.projected_frame, dual.dual_field, spec.operator_k)
+
+    base, scaled = margins(1.0), margins(scale)
+    assert [m >= -1e-8 for m in scaled] == [m >= -1e-8 for m in base] == [True, True]
+    assert scaled == pytest.approx(base, abs=1e-12)
 
 
 def test_reciprocal_margins_reject_non_pairs():

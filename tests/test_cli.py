@@ -201,3 +201,42 @@ def test_row_lengths_checked_before_allocation(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["bounds", str(path)]) == 2
     assert "'field_f[0]'" in capsys.readouterr().err
+
+
+def _set_weight(doc, value):
+    doc["space"]["weights"][1] = value
+
+
+def _set_cell(doc, value):
+    doc["operator_k"][1][0][0] = value
+
+
+def _set_tolerance(doc, value):
+    doc["tolerances"] = {"check_tol": value}
+
+
+@pytest.mark.parametrize(
+    "place,path",
+    [(_set_weight, "space.weights[1]"), (_set_cell, "operator_k[1][0][0]"), (_set_tolerance, "tolerances.check_tol")],
+    ids=["weight", "matrix-cell", "tolerance"],
+)
+def test_huge_json_integer_is_an_input_error(place, path, tmp_path, capsys):
+    # 10**400 is a valid JSON number that no double can hold
+    doc = json.loads(json.dumps(EXCLUDED))
+    place(doc, 10**400)
+    spec_path = tmp_path / "huge.json"
+    spec_path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bounds", str(spec_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"ckframe: input error: number is too large for double precision at '{path}'"
+    ]
+
+
+def test_huge_gen_scale_is_an_input_error(capsys):
+    params = json.dumps({"scales": [1.0, 10**400]})
+    assert main(["gen", "--kind", "scaled_onb", "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["ckframe: input error: scales[1] must be a finite number"]

@@ -22,6 +22,7 @@ from ckframe.frame_ops import (
     synthesis_matrix,
     whitened_synthesis_matrix,
 )
+from ckframe.harness import generate_example
 from ckframe.linalg import UNBOUNDED, operator_norm
 from ckframe.measure import hilbert_inner, l2_inner, l2_norm
 from helpers import (
@@ -191,6 +192,15 @@ def test_cframe_bounds_rank_deficient_is_bessel():
     b = cframe_bounds(doubled_atom_field())
     assert (b.lower, b.upper) == (0.0, 2.0)
     assert b.kind == "cBessel"
+
+
+def test_cframe_bounds_tiny_orthogonal_basis_is_a_frame():
+    # the kind is the rank decision on B, not lower > tol: this basis has
+    # lower = upper = 1e-10, below the default tol of 1e-8
+    b = cframe_bounds(generate_example("scaled_onb", {"scales": [1e-5, 1e-5]}).field_f)
+    assert b.kind == "cFrame"
+    assert b.lower == pytest.approx(1e-10, rel=1e-12)
+    assert b.upper == pytest.approx(1e-10, rel=1e-12)
 
 
 def test_ckframe_check_scaled_with_one_column():

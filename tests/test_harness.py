@@ -1,10 +1,13 @@
 """Problem-spec JSON schema, example generators, and command dispatch."""
 
+import hashlib
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ckframe import (
     BadParams,
@@ -14,6 +17,7 @@ from ckframe import (
     ValidationError,
     make_measure_space,
 )
+from ckframe import harness
 from ckframe.frame_ops import ckframe_check, frame_operator
 from ckframe.harness import (
     COMMANDS,
@@ -30,7 +34,7 @@ from ckframe.harness import (
     run_command,
     spec_digest,
 )
-from helpers import strip_wall_time
+from helpers import oracle_spec_text, strip_wall_time
 
 MINIMAL_SPEC = """
 {
@@ -159,6 +163,171 @@ def test_digest_format_and_sensitivity():
     assert len(spec_digest(a)) == len("sha256:") + 64
     assert spec_digest(a) != spec_digest(b)
     assert spec_digest(a) == spec_digest(generate_example("onb", {"n": 2}))
+
+
+# ---------------------------------------------------------------------------
+# canonical spec bytes against the whole-document json.dumps oracle
+
+#: Cell and weight values whose spelling is easy to get wrong: signed
+#: zero, subnormals, large exponents and integer-valued floats.
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-300, 0.1, 1.0, 2.0, -7.0, 1e16, 3e20]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**20), 10**20)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+positive_floats = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@st.composite
+def edited_specs(draw):
+    """A generated spec of any kind with random labels (non-ASCII and
+    control characters included), special cell and weight values,
+    tolerances and options."""
+    kind = draw(st.sampled_from(GENERATOR_KINDS))
+    spec = generate_example(kind, {}, seed=draw(st.integers(0, 20)))
+    n = spec.space.n_atoms
+
+    def edited(values, choices):
+        out = np.array(values)
+        flat = out.reshape(-1).view(float)
+        edits = st.tuples(st.integers(0, flat.size - 1), st.sampled_from(choices))
+        for index, value in draw(st.lists(edits, max_size=6)):
+            flat[index] = value
+        return out
+
+    labels = draw(st.lists(st.text(max_size=6), min_size=n, max_size=n))
+    weights = edited(spec.space.weights, [w for w in SPECIAL_FLOATS if w > 0.0])
+    space = make_measure_space(labels, weights)
+    field_g = spec.field_g
+    if field_g is not None:
+        field_g = SampleField(space, edited(field_g.samples, SPECIAL_FLOATS))
+    tols = draw(st.fixed_dictionaries({}, optional={"rank_tol": positive_floats, "check_tol": positive_floats}))
+    return ProblemSpec(
+        space=space,
+        field_f=SampleField(space, edited(spec.field_f.samples, SPECIAL_FLOATS)),
+        operator_k=edited(spec.operator_k, SPECIAL_FLOATS),
+        field_g=field_g,
+        rank_tol=tols.get("rank_tol"),
+        check_tol=tols.get("check_tol"),
+        options=draw(st.dictionaries(st.text(max_size=5), json_values, max_size=3)),
+    )
+
+
+@given(edited_specs())
+def test_spec_text_and_digest_match_the_whole_document_oracle(spec):
+    text = oracle_spec_text(spec)
+    assert emit_spec(spec) == text
+    assert spec_digest(spec) == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    assert parse_problem(text) == spec
+
+
+def test_spec_text_matches_the_oracle_on_fixed_labels_and_values():
+    base = minimal_spec()
+    space = make_measure_space(["\u00e9\u96ea", "\x00\n\t\u2028\"\\"], [1e-300, 3e20])
+    spec = ProblemSpec(
+        space=space,
+        field_f=SampleField(space, np.array([[-0.0, 1e-300j], [3e20, 2.0 - 0.0j]])),
+        operator_k=base.operator_k,
+        rank_tol=1e-9,
+        options={"note": "\u00fc", "n": 3},
+    )
+    assert emit_spec(spec) == oracle_spec_text(spec)
+    assert '"\\u00e9\\u96ea"' in emit_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [np.array([[np.nan, 1.0], [np.inf, -np.inf]]), np.zeros((2, 0))],
+    ids=["non-finite", "no-columns"],
+)
+def test_spec_text_matches_the_oracle_on_odd_operators(k):
+    # only a hand-built spec can carry these; json spells them its own way
+    base = minimal_spec()
+    spec = ProblemSpec(space=base.space, field_f=base.field_f, operator_k=k)
+    assert emit_spec(spec) == oracle_spec_text(spec)
+
+
+# ---------------------------------------------------------------------------
+# the one-conversion matrix parser against the cell walk
+
+GOOD_CELLS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+def matrix_outcome(value, rows, cols):
+    try:
+        m = harness._as_matrix(value, rows, cols, "field_f")
+    except ValidationError as exc:
+        return ("rejected", exc.path, str(exc))
+    return ("accepted", m.shape, m.dtype, m.tobytes())
+
+
+def fast_and_walked(value, rows, cols, monkeypatch):
+    """Outcomes of _as_matrix as it stands and with the cell walk forced."""
+    fast = matrix_outcome(value, rows, cols)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_matrix_from_lists", lambda *args: None)
+        walked = matrix_outcome(value, rows, cols)
+    return fast, walked
+
+
+def with_cell(i, j, cell):
+    value = json.loads(json.dumps(GOOD_CELLS))
+    value[i][j] = cell
+    return value
+
+
+@pytest.mark.parametrize(
+    "value,path",
+    [
+        (with_cell(0, 0, [True, 0]), "field_f[0][0][0]"),
+        (with_cell(1, 1, ["nan", 0]), "field_f[1][1][0]"),
+        (with_cell(0, 1, [0, 10**400]), "field_f[0][1][1]"),
+        (with_cell(1, 0, [float("nan"), 0]), "field_f[1][0][0]"),
+        ([[[1, 0]], [[0, 0], [1, 0]]], "field_f[0]"),
+        (with_cell(0, 0, [1, 0, 0]), "field_f[0][0]"),
+        (with_cell(1, 0, 5), "field_f[1][0]"),
+        (with_cell(0, 1, [-0.0, 2**60 + 1]), None),
+        (with_cell(1, 1, [1e-300, -7]), None),
+    ],
+    ids=["bool", "nan-string", "huge-int", "nan-float", "ragged-row", "triple", "non-list", "ints", "floats"],
+)
+def test_matrix_parser_and_cell_walk_agree(value, path, monkeypatch):
+    fast, walked = fast_and_walked(value, 2, 2, monkeypatch)
+    assert fast == walked
+    if path is None:
+        assert fast[0] == "accepted"
+        assert harness._matrix_from_lists(value, 2, 2) is not None
+    else:
+        assert fast[:2] == ("rejected", path)
+
+
+leaves = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from(["nan", "1", None, 10**400]),
+)
+numbers = st.integers(-(2**70), 2**70) | st.floats(allow_nan=False, allow_infinity=False)
+cells = st.one_of(
+    st.lists(numbers, min_size=2, max_size=2),
+    st.lists(leaves, min_size=2, max_size=2),
+    st.lists(leaves, max_size=3),
+    leaves,
+)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_matrix_parser_and_cell_walk_agree_on_random_cells(rows, cols, data):
+    value = data.draw(st.lists(st.lists(cells, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fast, walked = fast_and_walked(value, rows, cols, monkeypatch)
+    assert fast == walked
 
 
 # ---------------------------------------------------------------------------
