@@ -27,7 +27,6 @@ from .errors import (
     SpaceMismatch,
 )
 from .frame_ops import (
-    CkFrameReport,
     _frame_check,
     frame_operator,
     map_field,
@@ -39,6 +38,7 @@ from .linalg import (
     OperatorMatrix,
     _ranked_svd,
     _RankedSVD,
+    _separated_rank,
     adjoint,
     as_operator,
     operator_norm,
@@ -69,9 +69,12 @@ class DualPairReport:
     c2: k* h recovered by synthesizing g against <h, f(.)>;
     c3, c4: the two bilinear-form identities over basis pairs;
     c5: the c4 identity pinned to the standard coordinate bases.
-    All residuals are relative to max(1, ||k||).  onto_variant_residuals
-    carries the norm-identity residuals (k onto, k* onto) when the
-    respective surjectivity holds, None entries otherwise.
+    c1-c5 are relative to ||k|| and the squared norm identities to
+    ||k||^2 (both to 1 when k = 0), so rescaling g and k together leaves
+    them unchanged.  onto_variant_residuals carries the norm-identity
+    residuals (k onto, k* onto) when the respective surjectivity holds,
+    None entries otherwise; rank(k) is decided as everywhere else, so a
+    singular value of k in the ambiguous band raises RankAmbiguous.
     """
 
     residual_c1: float
@@ -96,12 +99,14 @@ class DualPairReport:
 
 @dataclass(frozen=True)
 class CanonicalDual:
-    """Canonical dual field of (f, k), with its certified bound interval."""
+    """Canonical dual field of (f, k), with its certified bound interval
+    and the dual-pair report it was verified by."""
 
     projected_frame: SampleField
     dual_field: SampleField
     lower_bound: float
     upper_bound: float
+    pair: DualPairReport
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +134,7 @@ def atom_coefficient_map(
         can reproduce k in that case.
     """
     kk = as_operator(k)
-    report, b = _frame_check(f, kk, rank_tol, tol)
+    report, b, coords = _frame_check(f, kk, rank_tol, tol)
     if not report.range_included:
         raise RangeNotIncluded(
             f"range inclusion residual {report.residuals['range_inclusion']:.3e} "
@@ -137,7 +142,7 @@ def atom_coefficient_map(
         )
     w = f.space.weight_array
     return CoefficientMap(
-        matrix=b.solve(kk) / np.sqrt(w)[:, None],
+        matrix=(b.vh.conj().T @ coords) / np.sqrt(w)[:, None],
         source_dims=(kk.shape[1], f.space.n_atoms),
         bound=0.0 if report.degenerate else float(report.bounds.lower) ** -0.5,
     )
@@ -149,10 +154,11 @@ def verify_atomic_decomposition(
     m: CoefficientMap,
     tol: float = DEFAULT_CHECK_TOL,
 ) -> float:
-    """Worst relative reconstruction error of k over a basis of H0.
+    """Worst reconstruction error of k over a basis of H0, relative to ||k||.
 
     Also checks the recorded bound constant against the actual weighted
-    coefficient norms; any excess is folded into the returned residual.
+    coefficient norms; any excess, relative to the bound, is folded into
+    the returned residual.  A zero k or bound divides by 1.
     """
     kk = as_operator(k)
     dim0, n_atoms = m.source_dims
@@ -163,9 +169,9 @@ def verify_atomic_decomposition(
 
     w = f.space.weight_array
     mismatch = kk - f.samples.T @ (w[:, None] * m.matrix)
-    worst = _max_column_norm(mismatch) / max(1.0, operator_norm(kk))
+    worst = _max_column_norm(mismatch) / (operator_norm(kk) or 1.0)
     worst_coeff_norm = float(np.sqrt(np.max(w @ np.abs(m.matrix) ** 2, initial=0.0)))
-    bound_excess = max(0.0, worst_coeff_norm - m.bound) / max(1.0, m.bound)
+    bound_excess = max(0.0, worst_coeff_norm - m.bound) / (m.bound or 1.0)
     return max(worst, bound_excess)
 
 
@@ -184,19 +190,34 @@ class _OnRange:
     With U_k the retained left singular vectors of k and B = U Sigma V*,
     c = Sigma_r U_r* U_k = p diag(sc) qh is B* restricted to range(k), so
     the compression M = U_k* S_f U_k = c* c has eigenvalues sc^2 and
-    S_f U_k = U_r Sigma_r c.
+    S_f U_k = U_r Sigma_r c; a is the ck-frame lower bound A.
     """
 
-    report: CkFrameReport
+    a: float
     b: _RankedSVD
     k: _RankedSVD
     p: np.ndarray
     sc: np.ndarray
     qh: np.ndarray
 
+    def sandwich_margin(self) -> float:
+        """sandwich_check, read off this factorization."""
+        # h = S_f u with u = U_k qh* diag(1/sc) z gives <G h, h> = <u, S_f u> /
+        # ||S_f u||^2 = ||z||^2 / ||Sigma_r p z||^2
+        sv = np.linalg.svd(self.b.s[:, None] * self.p, compute_uv=False)
+        lo_margin = (self.b.top / float(sv[0])) ** 2 - 1.0
+        hi_margin = 1.0 - self.a * (float(self.k.s[-1]) / float(sv[-1])) ** 2
+        return min(lo_margin, hi_margin)
+
+    def restricted_margin(self) -> float:
+        """subspace_cframe_margin, read off this factorization."""
+        lo_margin = (float(self.sc[-1]) / float(self.k.s[-1])) ** 2 / self.a - 1.0
+        hi_margin = 1.0 - (float(self.sc[0]) / self.b.top) ** 2
+        return min(lo_margin, hi_margin)
+
 
 def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -> _OnRange:
-    report, b = _frame_check(f, kk, rank_tol, tol)
+    report, b, _ = _frame_check(f, kk, rank_tol, tol)
     if report.degenerate:
         raise DegenerateOperator("k = 0 holds vacuously; no closed-range certificate")
     if not report.is_ck_frame:
@@ -210,7 +231,7 @@ def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
     # k escape range(B); rank is judged by the cutoff that decided B's rank
     if sc.size < ks.s.size or sc[-1] <= rank_tol * b.top:
         raise NotInvertibleOnRange("frame operator drops rank on range(k)")
-    return _OnRange(report, b, ks, p, sc, qh)
+    return _OnRange(float(report.bounds.lower), b, ks, p, sc, qh)
 
 
 def inverse_on_range(
@@ -253,14 +274,7 @@ def sandwich_check(
     slack is taken relative to its bound, so rescaling f or k leaves it
     unchanged; the return value is negative iff some h violates a side.
     """
-    on = _on_range(f, as_operator(k), rank_tol, tol)
-    # h = S_f u with u = U_k qh* diag(1/sc) z gives <G h, h> = <u, S_f u> /
-    # ||S_f u||^2 = ||z||^2 / ||Sigma_r p z||^2
-    sv = np.linalg.svd(on.b.s[:, None] * on.p, compute_uv=False)
-    a = float(on.report.bounds.lower)
-    lo_margin = (on.b.top / float(sv[0])) ** 2 - 1.0
-    hi_margin = 1.0 - a * (float(on.k.s[-1]) / float(sv[-1])) ** 2
-    return min(lo_margin, hi_margin)
+    return _on_range(f, as_operator(k), rank_tol, tol).sandwich_margin()
 
 
 def subspace_cframe_margin(
@@ -276,11 +290,7 @@ def subspace_cframe_margin(
     compression of S_f to an orthonormal basis of range(k), with each
     side's slack taken relative to its bound.
     """
-    on = _on_range(f, as_operator(k), rank_tol, tol)
-    a = float(on.report.bounds.lower)
-    lo_margin = (float(on.sc[-1]) / float(on.k.s[-1])) ** 2 / a - 1.0
-    hi_margin = 1.0 - (float(on.sc[0]) / on.b.top) ** 2
-    return min(lo_margin, hi_margin)
+    return _on_range(f, as_operator(k), rank_tol, tol).restricted_margin()
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +322,17 @@ def verify_dual_pair(
     c4 the largest entry of D and of D* in basis coordinates, c5 that of D.
     """
     kk = as_operator(k)
+    sigma = np.linalg.svd(kk, compute_uv=False)
+    k_norm = float(sigma[0]) if sigma.size else 0.0
+    rank = _separated_rank(sigma, rank_tol)
+    return _dual_pair_report(f, g, kk, k_norm, rank, tol, basis_h, basis_h0)
+
+
+def _dual_pair_report(
+    f: SampleField, g: SampleField, kk: OperatorMatrix, k_norm: float, rank: int, tol: float,
+    basis_h: Optional[np.ndarray] = None, basis_h0: Optional[np.ndarray] = None,
+) -> DualPairReport:
+    """verify_dual_pair, given ||k|| and the rank of k."""
     if f.space != g.space:
         raise SpaceMismatch("f and g must live over the same measure space")
     n, n0 = f.dim, g.dim
@@ -324,9 +345,8 @@ def verify_dual_pair(
 
     b_f = whitened_synthesis_matrix(f)
     d = kk - b_f @ whitened_synthesis_matrix(g).conj().T
-    sigma = np.linalg.svd(kk, compute_uv=False)
-    k_norm = float(sigma[0]) if sigma.size else 0.0
-    scale = max(1.0, k_norm)
+    # residuals are relative to ||k||, squared ones to ||k||^2
+    scale = k_norm or 1.0
 
     # c1: k h0 = T_f <h0, g(.)>;  c2: k* h = T_g <h, f(.)>
     d_gamma = d @ gamma
@@ -343,17 +363,15 @@ def verify_dual_pair(
     # surjectivity-conditional norm identities: ||k h0||^2 minus the
     # integral of <h0, g(x)> <f(x), k h0> is <D h0, k h0>, and likewise
     # on the adjoint side
-    rank = int(np.count_nonzero(sigma > rank_tol * k_norm)) if k_norm > 0.0 else 0
     notes: list[str] = []
     onto_res: Optional[tuple[Optional[float], Optional[float]]] = None
     if rank in (n, n0):
-        sq_scale = max(1.0, k_norm**2)
         res_k: Optional[float] = None
         res_k_star: Optional[float] = None
         if rank == n:
-            res_k = _max_column_inner(d_gamma, kk @ gamma) / sq_scale
+            res_k = _max_column_inner(d_gamma, kk @ gamma) / scale / scale
         if rank == n0:
-            res_k_star = _max_column_inner(d_adj_e, kk.conj().T @ e) / sq_scale
+            res_k_star = _max_column_inner(d_adj_e, kk.conj().T @ e) / scale / scale
             notes.append(
                 "adjoint-side norm identity verified in squared form ||k* h||^2; "
                 "the unsquared form is dimensionally inconsistent with c4"
@@ -406,19 +424,19 @@ def canonical_dual(
     projected = map_field(on.k.u @ on.k.u.conj().T, f)
     dual = map_field(adjoint(kk) @ root @ root.conj().T, f)
 
-    pair = verify_dual_pair(projected, dual, kk, tol, rank_tol)
+    # verified with rank(k) as _on_range decided it
+    pair = _dual_pair_report(projected, dual, kk, on.k.top, on.k.s.size, tol)
     if not pair.holds:
         raise CanonicalDualFailed(
             f"constructed dual fails the pair identities (max residual "
             f"{pair.max_residual():.3e} > {tol:.1e})"
         )
 
-    a = float(on.report.bounds.lower)
-    lower_bound = 1.0 / float(on.report.bounds.upper)
-    upper_bound = (on.k.top / float(on.k.s[-1])) ** 2 / a
+    lower_bound = 1.0 / on.b.top**2
+    upper_bound = (on.k.top / float(on.k.s[-1])) ** 2 / on.a
 
     # the dual's optimal bounds as a frame against k*, decided on its own B
-    best, _ = _frame_check(dual, adjoint(kk), rank_tol, tol)
+    best, _, _ = _frame_check(dual, adjoint(kk), rank_tol, tol)
     best_lower = float(best.bounds.lower)
     best_upper = best.bounds.upper
     if best_lower < lower_bound * (1.0 - tol):
@@ -435,6 +453,7 @@ def canonical_dual(
         dual_field=dual,
         lower_bound=lower_bound,
         upper_bound=upper_bound,
+        pair=pair,
     )
 
 

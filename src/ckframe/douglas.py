@@ -30,10 +30,10 @@ class DouglasResult:
     """Outcome of a factorization attempt.
 
     factor and lambda_min are present exactly when included is True.
-    residual is min over X of ||L1 - L2 X|| / max(1, ||L1||), i.e. the
-    relative distance of L1 from the achievable range; for an included
-    pair it equals the factorization residual.  marginal flags inclusion
-    residuals that fail but sit within 100x of the tolerance.
+    residual is min over X of ||L1 - L2 X|| / ||L1|| (0.0 for L1 = 0),
+    i.e. the relative distance of L1 from the achievable range; for an
+    included pair it equals the factorization residual.  marginal flags
+    inclusion residuals that fail but sit within 100x of the tolerance.
     """
 
     included: bool
@@ -43,23 +43,6 @@ class DouglasResult:
     marginal: bool = False
 
 
-def _checked_pair(l1, l2) -> tuple[OperatorMatrix, OperatorMatrix]:
-    a = as_operator(l1)
-    b = as_operator(l2)
-    if a.shape[0] != b.shape[0]:
-        raise DimMismatch(
-            f"operators map into different spaces: {a.shape[0]} vs {b.shape[0]} rows"
-        )
-    return a, b
-
-
-def _factored(l1, l2, rank_tol: float):
-    """(l1, one ranked SVD of l2, min_X ||l1 - l2 X|| / max(1, ||l1||))."""
-    a, b = _checked_pair(l1, l2)
-    svd = _ranked_svd(b, rank_tol)
-    return a, svd, svd.residual(a) / max(1.0, operator_norm(a))
-
-
 def range_included(
     l1,
     l2,
@@ -67,7 +50,7 @@ def range_included(
     tol: float = DEFAULT_CHECK_TOL,
 ) -> bool:
     """True iff range(l1) sits inside range(l2) at the given tolerance."""
-    return _factored(l1, l2, rank_tol)[2] <= tol
+    return douglas_factor(l1, l2, rank_tol, tol).included
 
 
 def minimal_multiplier(
@@ -81,10 +64,7 @@ def minimal_multiplier(
     On inclusion this is ||pinv(l2) l1||^2, which equals
     1 / max_psd_multiplier(l2 l2*, l1 l1*); l1 = 0 gives 0.0.
     """
-    a, svd, residual = _factored(l1, l2, rank_tol)
-    if residual > tol:
-        return None
-    return operator_norm(svd.coords(a)) ** 2
+    return douglas_factor(l1, l2, rank_tol, tol).lambda_min
 
 
 def douglas_factor(
@@ -99,8 +79,15 @@ def douglas_factor(
     the least admissible majorization multiplier.  Otherwise both are None
     and the result records how far l1 is from range(l2).
     """
-    a, svd, residual = _factored(l1, l2, rank_tol)
-    if residual > tol:
+    a = as_operator(l1)
+    b = as_operator(l2)
+    if a.shape[0] != b.shape[0]:
+        raise DimMismatch(
+            f"operators map into different spaces: {a.shape[0]} vs {b.shape[0]} rows"
+        )
+    svd = _ranked_svd(b, rank_tol)
+    residual, coords = svd.inclusion(a, tol)
+    if coords is None:
         return DouglasResult(
             included=False,
             factor=None,
@@ -108,7 +95,6 @@ def douglas_factor(
             residual=residual,
             marginal=residual < GRAY_ZONE_FACTOR * tol,
         )
-    coords = svd.coords(a)
     return DouglasResult(
         included=True,
         factor=svd.vh.conj().T @ coords,

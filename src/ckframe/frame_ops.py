@@ -15,6 +15,7 @@ inequality holds against ||k* h||^2 and range(k) sits inside range(T_f).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -159,19 +160,20 @@ def ckframe_check(
 
 def _frame_check(
     f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float
-) -> tuple[CkFrameReport, _RankedSVD]:
-    """ckframe_check, also handing back the ranked SVD of B it was read from."""
+) -> tuple[CkFrameReport, _RankedSVD, Optional[np.ndarray]]:
+    """ckframe_check, also handing back the ranked SVD of B it was read from
+    and, on inclusion, the coordinates Sigma_r^-1 U_r* k of pinv(B) k."""
     if kk.shape[0] != f.dim:
         raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
     b = _ranked_svd(whitened_synthesis_matrix(f), rank_tol)
-    k_norm = operator_norm(kk)
-    residual = b.residual(kk) / k_norm if k_norm > 0.0 else 0.0
-    included = residual <= tol
-    if k_norm == 0.0:
+    residual, coords = b.inclusion(kk, tol)
+    included = coords is not None
+    degenerate = not kk.any()
+    if degenerate:
         lower = UNBOUNDED
     elif included:
         with np.errstate(over="ignore", under="ignore"):
-            lower = float(np.float64(operator_norm(b.coords(kk))) ** -2)
+            lower = float(np.float64(operator_norm(coords)) ** -2)
         if not 0.0 < lower < np.inf:
             raise NotRepresentable("the lower frame bound is outside double precision range")
     else:
@@ -181,6 +183,6 @@ def _frame_check(
         range_included=included,
         is_ck_frame=included,
         residuals={"range_inclusion": residual},
-        degenerate=k_norm == 0.0,
+        degenerate=degenerate,
     )
-    return report, b
+    return report, b, coords

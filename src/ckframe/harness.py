@@ -487,15 +487,12 @@ def _atoms_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str,
 
 def _dual_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
     dual = atoms_duals.canonical_dual(spec.field_f, spec.operator_k, rank_tol, tol)
-    pair = atoms_duals.verify_dual_pair(
-        dual.projected_frame, dual.dual_field, spec.operator_k, tol, rank_tol
-    )
     results = {
         "projected_frame": dual.projected_frame.samples,
         "dual_field": dual.dual_field.samples,
         "lower_bound": dual.lower_bound,
         "upper_bound": dual.upper_bound,
-        "max_pair_residual": pair.max_residual(),
+        "max_pair_residual": dual.pair.max_residual(),
     }
     return STATUS_OK, results
 
@@ -523,18 +520,15 @@ def _verify_pair_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tupl
 
 
 def _douglas_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
-    l1 = spec.operator_k
     l2 = frame_ops.whitened_synthesis_matrix(spec.field_f)
-    included = douglas.range_included(l1, l2, rank_tol, tol)
-    result = douglas.douglas_factor(l1, l2, rank_tol, tol)
-    lam = douglas.minimal_multiplier(l1, l2, rank_tol, tol)
-    agree = included == result.included == (result.factor is not None) == (lam is not None)
+    result = douglas.douglas_factor(spec.operator_k, l2, rank_tol, tol)
+    agree = result.included == (result.factor is not None) == (result.lambda_min is not None)
     results = {
         "included": result.included,
         "residual": result.residual,
         "marginal": result.marginal,
         "factor": result.factor,
-        "lambda_min": lam,
+        "lambda_min": result.lambda_min,
         "predicates_agree": agree,
     }
     if result.marginal:
@@ -543,8 +537,8 @@ def _douglas_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[st
 
 
 def _sandwich_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
-    sandwich = atoms_duals.sandwich_check(spec.field_f, spec.operator_k, rank_tol, tol)
-    restricted = atoms_duals.subspace_cframe_margin(spec.field_f, spec.operator_k, rank_tol, tol)
+    on = atoms_duals._on_range(spec.field_f, spec.operator_k, rank_tol, tol)
+    sandwich, restricted = on.sandwich_margin(), on.restricted_margin()
     results = {"sandwich_margin": sandwich, "restricted_margin": restricted}
     ok = sandwich >= -tol and restricted >= -tol
     return (STATUS_OK if ok else STATUS_FAILED), results
@@ -612,6 +606,16 @@ PARAM_DEFAULTS = {
 }
 
 
+#: Most complex cells a generated matrix may hold (2**24 cells is 256 MiB).
+MAX_GENERATED_CELLS = 2**24
+
+
+def _check_cells(kind: str, *shapes: tuple[int, int]) -> None:
+    """Reject sizes whose largest generated matrix would exceed the cell limit."""
+    if max(rows * cols for rows, cols in shapes) > MAX_GENERATED_CELLS:
+        raise BadParams(f"{kind} would generate a matrix of more than {MAX_GENERATED_CELLS} cells")
+
+
 def _param_int(params: dict, key: str, minimum: int = 1) -> int:
     if key not in params:
         raise BadParams(f"missing parameter '{key}'")
@@ -643,7 +647,8 @@ def generate_example(kind: str, params: dict, seed: int = 0) -> ProblemSpec:
     factored through the synthesis operator so inclusion holds by
     construction), random_bessel_pair (independent random f, g, k), and
     interval_fourier (uniform grid on [0, 1) with modulation vectors,
-    a Parseval frame).
+    a Parseval frame).  Sizes whose largest matrix would hold more than
+    MAX_GENERATED_CELLS cells raise BadParams before anything is built.
     """
     if kind not in GENERATOR_KINDS:
         raise UnknownKind(f"unknown generator kind '{kind}'")
@@ -654,6 +659,7 @@ def generate_example(kind: str, params: dict, seed: int = 0) -> ProblemSpec:
 
     if kind == "onb":
         n = _param_int(params, "n")
+        _check_cells(kind, (n, n))
         space = _counting_space(n)
         eye = np.eye(n, dtype=complex)
         return ProblemSpec(space=space, field_f=SampleField(space, eye), operator_k=eye.copy())
@@ -661,6 +667,8 @@ def generate_example(kind: str, params: dict, seed: int = 0) -> ProblemSpec:
     if kind == "scaled_onb":
         if not isinstance(params["scales"], list) or not params["scales"]:
             raise BadParams("parameter 'scales' must be a non-empty array of numbers")
+        n = len(params["scales"])
+        _check_cells(kind, (n, n))
         scales = []
         for i, s in enumerate(params["scales"]):
             try:
@@ -670,7 +678,6 @@ def generate_example(kind: str, params: dict, seed: int = 0) -> ProblemSpec:
             if scale == 0.0:
                 raise BadParams(f"scales[{i}] must be nonzero")
             scales.append(scale)
-        n = len(scales)
         space = _counting_space(n)
         samples = np.diag(np.asarray(scales, dtype=complex))
         return ProblemSpec(
@@ -683,6 +690,7 @@ def generate_example(kind: str, params: dict, seed: int = 0) -> ProblemSpec:
         n = _param_int(params, "n")
         n0 = _param_int(params, "n0")
         atoms = _param_int(params, "atoms")
+        _check_cells(kind, (atoms, n), (atoms, n0), (n, n0))
         weights = rng.uniform(0.5, 1.5, size=atoms)
         space = make_measure_space([f"x{i}" for i in range(atoms)], weights)
         f_samples = rng.standard_normal((atoms, n)) + 1j * rng.standard_normal((atoms, n))
@@ -712,6 +720,7 @@ def generate_example(kind: str, params: dict, seed: int = 0) -> ProblemSpec:
     atoms = _param_int(params, "atoms")
     if atoms < n:
         raise BadParams(f"interval_fourier needs atoms >= n, got {atoms} < {n}")
+    _check_cells(kind, (atoms, n))
     grid = np.arange(atoms) / atoms
     samples = np.exp(2j * np.pi * np.outer(grid, np.arange(n)))
     space = make_measure_space([f"t{j}" for j in range(atoms)], [1.0 / atoms] * atoms)

@@ -9,6 +9,7 @@ between "zero" and "clearly nonzero" are rejected rather than guessed at.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -164,17 +165,18 @@ class _RankedSVD:
     vh: np.ndarray
     top: float
 
-    def coords(self, l1) -> np.ndarray:
-        """Sigma_r^-1 U_r* l1: pinv(m) l1 in the orthonormal basis vh."""
-        return (self.u.conj().T @ l1) / self.s[:, None]
+    def inclusion(self, l1, tol: float) -> tuple[float, Optional[np.ndarray]]:
+        """The range-inclusion decision for l1 against range(m).
 
-    def solve(self, l1) -> np.ndarray:
-        """Minimal-norm X minimizing ||m X - l1||: V_r Sigma_r^-1 U_r* l1."""
-        return self.vh.conj().T @ self.coords(l1)
-
-    def residual(self, l1) -> float:
-        """||l1 - U_r U_r* l1||, the distance of l1 from range(m)."""
-        return operator_norm(l1 - self.u @ (self.u.conj().T @ l1))
+        Returns ||l1 - U_r U_r* l1|| / ||l1||, the relative distance of l1
+        from range(m) (0.0 when l1 = 0), and, when that distance is within
+        tol, the coordinates Sigma_r^-1 U_r* l1 of pinv(m) l1 in the
+        orthonormal basis vh (else None).
+        """
+        proj = self.u.conj().T @ l1
+        l1_norm = operator_norm(l1)
+        residual = operator_norm(l1 - self.u @ proj) / l1_norm if l1_norm > 0.0 else 0.0
+        return residual, (proj / self.s[:, None] if residual <= tol else None)
 
 
 def _ranked_svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> _RankedSVD:
@@ -264,14 +266,13 @@ def max_psd_multiplier(
     _check_psd(a, tol, "s")
     _check_psd(b, tol, "c")
 
-    c_norm = operator_norm(b)
-    if c_norm == 0.0:
+    if not b.any():
         return UNBOUNDED
     # for PSD s = U Sigma U*, one SVD gives both range(s) and s^{+/2}
     svd = _ranked_svd(a, rank_tol)
     # range(c) must sit inside range(s), otherwise some h has c-energy but
     # no s-energy and only a = 0 survives
-    if svd.residual(b) > tol * c_norm:
+    if svd.inclusion(b, tol)[1] is None:
         return 0.0
     root = svd.u / np.sqrt(svd.s)
     w = root.conj().T @ b @ root

@@ -198,7 +198,8 @@ def reference_dual_pair_residuals(f, g, k, basis_h, basis_h0, rank_tol=1e-10):
     """The five dual-pair residuals and the onto variants, one basis vector
     at a time through synthesis/analysis of ScalarFields.
 
-    Returns (c1, c2, c3, c4, c5, onto) with onto as in DualPairReport.
+    Returns (c1, c2, c3, c4, c5, onto) with onto as in DualPairReport:
+    c1-c5 relative to ||k||, the onto variants to ||k||^2.
     """
     kk = np.asarray(k, dtype=complex)
     e = np.asarray(basis_h, dtype=complex)
@@ -206,7 +207,7 @@ def reference_dual_pair_residuals(f, g, k, basis_h, basis_h0, rank_tol=1e-10):
     n, n0 = kk.shape
     w = f.space.weight_array
     kh = kk.conj().T
-    scale = max(1.0, float(np.linalg.norm(kk, 2)))
+    scale = float(np.linalg.norm(kk, 2)) or 1.0
 
     c1 = 0.0
     for j in range(n0):
@@ -225,7 +226,7 @@ def reference_dual_pair_residuals(f, g, k, basis_h, basis_h0, rank_tol=1e-10):
 
     sigma = np.linalg.svd(kk, compute_uv=False)
     rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-    sq_scale = max(1.0, float(np.linalg.norm(kk, 2)) ** 2)
+    sq_scale = scale**2
     res_k = res_k_star = None
     if rank == n:
         res_k = 0.0
@@ -246,9 +247,10 @@ def reference_dual_pair_residuals(f, g, k, basis_h, basis_h0, rank_tol=1e-10):
 
 
 def reference_atomic_residual(f, k, m):
-    """verify_atomic_decomposition one H0 basis vector at a time."""
+    """verify_atomic_decomposition one H0 basis vector at a time: the column
+    residual relative to ||k||, the bound excess relative to the bound."""
     kk = np.asarray(k, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(kk, 2)))
+    scale = float(np.linalg.norm(kk, 2)) or 1.0
     worst = 0.0
     worst_coeff_norm = 0.0
     for j in range(kk.shape[1]):
@@ -256,5 +258,5 @@ def reference_atomic_residual(f, k, m):
         recon = synthesis(f, coeff)
         worst = max(worst, float(np.linalg.norm(kk[:, j] - recon)) / scale)
         worst_coeff_norm = max(worst_coeff_norm, l2_norm(coeff))
-    bound_excess = max(0.0, worst_coeff_norm - m.bound) / max(1.0, m.bound)
+    bound_excess = max(0.0, worst_coeff_norm - m.bound) / (m.bound or 1.0)
     return max(worst, bound_excess)

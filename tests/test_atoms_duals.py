@@ -394,6 +394,32 @@ def test_vectorized_residuals_match_per_basis_loops():
             )
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-5])
+def test_pair_residuals_do_not_depend_on_the_scale_of_k(scale):
+    # g = (1 + 1e-5) I misses k = I by 1e-5 of ||k||; scaling g and k
+    # together keeps that relative defect, so the verdict must not move
+    f = onb_field()
+    g = SampleField(f.space, scale * (1 + 1e-5) * np.eye(2))
+    report = verify_dual_pair(f, g, scale * np.eye(2))
+    assert report.holds is False
+    assert report.residual_c1 == pytest.approx(1e-5, rel=1e-6)
+    assert report.onto_variant_residuals[0] == pytest.approx(1e-5, rel=1e-6)
+
+
+def test_atomic_residual_does_not_depend_on_the_scale_of_k():
+    rng = np.random.default_rng(61)
+    f, k = ckframe_instance(rng, 3, 2, 8)
+    m = atom_coefficient_map(f, k)
+    # a relative defect of 1e-5 in the coefficients, then k and the map
+    # rescaled together
+    noisy = CoefficientMap(m.matrix * (1 + 1e-5), m.source_dims, m.bound)
+    residual = verify_atomic_decomposition(f, k, noisy)
+    assert residual > TOL
+    for c in (1e-6, 1e3):
+        scaled = CoefficientMap(c * noisy.matrix, m.source_dims, c * m.bound)
+        assert verify_atomic_decomposition(f, c * k, scaled) == pytest.approx(residual, rel=1e-9)
+
+
 def test_dual_pair_shape_guards():
     f = onb_field()
     other_space = make_measure_space(["a", "b"], [2.0, 1.0])

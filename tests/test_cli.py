@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes, output routing, tolerance overrides."""
 
 import json
+import resource
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,13 @@ import warnings
 import pytest
 
 from ckframe.cli import main
-from ckframe.harness import emit_spec, generate_example, parse_problem, run_command
+from ckframe.harness import (
+    MAX_GENERATED_CELLS,
+    emit_spec,
+    generate_example,
+    parse_problem,
+    run_command,
+)
 
 BROKEN_PAIR = {
     "space": {"labels": ["a", "b"], "weights": [1.0, 1.0]},
@@ -240,3 +247,31 @@ def test_huge_gen_scale_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["ckframe: input error: scales[1] must be a finite number"]
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [("onb", "n"), ("random_ckframe", "n"), ("random_bessel_pair", "n0"), ("interval_fourier", "atoms")],
+)
+def test_huge_gen_size_is_refused_before_building(kind, key):
+    # the cell limit must refuse a 400-digit size before any label or array
+    # is built; the child runs under a 1 GiB address-space cap and a timeout,
+    # so a regression fails here instead of growing until it is killed
+    params = json.dumps({key: 10**400})
+    gen = subprocess.run(
+        [sys.executable, "-m", "ckframe", "gen", "--kind", kind, "--params", params],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    assert gen.returncode == 2
+    assert gen.stdout == ""
+    assert gen.stderr.splitlines() == [
+        f"ckframe: input error: {kind} would generate a matrix of more than "
+        f"{MAX_GENERATED_CELLS} cells"
+    ]

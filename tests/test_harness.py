@@ -472,6 +472,37 @@ def test_douglas_marginal_goes_degenerate():
     assert report.results["included"] is False
 
 
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3])
+def test_inclusion_gets_one_verdict_at_every_scale(c):
+    # k leaks out of the synthesis range by 1e-6 of its norm, at any scale
+    space = make_measure_space(["a"], [1.0])
+    f = SampleField(space, np.array([[1.0, 0.0]]))
+    spec = ProblemSpec(space=space, field_f=f, operator_k=c * np.array([[1.0], [1e-6]]))
+    bounds = run_command(spec, "bounds").results
+    douglas = run_command(spec, "douglas").results
+    assert douglas["included"] is bounds["range_included"] is False
+    assert douglas["residual"] == bounds["residuals"]["range_inclusion"]
+    assert douglas["residual"] == pytest.approx(1e-6, rel=1e-6)
+    assert run_command(spec, "atoms").results["error"] == "RangeNotIncluded"
+
+
+def test_rank_of_k_is_decided_once_for_every_command():
+    # sigma = 1e-9 lies in the ambiguous band (1e-10, 1e-8) of rank(k); the
+    # pair (f, g) reproduces k exactly, so only the rank decision can fail
+    space = make_measure_space(["a", "b"], [1.0, 1.0])
+    k = np.diag([1.0, 1e-9]).astype(complex)
+    spec = ProblemSpec(
+        space=space,
+        field_f=SampleField(space, np.eye(2)),
+        operator_k=k,
+        field_g=SampleField(space, k.conj()),
+    )
+    for command in ("verify-pair", "dual", "sandwich"):
+        report = run_command(spec, command)
+        assert report.status == STATUS_FAILED
+        assert report.results["error"] == "RankAmbiguous"
+
+
 def test_sandwich_command():
     report = run_command(generate_example("scaled_onb", {}), "sandwich")
     assert report.status == STATUS_OK
@@ -576,10 +607,10 @@ def test_report_rejects_unknown_format_and_nan():
 #: norm(., 2), which runs an SVD of its own.  bounds needs at most 4.
 FACTORIZATIONS = {
     "atoms": 5,
-    "dual": 14,
+    "dual": 11,
     "verify-pair": 2,
-    "douglas": 11,
-    "sandwich": 13,
+    "douglas": 4,
+    "sandwich": 7,
 }
 
 
