@@ -134,7 +134,8 @@ def atom_coefficient_map(
         can reproduce k in that case.
     """
     kk = as_operator(k)
-    report, b, coords = _frame_check(f, kk, rank_tol, tol)
+    # the one reader of vh: a full SVD, which also reseeds f's left factor
+    report, b, coords = _frame_check(f, kk, rank_tol, tol, right=True)
     if not report.range_included:
         raise RangeNotIncluded(
             f"range inclusion residual {report.residuals['range_inclusion']:.3e} "

@@ -20,6 +20,7 @@ from .linalg import (
     GRAY_ZONE_FACTOR,
     OperatorMatrix,
     _ranked_svd,
+    _RankedSVD,
     as_operator,
     operator_norm,
 )
@@ -50,7 +51,7 @@ def range_included(
     tol: float = DEFAULT_CHECK_TOL,
 ) -> bool:
     """True iff range(l1) sits inside range(l2) at the given tolerance."""
-    return douglas_factor(l1, l2, rank_tol, tol).included
+    return _inclusion(l1, l2, rank_tol, tol)[2] is not None
 
 
 def minimal_multiplier(
@@ -64,7 +65,8 @@ def minimal_multiplier(
     On inclusion this is ||pinv(l2) l1||^2, which equals
     1 / max_psd_multiplier(l2 l2*, l1 l1*); l1 = 0 gives 0.0.
     """
-    return douglas_factor(l1, l2, rank_tol, tol).lambda_min
+    coords = _inclusion(l1, l2, rank_tol, tol)[2]
+    return None if coords is None else operator_norm(coords) ** 2
 
 
 def douglas_factor(
@@ -79,14 +81,7 @@ def douglas_factor(
     the least admissible majorization multiplier.  Otherwise both are None
     and the result records how far l1 is from range(l2).
     """
-    a = as_operator(l1)
-    b = as_operator(l2)
-    if a.shape[0] != b.shape[0]:
-        raise DimMismatch(
-            f"operators map into different spaces: {a.shape[0]} vs {b.shape[0]} rows"
-        )
-    svd = _ranked_svd(b, rank_tol)
-    residual, coords = svd.inclusion(a, tol)
+    svd, residual, coords = _inclusion(l1, l2, rank_tol, tol)
     if coords is None:
         return DouglasResult(
             included=False,
@@ -101,3 +96,18 @@ def douglas_factor(
         lambda_min=operator_norm(coords) ** 2,
         residual=residual,
     )
+
+
+def _inclusion(
+    l1, l2, rank_tol: float, tol: float
+) -> tuple[_RankedSVD, float, Optional[OperatorMatrix]]:
+    """The ranked SVD of l2 and its inclusion decision for l1: the relative
+    residual and, on inclusion, the coordinates of pinv(l2) l1."""
+    a = as_operator(l1)
+    b = as_operator(l2)
+    if a.shape[0] != b.shape[0]:
+        raise DimMismatch(
+            f"operators map into different spaces: {a.shape[0]} vs {b.shape[0]} rows"
+        )
+    svd = _ranked_svd(b, rank_tol)
+    return (svd, *svd.inclusion(a, tol))

@@ -14,7 +14,8 @@ inequality holds against ||k* h||^2 and range(k) sits inside range(T_f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -127,7 +128,7 @@ def cframe_bounds(f: SampleField, tol: float = DEFAULT_CHECK_TOL) -> FrameBounds
     lower bound is then sigma_min(B)^2, else 0.0.  The upper bound is the
     largest eigenvalue of S_f = B B*.
     """
-    b = _ranked_svd(whitened_synthesis_matrix(f))
+    b = _synthesis_svd(f, DEFAULT_RANK_TOL)
     spans = b.s.size == f.dim
     upper = max(float(hermitian_eig(frame_operator(f), tol).eigenvalues[-1]), 0.0)
     lower = float(b.s[-1]) ** 2 if spans else 0.0
@@ -158,14 +159,41 @@ def ckframe_check(
     return _frame_check(f, as_operator(k), rank_tol, tol)[0]
 
 
+#: The left factor of each live field's B, per rank_tol.  A SampleField is
+#: an immutable value (read-only private samples, tuple weights), so the
+#: factor stays valid for the field's lifetime and its entry dies with it.
+_LEFT_FACTORS: weakref.WeakKeyDictionary[SampleField, dict[float, _RankedSVD]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _synthesis_svd(f: SampleField, rank_tol: float, right: bool = False) -> _RankedSVD:
+    """The ranked SVD of the whitened synthesis matrix B of f.
+
+    Every entry point that takes a field gets its factorization of B
+    here.  The left factor (u, s, top) is kept per field and rank_tol,
+    so asking again about the same field takes no SVD; right=True, for
+    vh, always factors and reseeds that entry.  A raise (RankAmbiguous,
+    NotRepresentable) keeps nothing.
+    """
+    kept = _LEFT_FACTORS.get(f, {}).get(rank_tol)
+    if kept is not None and not right:
+        return kept
+    b = _ranked_svd(whitened_synthesis_matrix(f), rank_tol)
+    left = b.left_factor()
+    _LEFT_FACTORS.setdefault(f, {})[rank_tol] = left
+    return replace(left, vh=b.vh) if right else left
+
+
 def _frame_check(
-    f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float
+    f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float, right: bool = False
 ) -> tuple[CkFrameReport, _RankedSVD, Optional[np.ndarray]]:
     """ckframe_check, also handing back the ranked SVD of B it was read from
-    and, on inclusion, the coordinates Sigma_r^-1 U_r* k of pinv(B) k."""
+    (with vh when right is set) and, on inclusion, the coordinates
+    Sigma_r^-1 U_r* k of pinv(B) k."""
     if kk.shape[0] != f.dim:
         raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
-    b = _ranked_svd(whitened_synthesis_matrix(f), rank_tol)
+    b = _synthesis_svd(f, rank_tol, right)
     residual, coords = b.inclusion(kk, tol)
     included = coords is not None
     degenerate = not kk.any()

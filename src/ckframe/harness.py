@@ -531,9 +531,7 @@ def _douglas_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[st
         "lambda_min": result.lambda_min,
         "predicates_agree": agree,
     }
-    if result.marginal:
-        return STATUS_DEGENERATE, results
-    return (STATUS_OK if agree else STATUS_FAILED), results
+    return (STATUS_OK if agree and result.included else STATUS_FAILED), results
 
 
 def _sandwich_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:

@@ -157,13 +157,19 @@ class _RankedSVD:
     """Thin SVD of a matrix, truncated to its separated numerical rank r.
 
     u (rows, r), s (r,) descending and vh (r, cols) are the retained
-    factors; top is the largest singular value before truncation.
+    factors; top is the largest singular value before truncation.  vh is
+    None when only the left factor was kept (see left_factor).
     """
 
     u: np.ndarray
     s: np.ndarray
-    vh: np.ndarray
     top: float
+    vh: Optional[np.ndarray] = None
+
+    def left_factor(self) -> _RankedSVD:
+        """u, s and top as owned read-only copies, without vh: holding it
+        keeps neither the right factor nor LAPACK's output buffers alive."""
+        return _RankedSVD(_owned_copy(self.u), _owned_copy(self.s), self.top)
 
     def inclusion(self, l1, tol: float) -> tuple[float, Optional[np.ndarray]]:
         """The range-inclusion decision for l1 against range(m).
@@ -184,7 +190,13 @@ def _ranked_svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> _RankedSVD:
     a = as_operator(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     r = _separated_rank(s, rank_tol)
-    return _RankedSVD(u[:, :r], s[:r], vh[:r], float(s[0]) if s.size else 0.0)
+    return _RankedSVD(u[:, :r], s[:r], float(s[0]) if s.size else 0.0, vh[:r])
+
+
+def _owned_copy(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, copy=True)
+    out.setflags(write=False)
+    return out
 
 
 def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:

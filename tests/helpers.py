@@ -8,6 +8,7 @@ Rayleigh-type quotients with local refinement.
 
 import json
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -260,3 +261,28 @@ def reference_atomic_residual(f, k, m):
         worst_coeff_norm = max(worst_coeff_norm, l2_norm(coeff))
     bound_excess = max(0.0, worst_coeff_norm - m.bound) / (m.bound or 1.0)
     return max(worst, bound_excess)
+
+
+def counted_factorizations(monkeypatch) -> Counter:
+    """Count dense factorizations from now on, by np.linalg name; norm(., 2)
+    of a matrix counts as "norm2", since it runs an SVD of its own."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "eigh", "eigvalsh", "inv", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    norm = np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            counts["norm2"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return counts

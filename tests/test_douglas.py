@@ -7,7 +7,7 @@ import pytest
 from ckframe import DimMismatch
 from ckframe.douglas import douglas_factor, minimal_multiplier, range_included
 from ckframe.linalg import operator_norm
-from helpers import bisect_max_multiplier, crandn, with_rank
+from helpers import bisect_max_multiplier, counted_factorizations, crandn, with_rank
 
 
 def stacked_rank_oracle(l1, l2):
@@ -49,8 +49,9 @@ def test_included_equal_rank_one_ranges():
 
 
 def test_dim_mismatch_rejected():
-    with pytest.raises(DimMismatch):
-        range_included(np.ones((2, 1)), np.ones((3, 1)))
+    for predicate in (range_included, minimal_multiplier, douglas_factor):
+        with pytest.raises(DimMismatch):
+            predicate(np.ones((2, 1)), np.ones((3, 1)))
 
 
 def test_factor_diagonal_solve():
@@ -103,6 +104,21 @@ def test_multiplier_self_pair_is_one():
 
 def test_multiplier_absent_when_not_included():
     assert minimal_multiplier(np.diag([1.0, 1.0]), np.diag([1.0, 0.0])) is None
+
+
+def test_predicates_take_only_the_factorizations_they_read(monkeypatch):
+    # one SVD of l2 and the two norms of the inclusion residual; only
+    # minimal_multiplier adds ||coords||, and neither builds the factor
+    rng = np.random.default_rng(5)
+    l2 = with_rank(rng, 6, 20, 6)
+    l1 = l2 @ crandn(rng, 20, 3)
+    expected = douglas_factor(l1, l2)
+    counts = counted_factorizations(monkeypatch)
+    assert range_included(l1, l2) is True
+    assert dict(counts) == {"svd": 1, "norm2": 2}
+    counts.clear()
+    assert minimal_multiplier(l1, l2) == expected.lambda_min
+    assert dict(counts) == {"svd": 1, "norm2": 3}
 
 
 # ---------------------------------------------------------------------------

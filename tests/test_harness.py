@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from ckframe.harness import (
     run_command,
     spec_digest,
 )
-from helpers import oracle_spec_text, strip_wall_time
+from helpers import counted_factorizations, oracle_spec_text, strip_wall_time
 
 MINIMAL_SPEC = """
 {
@@ -460,16 +459,30 @@ def test_douglas_on_onb():
     assert report.results["predicates_agree"] is True
 
 
-def test_douglas_marginal_goes_degenerate():
+def test_douglas_marginal_fails():
     # k leaks out of the synthesis range by 3e-8: inside the (tol, 100 tol) band
     space = make_measure_space(["a"], [1.0])
     f = SampleField(space, np.array([[1.0, 0.0]]))
     k = np.array([[1.0], [3e-8]])
     spec = ProblemSpec(space=space, field_f=f, operator_k=k)
     report = run_command(spec, "douglas")
-    assert report.status == STATUS_DEGENERATE
+    assert report.status == STATUS_FAILED
     assert report.results["marginal"] is True
     assert report.results["included"] is False
+
+
+@pytest.mark.parametrize("leak", [3e-8, 1.0])
+def test_range_escape_fails_on_every_face(leak):
+    # marginal (inside the (tol, 100 tol) band) or far, an escaping k is
+    # one failed verdict for all five inclusion-dependent commands
+    space = make_measure_space(["a"], [1.0])
+    f = SampleField(space, np.array([[1.0, 0.0]]))
+    spec = ProblemSpec(space=space, field_f=f, operator_k=np.array([[1.0], [leak]]))
+    statuses = {
+        cmd: run_command(spec, cmd).status
+        for cmd in ("bounds", "atoms", "douglas", "dual", "sandwich")
+    }
+    assert statuses == dict.fromkeys(statuses, STATUS_FAILED)
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3])
@@ -614,31 +627,15 @@ FACTORIZATIONS = {
 }
 
 
-def counted_factorizations(monkeypatch) -> Counter:
-    counts = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("svd", "eigh", "eigvalsh", "inv", "matrix_rank"):
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    norm = np.linalg.norm
-
-    def counted_norm(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.ndim(x) == 2:
-            counts["norm2"] += 1
-        return norm(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counted_norm)
-    return counts
+def cold_spec(kind: str) -> ProblemSpec:
+    """A gen-default spec read back from its text, as the CLI reads it: its
+    fields are new objects, so none has a kept factorization yet
+    (generate_example runs ckframe_check on the field it returns)."""
+    return parse_problem(emit_spec(generate_example(kind, {})))
 
 
 def test_bounds_factorization_budget(monkeypatch):
-    spec = generate_example("random_ckframe", {})
+    spec = cold_spec("random_ckframe")
     counts = counted_factorizations(monkeypatch)
     assert run_command(spec, "bounds").status == STATUS_OK
     assert sum(counts.values()) <= 4
@@ -647,7 +644,7 @@ def test_bounds_factorization_budget(monkeypatch):
 @pytest.mark.parametrize("command", sorted(FACTORIZATIONS))
 def test_command_factorization_counts_are_pinned(command, monkeypatch):
     kind = "random_bessel_pair" if command == "verify-pair" else "random_ckframe"
-    spec = generate_example(kind, {})
+    spec = cold_spec(kind)
     counts = counted_factorizations(monkeypatch)
     run_command(spec, command)
     assert sum(counts.values()) == FACTORIZATIONS[command], dict(counts)
