@@ -28,6 +28,7 @@ from .errors import (
 )
 from .frame_ops import (
     _frame_check,
+    _kept,
     frame_operator,
     map_field,
     whitened_synthesis_matrix,
@@ -36,6 +37,8 @@ from .linalg import (
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
     OperatorMatrix,
+    _kept_of,
+    _owned,
     _ranked_svd,
     _RankedSVD,
     _separated_rank,
@@ -134,7 +137,7 @@ def atom_coefficient_map(
         can reproduce k in that case.
     """
     kk = as_operator(k)
-    # the one reader of vh: a full SVD, which also reseeds f's left factor
+    # the one reader of vh: a full SVD of B, off which coords are read too
     report, b, coords = _frame_check(f, kk, rank_tol, tol, right=True)
     if not report.range_included:
         raise RangeNotIncluded(
@@ -170,7 +173,9 @@ def verify_atomic_decomposition(
 
     w = f.space.weight_array
     mismatch = kk - f.samples.T @ (w[:, None] * m.matrix)
-    worst = _max_column_norm(mismatch) / (operator_norm(kk) or 1.0)
+    # ||k|| as a frame check of the same k kept it for f
+    k_norm = _kept_of(f).asker(kk)("k_norm", lambda: operator_norm(kk))
+    worst = _max_column_norm(mismatch) / (k_norm or 1.0)
     worst_coeff_norm = float(np.sqrt(np.max(w @ np.abs(m.matrix) ** 2, initial=0.0)))
     bound_excess = max(0.0, worst_coeff_norm - m.bound) / (m.bound or 1.0)
     return max(worst, bound_excess)
@@ -191,7 +196,8 @@ class _OnRange:
     With U_k the retained left singular vectors of k and B = U Sigma V*,
     c = Sigma_r U_r* U_k = p diag(sc) qh is B* restricted to range(k), so
     the compression M = U_k* S_f U_k = c* c has eigenvalues sc^2 and
-    S_f U_k = U_r Sigma_r c; a is the ck-frame lower bound A.
+    S_f U_k = U_r Sigma_r c; a is the ck-frame lower bound A.  It is kept
+    per (f, k), so its arrays are owned and read-only.
     """
 
     a: float
@@ -218,6 +224,12 @@ class _OnRange:
 
 
 def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -> _OnRange:
+    """The _OnRange of (f, k), kept for f with its other answers about k."""
+    ask = _kept(f).asker(kk)
+    return ask(("on_range", rank_tol, tol), lambda: _compress(f, kk, rank_tol, tol))
+
+
+def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -> _OnRange:
     report, b, _ = _frame_check(f, kk, rank_tol, tol)
     if report.degenerate:
         raise DegenerateOperator("k = 0 holds vacuously; no closed-range certificate")
@@ -226,8 +238,9 @@ def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
             "f does not reproduce k: range inclusion residual "
             f"{report.residuals['range_inclusion']:.3e}"
         )
-    ks = _ranked_svd(kk, rank_tol)
-    p, sc, qh = np.linalg.svd(b.s[:, None] * (b.u.conj().T @ ks.u), full_matrices=False)
+    ks = _ranked_svd(kk, rank_tol).left_factor()
+    c = b.s[:, None] * (b.u.conj().T @ ks.u)
+    p, sc, qh = (_owned(x) for x in np.linalg.svd(c, full_matrices=False))
     # a passed check leaves this only when tol lets a retained direction of
     # k escape range(B); rank is judged by the cutoff that decided B's rank
     if sc.size < ks.s.size or sc[-1] <= rank_tol * b.top:
@@ -379,7 +392,7 @@ def _dual_pair_report(
             )
         onto_res = (res_k, res_k_star)
 
-    upper_f = operator_norm(b_f) ** 2
+    upper_f = _kept(f).answer("b_norm", lambda: operator_norm(b_f)) ** 2
     return DualPairReport(
         residual_c1=c1,
         residual_c2=c2,

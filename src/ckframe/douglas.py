@@ -11,7 +11,7 @@ three answers agree away from tolerance hairlines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DimMismatch
 from .linalg import (
@@ -19,10 +19,10 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     GRAY_ZONE_FACTOR,
     OperatorMatrix,
+    _kept_like,
     _ranked_svd,
     _RankedSVD,
     as_operator,
-    operator_norm,
 )
 
 
@@ -51,7 +51,7 @@ def range_included(
     tol: float = DEFAULT_CHECK_TOL,
 ) -> bool:
     """True iff range(l1) sits inside range(l2) at the given tolerance."""
-    return _inclusion(l1, l2, rank_tol, tol)[2] is not None
+    return _inclusion(l1, l2, rank_tol, tol)[3] is not None
 
 
 def minimal_multiplier(
@@ -65,8 +65,8 @@ def minimal_multiplier(
     On inclusion this is ||pinv(l2) l1||^2, which equals
     1 / max_psd_multiplier(l2 l2*, l1 l1*); l1 = 0 gives 0.0.
     """
-    coords = _inclusion(l1, l2, rank_tol, tol)[2]
-    return None if coords is None else operator_norm(coords) ** 2
+    svd, ask, _, coords = _inclusion(l1, l2, rank_tol, tol)
+    return None if coords is None else svd.coords_norm(coords, ask) ** 2
 
 
 def douglas_factor(
@@ -81,7 +81,7 @@ def douglas_factor(
     the least admissible majorization multiplier.  Otherwise both are None
     and the result records how far l1 is from range(l2).
     """
-    svd, residual, coords = _inclusion(l1, l2, rank_tol, tol)
+    svd, ask, residual, coords = _inclusion(l1, l2, rank_tol, tol, right=True)
     if coords is None:
         return DouglasResult(
             included=False,
@@ -93,21 +93,26 @@ def douglas_factor(
     return DouglasResult(
         included=True,
         factor=svd.vh.conj().T @ coords,
-        lambda_min=operator_norm(coords) ** 2,
+        lambda_min=svd.coords_norm(coords, ask) ** 2,
         residual=residual,
     )
 
 
 def _inclusion(
-    l1, l2, rank_tol: float, tol: float
-) -> tuple[_RankedSVD, float, Optional[OperatorMatrix]]:
-    """The ranked SVD of l2 and its inclusion decision for l1: the relative
-    residual and, on inclusion, the coordinates of pinv(l2) l1."""
+    l1, l2, rank_tol: float, tol: float, right: bool = False
+) -> tuple[_RankedSVD, Callable, float, Optional[OperatorMatrix]]:
+    """The ranked SVD of l2 (with vh when right is set), the ask for answers
+    about l1, and the inclusion decision for l1: the relative residual
+    and, on inclusion, the coordinates of pinv(l2) l1 off that SVD.  What a
+    live field keeps for a B with the bytes of l2 is read (see
+    linalg._Kept), but nothing is kept."""
     a = as_operator(l1)
     b = as_operator(l2)
     if a.shape[0] != b.shape[0]:
         raise DimMismatch(
             f"operators map into different spaces: {a.shape[0]} vs {b.shape[0]} rows"
         )
-    svd = _ranked_svd(b, rank_tol)
-    return (svd, *svd.inclusion(a, tol))
+    kept = _kept_like(b)
+    ask = kept.asker(a, keep=False)
+    svd = _ranked_svd(b, rank_tol) if right else kept.left_factor(lambda: b, rank_tol, keep=False)
+    return (svd, ask, *svd.inclusion(a, tol, ask))

@@ -14,8 +14,7 @@ inequality holds against ||k* h||^2 and range(k) sits inside range(T_f).
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,11 +26,12 @@ from .linalg import (
     UNBOUNDED,
     OperatorMatrix,
     Unbounded,
+    _Kept,
+    _kept_for,
     _ranked_svd,
     _RankedSVD,
     as_operator,
     hermitian_eig,
-    operator_norm,
 )
 from .measure import SampleField, ScalarField
 
@@ -128,7 +128,7 @@ def cframe_bounds(f: SampleField, tol: float = DEFAULT_CHECK_TOL) -> FrameBounds
     lower bound is then sigma_min(B)^2, else 0.0.  The upper bound is the
     largest eigenvalue of S_f = B B*.
     """
-    b = _synthesis_svd(f, DEFAULT_RANK_TOL)
+    b = _kept(f).left_factor(lambda: whitened_synthesis_matrix(f), DEFAULT_RANK_TOL)
     spans = b.s.size == f.dim
     upper = max(float(hermitian_eig(frame_operator(f), tol).eigenvalues[-1]), 0.0)
     lower = float(b.s[-1]) ** 2 if spans else 0.0
@@ -159,30 +159,9 @@ def ckframe_check(
     return _frame_check(f, as_operator(k), rank_tol, tol)[0]
 
 
-#: The left factor of each live field's B, per rank_tol.  A SampleField is
-#: an immutable value (read-only private samples, tuple weights), so the
-#: factor stays valid for the field's lifetime and its entry dies with it.
-_LEFT_FACTORS: weakref.WeakKeyDictionary[SampleField, dict[float, _RankedSVD]] = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _synthesis_svd(f: SampleField, rank_tol: float, right: bool = False) -> _RankedSVD:
-    """The ranked SVD of the whitened synthesis matrix B of f.
-
-    Every entry point that takes a field gets its factorization of B
-    here.  The left factor (u, s, top) is kept per field and rank_tol,
-    so asking again about the same field takes no SVD; right=True, for
-    vh, always factors and reseeds that entry.  A raise (RankAmbiguous,
-    NotRepresentable) keeps nothing.
-    """
-    kept = _LEFT_FACTORS.get(f, {}).get(rank_tol)
-    if kept is not None and not right:
-        return kept
-    b = _ranked_svd(whitened_synthesis_matrix(f), rank_tol)
-    left = b.left_factor()
-    _LEFT_FACTORS.setdefault(f, {})[rank_tol] = left
-    return replace(left, vh=b.vh) if right else left
+def _kept(f: SampleField) -> _Kept:
+    """What is kept for f (see linalg._Kept), made on first use."""
+    return _kept_for(f, lambda: whitened_synthesis_matrix(f))
 
 
 def _frame_check(
@@ -190,18 +169,29 @@ def _frame_check(
 ) -> tuple[CkFrameReport, _RankedSVD, Optional[np.ndarray]]:
     """ckframe_check, also handing back the ranked SVD of B it was read from
     (with vh when right is set) and, on inclusion, the coordinates
-    Sigma_r^-1 U_r* k of pinv(B) k."""
+    Sigma_r^-1 U_r* k of pinv(B) k, read off that SVD.
+
+    B's left factor and the answers about k are kept for f (see
+    linalg._Kept), so asking again about the same (f, k) factors nothing;
+    right=True always factors B, and seeds f's left factor if none is kept.
+    """
     if kk.shape[0] != f.dim:
         raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
-    b = _synthesis_svd(f, rank_tol, right)
-    residual, coords = b.inclusion(kk, tol)
+    kept = _kept(f)
+    if right:
+        b = _ranked_svd(whitened_synthesis_matrix(f), rank_tol)
+        kept.answer(("svd", rank_tol), b.left_factor)
+    else:
+        b = kept.left_factor(lambda: whitened_synthesis_matrix(f), rank_tol)
+    ask = kept.asker(kk)
+    residual, coords = b.inclusion(kk, tol, ask)
     included = coords is not None
     degenerate = not kk.any()
     if degenerate:
         lower = UNBOUNDED
     elif included:
         with np.errstate(over="ignore", under="ignore"):
-            lower = float(np.float64(operator_norm(coords)) ** -2)
+            lower = float(np.float64(b.coords_norm(coords, ask)) ** -2)
         if not 0.0 < lower < np.inf:
             raise NotRepresentable("the lower frame bound is outside double precision range")
     else:

@@ -8,6 +8,9 @@ between "zero" and "clearly nonzero" are rejected rather than guessed at.
 
 from __future__ import annotations
 
+import hashlib
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,9 +68,9 @@ def adjoint(m) -> OperatorMatrix:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; 0.0 for an all-zero matrix."""
+    """Largest singular value; 0.0 for an all-zero matrix, without an SVD."""
     a = as_operator(m)
-    if a.size == 0:
+    if not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
 
@@ -152,37 +155,54 @@ def _separated_rank(sigma: np.ndarray, rank_tol: float) -> int:
     return int(np.count_nonzero(sigma > lo))
 
 
+def _fresh(name, compute):
+    """An ask (see _Kept.asker) that keeps nothing."""
+    return compute()
+
+
 @dataclass(frozen=True)
 class _RankedSVD:
     """Thin SVD of a matrix, truncated to its separated numerical rank r.
 
     u (rows, r), s (r,) descending and vh (r, cols) are the retained
-    factors; top is the largest singular value before truncation.  vh is
-    None when only the left factor was kept (see left_factor).
+    factors of one factorization; top is the largest singular value before
+    truncation and rank_tol the cutoff that decided r.  vh is None when
+    only the left factor was kept (see left_factor).
     """
 
     u: np.ndarray
     s: np.ndarray
     top: float
+    rank_tol: float
     vh: Optional[np.ndarray] = None
 
     def left_factor(self) -> _RankedSVD:
-        """u, s and top as owned read-only copies, without vh: holding it
+        """u, s and top as owned read-only arrays, without vh: holding it
         keeps neither the right factor nor LAPACK's output buffers alive."""
-        return _RankedSVD(_owned_copy(self.u), _owned_copy(self.s), self.top)
+        return _RankedSVD(_owned(self.u), _owned(self.s), self.top, self.rank_tol)
 
-    def inclusion(self, l1, tol: float) -> tuple[float, Optional[np.ndarray]]:
+    def inclusion(self, l1, tol: float, ask=_fresh) -> tuple[float, Optional[np.ndarray]]:
         """The range-inclusion decision for l1 against range(m).
 
         Returns ||l1 - U_r U_r* l1|| / ||l1||, the relative distance of l1
         from range(m) (0.0 when l1 = 0), and, when that distance is within
         tol, the coordinates Sigma_r^-1 U_r* l1 of pinv(m) l1 in the
-        orthonormal basis vh (else None).
+        orthonormal basis vh (else None).  ask supplies ||l1|| and the
+        distance when they are kept for l1; the coordinates are always
+        read off this factorization, so they match its vh.
         """
         proj = self.u.conj().T @ l1
-        l1_norm = operator_norm(l1)
-        residual = operator_norm(l1 - self.u @ proj) / l1_norm if l1_norm > 0.0 else 0.0
-        return residual, (proj / self.s[:, None] if residual <= tol else None)
+
+        def residual() -> float:
+            l1_norm = ask("k_norm", lambda: operator_norm(l1))
+            return operator_norm(l1 - self.u @ proj) / l1_norm if l1_norm > 0.0 else 0.0
+
+        distance = ask(("residual", self.rank_tol), residual)
+        return distance, (proj / self.s[:, None] if distance <= tol else None)
+
+    def coords_norm(self, coords: np.ndarray, ask) -> float:
+        """||coords|| for the coordinates inclusion returned, as ask keeps it."""
+        return ask(("coords_norm", self.rank_tol), lambda: operator_norm(coords))
 
 
 def _ranked_svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> _RankedSVD:
@@ -190,13 +210,97 @@ def _ranked_svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> _RankedSVD:
     a = as_operator(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     r = _separated_rank(s, rank_tol)
-    return _RankedSVD(u[:, :r], s[:r], float(s[0]) if s.size else 0.0, vh[:r])
+    return _RankedSVD(u[:, :r], s[:r], float(s[0]) if s.size else 0.0, rank_tol, vh[:r])
 
 
-def _owned_copy(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, copy=True)
+def _owned(a: np.ndarray) -> np.ndarray:
+    """a made read-only, copied first if it is a view into another array."""
+    out = a if a.base is None else np.array(a, copy=True)
     out.setflags(write=False)
     return out
+
+
+class _Kept:
+    """What is kept for one live field: answers about its whitened synthesis
+    matrix B (the ranked left factor per rank_tol, ||B||) and answers about
+    one operator k at a time (||k||, the inclusion distance, ||pinv(B) k||,
+    the compression of S_f to range(k)), keyed by k's content key and
+    dropped when another k is asked about.  The same LAPACK call on the
+    same bytes returns the same bits, so an answer is bit-identical to
+    computing it again; a compute() that raises keeps nothing.  vh is never
+    kept, and coordinates paired with a vh are read off the SVD that gave
+    it (see _RankedSVD.inclusion).  Threads asking at once can at worst
+    compute an answer twice, never read one about another k.
+    """
+
+    __slots__ = ("of_b", "k_key", "of_k", "__weakref__")
+
+    def __init__(self) -> None:
+        self.of_b, self.k_key, self.of_k = {}, None, {}
+
+    def answer(self, name, compute, k_key: Optional[tuple] = None, keep: bool = True):
+        """The answer under name (about the k with content key k_key, if
+        given), else compute(), kept unless keep is false."""
+        key = name if k_key is None else (k_key, name)
+        kept = (self.of_b if k_key is None else self.of_k).get(key)
+        if kept is None:
+            kept = compute()
+            if keep:
+                with _LOCK:
+                    if k_key is not None and k_key != self.k_key:
+                        self.k_key, self.of_k = k_key, {}
+                    kept = (self.of_b if k_key is None else self.of_k).setdefault(key, kept)
+        return kept
+
+    def asker(self, k, keep: bool = True):
+        """ask(name, compute) for answers about the operator k."""
+        k_key = _content_key(k)
+        return lambda name, compute: self.answer(name, compute, k_key, keep)
+
+    def left_factor(self, b_of, rank_tol: float, keep: bool = True) -> _RankedSVD:
+        """The ranked left factor of the field's B, which b_of() computes."""
+        return self.answer(
+            ("svd", rank_tol), lambda: _ranked_svd(b_of(), rank_tol).left_factor(), keep=keep
+        )
+
+
+#: The _Kept of each live field, and the same objects by the content key of
+#: the field's B for callers that hold only a raw matrix (the Douglas
+#: faces).  Both entries go when the field is collected.
+_KEPT: weakref.WeakKeyDictionary[object, _Kept] = weakref.WeakKeyDictionary()
+_BY_CONTENT: weakref.WeakValueDictionary[tuple, _Kept] = weakref.WeakValueDictionary()
+#: Makes dropping the previous k's answers and keeping a new one atomic.
+_LOCK = threading.Lock()
+
+
+def _content_key(a: np.ndarray) -> tuple:
+    """Shape, dtype and a blake2b digest of a's bytes.  An F-ordered a (a
+    transpose, such as whitened_synthesis_matrix returns) is hashed through
+    its C-ordered transpose rather than through a contiguous copy."""
+    if a.flags.f_contiguous and not a.flags.c_contiguous:
+        return (a.shape, a.dtype.str, "F", hashlib.blake2b(a.T).digest())
+    return (a.shape, a.dtype.str, "C", hashlib.blake2b(np.ascontiguousarray(a)).digest())
+
+
+def _kept_for(field, b_of) -> _Kept:
+    """The _Kept of a live field, made on first use and registered under
+    the content key of its B, which b_of() computes."""
+    kept = _KEPT.get(field)
+    if kept is None:
+        key = _content_key(b_of())
+        kept = _BY_CONTENT[key] = _KEPT.setdefault(field, _Kept())
+    return kept
+
+
+def _kept_of(field) -> _Kept:
+    """The _Kept of field, else an empty one that nothing else holds."""
+    return _KEPT.get(field) or _Kept()
+
+
+def _kept_like(b: np.ndarray) -> _Kept:
+    """The _Kept of a live field whose B has the bytes of b, else an empty
+    one that nothing else holds."""
+    return _BY_CONTENT.get(_content_key(b)) or _Kept()
 
 
 def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:

@@ -12,6 +12,7 @@ from collections import Counter
 
 import numpy as np
 
+import ckframe
 from ckframe import SampleField, ScalarField, make_measure_space
 from ckframe.frame_ops import analysis, synthesis, synthesis_matrix
 from ckframe.measure import l2_norm
@@ -286,3 +287,28 @@ def counted_factorizations(monkeypatch) -> Counter:
 
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     return counts
+
+
+def diagnose(labels, weights, samples, k) -> dict:
+    """The call sequence of the benchmark's lib_dense op (bench/workloads.py,
+    diagnose): every public question about one (f, k), asked of objects
+    built here from plain arrays."""
+    space = ckframe.make_measure_space(labels, weights)
+    f = ckframe.SampleField(space, samples)
+    check = ckframe.ckframe_check(f, k)
+    cmap = ckframe.atom_coefficient_map(f, k)
+    residual = ckframe.verify_atomic_decomposition(f, k, cmap)
+    dual = ckframe.canonical_dual(f, k)
+    pair = ckframe.verify_dual_pair(dual.projected_frame, dual.dual_field, k)
+    synth = ckframe.whitened_synthesis_matrix(f)
+    return {
+        "check": check,
+        "bound_constant": cmap.bound,
+        "reconstruction_residual": residual,
+        "pair_holds": pair.holds,
+        "included": ckframe.range_included(k, synth),
+        "factor": ckframe.douglas_factor(k, synth),
+        "lambda_min": ckframe.minimal_multiplier(k, synth),
+        "sandwich": ckframe.sandwich_check(f, k),
+        "restricted": ckframe.subspace_cframe_margin(f, k),
+    }

@@ -1,6 +1,9 @@
-"""The left SVD factor of a field's whitened synthesis matrix B, kept per
-field: a second question about the same field takes no SVD of B, gets
-bit-identical answers, and still raises what a cold field raises.
+"""What ckframe.linalg keeps for a live field (linalg._Kept): the ranked
+left factor of its whitened synthesis matrix B and ||B||, and, for one
+operator k at a time, ||k||, the inclusion distance, ||pinv(B) k|| and
+the compression of S_f to range(k).  A second question about the same
+(f, k) takes no SVD of B, gets bit-identical answers, and still raises
+what a cold field raises.
 
 A spec read back with parse_problem holds new field objects, so nothing
 is kept for them yet (a "cold" field), as in one CLI process."""
@@ -8,7 +11,9 @@ is kept for them yet (a "cold" field), as in one CLI process."""
 import dataclasses
 import gc
 import struct
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,26 +33,51 @@ from ckframe.atoms_duals import (
     inverse_on_range,
     sandwich_check,
     subspace_cframe_margin,
+    verify_atomic_decomposition,
 )
+from ckframe.douglas import douglas_factor, minimal_multiplier, range_included
 from ckframe.frame_ops import (
-    _LEFT_FACTORS,
     cframe_bounds,
     ckframe_check,
+    synthesis_matrix,
     whitened_synthesis_matrix,
 )
 from ckframe.harness import GENERATOR_KINDS, emit_spec, generate_example, parse_problem
-from ckframe.linalg import DEFAULT_RANK_TOL
-from helpers import ckframe_instance, counted_factorizations
+from ckframe.linalg import (
+    _BY_CONTENT,
+    _KEPT,
+    DEFAULT_CHECK_TOL,
+    DEFAULT_RANK_TOL,
+    _content_key,
+    range_basis,
+)
+from helpers import (
+    ckframe_instance,
+    counted_factorizations,
+    crandn,
+    diagnose,
+    excluded_instance,
+    parseval_field,
+    random_unitary,
+)
 
-#: Every public entry point that factors the B of the field it is given.
+#: Every public entry point that factors the B of the field it is given,
+#: and the Douglas faces, which read what is kept for a live field whose
+#: B has the bytes of their raw l2.
 ENTRY_POINTS = {
     "ckframe_check": ckframe_check,
     "cframe_bounds": lambda f, k: cframe_bounds(f),
     "atom_coefficient_map": atom_coefficient_map,
+    "verify_atomic_decomposition": lambda f, k: verify_atomic_decomposition(
+        f, k, atom_coefficient_map(f, k)
+    ),
     "inverse_on_range": inverse_on_range,
     "sandwich_check": sandwich_check,
     "subspace_cframe_margin": subspace_cframe_margin,
     "canonical_dual": canonical_dual,
+    "range_included": lambda f, k: range_included(k, whitened_synthesis_matrix(f)),
+    "douglas_factor": lambda f, k: douglas_factor(k, whitened_synthesis_matrix(f)),
+    "minimal_multiplier": lambda f, k: minimal_multiplier(k, whitened_synthesis_matrix(f)),
 }
 
 SCALES = [[1.0, 2.0], [1.0, 1e-6], [1e-5, 1e-5], [1.0, 3e-5], [1.0, 3e-9]]
@@ -77,6 +107,23 @@ def outcome(name, f, k):
         return (type(exc).__name__, str(exc))
 
 
+def kept_factor(f, rank_tol=DEFAULT_RANK_TOL):
+    """The left factor of the whitened synthesis matrix kept for f, or None."""
+    kept = _KEPT.get(f)
+    return None if kept is None else kept.of_b.get(("svd", rank_tol))
+
+
+def arrays_in(x):
+    """Every ndarray reachable from a kept entry."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if dataclasses.is_dataclass(x):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    if isinstance(x, (tuple, list)):
+        return [a for v in x for a in arrays_in(v)]
+    return []
+
+
 def counted_svd_shapes(monkeypatch) -> list:
     """Shapes of the matrices np.linalg.svd is called on from now on."""
     shapes = []
@@ -99,11 +146,12 @@ def test_a_second_call_on_a_field_takes_no_svd_of_b(monkeypatch):
 
     ckframe_check(f, k)
     assert shapes.count(b_shape) == 1
-    # the sandwich command alone takes 7 on a cold field
+    # the sandwich command alone takes 7 on a cold field: after the check,
+    # only the SVDs of k, of its compression and of the sandwich remain
     counts.clear()
     shapes.clear()
     sandwich_check(f, k)
-    assert sum(counts.values()) == 6, dict(counts)
+    assert sum(counts.values()) == 3, dict(counts)
     assert b_shape not in shapes
 
     for name in ("cframe_bounds", "inverse_on_range", "subspace_cframe_margin", "canonical_dual"):
@@ -124,7 +172,54 @@ def test_atoms_takes_its_own_full_svd_and_reseeds(monkeypatch):
     shapes.clear()
     sandwich_check(f, k)
     assert b_shape not in shapes
-    assert _LEFT_FACTORS[f][DEFAULT_RANK_TOL].vh is None
+    assert kept_factor(f).vh is None
+
+
+def problem_arrays(seed):
+    """(labels, weights, samples, k) of a random_ckframe at n = n0 = 8,
+    atoms = 32, as the benchmark holds its problems: plain arrays, with no
+    field built from them left alive."""
+    spec = generate_example("random_ckframe", {"n": 8, "n0": 8, "atoms": 32}, seed)
+    f = spec.field_f
+    return f.space.labels, f.space.weight_array, np.array(f.samples), spec.operator_k
+
+
+def test_a_diagnosis_stays_within_its_factorization_budget(monkeypatch):
+    # the counts do not depend on the sizes; at the benchmark's lib_dense
+    # sizes one diagnosis took 14 SVDs and 29 norm(., 2) without the memo
+    arrays = problem_arrays(seed=4)
+    counts = counted_factorizations(monkeypatch)
+    first = diagnose(*arrays)
+    assert counts["svd"] <= 8 and counts["norm2"] <= 7, dict(counts)
+    assert counts["eigh"] == counts["eigvalsh"] == 0, dict(counts)
+    # fresh objects on the same arrays: what the first diagnosis kept died
+    # with its fields, so the second takes exactly the same work
+    once = dict(counts)
+    counts.clear()
+    second = diagnose(*arrays)
+    assert dict(counts) == once
+    assert bits(second) == bits(first)
+
+
+def test_a_field_reads_only_its_own_entries(monkeypatch):
+    # a second field over the same arrays (one CLI command run in-process
+    # beside the spec it was parsed from) asks its first question cold
+    text = emit_spec(generate_example("random_ckframe", {}))
+    warm, fresh = parse_problem(text), parse_problem(text)
+    ckframe_check(warm.field_f, warm.operator_k)
+    counts = counted_factorizations(monkeypatch)
+    ckframe_check(fresh.field_f, fresh.operator_k)
+    assert dict(counts) == {"svd": 1, "norm2": 3}
+
+
+def test_warm_cframe_bounds_takes_one_eigh_and_one_norm(monkeypatch):
+    # S_f is exactly Hermitian, so its symmetry defect is an all-zero
+    # matrix, whose norm takes no SVD
+    spec = parse_problem(emit_spec(generate_example("random_ckframe", {})))
+    ckframe_check(spec.field_f, spec.operator_k)
+    counts = counted_factorizations(monkeypatch)
+    cframe_bounds(spec.field_f)
+    assert dict(counts) == {"eigh": 1, "norm2": 1}
 
 
 @given(
@@ -140,11 +235,163 @@ def test_warm_and_cold_fields_give_bit_identical_results(kind, seed, scales, ord
     for name in ENTRY_POINTS:
         spec = parse_problem(text)
         cold[name] = outcome(name, spec.field_f, spec.operator_k)
+    del spec
     warm = parse_problem(text)
     for name in order:
         outcome(name, warm.field_f, warm.operator_k)
     for name in ENTRY_POINTS:
         assert outcome(name, warm.field_f, warm.operator_k) == cold[name], name
+
+
+def test_operands_mutated_in_place_get_the_cold_answer_for_their_new_bytes():
+    # f spans a proper subspace: k_out escapes it, k_in does not
+    rng = np.random.default_rng(11)
+    f, k_out = excluded_instance(rng, 4, 3, 12)
+    k_in = synthesis_matrix(f) @ crandn(rng, 12, 3)
+    l2_new = crandn(rng, 4, 12)
+    # cold answers: the temporary field and what it kept die with the call
+    cold_check = bits(ckframe_check(SampleField(f.space, f.samples), k_out))
+    cold_douglas = bits(
+        (douglas_factor(k_out, l2_new), range_included(k_out, l2_new), minimal_multiplier(k_out, l2_new))
+    )
+
+    k = k_in.copy()
+    assert ckframe_check(f, k).is_ck_frame
+    k[...] = k_out
+    assert bits(ckframe_check(f, k)) == cold_check
+
+    # a raw l2 with the bytes of f's B reads what f keeps, until it changes
+    l2 = whitened_synthesis_matrix(f)
+    assert not douglas_factor(k_out, l2).included
+    l2[...] = l2_new
+    assert bits(
+        (douglas_factor(k_out, l2), range_included(k_out, l2), minimal_multiplier(k_out, l2))
+    ) == cold_douglas
+
+
+def test_arrays_handed_to_callers_cannot_change_later_answers():
+    rng = np.random.default_rng(12)
+    f, k = ckframe_instance(rng, 4, 3, 12)
+    cold = {name: outcome(name, SampleField(f.space, f.samples), k) for name in ENTRY_POINTS}
+    handed = [
+        douglas_factor(k, whitened_synthesis_matrix(f)).factor,
+        atom_coefficient_map(f, k).matrix,
+        inverse_on_range(f, k),
+    ]
+    for array in handed:
+        array[...] = 7.0
+    for name in ENTRY_POINTS:
+        assert outcome(name, f, k) == cold[name], name
+
+
+def test_a_factor_is_read_off_one_factorization_when_lapack_rotates_its_basis(monkeypatch):
+    # f is a Parseval frame: every singular value of B is 1, so any U Q, Q* V*
+    # with Q unitary is an SVD of B, and a second factorization may return
+    # another one.  The coordinates must come from the factorization whose vh
+    # they are paired with, not from the left factor kept by the first.
+    f = parseval_field(3, 8, seed=5)
+    k = crandn(np.random.default_rng(5), 3, 2)
+    b = whitened_synthesis_matrix(f)
+    q = random_unitary(np.random.default_rng(6), 3)
+    svd = np.linalg.svd
+    seen = []
+
+    def rotating(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        if np.shape(a) != b.shape or not kwargs.get("compute_uv", True):
+            return out
+        seen.append(a)
+        if len(seen) == 1:
+            return out
+        u, sigma, vh = out
+        return u @ q, sigma, q.conj().T @ vh
+
+    monkeypatch.setattr(np.linalg, "svd", rotating)
+    assert ckframe_check(f, k).is_ck_frame
+    cmap = atom_coefficient_map(f, k)
+    assert verify_atomic_decomposition(f, k, cmap) < 1e-12
+    factor = douglas_factor(k, b).factor
+    assert np.linalg.norm(b @ factor - k) < 1e-12 * np.linalg.norm(k)
+    assert len(seen) == 3
+
+
+def test_a_field_keeps_the_answers_about_one_k_at_a_time():
+    rng = np.random.default_rng(13)
+    f, k = ckframe_instance(rng, 4, 3, 12)
+    synth = synthesis_matrix(f)
+    for _ in range(100):
+        k = synth @ crandn(rng, 12, 3)
+        ckframe_check(f, k)
+        sandwich_check(f, k)
+        ckframe_check(f, k, rank_tol=1e-12)
+    kept = _KEPT[f]
+    assert kept.k_key == _content_key(k)
+    assert len(kept.of_k) == 6 and len(kept.of_b) == 2
+
+
+def test_the_douglas_faces_read_a_live_fields_answers_but_keep_nothing(monkeypatch):
+    rng = np.random.default_rng(15)
+    f, k = ckframe_instance(rng, 4, 3, 12)
+    ckframe_check(f, k)
+    kept = _KEPT[f]
+    before = (kept.k_key, dict(kept.of_b), dict(kept.of_k), len(_KEPT), len(_BY_CONTENT))
+    b = whitened_synthesis_matrix(f)
+    counts = counted_factorizations(monkeypatch)
+    assert range_included(k, b) and minimal_multiplier(k, b) > 0.0
+    assert not counts
+    other = crandn(rng, 4, 3)
+    douglas_factor(other, b)
+    minimal_multiplier(other, b)
+    # douglas_factor's own full SVD; minimal_multiplier reads f's left factor
+    assert counts["svd"] == 1
+    assert (kept.k_key, kept.of_b, kept.of_k, len(_KEPT), len(_BY_CONTENT)) == before
+
+
+def test_concurrent_diagnoses_match_serial_ones():
+    problems = [problem_arrays(seed) for seed in range(4)]
+    serial = [bits(diagnose(*p)) for p in problems]
+    # threads asking about the same and about different fields at once
+    jobs = problems * 100
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            concurrent = list(pool.map(lambda p: bits(diagnose(*p)), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert concurrent == serial * 100
+
+
+def test_threads_asking_one_field_about_different_k_get_their_own_answers():
+    rng = np.random.default_rng(16)
+    f, _ = ckframe_instance(rng, 4, 3, 12)
+    synth = synthesis_matrix(f)
+    ks = [synth @ crandn(rng, 12, 3) for _ in range(6)] + [crandn(rng, 4, 3) for _ in range(2)]
+
+    def answers(field, k):
+        # the frame check and the compression on range(k), both kept per k
+        return (outcome("ckframe_check", field, k), outcome("sandwich_check", field, k))
+
+    cold = [answers(SampleField(f.space, f.samples), k) for k in ks]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            warm = list(pool.map(lambda k: answers(f, k), ks * 25, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert warm == cold * 25
+
+
+def test_range_basis_hands_back_a_writable_array_of_its_own():
+    f, k = ckframe_instance(np.random.default_rng(14), 3, 2, 16)
+    b = whitened_synthesis_matrix(f)
+    ckframe_check(f, k)
+    basis = range_basis(b)
+    expected = bits(ckframe_check(f, k))
+    basis[...] = 0.0
+    assert bits(range_basis(b)) != bits(basis)
+    assert bits(ckframe_check(f, k)) == expected
 
 
 def test_rank_ambiguity_is_raised_again_on_a_warm_field():
@@ -158,7 +405,8 @@ def test_rank_ambiguity_is_raised_again_on_a_warm_field():
             ckframe_check(f, k)
         with pytest.raises(RankAmbiguous):
             sandwich_check(f, k)
-    assert set(_LEFT_FACTORS[f]) == {1e-12}
+    assert kept_factor(f, 1e-12) is not None
+    assert kept_factor(f) is None
 
 
 def test_unrepresentable_inputs_are_raised_again_on_a_warm_field():
@@ -177,24 +425,38 @@ def test_unrepresentable_inputs_are_raised_again_on_a_warm_field():
     for _ in range(2):
         with pytest.raises(NotRepresentable):
             ckframe_check(huge, np.eye(2))
-    assert huge not in _LEFT_FACTORS
+    assert huge not in _KEPT
 
 
 def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
     f, k = ckframe_instance(np.random.default_rng(3), 3, 2, 16)
     ckframe_check(f, k)
     atom_coefficient_map(f, k)
+    sandwich_check(f, k)
     ckframe_check(f, k, rank_tol=1e-12)
-    entries = _LEFT_FACTORS[f]
-    assert set(entries) == {DEFAULT_RANK_TOL, 1e-12}
-    for entry in entries.values():
+    for rank_tol in (DEFAULT_RANK_TOL, 1e-12):
+        entry = kept_factor(f, rank_tol)
         assert entry.vh is None
-        for array in (entry.u, entry.s):
+        assert entry.u.shape == (3, 3) and entry.s.shape == (3,)
+    kept = _KEPT[f]
+    assert set(kept.of_b) == {("svd", DEFAULT_RANK_TOL), ("svd", 1e-12)}
+    assert {name for _, name in kept.of_k} == {
+        "k_norm",
+        ("residual", DEFAULT_RANK_TOL),
+        ("residual", 1e-12),
+        ("coords_norm", DEFAULT_RANK_TOL),
+        ("coords_norm", 1e-12),
+        ("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL),
+    }
+    entries = {**kept.of_b, **kept.of_k}
+    assert _BY_CONTENT[_content_key(whitened_synthesis_matrix(f))] is kept
+    for value in entries.values():
+        for array in arrays_in(value):
             assert array.base is None
             assert not array.flags.writeable
             assert f.space.n_atoms not in array.shape
-        assert entry.u.shape == (3, 3) and entry.s.shape == (3,)
-    refs = [weakref.ref(entry) for entry in entries.values()]
-    del f, entries, entry
+    refs = [weakref.ref(entry) for entry in entries.values() if dataclasses.is_dataclass(entry)]
+    refs.append(weakref.ref(kept))
+    del f, kept, entries, entry
     gc.collect()
     assert all(ref() is None for ref in refs)

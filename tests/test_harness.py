@@ -619,7 +619,7 @@ def test_report_rejects_unknown_format_and_nan():
 #: whitened synthesis matrix, of k and of small compressions, plus
 #: norm(., 2), which runs an SVD of its own.  bounds needs at most 4.
 FACTORIZATIONS = {
-    "atoms": 5,
+    "atoms": 4,
     "dual": 11,
     "verify-pair": 2,
     "douglas": 4,

@@ -20,7 +20,13 @@ from ckframe.linalg import (
     range_basis,
     range_projector,
 )
-from helpers import bisect_max_multiplier, char_poly_eigenvalues_2x2, crandn, min_quotient
+from helpers import (
+    bisect_max_multiplier,
+    char_poly_eigenvalues_2x2,
+    counted_factorizations,
+    crandn,
+    min_quotient,
+)
 
 complex_entries = st.complex_numbers(
     max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -304,3 +310,13 @@ def test_pencil_exact_on_proportional_forms():
 def test_operator_norm_largest_singular_value():
     assert operator_norm(np.diag([3.0, -7.0])) == pytest.approx(7.0)
     assert operator_norm(np.zeros((2, 2))) == 0.0
+
+
+def test_operator_norm_of_a_zero_matrix_takes_no_svd(monkeypatch):
+    # the symmetry defect of an exactly Hermitian matrix is such a matrix
+    counts = counted_factorizations(monkeypatch)
+    assert operator_norm(np.zeros((3, 4))) == 0.0
+    assert operator_norm(np.zeros((0, 2))) == 0.0
+    s = np.array([[2.0, 1j], [-1j, 1.0]])
+    assert operator_norm(s - s.conj().T) == 0.0
+    assert not counts
