@@ -137,7 +137,7 @@ def atom_coefficient_map(
         can reproduce k in that case.
     """
     kk = as_operator(k)
-    # the one reader of vh: a full SVD of B, off which coords are read too
+    # the one reader of vh, which f keeps; coords are read off the same SVD
     report, b, coords = _frame_check(f, kk, rank_tol, tol, right=True)
     if not report.range_included:
         raise RangeNotIncluded(
@@ -238,7 +238,7 @@ def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
             "f does not reproduce k: range inclusion residual "
             f"{report.residuals['range_inclusion']:.3e}"
         )
-    ks = _ranked_svd(kk, rank_tol).left_factor()
+    ks = _ranked_svd(kk, rank_tol, name="k").owned()
     c = b.s[:, None] * (b.u.conj().T @ ks.u)
     p, sc, qh = (_owned(x) for x in np.linalg.svd(c, full_matrices=False))
     # a passed check leaves this only when tol lets a retained direction of
@@ -338,7 +338,7 @@ def verify_dual_pair(
     kk = as_operator(k)
     sigma = np.linalg.svd(kk, compute_uv=False)
     k_norm = float(sigma[0]) if sigma.size else 0.0
-    rank = _separated_rank(sigma, rank_tol)
+    rank = _separated_rank(sigma, rank_tol, "k")
     return _dual_pair_report(f, g, kk, k_norm, rank, tol, basis_h, basis_h0)
 
 
@@ -450,7 +450,7 @@ def canonical_dual(
     upper_bound = (on.k.top / float(on.k.s[-1])) ** 2 / on.a
 
     # the dual's optimal bounds as a frame against k*, decided on its own B
-    best, _, _ = _frame_check(dual, adjoint(kk), rank_tol, tol)
+    best, _, _ = _frame_check(dual, adjoint(kk), rank_tol, tol, name="B of the dual field g")
     best_lower = float(best.bounds.lower)
     best_upper = best.bounds.upper
     if best_lower < lower_bound * (1.0 - tol):

@@ -20,7 +20,6 @@ from .linalg import (
     GRAY_ZONE_FACTOR,
     OperatorMatrix,
     _kept_like,
-    _ranked_svd,
     _RankedSVD,
     as_operator,
 )
@@ -114,5 +113,5 @@ def _inclusion(
         )
     kept = _kept_like(b)
     ask = kept.asker(a, keep=False)
-    svd = _ranked_svd(b, rank_tol) if right else kept.left_factor(lambda: b, rank_tol, keep=False)
+    svd = kept.factor(lambda: b, "l2", rank_tol, right, keep=False)
     return (svd, ask, *svd.inclusion(a, tol, ask))

@@ -28,7 +28,6 @@ from .linalg import (
     Unbounded,
     _Kept,
     _kept_for,
-    _ranked_svd,
     _RankedSVD,
     as_operator,
     hermitian_eig,
@@ -128,7 +127,7 @@ def cframe_bounds(f: SampleField, tol: float = DEFAULT_CHECK_TOL) -> FrameBounds
     lower bound is then sigma_min(B)^2, else 0.0.  The upper bound is the
     largest eigenvalue of S_f = B B*.
     """
-    b = _kept(f).left_factor(lambda: whitened_synthesis_matrix(f), DEFAULT_RANK_TOL)
+    b = _kept(f).factor(lambda: whitened_synthesis_matrix(f), "B of f", DEFAULT_RANK_TOL)
     spans = b.s.size == f.dim
     upper = max(float(hermitian_eig(frame_operator(f), tol).eigenvalues[-1]), 0.0)
     lower = float(b.s[-1]) ** 2 if spans else 0.0
@@ -165,24 +164,21 @@ def _kept(f: SampleField) -> _Kept:
 
 
 def _frame_check(
-    f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float, right: bool = False
+    f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float, right: bool = False,
+    name: str = "B of f",
 ) -> tuple[CkFrameReport, _RankedSVD, Optional[np.ndarray]]:
     """ckframe_check, also handing back the ranked SVD of B it was read from
-    (with vh when right is set) and, on inclusion, the coordinates
-    Sigma_r^-1 U_r* k of pinv(B) k, read off that SVD.
+    (the one with vh when right is set) and, on inclusion, the coordinates
+    Sigma_r^-1 U_r* k of pinv(B) k, read off that SVD.  name is what a
+    RankAmbiguous message calls B.
 
-    B's left factor and the answers about k are kept for f (see
-    linalg._Kept), so asking again about the same (f, k) factors nothing;
-    right=True always factors B, and seeds f's left factor if none is kept.
+    Both factorizations of B and the answers about k are kept for f (see
+    linalg._Kept), so asking again about the same (f, k) factors nothing.
     """
     if kk.shape[0] != f.dim:
         raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
     kept = _kept(f)
-    if right:
-        b = _ranked_svd(whitened_synthesis_matrix(f), rank_tol)
-        kept.answer(("svd", rank_tol), b.left_factor)
-    else:
-        b = kept.left_factor(lambda: whitened_synthesis_matrix(f), rank_tol)
+    b = kept.factor(lambda: whitened_synthesis_matrix(f), name, rank_tol, right)
     ask = kept.asker(kk)
     residual, coords = b.inclusion(kk, tol, ask)
     included = coords is not None

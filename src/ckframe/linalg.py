@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -129,12 +129,13 @@ def hermitian_eig(m, tol: float = DEFAULT_CHECK_TOL) -> HermitianEig:
     return HermitianEig(eigenvalues=vals, eigenvectors=_fix_phases(vecs))
 
 
-def _separated_rank(sigma: np.ndarray, rank_tol: float) -> int:
+def _separated_rank(sigma: np.ndarray, rank_tol: float, name: str) -> int:
     """Numerical rank of a singular-value vector, rejecting gray zones.
 
     Rank counts sigma_i > rank_tol * sigma_max.  Any sigma_i strictly inside
     (rank_tol, GRAY_ZONE_FACTOR * rank_tol) * sigma_max makes the rank
-    ill-determined and raises RankAmbiguous.
+    ill-determined and raises RankAmbiguous, whose message names the
+    matrix the singular values are of as name.
     """
     if rank_tol <= 0.0:
         raise ValueError("rank_tol must be positive")
@@ -149,7 +150,7 @@ def _separated_rank(sigma: np.ndarray, rank_tol: float) -> int:
     if np.any(gray):
         worst = float(sigma[gray][0])
         raise RankAmbiguous(
-            f"singular value {worst:.3e} lies in the ambiguous band "
+            f"rank of {name}: singular value {worst:.3e} lies in the ambiguous band "
             f"({lo:.3e}, {hi:.3e}); rank-dependent output would be unstable"
         )
     return int(np.count_nonzero(sigma > lo))
@@ -166,8 +167,8 @@ class _RankedSVD:
 
     u (rows, r), s (r,) descending and vh (r, cols) are the retained
     factors of one factorization; top is the largest singular value before
-    truncation and rank_tol the cutoff that decided r.  vh is None when
-    only the left factor was kept (see left_factor).
+    truncation and rank_tol the cutoff that decided r.  vh is None unless
+    it was asked for (see _ranked_svd); u and s are the same bits either way.
     """
 
     u: np.ndarray
@@ -176,10 +177,11 @@ class _RankedSVD:
     rank_tol: float
     vh: Optional[np.ndarray] = None
 
-    def left_factor(self) -> _RankedSVD:
-        """u, s and top as owned read-only arrays, without vh: holding it
-        keeps neither the right factor nor LAPACK's output buffers alive."""
-        return _RankedSVD(_owned(self.u), _owned(self.s), self.top, self.rank_tol)
+    def owned(self) -> _RankedSVD:
+        """The same factorization with owned read-only arrays: holding it
+        keeps none of LAPACK's output buffers alive."""
+        vh = None if self.vh is None else _owned(self.vh)
+        return _RankedSVD(_owned(self.u), _owned(self.s), self.top, self.rank_tol, vh)
 
     def inclusion(self, l1, tol: float, ask=_fresh) -> tuple[float, Optional[np.ndarray]]:
         """The range-inclusion decision for l1 against range(m).
@@ -205,12 +207,30 @@ class _RankedSVD:
         return ask(("coords_norm", self.rank_tol), lambda: operator_norm(coords))
 
 
-def _ranked_svd(m, rank_tol: float = DEFAULT_RANK_TOL) -> _RankedSVD:
-    """One SVD of m with the _separated_rank decision applied to it."""
+def _ranked_svd(
+    m, rank_tol: float = DEFAULT_RANK_TOL, right: bool = False, name: str = "m"
+) -> _RankedSVD:
+    """One SVD of m with the _separated_rank decision applied to it (name
+    is what a RankAmbiguous message calls m), with vh when right is set.
+
+    A wide m (more columns than rows) is factored through the QR of its
+    transpose, as in Chan's R-SVD (Golub and Van Loan, Matrix Computations,
+    4th ed., 8.6): m.T = Q R gives m = R.T Q.T, whose rows of Q.T are
+    orthonormal, so the SVD U Sigma W* of the square R.T gives m's u and s,
+    and vh = W* Q.T costs the orthogonal factor Q only when right is set.
+    R comes off the same Householder factorization in both modes, so u and
+    s are bit-identical whether or not vh is formed.
+    """
     a = as_operator(m)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = _separated_rank(s, rank_tol)
-    return _RankedSVD(u[:, :r], s[:r], float(s[0]) if s.size else 0.0, rank_tol, vh[:r])
+    wide = a.shape[0] < a.shape[1]
+    if wide and right:
+        q, tri = np.linalg.qr(a.T)
+    elif wide:
+        tri = np.linalg.qr(a.T, mode="r")
+    u, s, vh = np.linalg.svd(tri.T if wide else a, full_matrices=False)
+    r = _separated_rank(s, rank_tol, name)
+    vh = (vh[:r] @ q.T if wide else vh[:r]) if right else None
+    return _RankedSVD(u[:, :r], s[:r], float(s[0]) if s.size else 0.0, rank_tol, vh)
 
 
 def _owned(a: np.ndarray) -> np.ndarray:
@@ -222,15 +242,16 @@ def _owned(a: np.ndarray) -> np.ndarray:
 
 class _Kept:
     """What is kept for one live field: answers about its whitened synthesis
-    matrix B (the ranked left factor per rank_tol, ||B||) and answers about
-    one operator k at a time (||k||, the inclusion distance, ||pinv(B) k||,
-    the compression of S_f to range(k)), keyed by k's content key and
-    dropped when another k is asked about.  The same LAPACK call on the
-    same bytes returns the same bits, so an answer is bit-identical to
-    computing it again; a compute() that raises keeps nothing.  vh is never
-    kept, and coordinates paired with a vh are read off the SVD that gave
-    it (see _RankedSVD.inclusion).  Threads asking at once can at worst
-    compute an answer twice, never read one about another k.
+    matrix B (per rank_tol its ranked left factor and, once a caller has
+    read vh, its ranked SVD with vh; ||B||) and answers about one operator
+    k at a time (||k||, the inclusion distance, ||pinv(B) k||, the
+    compression of S_f to range(k)), keyed by k's content key and dropped
+    when another k is asked about.  The same LAPACK call on the same bytes
+    returns the same bits, so an answer is bit-identical to computing it
+    again; a compute() that raises keeps nothing.  Coordinates paired with
+    a vh are read off the factorization that holds it (see
+    _RankedSVD.inclusion).  Threads asking at once can at worst compute an
+    answer twice, never read one about another k.
     """
 
     __slots__ = ("of_b", "k_key", "of_k", "__weakref__")
@@ -257,11 +278,24 @@ class _Kept:
         k_key = _content_key(k)
         return lambda name, compute: self.answer(name, compute, k_key, keep)
 
-    def left_factor(self, b_of, rank_tol: float, keep: bool = True) -> _RankedSVD:
-        """The ranked left factor of the field's B, which b_of() computes."""
-        return self.answer(
-            ("svd", rank_tol), lambda: _ranked_svd(b_of(), rank_tol).left_factor(), keep=keep
-        )
+    def factor(
+        self, b_of, name: str, rank_tol: float, right: bool = False, keep: bool = True
+    ) -> _RankedSVD:
+        """The ranked SVD of the field's B, which b_of() computes, with vh
+        when right is set (name is what a RankAmbiguous message calls B).
+        The factorization with vh is kept apart from the left-only one, so
+        only a caller that reads vh forms it; making it also gives the left
+        factor, whose u and s are the same bits (see _ranked_svd)."""
+
+        def factored():
+            return _ranked_svd(b_of(), rank_tol, right, name).owned()
+
+        if not right:
+            return self.answer(("svd", rank_tol), factored, keep=keep)
+        svd = self.answer(("svd_vh", rank_tol), factored, keep=keep)
+        if keep:
+            self.answer(("svd", rank_tol), lambda: replace(svd, vh=None))
+        return svd
 
 
 #: The _Kept of each live field, and the same objects by the content key of
@@ -315,7 +349,7 @@ def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:
         If some singular value falls in the gray zone where the rank
         decision would be unstable.
     """
-    svd = _ranked_svd(m, rank_tol)
+    svd = _ranked_svd(m, rank_tol, right=True)
     return (svd.vh.conj().T / svd.s) @ svd.u.conj().T
 
 
@@ -385,7 +419,7 @@ def max_psd_multiplier(
     if not b.any():
         return UNBOUNDED
     # for PSD s = U Sigma U*, one SVD gives both range(s) and s^{+/2}
-    svd = _ranked_svd(a, rank_tol)
+    svd = _ranked_svd(a, rank_tol, name="s")
     # range(c) must sit inside range(s), otherwise some h has c-energy but
     # no s-energy and only a = 0 survives
     if svd.inclusion(b, tol)[1] is None:

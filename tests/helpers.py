@@ -266,7 +266,9 @@ def reference_atomic_residual(f, k, m):
 
 def counted_factorizations(monkeypatch) -> Counter:
     """Count dense factorizations from now on, by np.linalg name; norm(., 2)
-    of a matrix counts as "norm2", since it runs an SVD of its own."""
+    of a matrix counts as "norm2", since it runs an SVD of its own, and qr
+    as "qr", since a wide matrix is factored through the QR of its
+    transpose."""
     counts = Counter()
 
     def counting(name, fn):
@@ -276,7 +278,7 @@ def counted_factorizations(monkeypatch) -> Counter:
 
         return wrapper
 
-    for name in ("svd", "eigh", "eigvalsh", "inv", "matrix_rank"):
+    for name in ("svd", "qr", "eigh", "eigvalsh", "inv", "matrix_rank"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     norm = np.linalg.norm
 

@@ -25,6 +25,7 @@ from ckframe.atoms_duals import (
     verify_atomic_decomposition,
     verify_dual_pair,
 )
+from ckframe.douglas import douglas_factor
 from ckframe.frame_ops import (
     analysis,
     ckframe_check,
@@ -114,6 +115,26 @@ def test_atoms_random_instances_match_lstsq():
         # recorded constant is the norm in the whitened coordinates
         whitened = cmap.matrix * np.sqrt(f.space.weight_array)[:, None]
         assert cmap.bound == pytest.approx(operator_norm(whitened), rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e7])
+@pytest.mark.parametrize("seed", range(4))
+def test_atoms_and_douglas_residuals_grow_like_kappa_not_kappa_squared(kappa, seed):
+    # B = U diag(geomspace(1, 1/kappa, 6)) V[:6] for random unitaries U, V:
+    # pinv(B) k read off B's SVD leaves residuals of order eps * kappa, while
+    # the normal-equation shortcut B* U Sigma^-2 U* k, which needs no vh,
+    # leaves eps * kappa^2 and fails this from kappa = 1e4
+    rng = np.random.default_rng(seed)
+    u, v = random_unitary(rng, 6), random_unitary(rng, 10)
+    space = random_space(rng, 10)
+    b = (u * np.geomspace(1.0, 1.0 / kappa, 6)) @ v[:6]
+    f = SampleField(space, (b / np.sqrt(space.weight_array)).T)
+    k = random_unitary(rng, 6)
+    bound = 100 * np.finfo(float).eps * kappa
+    assert verify_atomic_decomposition(f, k, atom_coefficient_map(f, k)) <= bound
+    b = whitened_synthesis_matrix(f)
+    factor = douglas_factor(k, b).factor
+    assert operator_norm(b @ factor - k) / operator_norm(k) <= bound
 
 
 def test_verify_zero_map_against_nonzero_k():

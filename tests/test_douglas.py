@@ -107,18 +107,20 @@ def test_multiplier_absent_when_not_included():
 
 
 def test_predicates_take_only_the_factorizations_they_read(monkeypatch):
-    # one SVD of l2 and the two norms of the inclusion residual; only
-    # minimal_multiplier adds ||coords||, and neither builds the factor
+    # one factorization of the wide l2 (the QR of its transpose and the SVD
+    # of the triangular factor, without vh) and the two norms of the
+    # inclusion residual; only minimal_multiplier adds ||coords||, and
+    # neither builds the factor
     rng = np.random.default_rng(5)
     l2 = with_rank(rng, 6, 20, 6)
     l1 = l2 @ crandn(rng, 20, 3)
     expected = douglas_factor(l1, l2)
     counts = counted_factorizations(monkeypatch)
     assert range_included(l1, l2) is True
-    assert dict(counts) == {"svd": 1, "norm2": 2}
+    assert dict(counts) == {"qr": 1, "svd": 1, "norm2": 2}
     counts.clear()
     assert minimal_multiplier(l1, l2) == expected.lambda_min
-    assert dict(counts) == {"svd": 1, "norm2": 3}
+    assert dict(counts) == {"qr": 1, "svd": 1, "norm2": 3}
 
 
 # ---------------------------------------------------------------------------

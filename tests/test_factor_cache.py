@@ -1,9 +1,10 @@
 """What ckframe.linalg keeps for a live field (linalg._Kept): the ranked
-left factor of its whitened synthesis matrix B and ||B||, and, for one
-operator k at a time, ||k||, the inclusion distance, ||pinv(B) k|| and
+left factor of its whitened synthesis matrix B, its ranked SVD with the
+right factor vh once atom_coefficient_map has read it, and ||B||, and, for
+one operator k at a time, ||k||, the inclusion distance, ||pinv(B) k|| and
 the compression of S_f to range(k).  A second question about the same
-(f, k) takes no SVD of B, gets bit-identical answers, and still raises
-what a cold field raises.
+(f, k) takes no factorization of B, gets bit-identical answers, and still
+raises what a cold field raises.
 
 A spec read back with parse_problem holds new field objects, so nothing
 is kept for them yet (a "cold" field), as in one CLI process."""
@@ -49,6 +50,7 @@ from ckframe.linalg import (
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
     _content_key,
+    _ranked_svd,
     range_basis,
 )
 from helpers import (
@@ -107,10 +109,11 @@ def outcome(name, f, k):
         return (type(exc).__name__, str(exc))
 
 
-def kept_factor(f, rank_tol=DEFAULT_RANK_TOL):
-    """The left factor of the whitened synthesis matrix kept for f, or None."""
+def kept_factor(f, rank_tol=DEFAULT_RANK_TOL, right=False):
+    """The ranked SVD of the whitened synthesis matrix kept for f (the one
+    with vh when right is set), or None."""
     kept = _KEPT.get(f)
-    return None if kept is None else kept.of_b.get(("svd", rank_tol))
+    return None if kept is None else kept.of_b.get(("svd_vh" if right else "svd", rank_tol))
 
 
 def arrays_in(x):
@@ -124,55 +127,84 @@ def arrays_in(x):
     return []
 
 
-def counted_svd_shapes(monkeypatch) -> list:
-    """Shapes of the matrices np.linalg.svd is called on from now on."""
-    shapes = []
-    svd = np.linalg.svd
+def qr_modes(monkeypatch, b=None) -> list:
+    """The mode of each np.linalg.qr from now on of the transpose of the
+    wide matrix b (of any matrix when b is None), which is how a wide B is
+    factored: "r" for its left factor alone, "reduced" when vh is formed."""
+    modes = []
+    qr = np.linalg.qr
 
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def recording(a, mode="reduced"):
+        if b is None or (np.shape(a) == b.T.shape and np.array_equal(a, b.T)):
+            modes.append(mode)
+        return qr(a, mode)
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    return shapes
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    return modes
 
 
 def test_a_second_call_on_a_field_takes_no_svd_of_b(monkeypatch):
     spec = parse_problem(emit_spec(generate_example("random_ckframe", {})))
     f, k = spec.field_f, spec.operator_k
-    b_shape = whitened_synthesis_matrix(f).shape
+    b = whitened_synthesis_matrix(f)
     counts = counted_factorizations(monkeypatch)
-    shapes = counted_svd_shapes(monkeypatch)
+    modes = qr_modes(monkeypatch, b)
 
     ckframe_check(f, k)
-    assert shapes.count(b_shape) == 1
-    # the sandwich command alone takes 7 on a cold field: after the check,
-    # only the SVDs of k, of its compression and of the sandwich remain
+    assert modes == ["r"]
+    # the sandwich command alone takes 7 and a qr on a cold field: after the
+    # check, only the SVDs of k, of its compression and of the sandwich remain
     counts.clear()
-    shapes.clear()
+    modes.clear()
     sandwich_check(f, k)
-    assert sum(counts.values()) == 3, dict(counts)
-    assert b_shape not in shapes
+    assert dict(counts) == {"svd": 3}
+    assert not modes
 
     for name in ("cframe_bounds", "inverse_on_range", "subspace_cframe_margin", "canonical_dual"):
-        shapes.clear()
         ENTRY_POINTS[name](f, k)
-        assert b_shape not in shapes, name
+        assert not modes, name
 
 
 def test_atoms_takes_its_own_full_svd_and_reseeds(monkeypatch):
-    # the coefficient map is read off vh, which is never kept
-    spec = parse_problem(emit_spec(generate_example("random_ckframe", {})))
+    # the coefficient map is read off vh: atoms forms it once, f keeps it,
+    # and douglas_factor reads it; the checks never form it
+    text = emit_spec(generate_example("random_ckframe", {}))
+    spec = parse_problem(text)
     f, k = spec.field_f, spec.operator_k
-    b_shape = whitened_synthesis_matrix(f).shape
-    shapes = counted_svd_shapes(monkeypatch)
+    b = whitened_synthesis_matrix(f)
+    modes = qr_modes(monkeypatch, b)
     ckframe_check(f, k)
     atom_coefficient_map(f, k)
-    assert shapes.count(b_shape) == 2
-    shapes.clear()
+    assert modes == ["r", "reduced"]
+    modes.clear()
+    atom_coefficient_map(f, k)
+    douglas_factor(k, b)
     sandwich_check(f, k)
-    assert b_shape not in shapes
+    assert not modes
     assert kept_factor(f).vh is None
+    assert kept_factor(f, right=True).vh.shape == (f.dim, f.space.n_atoms)
+    # on a cold field the factorization with vh also gives the left factor
+    cold = parse_problem(text)
+    atom_coefficient_map(cold.field_f, cold.operator_k)
+    ckframe_check(cold.field_f, cold.operator_k)
+    cframe_bounds(cold.field_f)
+    assert modes == ["reduced"]
+    assert bits(kept_factor(cold.field_f)) == bits(kept_factor(f))
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (5, 5), (8, 3), (4, 12)])
+def test_the_left_factor_is_the_same_bits_with_or_without_vh(shape):
+    rng = np.random.default_rng(sum(shape))
+    full = crandn(rng, *shape)
+    # and a rank-deficient b, whose rank is decided on the same singular values
+    for b in (full, full[:, :1] @ full[:1, :]):
+        left = _ranked_svd(b)
+        with_vh = _ranked_svd(b, right=True)
+        assert left.vh is None
+        assert bits((left.u, left.s, left.top)) == bits((with_vh.u, with_vh.s, with_vh.top))
+        r = with_vh.s.size
+        assert np.allclose(with_vh.vh @ with_vh.vh.conj().T, np.eye(r), atol=1e-13)
+        assert np.allclose((with_vh.u * with_vh.s) @ with_vh.vh, b, atol=1e-13 * with_vh.top)
 
 
 def problem_arrays(seed):
@@ -189,9 +221,12 @@ def test_a_diagnosis_stays_within_its_factorization_budget(monkeypatch):
     # sizes one diagnosis took 14 SVDs and 29 norm(., 2) without the memo
     arrays = problem_arrays(seed=4)
     counts = counted_factorizations(monkeypatch)
+    modes = qr_modes(monkeypatch)
     first = diagnose(*arrays)
-    assert counts["svd"] <= 8 and counts["norm2"] <= 7, dict(counts)
+    assert counts["svd"] <= 7 and counts["qr"] <= 3 and counts["norm2"] <= 7, dict(counts)
     assert counts["eigh"] == counts["eigvalsh"] == 0, dict(counts)
+    # f's B twice, only atom_coefficient_map forming vh, and the dual's B once
+    assert modes == ["r", "reduced", "r"]
     # fresh objects on the same arrays: what the first diagnosis kept died
     # with its fields, so the second takes exactly the same work
     once = dict(counts)
@@ -209,7 +244,7 @@ def test_a_field_reads_only_its_own_entries(monkeypatch):
     ckframe_check(warm.field_f, warm.operator_k)
     counts = counted_factorizations(monkeypatch)
     ckframe_check(fresh.field_f, fresh.operator_k)
-    assert dict(counts) == {"svd": 1, "norm2": 3}
+    assert dict(counts) == {"qr": 1, "svd": 1, "norm2": 3}
 
 
 def test_warm_cframe_bounds_takes_one_eigh_and_one_norm(monkeypatch):
@@ -297,8 +332,9 @@ def test_a_factor_is_read_off_one_factorization_when_lapack_rotates_its_basis(mo
     seen = []
 
     def rotating(a, *args, **kwargs):
+        # the SVD of the lower triangular factor R.T of the wide B = R.T Q.T
         out = svd(a, *args, **kwargs)
-        if np.shape(a) != b.shape or not kwargs.get("compute_uv", True):
+        if np.shape(a) != (3, 3) or np.triu(a, 1).any() or not kwargs.get("compute_uv", True):
             return out
         seen.append(a)
         if len(seen) == 1:
@@ -310,9 +346,13 @@ def test_a_factor_is_read_off_one_factorization_when_lapack_rotates_its_basis(mo
     assert ckframe_check(f, k).is_ck_frame
     cmap = atom_coefficient_map(f, k)
     assert verify_atomic_decomposition(f, k, cmap) < 1e-12
+    assert len(seen) == 2
+    # the rotated factorization is the one kept with vh, and douglas_factor
+    # reads its coordinates and vh together
+    assert not np.allclose(kept_factor(f, right=True).u, kept_factor(f).u)
     factor = douglas_factor(k, b).factor
     assert np.linalg.norm(b @ factor - k) < 1e-12 * np.linalg.norm(k)
-    assert len(seen) == 3
+    assert len(seen) == 2
 
 
 def test_a_field_keeps_the_answers_about_one_k_at_a_time():
@@ -342,8 +382,9 @@ def test_the_douglas_faces_read_a_live_fields_answers_but_keep_nothing(monkeypat
     other = crandn(rng, 4, 3)
     douglas_factor(other, b)
     minimal_multiplier(other, b)
-    # douglas_factor's own full SVD; minimal_multiplier reads f's left factor
-    assert counts["svd"] == 1
+    # douglas_factor's own factorization with vh, as f keeps none;
+    # minimal_multiplier reads f's left factor
+    assert counts["svd"] == counts["qr"] == 1
     assert (kept.k_key, kept.of_b, kept.of_k, len(_KEPT), len(_BY_CONTENT)) == before
 
 
@@ -400,13 +441,13 @@ def test_rank_ambiguity_is_raised_again_on_a_warm_field():
     f = SampleField(space, np.diag([1.0, 3e-9]))
     k = np.eye(2)
     assert ckframe_check(f, k, rank_tol=1e-12).is_ck_frame
+    atom_coefficient_map(f, k, rank_tol=1e-12)
     for _ in range(2):
-        with pytest.raises(RankAmbiguous):
-            ckframe_check(f, k)
-        with pytest.raises(RankAmbiguous):
-            sandwich_check(f, k)
-    assert kept_factor(f, 1e-12) is not None
-    assert kept_factor(f) is None
+        for entry_point in (ckframe_check, sandwich_check, atom_coefficient_map):
+            with pytest.raises(RankAmbiguous, match="rank of B of f"):
+                entry_point(f, k)
+    assert kept_factor(f, 1e-12) is not None and kept_factor(f, 1e-12, right=True) is not None
+    assert kept_factor(f) is None and kept_factor(f, right=True) is None
 
 
 def test_unrepresentable_inputs_are_raised_again_on_a_warm_field():
@@ -438,8 +479,15 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
         entry = kept_factor(f, rank_tol)
         assert entry.vh is None
         assert entry.u.shape == (3, 3) and entry.s.shape == (3,)
+    # vh, one column per atom, is kept only at the rank_tol atoms asked at
+    vh = kept_factor(f, right=True).vh
+    assert vh.shape == (3, 16)
     kept = _KEPT[f]
-    assert set(kept.of_b) == {("svd", DEFAULT_RANK_TOL), ("svd", 1e-12)}
+    assert set(kept.of_b) == {
+        ("svd", DEFAULT_RANK_TOL),
+        ("svd", 1e-12),
+        ("svd_vh", DEFAULT_RANK_TOL),
+    }
     assert {name for _, name in kept.of_k} == {
         "k_norm",
         ("residual", DEFAULT_RANK_TOL),
@@ -454,9 +502,9 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
         for array in arrays_in(value):
             assert array.base is None
             assert not array.flags.writeable
-            assert f.space.n_atoms not in array.shape
+            assert f.space.n_atoms not in array.shape or array is vh
     refs = [weakref.ref(entry) for entry in entries.values() if dataclasses.is_dataclass(entry)]
     refs.append(weakref.ref(kept))
-    del f, kept, entries, entry
+    del f, kept, entries, entry, vh
     gc.collect()
     assert all(ref() is None for ref in refs)

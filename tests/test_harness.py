@@ -514,6 +514,17 @@ def test_rank_of_k_is_decided_once_for_every_command():
         report = run_command(spec, command)
         assert report.status == STATUS_FAILED
         assert report.results["error"] == "RankAmbiguous"
+        assert report.results["message"].startswith("rank of k: singular value 1.000e-09")
+
+
+def test_an_ambiguous_rank_names_its_matrix():
+    # sigma(B) = (1, 3e-9): the Douglas faces take B as their raw l2
+    spec = generate_example("scaled_onb", {"scales": [1.0, 3e-9]})
+    for command in ("bounds", "atoms", "dual", "douglas", "sandwich"):
+        results = run_command(spec, command).results
+        assert results["error"] == "RankAmbiguous"
+        name = "l2" if command == "douglas" else "B of f"
+        assert results["message"].startswith(f"rank of {name}: singular value 3.000e-09")
 
 
 def test_sandwich_command():
@@ -615,15 +626,17 @@ def test_report_rejects_unknown_format_and_nan():
 # ---------------------------------------------------------------------------
 # factorization budget
 
-#: Dense factorizations per command on a gen-default spec: the SVD of the
-#: whitened synthesis matrix, of k and of small compressions, plus
-#: norm(., 2), which runs an SVD of its own.  bounds needs at most 4.
+#: Dense factorizations per command on a gen-default spec, as (svd, eig
+#: and norm(., 2) together, qr): the SVD of the whitened synthesis matrix,
+#: of k and of small compressions, plus norm(., 2), which runs an SVD of
+#: its own.  A wide B is factored through the QR of its transpose and the
+#: SVD of the square triangular factor.
 FACTORIZATIONS = {
-    "atoms": 4,
-    "dual": 11,
-    "verify-pair": 2,
-    "douglas": 4,
-    "sandwich": 7,
+    "atoms": (4, 1),
+    "dual": (11, 2),
+    "verify-pair": (2, 0),
+    "douglas": (4, 1),
+    "sandwich": (7, 1),
 }
 
 
@@ -634,11 +647,16 @@ def cold_spec(kind: str) -> ProblemSpec:
     return parse_problem(emit_spec(generate_example(kind, {})))
 
 
+def dense_and_qr(counts) -> tuple[int, int]:
+    """(svd, eig and norm(., 2) together, qr) of counted_factorizations."""
+    return sum(counts.values()) - counts["qr"], counts["qr"]
+
+
 def test_bounds_factorization_budget(monkeypatch):
     spec = cold_spec("random_ckframe")
     counts = counted_factorizations(monkeypatch)
     assert run_command(spec, "bounds").status == STATUS_OK
-    assert sum(counts.values()) <= 4
+    assert dense_and_qr(counts) == (4, 1), dict(counts)
 
 
 @pytest.mark.parametrize("command", sorted(FACTORIZATIONS))
@@ -647,4 +665,4 @@ def test_command_factorization_counts_are_pinned(command, monkeypatch):
     spec = cold_spec(kind)
     counts = counted_factorizations(monkeypatch)
     run_command(spec, command)
-    assert sum(counts.values()) == FACTORIZATIONS[command], dict(counts)
+    assert dense_and_qr(counts) == FACTORIZATIONS[command], dict(counts)

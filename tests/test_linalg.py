@@ -185,8 +185,10 @@ def test_rank_gray_zone_rejected_and_escapable():
     assert np.allclose(treated_zero, np.diag([1.0, 0.0]))
     treated_full = pseudoinverse(m, rank_tol=1e-12)
     assert np.allclose(treated_full, np.diag([1.0, 2e9]))
-    with pytest.raises(RankAmbiguous):
+    with pytest.raises(RankAmbiguous, match="^rank of m: singular value 5.000e-10"):
         range_projector(m)
+    with pytest.raises(RankAmbiguous, match="^rank of s: singular value 5.000e-10"):
+        max_psd_multiplier(m, m)
     with pytest.raises(ValueError):
         pseudoinverse(m, rank_tol=0.0)
 
