@@ -352,9 +352,11 @@ def _dual_pair_report(
     n, n0 = f.dim, g.dim
     if kk.shape != (n, n0):
         raise DimMismatch(f"k has shape {kk.shape}, expected {(n, n0)}")
-    e = np.eye(n, dtype=complex) if basis_h is None else as_operator(basis_h)
-    gamma = np.eye(n0, dtype=complex) if basis_h0 is None else as_operator(basis_h0)
-    if e.shape != (n, n) or gamma.shape != (n0, n0):
+    # the standard bases stay None: a product by an exact identity could
+    # change only the sign of a zero, which abs and column norms erase
+    e = None if basis_h is None else as_operator(basis_h)
+    gamma = None if basis_h0 is None else as_operator(basis_h0)
+    if (e is not None and e.shape != (n, n)) or (gamma is not None and gamma.shape != (n0, n0)):
         raise DimMismatch("basis matrices must be square of the ambient dims")
 
     b_f = whitened_synthesis_matrix(f)
@@ -363,13 +365,14 @@ def _dual_pair_report(
     scale = k_norm or 1.0
 
     # c1: k h0 = T_f <h0, g(.)>;  c2: k* h = T_g <h, f(.)>
-    d_gamma = d @ gamma
-    d_adj_e = d.conj().T @ e
+    d_gamma = _in_basis(d, gamma)
+    d_adj_e = _in_basis(d.conj().T, e)
     c1 = _max_column_norm(d_gamma) / scale
     c2 = _max_column_norm(d_adj_e) / scale
     # c3: <k h0, h> = integral of <h0, g(x)> <f(x), h>;  c4, its adjoint
     # identity, has the conjugate transpose of the same residual matrix
-    c3 = float(np.max(np.abs(e.conj().T @ d_gamma), initial=0.0)) / scale
+    form = d_gamma if e is None else e.conj().T @ d_gamma
+    c3 = float(np.max(np.abs(form), initial=0.0)) / scale
     c4 = c3
     # c5: the c4 identity pinned to standard coordinates
     c5 = float(np.max(np.abs(d), initial=0.0)) / scale
@@ -383,9 +386,9 @@ def _dual_pair_report(
         res_k: Optional[float] = None
         res_k_star: Optional[float] = None
         if rank == n:
-            res_k = _max_column_inner(d_gamma, kk @ gamma) / scale / scale
+            res_k = _max_column_inner(d_gamma, _in_basis(kk, gamma)) / scale / scale
         if rank == n0:
-            res_k_star = _max_column_inner(d_adj_e, kk.conj().T @ e) / scale / scale
+            res_k_star = _max_column_inner(d_adj_e, _in_basis(kk.conj().T, e)) / scale / scale
             notes.append(
                 "adjoint-side norm identity verified in squared form ||k* h||^2; "
                 "the unsquared form is dimensionally inconsistent with c4"
@@ -404,6 +407,11 @@ def _dual_pair_report(
         lower_bound_cert=1.0 / upper_f if upper_f > 0.0 else float("inf"),
         notes=tuple(notes),
     )
+
+
+def _in_basis(m: np.ndarray, basis: Optional[np.ndarray]) -> np.ndarray:
+    """m times basis, or m itself for the standard basis (None)."""
+    return m if basis is None else m @ basis
 
 
 def _max_column_inner(u: np.ndarray, v: np.ndarray) -> float:

@@ -160,7 +160,7 @@ def ckframe_check(
 
 def _kept(f: SampleField) -> _Kept:
     """What is kept for f (see linalg._Kept), made on first use."""
-    return _kept_for(f, lambda: whitened_synthesis_matrix(f))
+    return _kept_for(f, whitened_synthesis_matrix)
 
 
 def _frame_check(

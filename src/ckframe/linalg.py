@@ -8,7 +8,6 @@ between "zero" and "clearly nonzero" are rejected rather than guessed at.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import weakref
 from dataclasses import dataclass, replace
@@ -68,10 +67,18 @@ def adjoint(m) -> OperatorMatrix:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; 0.0 for an all-zero matrix, without an SVD."""
+    """Largest singular value; 0.0 for an all-zero matrix, without an SVD.
+
+    A matrix at least twice as wide as it is tall, with 16 rows or more, is
+    normed through the triangular factor R of its transpose, as _ranked_svd
+    factors it (m = R.T Q.T, so ||m|| = ||R||): from about those sizes on
+    that is cheaper than norm(m, 2), below them the extra call costs more.
+    """
     a = as_operator(m)
     if not a.any():
         return 0.0
+    if a.shape[1] >= 2 * a.shape[0] >= 32:
+        a = np.linalg.qr(a.T, mode="r")
     return float(np.linalg.norm(a, 2))
 
 
@@ -121,7 +128,9 @@ def hermitian_eig(m, tol: float = DEFAULT_CHECK_TOL) -> HermitianEig:
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
     defect = operator_norm(a - a.conj().T)
-    if defect > tol * max(1.0, operator_norm(a)):
+    # a defect within tol passes whatever ||m|| is, so ||m|| is taken only
+    # when it can decide
+    if defect > tol and defect > tol * max(1.0, operator_norm(a)):
         raise NotHermitian(f"symmetry defect {defect:.3e} exceeds tolerance")
     # symmetrize before factoring so roundoff asymmetry cannot leak through
     sym = 0.5 * (a + a.conj().T)
@@ -163,25 +172,39 @@ def _fresh(name, compute):
 
 @dataclass(frozen=True)
 class _RankedSVD:
-    """Thin SVD of a matrix, truncated to its separated numerical rank r.
+    """Thin SVD of a matrix m, truncated to its separated numerical rank r.
 
-    u (rows, r), s (r,) descending and vh (r, cols) are the retained
-    factors of one factorization; top is the largest singular value before
-    truncation and rank_tol the cutoff that decided r.  vh is None unless
-    it was asked for (see _ranked_svd); u and s are the same bits either way.
+    u (rows, r), s (r,) descending and w (r, ·) are the retained factors of
+    the one SVD taken (see _ranked_svd): of m itself when m is square or
+    tall, where w is also m's right factor vh (r, cols); of the triangular
+    factor R.T of a wide m = R.T Q.T, where vh = w Q.T is None until it is
+    asked for.  top is the largest singular value before truncation and
+    rank_tol the cutoff that decided r.  u, s and w are the same bits
+    whether or not vh was formed.
     """
 
     u: np.ndarray
     s: np.ndarray
     top: float
     rank_tol: float
+    w: np.ndarray
     vh: Optional[np.ndarray] = None
 
     def owned(self) -> _RankedSVD:
         """The same factorization with owned read-only arrays: holding it
         keeps none of LAPACK's output buffers alive."""
-        vh = None if self.vh is None else _owned(self.vh)
-        return _RankedSVD(_owned(self.u), _owned(self.s), self.top, self.rank_tol, vh)
+        w = _owned(self.w)
+        vh = w if self.vh is self.w else None if self.vh is None else _owned(self.vh)
+        return _RankedSVD(_owned(self.u), _owned(self.s), self.top, self.rank_tol, w, vh)
+
+    def with_vh(self, m) -> _RankedSVD:
+        """This factorization of m with vh formed.  A wide m takes only the
+        reduced QR of its transpose, for Q: its R is the same bits as the
+        one factored before (see _ranked_svd), so w Q.T pairs with u."""
+        if self.vh is not None:
+            return self
+        q = np.linalg.qr(as_operator(m).T)[0]
+        return replace(self, vh=self.w @ q.T)
 
     def inclusion(self, l1, tol: float, ask=_fresh) -> tuple[float, Optional[np.ndarray]]:
         """The range-inclusion decision for l1 against range(m).
@@ -218,8 +241,8 @@ def _ranked_svd(
     4th ed., 8.6): m.T = Q R gives m = R.T Q.T, whose rows of Q.T are
     orthonormal, so the SVD U Sigma W* of the square R.T gives m's u and s,
     and vh = W* Q.T costs the orthogonal factor Q only when right is set.
-    R comes off the same Householder factorization in both modes, so u and
-    s are bit-identical whether or not vh is formed.
+    R comes off the same Householder factorization in both modes, so u, s
+    and w are bit-identical whether or not vh is formed.
     """
     a = as_operator(m)
     wide = a.shape[0] < a.shape[1]
@@ -227,10 +250,11 @@ def _ranked_svd(
         q, tri = np.linalg.qr(a.T)
     elif wide:
         tri = np.linalg.qr(a.T, mode="r")
-    u, s, vh = np.linalg.svd(tri.T if wide else a, full_matrices=False)
+    u, s, w = np.linalg.svd(tri.T if wide else a, full_matrices=False)
     r = _separated_rank(s, rank_tol, name)
-    vh = (vh[:r] @ q.T if wide else vh[:r]) if right else None
-    return _RankedSVD(u[:, :r], s[:r], float(s[0]) if s.size else 0.0, rank_tol, vh)
+    w = w[:r]
+    vh = (w @ q.T if right else None) if wide else w
+    return _RankedSVD(u[:, :r], s[:r], float(s[0]) if s.size else 0.0, rank_tol, w, vh)
 
 
 def _owned(a: np.ndarray) -> np.ndarray:
@@ -240,89 +264,120 @@ def _owned(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b have one shape, dtype and raw bytes, so that -0.0
+    and 0.0 differ.  F-ordered operands, such as the B that
+    whitened_synthesis_matrix returns, are compared without a copy, and
+    8 bytes at a time when the dtype allows."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if a.flags.f_contiguous and b.flags.f_contiguous:
+        a, b = a.T, b.T
+    word = np.uint64 if a.dtype.itemsize % 8 == 0 else np.uint8
+    return np.array_equal(*(np.ascontiguousarray(x).view(word) for x in (a, b)))
+
+
+def _keep(answers: dict, name, compute, keep: bool, publish=None):
+    """answers[name], else compute(), stored there unless keep is false;
+    publish(), if given, runs under the same lock as the store."""
+    kept = answers.get(name)
+    if kept is None:
+        kept = compute()
+        if keep:
+            with _LOCK:
+                kept = answers.setdefault(name, kept)
+                if publish is not None:
+                    publish()
+    return kept
+
+
 class _Kept:
     """What is kept for one live field: answers about its whitened synthesis
-    matrix B (per rank_tol its ranked left factor and, once a caller has
-    read vh, its ranked SVD with vh; ||B||) and answers about one operator
-    k at a time (||k||, the inclusion distance, ||pinv(B) k||, the
-    compression of S_f to range(k)), keyed by k's content key and dropped
-    when another k is asked about.  The same LAPACK call on the same bytes
-    returns the same bits, so an answer is bit-identical to computing it
-    again; a compute() that raises keeps nothing.  Coordinates paired with
-    a vh are read off the factorization that holds it (see
-    _RankedSVD.inclusion).  Threads asking at once can at worst compute an
-    answer twice, never read one about another k.
+    matrix B (per rank_tol its ranked SVD, whose vh is formed from the kept
+    w once a caller reads it, and ||B||) and, in about_k, an owned read-only
+    copy of one operator k with the answers about it (||k||, the inclusion
+    distance, ||pinv(B) k||, the compression of S_f to range(k)).  An asker
+    tells its k from the held one by comparing raw bytes once, so a k
+    changed in place, or differing only in the sign of a zero, gets answers
+    for its own bytes; keeping one about another k drops the previous k's.
+    The same LAPACK call on the same bytes returns the same bits, so an
+    answer is bit-identical to computing it again; a compute() that raises
+    keeps nothing.  Threads asking at once can at worst compute an answer
+    twice, as each asker only reads and fills the answers about its own k.
+    field (a weak reference) and b_of(field), its B, let the Douglas faces
+    confirm a match (see _kept_like); both are None for a _Kept of no field.
     """
 
-    __slots__ = ("of_b", "k_key", "of_k", "__weakref__")
+    __slots__ = ("field", "b_of", "of_b", "about_k", "__weakref__")
 
-    def __init__(self) -> None:
-        self.of_b, self.k_key, self.of_k = {}, None, {}
+    def __init__(self, field=None, b_of=None) -> None:
+        self.field = None if field is None else weakref.ref(field)
+        self.b_of = b_of
+        self.of_b: dict = {}
+        self.about_k: tuple[Optional[np.ndarray], dict] = (None, {})
 
-    def answer(self, name, compute, k_key: Optional[tuple] = None, keep: bool = True):
-        """The answer under name (about the k with content key k_key, if
-        given), else compute(), kept unless keep is false."""
-        key = name if k_key is None else (k_key, name)
-        kept = (self.of_b if k_key is None else self.of_k).get(key)
-        if kept is None:
-            kept = compute()
-            if keep:
-                with _LOCK:
-                    if k_key is not None and k_key != self.k_key:
-                        self.k_key, self.of_k = k_key, {}
-                    kept = (self.of_b if k_key is None else self.of_k).setdefault(key, kept)
-        return kept
+    def answer(self, name, compute, keep: bool = True):
+        """The answer about B under name, else compute(), kept unless keep
+        is false."""
+        return _keep(self.of_b, name, compute, keep)
 
-    def asker(self, k, keep: bool = True):
+    def asker(self, k: np.ndarray, keep: bool = True):
         """ask(name, compute) for answers about the operator k."""
-        k_key = _content_key(k)
-        return lambda name, compute: self.answer(name, compute, k_key, keep)
+        about = self.about_k
+        if about[0] is None or not _same_bytes(about[0], k):
+            about = (_owned(np.array(k, copy=True)) if keep else None, {})
+
+        def publish() -> None:
+            self.about_k = about
+
+        return lambda name, compute: _keep(about[1], name, compute, keep, publish)
 
     def factor(
         self, b_of, name: str, rank_tol: float, right: bool = False, keep: bool = True
     ) -> _RankedSVD:
         """The ranked SVD of the field's B, which b_of() computes, with vh
         when right is set (name is what a RankAmbiguous message calls B).
-        The factorization with vh is kept apart from the left-only one, so
-        only a caller that reads vh forms it; making it also gives the left
-        factor, whose u and s are the same bits (see _ranked_svd)."""
-
-        def factored():
-            return _ranked_svd(b_of(), rank_tol, right, name).owned()
-
-        if not right:
-            return self.answer(("svd", rank_tol), factored, keep=keep)
-        svd = self.answer(("svd_vh", rank_tol), factored, keep=keep)
+        One factorization per rank_tol is kept; a caller that reads vh has
+        it formed from that factorization's w (see _RankedSVD.with_vh), so
+        B's SVD is taken once whether or not vh is ever read."""
+        key = ("svd", rank_tol)
+        svd = self.of_b.get(key)
+        if svd is not None and (svd.vh is not None or not right):
+            return svd
+        fresh = _ranked_svd(b_of(), rank_tol, right, name) if svd is None else svd.with_vh(b_of())
+        svd = fresh.owned()
         if keep:
-            self.answer(("svd", rank_tol), lambda: replace(svd, vh=None))
+            with _LOCK:
+                held = self.of_b.get(key)
+                if held is None or held.vh is None:
+                    self.of_b[key] = svd
         return svd
 
 
-#: The _Kept of each live field, and the same objects by the content key of
-#: the field's B for callers that hold only a raw matrix (the Douglas
-#: faces).  Both entries go when the field is collected.
+#: The _Kept of each live field, and the same objects by the probe of the
+#: field's B for callers that hold only a raw matrix (the Douglas faces).
+#: Both entries go when the field is collected.  Fields whose B share a
+#: probe share a slot, the last one registered holding it.
 _KEPT: weakref.WeakKeyDictionary[object, _Kept] = weakref.WeakKeyDictionary()
-_BY_CONTENT: weakref.WeakValueDictionary[tuple, _Kept] = weakref.WeakValueDictionary()
-#: Makes dropping the previous k's answers and keeping a new one atomic.
+_BY_PROBE: weakref.WeakValueDictionary[tuple, _Kept] = weakref.WeakValueDictionary()
+#: Makes storing an answer and publishing the k it is about atomic.
 _LOCK = threading.Lock()
 
 
-def _content_key(a: np.ndarray) -> tuple:
-    """Shape, dtype and a blake2b digest of a's bytes.  An F-ordered a (a
-    transpose, such as whitened_synthesis_matrix returns) is hashed through
-    its C-ordered transpose rather than through a contiguous copy."""
-    if a.flags.f_contiguous and not a.flags.c_contiguous:
-        return (a.shape, a.dtype.str, "F", hashlib.blake2b(a.T).digest())
-    return (a.shape, a.dtype.str, "C", hashlib.blake2b(np.ascontiguousarray(a)).digest())
+def _probe(b: np.ndarray) -> tuple:
+    """Shape, dtype and the bytes of the first and last columns of b (of B,
+    the first and last atoms): cheap to take, and enough to tell most
+    fields apart.  A match is confirmed on all of b's bytes."""
+    return (b.shape, b.dtype.str, b[:, :1].tobytes(), b[:, -1:].tobytes())
 
 
 def _kept_for(field, b_of) -> _Kept:
     """The _Kept of a live field, made on first use and registered under
-    the content key of its B, which b_of() computes."""
+    the probe of its B, which b_of(field) computes."""
     kept = _KEPT.get(field)
     if kept is None:
-        key = _content_key(b_of())
-        kept = _BY_CONTENT[key] = _KEPT.setdefault(field, _Kept())
+        probe = _probe(b_of(field))
+        kept = _BY_PROBE[probe] = _KEPT.setdefault(field, _Kept(field, b_of))
     return kept
 
 
@@ -333,8 +388,11 @@ def _kept_of(field) -> _Kept:
 
 def _kept_like(b: np.ndarray) -> _Kept:
     """The _Kept of a live field whose B has the bytes of b, else an empty
-    one that nothing else holds."""
-    return _BY_CONTENT.get(_content_key(b)) or _Kept()
+    one that nothing else holds.  The field is looked up by the probe of b
+    and counts only once its B matches b byte for byte."""
+    kept = _BY_PROBE.get(_probe(b))
+    field = None if kept is None else kept.field()
+    return kept if field is not None and _same_bytes(kept.b_of(field), b) else _Kept()
 
 
 def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:

@@ -415,6 +415,30 @@ def test_vectorized_residuals_match_per_basis_loops():
             )
 
 
+def test_default_bases_give_the_bits_of_explicit_identity_bases():
+    # f the standard basis and k = B_f B_g* up to the signs of its zeros, so
+    # every entry of D = k - B_f B_g* is a signed zero, and products of D
+    # by an identity change some of those signs
+    space = make_measure_space(["a", "b", "c"], [1.0, 1.0, 1.0])
+    f = SampleField(space, np.eye(3))
+    samples = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 0.0]], dtype=complex)
+    k = samples.conj()
+    k[0, 1], k[2, 1], k[1, 0] = complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0)
+    pairs = [(f, SampleField(space, samples), k)]
+    rng = np.random.default_rng(59)
+    for n, n0, atoms in ((3, 3, 7), (4, 2, 9), (2, 4, 8)):
+        field, k2 = ckframe_instance(rng, n, n0, atoms)
+        dual = canonical_dual(field, k2)
+        pairs.append((dual.projected_frame, dual.dual_field, k2))
+        pairs.append((field, random_field(rng, field.space, n0), k2))
+    for f, g, k in pairs:
+        eye, eye0 = np.eye(f.dim), np.eye(g.dim)
+        # repr tells -0.0 from 0.0 and round-trips every float
+        assert repr(verify_dual_pair(f, g, k)) == repr(
+            verify_dual_pair(f, g, k, basis_h=eye, basis_h0=eye0)
+        )
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-5])
 def test_pair_residuals_do_not_depend_on_the_scale_of_k(scale):
     # g = (1 + 1e-5) I misses k = I by 1e-5 of ||k||; scaling g and k

@@ -1,10 +1,12 @@
 """What ckframe.linalg keeps for a live field (linalg._Kept): the ranked
-left factor of its whitened synthesis matrix B, its ranked SVD with the
-right factor vh once atom_coefficient_map has read it, and ||B||, and, for
-one operator k at a time, ||k||, the inclusion distance, ||pinv(B) k|| and
-the compression of S_f to range(k).  A second question about the same
-(f, k) takes no factorization of B, gets bit-identical answers, and still
-raises what a cold field raises.
+SVD of its whitened synthesis matrix B, taken once (u, s and the small
+right factor w, with vh = w Q.T formed once atom_coefficient_map or
+douglas_factor reads it), and ||B||, and, for one operator k at a time,
+held beside a copy of that k, ||k||, the inclusion distance, ||pinv(B) k||
+and the compression of S_f to range(k).  A k is told from the held one,
+and a raw Douglas l2 from a live field's B, by comparing bytes.  A second
+question about the same (f, k) takes no factorization of B, gets
+bit-identical answers, and still raises what a cold field raises.
 
 A spec read back with parse_problem holds new field objects, so nothing
 is kept for them yet (a "cold" field), as in one CLI process."""
@@ -45,11 +47,11 @@ from ckframe.frame_ops import (
 )
 from ckframe.harness import GENERATOR_KINDS, emit_spec, generate_example, parse_problem
 from ckframe.linalg import (
-    _BY_CONTENT,
+    _BY_PROBE,
     _KEPT,
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
-    _content_key,
+    _kept_like,
     _ranked_svd,
     range_basis,
 )
@@ -109,11 +111,10 @@ def outcome(name, f, k):
         return (type(exc).__name__, str(exc))
 
 
-def kept_factor(f, rank_tol=DEFAULT_RANK_TOL, right=False):
-    """The ranked SVD of the whitened synthesis matrix kept for f (the one
-    with vh when right is set), or None."""
+def kept_factor(f, rank_tol=DEFAULT_RANK_TOL):
+    """The ranked SVD of the whitened synthesis matrix kept for f, or None."""
     kept = _KEPT.get(f)
-    return None if kept is None else kept.of_b.get(("svd_vh" if right else "svd", rank_tol))
+    return None if kept is None else kept.of_b.get(("svd", rank_tol))
 
 
 def arrays_in(x):
@@ -166,23 +167,27 @@ def test_a_second_call_on_a_field_takes_no_svd_of_b(monkeypatch):
 
 
 def test_atoms_takes_its_own_full_svd_and_reseeds(monkeypatch):
-    # the coefficient map is read off vh: atoms forms it once, f keeps it,
-    # and douglas_factor reads it; the checks never form it
+    # the coefficient map is read off vh: atoms forms it once from the kept
+    # w and the Q of one more QR, f keeps it, and douglas_factor reads it;
+    # the checks never form it
     text = emit_spec(generate_example("random_ckframe", {}))
     spec = parse_problem(text)
     f, k = spec.field_f, spec.operator_k
     b = whitened_synthesis_matrix(f)
     modes = qr_modes(monkeypatch, b)
     ckframe_check(f, k)
+    assert kept_factor(f).vh is None
+    assert kept_factor(f).w.shape == (f.dim, f.dim)
+    counts = counted_factorizations(monkeypatch)
     atom_coefficient_map(f, k)
+    assert dict(counts) == {"qr": 1}
     assert modes == ["r", "reduced"]
     modes.clear()
     atom_coefficient_map(f, k)
     douglas_factor(k, b)
     sandwich_check(f, k)
     assert not modes
-    assert kept_factor(f).vh is None
-    assert kept_factor(f, right=True).vh.shape == (f.dim, f.space.n_atoms)
+    assert kept_factor(f).vh.shape == (f.dim, f.space.n_atoms)
     # on a cold field the factorization with vh also gives the left factor
     cold = parse_problem(text)
     atom_coefficient_map(cold.field_f, cold.operator_k)
@@ -200,8 +205,12 @@ def test_the_left_factor_is_the_same_bits_with_or_without_vh(shape):
     for b in (full, full[:, :1] @ full[:1, :]):
         left = _ranked_svd(b)
         with_vh = _ranked_svd(b, right=True)
-        assert left.vh is None
-        assert bits((left.u, left.s, left.top)) == bits((with_vh.u, with_vh.s, with_vh.top))
+        assert (left.vh is None) == (shape[0] < shape[1])
+        assert bits((left.u, left.s, left.top, left.w)) == bits(
+            (with_vh.u, with_vh.s, with_vh.top, with_vh.w)
+        )
+        # vh formed later from the kept w is the one formed at once
+        assert bits(left.with_vh(b)) == bits(with_vh)
         r = with_vh.s.size
         assert np.allclose(with_vh.vh @ with_vh.vh.conj().T, np.eye(r), atol=1e-13)
         assert np.allclose((with_vh.u * with_vh.s) @ with_vh.vh, b, atol=1e-13 * with_vh.top)
@@ -223,9 +232,10 @@ def test_a_diagnosis_stays_within_its_factorization_budget(monkeypatch):
     counts = counted_factorizations(monkeypatch)
     modes = qr_modes(monkeypatch)
     first = diagnose(*arrays)
-    assert counts["svd"] <= 7 and counts["qr"] <= 3 and counts["norm2"] <= 7, dict(counts)
+    assert counts["svd"] <= 6 and counts["qr"] <= 3 and counts["norm2"] <= 7, dict(counts)
     assert counts["eigh"] == counts["eigvalsh"] == 0, dict(counts)
-    # f's B twice, only atom_coefficient_map forming vh, and the dual's B once
+    # f's B for the check, its Q for atom_coefficient_map's vh, and the
+    # dual's B once
     assert modes == ["r", "reduced", "r"]
     # fresh objects on the same arrays: what the first diagnosis kept died
     # with its fields, so the second takes exactly the same work
@@ -247,14 +257,15 @@ def test_a_field_reads_only_its_own_entries(monkeypatch):
     assert dict(counts) == {"qr": 1, "svd": 1, "norm2": 3}
 
 
-def test_warm_cframe_bounds_takes_one_eigh_and_one_norm(monkeypatch):
+def test_warm_cframe_bounds_takes_one_eigh(monkeypatch):
     # S_f is exactly Hermitian, so its symmetry defect is an all-zero
-    # matrix, whose norm takes no SVD
+    # matrix, whose norm takes no SVD, and within tol, so ||S_f|| is not
+    # taken either
     spec = parse_problem(emit_spec(generate_example("random_ckframe", {})))
     ckframe_check(spec.field_f, spec.operator_k)
     counts = counted_factorizations(monkeypatch)
     cframe_bounds(spec.field_f)
-    assert dict(counts) == {"eigh": 1, "norm2": 1}
+    assert dict(counts) == {"eigh": 1}
 
 
 @given(
@@ -304,6 +315,45 @@ def test_operands_mutated_in_place_get_the_cold_answer_for_their_new_bytes():
     ) == cold_douglas
 
 
+def douglas_answers(k, l2):
+    return bits((douglas_factor(k, l2), range_included(k, l2), minimal_multiplier(k, l2)))
+
+
+def test_operands_are_recognised_by_their_bytes(monkeypatch):
+    rng = np.random.default_rng(17)
+    f, k = ckframe_instance(rng, 4, 3, 12)
+    k[0, 0] = 0.0
+    signed = k.copy()
+    signed[0, 0] = complex(-0.0, 0.0)
+    b = whitened_synthesis_matrix(f)
+    # one flipped bit in a middle atom: the probe of the copy still matches B
+    flipped = np.ascontiguousarray(b)
+    flipped.view(np.uint64)[1, 12] ^= 1
+    same = np.ascontiguousarray(b)
+    # cold answers, taken while nothing is kept for f
+    cold_signed = bits(ckframe_check(SampleField(f.space, f.samples), signed))
+    cold_flipped, cold_same = douglas_answers(k, flipped), douglas_answers(k, same)
+
+    ckframe_check(f, k)
+    atom_coefficient_map(f, k)
+    counts = counted_factorizations(monkeypatch)
+    # a k that differs from the held one only in the sign of a zero asks
+    # its own questions: ||k||, the distance and ||pinv(B) k|| again
+    assert bits(ckframe_check(f, signed)) == cold_signed
+    assert dict(counts) == {"norm2": 3}
+    assert bits(_KEPT[f].about_k[0]) == bits(signed)
+    ckframe_check(f, k)
+    counts.clear()
+    # each of the three faces factors the flipped copy itself
+    assert douglas_answers(k, flipped) == cold_flipped
+    assert counts["svd"] == 3, dict(counts)
+    counts.clear()
+    # an unflipped copy is another object in another memory order
+    assert same is not b and not same.flags.f_contiguous
+    assert douglas_answers(k, same) == cold_same
+    assert not counts, dict(counts)
+
+
 def test_arrays_handed_to_callers_cannot_change_later_answers():
     rng = np.random.default_rng(12)
     f, k = ckframe_instance(rng, 4, 3, 12)
@@ -320,10 +370,11 @@ def test_arrays_handed_to_callers_cannot_change_later_answers():
 
 
 def test_a_factor_is_read_off_one_factorization_when_lapack_rotates_its_basis(monkeypatch):
-    # f is a Parseval frame: every singular value of B is 1, so any U Q, Q* V*
-    # with Q unitary is an SVD of B, and a second factorization may return
-    # another one.  The coordinates must come from the factorization whose vh
-    # they are paired with, not from the left factor kept by the first.
+    # f is a Parseval frame: every singular value of B is 1, so any U Q, Q* W*
+    # with Q unitary is an SVD of the triangular factor R.T of B = R.T Q.T,
+    # and another SVD of it may return another one.  The one SVD the check
+    # takes is rotated here and any later one is not: vh and the
+    # coordinates paired with it must both come from the rotated one.
     f = parseval_field(3, 8, seed=5)
     k = crandn(np.random.default_rng(5), 3, 2)
     b = whitened_synthesis_matrix(f)
@@ -332,12 +383,12 @@ def test_a_factor_is_read_off_one_factorization_when_lapack_rotates_its_basis(mo
     seen = []
 
     def rotating(a, *args, **kwargs):
-        # the SVD of the lower triangular factor R.T of the wide B = R.T Q.T
+        # the SVD of the lower triangular factor R.T of the wide B
         out = svd(a, *args, **kwargs)
         if np.shape(a) != (3, 3) or np.triu(a, 1).any() or not kwargs.get("compute_uv", True):
             return out
         seen.append(a)
-        if len(seen) == 1:
+        if len(seen) > 1:
             return out
         u, sigma, vh = out
         return u @ q, sigma, q.conj().T @ vh
@@ -346,13 +397,16 @@ def test_a_factor_is_read_off_one_factorization_when_lapack_rotates_its_basis(mo
     assert ckframe_check(f, k).is_ck_frame
     cmap = atom_coefficient_map(f, k)
     assert verify_atomic_decomposition(f, k, cmap) < 1e-12
-    assert len(seen) == 2
-    # the rotated factorization is the one kept with vh, and douglas_factor
-    # reads its coordinates and vh together
-    assert not np.allclose(kept_factor(f, right=True).u, kept_factor(f).u)
+    assert len(seen) == 1
+    # what f keeps is the rotated factorization, vh included, and
+    # douglas_factor reads its coordinates and vh together
+    plain_u, _, plain_w = svd(seen[0], full_matrices=False)
+    kept = kept_factor(f)
+    assert not np.allclose(kept.u, plain_u)
+    assert np.allclose(kept.u, plain_u @ q) and np.allclose(kept.w, q.conj().T @ plain_w)
     factor = douglas_factor(k, b).factor
     assert np.linalg.norm(b @ factor - k) < 1e-12 * np.linalg.norm(k)
-    assert len(seen) == 2
+    assert len(seen) == 1
 
 
 def test_a_field_keeps_the_answers_about_one_k_at_a_time():
@@ -365,8 +419,9 @@ def test_a_field_keeps_the_answers_about_one_k_at_a_time():
         sandwich_check(f, k)
         ckframe_check(f, k, rank_tol=1e-12)
     kept = _KEPT[f]
-    assert kept.k_key == _content_key(k)
-    assert len(kept.of_k) == 6 and len(kept.of_b) == 2
+    held, answers = kept.about_k
+    assert held is not k and bits(held) == bits(k)
+    assert len(answers) == 6 and len(kept.of_b) == 2
 
 
 def test_the_douglas_faces_read_a_live_fields_answers_but_keep_nothing(monkeypatch):
@@ -374,7 +429,12 @@ def test_the_douglas_faces_read_a_live_fields_answers_but_keep_nothing(monkeypat
     f, k = ckframe_instance(rng, 4, 3, 12)
     ckframe_check(f, k)
     kept = _KEPT[f]
-    before = (kept.k_key, dict(kept.of_b), dict(kept.of_k), len(_KEPT), len(_BY_CONTENT))
+
+    def state():
+        held, answers = kept.about_k
+        return (held, dict(answers), dict(kept.of_b), len(_KEPT), len(_BY_PROBE))
+
+    before = state()
     b = whitened_synthesis_matrix(f)
     counts = counted_factorizations(monkeypatch)
     assert range_included(k, b) and minimal_multiplier(k, b) > 0.0
@@ -382,10 +442,11 @@ def test_the_douglas_faces_read_a_live_fields_answers_but_keep_nothing(monkeypat
     other = crandn(rng, 4, 3)
     douglas_factor(other, b)
     minimal_multiplier(other, b)
-    # douglas_factor's own factorization with vh, as f keeps none;
-    # minimal_multiplier reads f's left factor
-    assert counts["svd"] == counts["qr"] == 1
-    assert (kept.k_key, kept.of_b, kept.of_k, len(_KEPT), len(_BY_CONTENT)) == before
+    # douglas_factor forms vh from f's w and the Q of one QR, taking no
+    # SVD; minimal_multiplier reads f's factorization
+    assert counts["qr"] == 1 and "svd" not in counts, dict(counts)
+    after = state()
+    assert after[0] is before[0] and after[1:] == before[1:]
 
 
 def test_concurrent_diagnoses_match_serial_ones():
@@ -446,8 +507,8 @@ def test_rank_ambiguity_is_raised_again_on_a_warm_field():
         for entry_point in (ckframe_check, sandwich_check, atom_coefficient_map):
             with pytest.raises(RankAmbiguous, match="rank of B of f"):
                 entry_point(f, k)
-    assert kept_factor(f, 1e-12) is not None and kept_factor(f, 1e-12, right=True) is not None
-    assert kept_factor(f) is None and kept_factor(f, right=True) is None
+    assert kept_factor(f, 1e-12).vh is not None
+    assert kept_factor(f) is None
 
 
 def test_unrepresentable_inputs_are_raised_again_on_a_warm_field():
@@ -477,18 +538,15 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
     ckframe_check(f, k, rank_tol=1e-12)
     for rank_tol in (DEFAULT_RANK_TOL, 1e-12):
         entry = kept_factor(f, rank_tol)
-        assert entry.vh is None
-        assert entry.u.shape == (3, 3) and entry.s.shape == (3,)
-    # vh, one column per atom, is kept only at the rank_tol atoms asked at
-    vh = kept_factor(f, right=True).vh
+        assert entry.u.shape == (3, 3) and entry.s.shape == (3,) and entry.w.shape == (3, 3)
+    # vh, one column per atom, is formed only at the rank_tol atoms asked at
+    assert kept_factor(f, 1e-12).vh is None
+    vh = kept_factor(f).vh
     assert vh.shape == (3, 16)
     kept = _KEPT[f]
-    assert set(kept.of_b) == {
-        ("svd", DEFAULT_RANK_TOL),
-        ("svd", 1e-12),
-        ("svd_vh", DEFAULT_RANK_TOL),
-    }
-    assert {name for _, name in kept.of_k} == {
+    assert set(kept.of_b) == {("svd", DEFAULT_RANK_TOL), ("svd", 1e-12)}
+    held, answers = kept.about_k
+    assert set(answers) == {
         "k_norm",
         ("residual", DEFAULT_RANK_TOL),
         ("residual", 1e-12),
@@ -496,8 +554,8 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
         ("coords_norm", 1e-12),
         ("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL),
     }
-    entries = {**kept.of_b, **kept.of_k}
-    assert _BY_CONTENT[_content_key(whitened_synthesis_matrix(f))] is kept
+    entries = {**kept.of_b, **answers, "k": held}
+    assert _kept_like(whitened_synthesis_matrix(f)) is kept
     for value in entries.values():
         for array in arrays_in(value):
             assert array.base is None
@@ -505,6 +563,6 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
             assert f.space.n_atoms not in array.shape or array is vh
     refs = [weakref.ref(entry) for entry in entries.values() if dataclasses.is_dataclass(entry)]
     refs.append(weakref.ref(kept))
-    del f, kept, entries, entry, vh
+    del f, kept, entries, entry, vh, held, answers
     gc.collect()
     assert all(ref() is None for ref in refs)
