@@ -37,7 +37,6 @@ from .linalg import (
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
     OperatorMatrix,
-    _kept_of,
     _owned,
     _ranked_svd,
     _RankedSVD,
@@ -174,8 +173,7 @@ def verify_atomic_decomposition(
     w = f.space.weight_array
     mismatch = kk - f.samples.T @ (w[:, None] * m.matrix)
     # ||k|| as a frame check of the same k kept it for f
-    k_norm = _kept_of(f).asker(kk)("k_norm", lambda: operator_norm(kk))
-    worst = _max_column_norm(mismatch) / (k_norm or 1.0)
+    worst = _max_column_norm(mismatch) / (_kept(f).k_norm(kk) or 1.0)
     worst_coeff_norm = float(np.sqrt(np.max(w @ np.abs(m.matrix) ** 2, initial=0.0)))
     bound_excess = max(0.0, worst_coeff_norm - m.bound) / (m.bound or 1.0)
     return max(worst, bound_excess)
@@ -193,16 +191,19 @@ def _max_column_norm(m: np.ndarray) -> float:
 class _OnRange:
     """S_f restricted to range(k), read off the SVDs of B and of k.
 
-    With U_k the retained left singular vectors of k and B = U Sigma V*,
+    With U_k = k_u the retained left singular vectors of k, k_s its
+    retained singular values (k_s[0] = ||k||) and B = U Sigma V*,
     c = Sigma_r U_r* U_k = p diag(sc) qh is B* restricted to range(k), so
     the compression M = U_k* S_f U_k = c* c has eigenvalues sc^2 and
     S_f U_k = U_r Sigma_r c; a is the ck-frame lower bound A.  It is kept
-    per (f, k), so its arrays are owned and read-only.
+    per (f, k), so its arrays are owned and read-only, and k's right
+    factor, which nothing reads, is left out.
     """
 
     a: float
     b: _RankedSVD
-    k: _RankedSVD
+    k_u: np.ndarray
+    k_s: np.ndarray
     p: np.ndarray
     sc: np.ndarray
     qh: np.ndarray
@@ -213,12 +214,12 @@ class _OnRange:
         # ||S_f u||^2 = ||z||^2 / ||Sigma_r p z||^2
         sv = np.linalg.svd(self.b.s[:, None] * self.p, compute_uv=False)
         lo_margin = (self.b.top / float(sv[0])) ** 2 - 1.0
-        hi_margin = 1.0 - self.a * (float(self.k.s[-1]) / float(sv[-1])) ** 2
+        hi_margin = 1.0 - self.a * (float(self.k_s[-1]) / float(sv[-1])) ** 2
         return min(lo_margin, hi_margin)
 
     def restricted_margin(self) -> float:
         """subspace_cframe_margin, read off this factorization."""
-        lo_margin = (float(self.sc[-1]) / float(self.k.s[-1])) ** 2 / self.a - 1.0
+        lo_margin = (float(self.sc[-1]) / float(self.k_s[-1])) ** 2 / self.a - 1.0
         hi_margin = 1.0 - (float(self.sc[0]) / self.b.top) ** 2
         return min(lo_margin, hi_margin)
 
@@ -238,14 +239,14 @@ def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
             "f does not reproduce k: range inclusion residual "
             f"{report.residuals['range_inclusion']:.3e}"
         )
-    ks = _ranked_svd(kk, rank_tol, name="k").owned()
+    ks = _ranked_svd(kk, rank_tol, name="k")
     c = b.s[:, None] * (b.u.conj().T @ ks.u)
     p, sc, qh = (_owned(x) for x in np.linalg.svd(c, full_matrices=False))
     # a passed check leaves this only when tol lets a retained direction of
     # k escape range(B); rank is judged by the cutoff that decided B's rank
     if sc.size < ks.s.size or sc[-1] <= rank_tol * b.top:
         raise NotInvertibleOnRange("frame operator drops rank on range(k)")
-    return _OnRange(float(report.bounds.lower), b, ks, p, sc, qh)
+    return _OnRange(float(report.bounds.lower), b, _owned(ks.u), _owned(ks.s), p, sc, qh)
 
 
 def inverse_on_range(
@@ -270,7 +271,7 @@ def inverse_on_range(
     # S_f U = (U_r Sigma_r p) diag(sc) qh; the singular values of Sigma_r p
     # lie in [sigma_r, sigma_max], so its pseudoinverse keeps them all
     left = pseudoinverse(on.b.s[:, None] * on.p, rank_tol) @ on.b.u.conj().T
-    return on.k.u @ (on.qh.conj().T / on.sc) @ left
+    return on.k_u @ (on.qh.conj().T / on.sc) @ left
 
 
 def sandwich_check(
@@ -395,7 +396,7 @@ def _dual_pair_report(
             )
         onto_res = (res_k, res_k_star)
 
-    upper_f = _kept(f).answer("b_norm", lambda: operator_norm(b_f)) ** 2
+    upper_f = _kept(f).b_norm(b_f) ** 2
     return DualPairReport(
         residual_c1=c1,
         residual_c2=c2,
@@ -442,12 +443,12 @@ def canonical_dual(
     # G = U (U* S_f U)^-1 U* maps range(k) back into range(k); that
     # invariance keeps the dual's optimal bounds inside the certified
     # interval, which the one-sided inverse_on_range does not provide
-    root = on.k.u @ (on.qh.conj().T / on.sc)
-    projected = map_field(on.k.u @ on.k.u.conj().T, f)
+    root = on.k_u @ (on.qh.conj().T / on.sc)
+    projected = map_field(on.k_u @ on.k_u.conj().T, f)
     dual = map_field(adjoint(kk) @ root @ root.conj().T, f)
 
     # verified with rank(k) as _on_range decided it
-    pair = _dual_pair_report(projected, dual, kk, on.k.top, on.k.s.size, tol)
+    pair = _dual_pair_report(projected, dual, kk, float(on.k_s[0]), on.k_s.size, tol)
     if not pair.holds:
         raise CanonicalDualFailed(
             f"constructed dual fails the pair identities (max residual "
@@ -455,7 +456,7 @@ def canonical_dual(
         )
 
     lower_bound = 1.0 / on.b.top**2
-    upper_bound = (on.k.top / float(on.k.s[-1])) ** 2 / on.a
+    upper_bound = (float(on.k_s[0]) / float(on.k_s[-1])) ** 2 / on.a
 
     # the dual's optimal bounds as a frame against k*, decided on its own B
     best, _, _ = _frame_check(dual, adjoint(kk), rank_tol, tol, name="B of the dual field g")

@@ -11,7 +11,7 @@ three answers agree away from tolerance hairlines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import DimMismatch
 from .linalg import (
@@ -20,7 +20,6 @@ from .linalg import (
     GRAY_ZONE_FACTOR,
     OperatorMatrix,
     _kept_like,
-    _RankedSVD,
     as_operator,
 )
 
@@ -50,7 +49,7 @@ def range_included(
     tol: float = DEFAULT_CHECK_TOL,
 ) -> bool:
     """True iff range(l1) sits inside range(l2) at the given tolerance."""
-    return _inclusion(l1, l2, rank_tol, tol)[3] is not None
+    return _inclusion(l1, l2, rank_tol, tol, False)[2] is not None
 
 
 def minimal_multiplier(
@@ -64,8 +63,8 @@ def minimal_multiplier(
     On inclusion this is ||pinv(l2) l1||^2, which equals
     1 / max_psd_multiplier(l2 l2*, l1 l1*); l1 = 0 gives 0.0.
     """
-    svd, ask, _, coords = _inclusion(l1, l2, rank_tol, tol)
-    return None if coords is None else svd.coords_norm(coords, ask) ** 2
+    _, _, coords, coords_norm = _inclusion(l1, l2, rank_tol, tol, False)
+    return None if coords is None else coords_norm() ** 2
 
 
 def douglas_factor(
@@ -80,38 +79,25 @@ def douglas_factor(
     the least admissible majorization multiplier.  Otherwise both are None
     and the result records how far l1 is from range(l2).
     """
-    svd, ask, residual, coords = _inclusion(l1, l2, rank_tol, tol, right=True)
-    if coords is None:
-        return DouglasResult(
-            included=False,
-            factor=None,
-            lambda_min=None,
-            residual=residual,
-            marginal=residual < GRAY_ZONE_FACTOR * tol,
-        )
+    svd, residual, coords, coords_norm = _inclusion(l1, l2, rank_tol, tol, True)
+    included = coords is not None
     return DouglasResult(
-        included=True,
-        factor=svd.vh.conj().T @ coords,
-        lambda_min=svd.coords_norm(coords, ask) ** 2,
+        included=included,
+        factor=svd.vh.conj().T @ coords if included else None,
+        lambda_min=coords_norm() ** 2 if included else None,
         residual=residual,
+        marginal=not included and residual < GRAY_ZONE_FACTOR * tol,
     )
 
 
-def _inclusion(
-    l1, l2, rank_tol: float, tol: float, right: bool = False
-) -> tuple[_RankedSVD, Callable, float, Optional[OperatorMatrix]]:
-    """The ranked SVD of l2 (with vh when right is set), the ask for answers
-    about l1, and the inclusion decision for l1: the relative residual
-    and, on inclusion, the coordinates of pinv(l2) l1 off that SVD.  What a
-    live field keeps for a B with the bytes of l2 is read (see
-    linalg._Kept), but nothing is kept."""
+def _inclusion(l1, l2, rank_tol: float, tol: float, right: bool):
+    """linalg._Kept.inclusion of l1 against range(l2), asked as the live
+    field whose B has the bytes of l2 if there is one (see
+    linalg._kept_like)."""
     a = as_operator(l1)
     b = as_operator(l2)
     if a.shape[0] != b.shape[0]:
         raise DimMismatch(
             f"operators map into different spaces: {a.shape[0]} vs {b.shape[0]} rows"
         )
-    kept = _kept_like(b)
-    ask = kept.asker(a, keep=False)
-    svd = kept.factor(lambda: b, "l2", rank_tol, right, keep=False)
-    return (svd, ask, *svd.inclusion(a, tol, ask))
+    return _kept_like(b).inclusion(a, "l2", rank_tol, tol, right)

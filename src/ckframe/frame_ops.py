@@ -127,7 +127,7 @@ def cframe_bounds(f: SampleField, tol: float = DEFAULT_CHECK_TOL) -> FrameBounds
     lower bound is then sigma_min(B)^2, else 0.0.  The upper bound is the
     largest eigenvalue of S_f = B B*.
     """
-    b = _kept(f).factor(lambda: whitened_synthesis_matrix(f), "B of f", DEFAULT_RANK_TOL)
+    b = _kept(f).factor("B of f", DEFAULT_RANK_TOL)
     spans = b.s.size == f.dim
     upper = max(float(hermitian_eig(frame_operator(f), tol).eigenvalues[-1]), 0.0)
     lower = float(b.s[-1]) ** 2 if spans else 0.0
@@ -177,17 +177,14 @@ def _frame_check(
     """
     if kk.shape[0] != f.dim:
         raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
-    kept = _kept(f)
-    b = kept.factor(lambda: whitened_synthesis_matrix(f), name, rank_tol, right)
-    ask = kept.asker(kk)
-    residual, coords = b.inclusion(kk, tol, ask)
+    b, residual, coords, coords_norm = _kept(f).inclusion(kk, name, rank_tol, tol, right)
     included = coords is not None
     degenerate = not kk.any()
     if degenerate:
         lower = UNBOUNDED
     elif included:
         with np.errstate(over="ignore", under="ignore"):
-            lower = float(np.float64(b.coords_norm(coords, ask)) ** -2)
+            lower = float(np.float64(coords_norm()) ** -2)
         if not 0.0 < lower < np.inf:
             raise NotRepresentable("the lower frame bound is outside double precision range")
     else:

@@ -86,12 +86,6 @@ class RunReport:
 # JSON plumbing
 
 
-def _matrix_pairs(m: np.ndarray) -> list:
-    """Complex matrix -> row-major nested [re, im] pairs."""
-    a = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-
-
 def _require(cond: bool, message: str, path: str) -> None:
     if not cond:
         raise ValidationError(message, path)
@@ -329,7 +323,8 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         if value.ndim == 2:
-            return _matrix_pairs(value)
+            pairs = np.ascontiguousarray(value, dtype=complex).view(float)
+            return pairs.reshape(*value.shape, 2).tolist()
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (complex, np.complexfloating)):
         z = complex(value)
@@ -535,8 +530,9 @@ def _douglas_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[st
 
 
 def _sandwich_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
-    on = atoms_duals._on_range(spec.field_f, spec.operator_k, rank_tol, tol)
-    sandwich, restricted = on.sandwich_margin(), on.restricted_margin()
+    sandwich = atoms_duals.sandwich_check(spec.field_f, spec.operator_k, rank_tol, tol)
+    # reads the compression to range(k) that sandwich_check kept
+    restricted = atoms_duals.subspace_cframe_margin(spec.field_f, spec.operator_k, rank_tol, tol)
     results = {"sandwich_margin": sandwich, "restricted_margin": restricted}
     ok = sandwich >= -tol and restricted >= -tol
     return (STATUS_OK if ok else STATUS_FAILED), results

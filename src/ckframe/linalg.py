@@ -8,6 +8,7 @@ between "zero" and "clearly nonzero" are rejected rather than guessed at.
 
 from __future__ import annotations
 
+import copy
 import threading
 import weakref
 from dataclasses import dataclass, replace
@@ -96,17 +97,15 @@ class HermitianEig:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        i0 = int(np.argmax(mags > 1e-8 * top))
-        phase = col[i0] / abs(col[i0])
-        out[:, j] = col * np.conj(phase)
-    return out
+    """Each column times the conjugate phase of its first entry above 1e-8
+    of its largest magnitude.  The columns are eigenvectors: unit, never zero."""
+    if not vectors.size:
+        return np.array(vectors, copy=True)
+    mags = np.abs(vectors)
+    first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    pivot = vectors[first, np.arange(vectors.shape[1])]
+    # hypot is abs() of one complex number; np.abs of an array can differ in the last bit
+    return vectors * np.conj(pivot / np.hypot(pivot.real, pivot.imag))
 
 
 def hermitian_eig(m, tol: float = DEFAULT_CHECK_TOL) -> HermitianEig:
@@ -165,11 +164,6 @@ def _separated_rank(sigma: np.ndarray, rank_tol: float, name: str) -> int:
     return int(np.count_nonzero(sigma > lo))
 
 
-def _fresh(name, compute):
-    """An ask (see _Kept.asker) that keeps nothing."""
-    return compute()
-
-
 @dataclass(frozen=True)
 class _RankedSVD:
     """Thin SVD of a matrix m, truncated to its separated numerical rank r.
@@ -178,15 +172,13 @@ class _RankedSVD:
     the one SVD taken (see _ranked_svd): of m itself when m is square or
     tall, where w is also m's right factor vh (r, cols); of the triangular
     factor R.T of a wide m = R.T Q.T, where vh = w Q.T is None until it is
-    asked for.  top is the largest singular value before truncation and
-    rank_tol the cutoff that decided r.  u, s and w are the same bits
-    whether or not vh was formed.
+    asked for.  top is the largest singular value before truncation.  u, s
+    and w are the same bits whether or not vh was formed.
     """
 
     u: np.ndarray
     s: np.ndarray
     top: float
-    rank_tol: float
     w: np.ndarray
     vh: Optional[np.ndarray] = None
 
@@ -195,7 +187,7 @@ class _RankedSVD:
         keeps none of LAPACK's output buffers alive."""
         w = _owned(self.w)
         vh = w if self.vh is self.w else None if self.vh is None else _owned(self.vh)
-        return _RankedSVD(_owned(self.u), _owned(self.s), self.top, self.rank_tol, w, vh)
+        return _RankedSVD(_owned(self.u), _owned(self.s), self.top, w, vh)
 
     def with_vh(self, m) -> _RankedSVD:
         """This factorization of m with vh formed.  A wide m takes only the
@@ -205,29 +197,6 @@ class _RankedSVD:
             return self
         q = np.linalg.qr(as_operator(m).T)[0]
         return replace(self, vh=self.w @ q.T)
-
-    def inclusion(self, l1, tol: float, ask=_fresh) -> tuple[float, Optional[np.ndarray]]:
-        """The range-inclusion decision for l1 against range(m).
-
-        Returns ||l1 - U_r U_r* l1|| / ||l1||, the relative distance of l1
-        from range(m) (0.0 when l1 = 0), and, when that distance is within
-        tol, the coordinates Sigma_r^-1 U_r* l1 of pinv(m) l1 in the
-        orthonormal basis vh (else None).  ask supplies ||l1|| and the
-        distance when they are kept for l1; the coordinates are always
-        read off this factorization, so they match its vh.
-        """
-        proj = self.u.conj().T @ l1
-
-        def residual() -> float:
-            l1_norm = ask("k_norm", lambda: operator_norm(l1))
-            return operator_norm(l1 - self.u @ proj) / l1_norm if l1_norm > 0.0 else 0.0
-
-        distance = ask(("residual", self.rank_tol), residual)
-        return distance, (proj / self.s[:, None] if distance <= tol else None)
-
-    def coords_norm(self, coords: np.ndarray, ask) -> float:
-        """||coords|| for the coordinates inclusion returned, as ask keeps it."""
-        return ask(("coords_norm", self.rank_tol), lambda: operator_norm(coords))
 
 
 def _ranked_svd(
@@ -254,7 +223,7 @@ def _ranked_svd(
     r = _separated_rank(s, rank_tol, name)
     w = w[:r]
     vh = (w @ q.T if right else None) if wide else w
-    return _RankedSVD(u[:, :r], s[:r], float(s[0]) if s.size else 0.0, rank_tol, w, vh)
+    return _RankedSVD(u[:, :r], s[:r], float(s[0]) if s.size else 0.0, w, vh)
 
 
 def _owned(a: np.ndarray) -> np.ndarray:
@@ -277,81 +246,99 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(*(np.ascontiguousarray(x).view(word) for x in (a, b)))
 
 
-def _keep(answers: dict, name, compute, keep: bool, publish=None):
-    """answers[name], else compute(), stored there unless keep is false;
-    publish(), if given, runs under the same lock as the store."""
-    kept = answers.get(name)
-    if kept is None:
-        kept = compute()
-        if keep:
-            with _LOCK:
-                kept = answers.setdefault(name, kept)
-                if publish is not None:
-                    publish()
-    return kept
-
-
 class _Kept:
-    """What is kept for one live field: answers about its whitened synthesis
-    matrix B (per rank_tol its ranked SVD, whose vh is formed from the kept
-    w once a caller reads it, and ||B||) and, in about_k, an owned read-only
-    copy of one operator k with the answers about it (||k||, the inclusion
-    distance, ||pinv(B) k||, the compression of S_f to range(k)).  An asker
-    tells its k from the held one by comparing raw bytes once, so a k
-    changed in place, or differing only in the sign of a zero, gets answers
-    for its own bytes; keeping one about another k drops the previous k's.
-    The same LAPACK call on the same bytes returns the same bits, so an
-    answer is bit-identical to computing it again; a compute() that raises
-    keeps nothing.  Threads asking at once can at worst compute an answer
-    twice, as each asker only reads and fills the answers about its own k.
-    field (a weak reference) and b_of(field), its B, let the Douglas faces
-    confirm a match (see _kept_like); both are None for a _Kept of no field.
+    """What is kept about a matrix B, which b() returns: per rank_tol its
+    ranked SVD, whose vh is formed from the kept w once a caller reads it,
+    and ||B||; and, in about_k, an owned read-only copy of one operator k
+    with the answers about it (||k||, the distance of k from range(B),
+    ||pinv(B) k||, the compression of S_f to range(k)).  A live field's
+    _Kept is registered (see _kept_for), and a Douglas face whose l2 has
+    the bytes of its B asks as that field; any other B gets a throwaway
+    _Kept.  An asker tells its k from the held one by comparing raw bytes
+    once, so a k changed in place, or differing only in the sign of a
+    zero, gets answers for its own bytes; keeping one about another k drops
+    the previous k's.  The same LAPACK call on the same bytes returns the
+    same bits, so an answer is bit-identical to computing it again; a
+    compute() that raises keeps nothing.  Threads asking at once can at
+    worst compute an answer twice, as each asker only reads and fills the
+    answers about its own k.
     """
 
-    __slots__ = ("field", "b_of", "of_b", "about_k", "__weakref__")
+    __slots__ = ("b", "of_b", "about_k", "__weakref__")
 
-    def __init__(self, field=None, b_of=None) -> None:
-        self.field = None if field is None else weakref.ref(field)
-        self.b_of = b_of
+    def __init__(self, b) -> None:
+        self.b = b
         self.of_b: dict = {}
         self.about_k: tuple[Optional[np.ndarray], dict] = (None, {})
 
-    def answer(self, name, compute, keep: bool = True):
-        """The answer about B under name, else compute(), kept unless keep
-        is false."""
-        return _keep(self.of_b, name, compute, keep)
-
-    def asker(self, k: np.ndarray, keep: bool = True):
-        """ask(name, compute) for answers about the operator k."""
+    def asker(self, k: np.ndarray):
+        """ask(name, compute): the answer about the operator k kept under
+        name, else compute(), kept there."""
         about = self.about_k
         if about[0] is None or not _same_bytes(about[0], k):
-            about = (_owned(np.array(k, copy=True)) if keep else None, {})
+            about = (_owned(np.array(k, copy=True)), {})
 
-        def publish() -> None:
-            self.about_k = about
+        def ask(name, compute):
+            kept = about[1].get(name)
+            if kept is None:
+                kept = compute()
+                with _LOCK:
+                    kept = about[1].setdefault(name, kept)
+                    self.about_k = about
+            return kept
 
-        return lambda name, compute: _keep(about[1], name, compute, keep, publish)
+        return ask
 
-    def factor(
-        self, b_of, name: str, rank_tol: float, right: bool = False, keep: bool = True
-    ) -> _RankedSVD:
-        """The ranked SVD of the field's B, which b_of() computes, with vh
-        when right is set (name is what a RankAmbiguous message calls B).
-        One factorization per rank_tol is kept; a caller that reads vh has
-        it formed from that factorization's w (see _RankedSVD.with_vh), so
-        B's SVD is taken once whether or not vh is ever read."""
+    def k_norm(self, k: np.ndarray) -> float:
+        """||k||, kept with the other answers about k."""
+        return self.asker(k)("k_norm", lambda: operator_norm(k))
+
+    def b_norm(self, b: np.ndarray) -> float:
+        """||B||, for b the B that b() returns."""
+        return self.of_b.get("b_norm") or self.of_b.setdefault("b_norm", operator_norm(b))
+
+    def factor(self, name: str, rank_tol: float, right: bool = False) -> _RankedSVD:
+        """The ranked SVD of B, with vh when right is set (name is what a
+        RankAmbiguous message calls B).  One factorization per rank_tol is
+        kept; a caller that reads vh has it formed from that
+        factorization's w (see _RankedSVD.with_vh), so B's SVD is taken
+        once whether or not vh is ever read."""
         key = ("svd", rank_tol)
         svd = self.of_b.get(key)
         if svd is not None and (svd.vh is not None or not right):
             return svd
-        fresh = _ranked_svd(b_of(), rank_tol, right, name) if svd is None else svd.with_vh(b_of())
-        svd = fresh.owned()
-        if keep:
-            with _LOCK:
-                held = self.of_b.get(key)
-                if held is None or held.vh is None:
-                    self.of_b[key] = svd
+        b = self.b()
+        svd = (_ranked_svd(b, rank_tol, right, name) if svd is None else svd.with_vh(b)).owned()
+        with _LOCK:
+            held = self.of_b.get(key)
+            if held is None or held.vh is None:
+                self.of_b[key] = svd
         return svd
+
+    def inclusion(self, k: np.ndarray, name: str, rank_tol: float, tol: float, right: bool):
+        """Whether range(k) sits inside range(B), by Douglas's lemma.
+
+        Returns (svd, distance, coords, coords_norm): the ranked SVD of B
+        that decided it (see factor); ||k - U_r U_r* k|| / ||k||, the
+        relative distance of k from range(B) (0.0 when k = 0); when that is
+        within tol, the coordinates Sigma_r^-1 U_r* k of pinv(B) k in the
+        orthonormal basis vh, read off that SVD so they match its vh (else
+        None); and a thunk for ||coords|| = ||pinv(B) k||.  The distance and
+        the norm are kept with the other answers about k.
+        """
+        svd = self.factor(name, rank_tol, right)
+        ask = self.asker(k)
+        proj = svd.u.conj().T @ k
+
+        def residual() -> float:
+            k_norm = ask("k_norm", lambda: operator_norm(k))
+            return operator_norm(k - svd.u @ proj) / k_norm if k_norm > 0.0 else 0.0
+
+        distance = ask(("residual", rank_tol), residual)
+        coords = proj / svd.s[:, None] if distance <= tol else None
+        return svd, distance, coords, lambda: ask(
+            ("coords_norm", rank_tol), lambda: operator_norm(coords)
+        )
 
 
 #: The _Kept of each live field, and the same objects by the probe of the
@@ -373,26 +360,24 @@ def _probe(b: np.ndarray) -> tuple:
 
 def _kept_for(field, b_of) -> _Kept:
     """The _Kept of a live field, made on first use and registered under
-    the probe of its B, which b_of(field) computes."""
+    the probe of its B, which b_of(field) computes.  Its b() builds B from
+    a shallow copy of field, which shares the field's read-only parts: the
+    field itself would never be collected, and a weak reference to it could
+    not build B for a Douglas face still asking as it after it is gone."""
     kept = _KEPT.get(field)
     if kept is None:
-        probe = _probe(b_of(field))
-        kept = _BY_PROBE[probe] = _KEPT.setdefault(field, _Kept(field, b_of))
+        twin = copy.copy(field)
+        probe = _probe(b_of(twin))
+        kept = _BY_PROBE[probe] = _KEPT.setdefault(field, _Kept(lambda: b_of(twin)))
     return kept
 
 
-def _kept_of(field) -> _Kept:
-    """The _Kept of field, else an empty one that nothing else holds."""
-    return _KEPT.get(field) or _Kept()
-
-
 def _kept_like(b: np.ndarray) -> _Kept:
-    """The _Kept of a live field whose B has the bytes of b, else an empty
-    one that nothing else holds.  The field is looked up by the probe of b
-    and counts only once its B matches b byte for byte."""
+    """The _Kept of a live field whose B has the bytes of b, else a throwaway
+    one of b.  The field is looked up by the probe of b and counts only once
+    its B matches b byte for byte."""
     kept = _BY_PROBE.get(_probe(b))
-    field = None if kept is None else kept.field()
-    return kept if field is not None and _same_bytes(kept.b_of(field), b) else _Kept()
+    return kept if kept is not None and _same_bytes(kept.b(), b) else _Kept(lambda: b)
 
 
 def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:
@@ -477,10 +462,10 @@ def max_psd_multiplier(
     if not b.any():
         return UNBOUNDED
     # for PSD s = U Sigma U*, one SVD gives both range(s) and s^{+/2}
-    svd = _ranked_svd(a, rank_tol, name="s")
+    svd, _, coords, _ = _Kept(lambda: a).inclusion(b, "s", rank_tol, tol, False)
     # range(c) must sit inside range(s), otherwise some h has c-energy but
     # no s-energy and only a = 0 survives
-    if svd.inclusion(b, tol)[1] is None:
+    if coords is None:
         return 0.0
     root = svd.u / np.sqrt(svd.s)
     w = root.conj().T @ b @ root

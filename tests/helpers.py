@@ -314,3 +314,19 @@ def diagnose(labels, weights, samples, k) -> dict:
         "sandwich": ckframe.sandwich_check(f, k),
         "restricted": ckframe.subspace_cframe_margin(f, k),
     }
+
+
+def reference_fix_phases(vectors):
+    """Column by column: each column times the conjugate phase of its first
+    entry above 1e-8 of its largest magnitude; an all-zero column stays."""
+    out = np.array(vectors, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        mags = np.abs(col)
+        top = mags.max()
+        if top == 0.0:
+            continue
+        i0 = int(np.argmax(mags > 1e-8 * top))
+        phase = col[i0] / abs(col[i0])
+        out[:, j] = col * np.conj(phase)
+    return out

@@ -4,7 +4,9 @@ right factor w, with vh = w Q.T formed once atom_coefficient_map or
 douglas_factor reads it), and ||B||, and, for one operator k at a time,
 held beside a copy of that k, ||k||, the inclusion distance, ||pinv(B) k||
 and the compression of S_f to range(k).  A k is told from the held one,
-and a raw Douglas l2 from a live field's B, by comparing bytes.  A second
+and a raw Douglas l2 from a live field's B, by comparing bytes; a Douglas
+face whose l2 is a live field's B asks as that field, and any other l2
+registers nothing.  A second
 question about the same (f, k) takes no factorization of B, gets
 bit-identical answers, and still raises what a cold field raises.
 
@@ -66,8 +68,8 @@ from helpers import (
 )
 
 #: Every public entry point that factors the B of the field it is given,
-#: and the Douglas faces, which read what is kept for a live field whose
-#: B has the bytes of their raw l2.
+#: and the Douglas faces, which ask as the live field whose B has the
+#: bytes of their raw l2.
 ENTRY_POINTS = {
     "ckframe_check": ckframe_check,
     "cframe_bounds": lambda f, k: cframe_bounds(f),
@@ -424,17 +426,12 @@ def test_a_field_keeps_the_answers_about_one_k_at_a_time():
     assert len(answers) == 6 and len(kept.of_b) == 2
 
 
-def test_the_douglas_faces_read_a_live_fields_answers_but_keep_nothing(monkeypatch):
+def test_the_douglas_faces_ask_as_a_live_field_and_register_nothing(monkeypatch):
     rng = np.random.default_rng(15)
     f, k = ckframe_instance(rng, 4, 3, 12)
     ckframe_check(f, k)
     kept = _KEPT[f]
-
-    def state():
-        held, answers = kept.about_k
-        return (held, dict(answers), dict(kept.of_b), len(_KEPT), len(_BY_PROBE))
-
-    before = state()
+    registered = (len(_KEPT), len(_BY_PROBE))
     b = whitened_synthesis_matrix(f)
     counts = counted_factorizations(monkeypatch)
     assert range_included(k, b) and minimal_multiplier(k, b) > 0.0
@@ -445,8 +442,14 @@ def test_the_douglas_faces_read_a_live_fields_answers_but_keep_nothing(monkeypat
     # douglas_factor forms vh from f's w and the Q of one QR, taking no
     # SVD; minimal_multiplier reads f's factorization
     assert counts["qr"] == 1 and "svd" not in counts, dict(counts)
-    after = state()
-    assert after[0] is before[0] and after[1:] == before[1:]
+    # they asked as f: f now holds other, and asking again takes nothing
+    assert bits(kept.about_k[0]) == bits(other)
+    counts.clear()
+    douglas_factor(other, b)
+    assert not counts, dict(counts)
+    # a raw l2 that is no live field's B is answered, but registers nothing
+    assert douglas_factor(other, crandn(rng, 4, 12)).included
+    assert (len(_KEPT), len(_BY_PROBE)) == registered
 
 
 def test_concurrent_diagnoses_match_serial_ones():
@@ -554,6 +557,11 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
         ("coords_norm", 1e-12),
         ("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL),
     }
+    # the compression keeps k's left factor and singular values, not its
+    # right factor, which nothing reads
+    k_right = _ranked_svd(k, name="k").w
+    compression = answers[("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL)]
+    assert all(bits(array) != bits(k_right) for array in arrays_in(compression))
     entries = {**kept.of_b, **answers, "k": held}
     assert _kept_like(whitened_synthesis_matrix(f)) is kept
     for value in entries.values():
@@ -563,6 +571,6 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
             assert f.space.n_atoms not in array.shape or array is vh
     refs = [weakref.ref(entry) for entry in entries.values() if dataclasses.is_dataclass(entry)]
     refs.append(weakref.ref(kept))
-    del f, kept, entries, entry, vh, held, answers
+    del f, kept, entries, entry, vh, held, answers, compression
     gc.collect()
     assert all(ref() is None for ref in refs)

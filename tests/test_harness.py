@@ -580,6 +580,19 @@ def test_report_json_shape():
     assert doc["command"] == "bounds"
     assert doc["inputs_digest"].startswith("sha256:")
     assert isinstance(doc["wall_time"], float)
+    # run_command hands each result matrix over as nested [re, im] pairs,
+    # each zero keeping its sign
+    signed = np.array([[-0.0, complex(0.0, -0.0)], [complex(1.5, -0.0), complex(-0.0, -2.0)]])
+    matrices = RunReport(
+        command="atoms",
+        inputs_digest="sha256:0",
+        status=STATUS_OK,
+        results=harness._jsonable({"m": signed, "real": np.array([[-0.0, 1.0]])}),
+        wall_time=0.0,
+    )
+    results = json.loads(emit_report(matrices, "json"))["results"]
+    assert repr(results["m"]) == repr([[[-0.0, 0.0], [0.0, -0.0]], [[1.5, -0.0], [-0.0, -2.0]]])
+    assert repr(results["real"]) == repr([[[-0.0, 0.0], [1.0, 0.0]]])
 
 
 def test_report_json_renders_unbounded():

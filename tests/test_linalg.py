@@ -11,6 +11,7 @@ from ckframe import NotHermitian, NotPSD, RankAmbiguous
 from ckframe.linalg import (
     UNBOUNDED,
     Unbounded,
+    _fix_phases,
     adjoint,
     as_operator,
     hermitian_eig,
@@ -26,6 +27,8 @@ from helpers import (
     counted_factorizations,
     crandn,
     min_quotient,
+    random_unitary,
+    reference_fix_phases,
 )
 
 complex_entries = st.complex_numbers(
@@ -125,6 +128,33 @@ def test_eig_deterministic_with_positive_leading_phase():
         lead = col[np.abs(col) > 1e-8 * np.abs(col).max()][0]
         assert lead.real > 0
         assert abs(lead.imag) <= 1e-12 * abs(lead)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 16])
+def test_phase_fixing_matches_the_column_loop(n):
+    # random and repeated spectra in a random basis, whose eigenvectors
+    # LAPACK may mix, and diagonal matrices, whose have exact zeros
+    rng = np.random.default_rng(n)
+    u = random_unitary(rng, n) if n else np.eye(0)
+    matrices = [np.diag(rng.integers(0, 3, n)).astype(complex)]
+    for spectrum in (rng.standard_normal(n), np.repeat([1.0, 2.0], n)[:n], np.zeros(n)):
+        matrices.append((u * spectrum) @ u.conj().T)
+    if n >= 5:
+        # eigenvectors spread evenly over n - 1 entries, two of them turned
+        # towards e0 so their first entry sits just above and just below
+        # 1e-8 of their own largest one, which is below 1e-8 of e0's
+        v = np.eye(n, dtype=complex)
+        v[1:, 1:] = np.exp(2j * np.pi * np.outer(range(n - 1), range(n - 1)) / (n - 1))
+        v[1:, 1:] /= np.sqrt(n - 1)
+        for j, angle in ((1, 7e-9), (2, 1e-9)):
+            turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+            v[:, [0, j]] = v[:, [0, j]] @ turn
+        matrices.append((v * np.arange(1.0, n + 1)) @ v.conj().T)
+    for m in matrices:
+        vectors = np.linalg.eigh(0.5 * (m + m.conj().T))[1]
+        fixed = _fix_phases(vectors)
+        assert fixed.shape == (n, n)
+        assert fixed.tobytes() == reference_fix_phases(vectors).tobytes()
 
 
 # ---------------------------------------------------------------------------
