@@ -155,7 +155,6 @@ def verify_atomic_decomposition(
     f: SampleField,
     k,
     m: CoefficientMap,
-    tol: float = DEFAULT_CHECK_TOL,
 ) -> float:
     """Worst reconstruction error of k over a basis of H0, relative to ||k||.
 

@@ -5,6 +5,7 @@ report (JSON or text); `gen` writes example spec files.  Exit codes:
 0 checks passed (or vacuous/degenerate), 1 checks failed, 2 input
 error, 3 internal error.  CKFRAME_TOL overrides the default check
 tolerance; a spec's own tolerances and --tol take precedence over it.
+Each tolerance must be a finite number > 0.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from pathlib import Path
 
 from .errors import BadParams, CkFrameError, ParseError, UnknownKind, ValidationError
 from .harness import (
-    COMMANDS,
+    _RUNNERS,
     GENERATOR_KINDS,
     STATUS_FAILED,
+    _as_tolerance,
     emit_report,
     emit_spec,
     generate_example,
@@ -35,21 +37,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="frame-bound and dual-pair diagnostics on finite weighted measure spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run_help = {
-        "bounds": "optimal frame bounds and range inclusion for (field_f, operator_k)",
-        "atoms": "minimal-norm atomic coefficient map and reconstruction residual",
-        "dual": "canonical dual field with certified bound interval",
-        "verify-pair": "check the five dual-pair identities for (field_f, field_g, operator_k)",
-        "douglas": "range inclusion / factorization / majorization for (operator_k, synthesis)",
-        "sandwich": "two-sided bounds of the inverted frame operator on range(operator_k)",
-    }
-    for cmd in COMMANDS:
-        sp = sub.add_parser(cmd, help=run_help[cmd])
+    for cmd, runner in _RUNNERS.items():
+        sp = sub.add_parser(cmd, help=runner.__doc__)
         sp.add_argument("spec", help="path to a problem-spec JSON file")
         sp.add_argument("--out", default=None, help="write the report to this path instead of stdout")
         sp.add_argument("--format", choices=("json", "text"), default="json", help="report format")
         sp.add_argument("--tol", type=float, default=None, help="override the check tolerance")
-    gen = sub.add_parser("gen", help="generate an example problem spec")
+    gen = sub.add_parser("gen", help="Generate an example problem spec.")
     gen.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     gen.add_argument("--params", default="{}", help="generator parameters as a JSON object")
     gen.add_argument("--seed", type=int, default=0, help="RNG seed for the random kinds")
@@ -76,14 +70,15 @@ def main(argv=None) -> int:
             _write(args.out, emit_spec(spec))
             return 0
 
-        text = Path(args.spec).read_text()
-        spec = parse_problem(text)
+        tol = None if args.tol is None else _as_tolerance(args.tol, "--tol")
         env_tol = os.environ.get("CKFRAME_TOL")
         try:
             default_tol = float(env_tol) if env_tol is not None else DEFAULT_CHECK_TOL
         except ValueError as exc:
             raise ValidationError(f"CKFRAME_TOL is not a number: {env_tol!r}") from exc
-        report = run_command(spec, args.command, tol_override=args.tol, default_tol=default_tol)
+        default_tol = _as_tolerance(default_tol, "CKFRAME_TOL")
+        spec = parse_problem(Path(args.spec).read_text())
+        report = run_command(spec, args.command, tol_override=tol, default_tol=default_tol)
         _write(args.out, emit_report(report, args.format))
         return 1 if report.status == STATUS_FAILED else 0
     except (ParseError, ValidationError, UnknownKind, BadParams, OSError) as exc:

@@ -119,7 +119,7 @@ def map_field(u, f: SampleField) -> SampleField:
     return SampleField(f.space, f.samples @ a.T)
 
 
-def cframe_bounds(f: SampleField, tol: float = DEFAULT_CHECK_TOL) -> FrameBounds:
+def cframe_bounds(f: SampleField) -> FrameBounds:
     """Optimal plain frame bounds of f.
 
     Whether f is a frame (spans H) is the rank decision on the singular
@@ -129,7 +129,7 @@ def cframe_bounds(f: SampleField, tol: float = DEFAULT_CHECK_TOL) -> FrameBounds
     """
     b = _kept(f).factor("B of f", DEFAULT_RANK_TOL)
     spans = b.s.size == f.dim
-    upper = max(float(hermitian_eig(frame_operator(f), tol).eigenvalues[-1]), 0.0)
+    upper = max(float(hermitian_eig(frame_operator(f)).eigenvalues[-1]), 0.0)
     lower = float(b.s[-1]) ** 2 if spans else 0.0
     return FrameBounds(lower=lower, upper=upper, kind=C_FRAME if spans else C_BESSEL)
 

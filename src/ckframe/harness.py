@@ -31,15 +31,6 @@ from .errors import (
 from .linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, Unbounded
 from .measure import MeasureSpace, SampleField, make_measure_space
 
-COMMANDS = ("bounds", "atoms", "dual", "verify-pair", "douglas", "sandwich")
-GENERATOR_KINDS = (
-    "onb",
-    "scaled_onb",
-    "random_ckframe",
-    "random_bessel_pair",
-    "interval_fourier",
-)
-
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 STATUS_DEGENERATE = "degenerate"
@@ -103,6 +94,14 @@ def _as_number(value, path: str) -> float:
         raise ValidationError("number is too large for double precision", path) from None
     _require(math.isfinite(number), "number must be finite", path)
     return number
+
+
+def _as_tolerance(value, path: str) -> float:
+    """value as a tolerance: a finite number > 0.  path names where it came
+    from, a spec's JSON path or the CLI's --tol or CKFRAME_TOL."""
+    tol = _as_number(value, path)
+    _require(tol > 0.0, "tolerance must be > 0", path)
+    return tol
 
 
 def _as_complex(value, path: str) -> complex:
@@ -217,12 +216,12 @@ def parse_problem(text: str) -> ProblemSpec:
     if "tolerances" in doc and doc["tolerances"] is not None:
         tols = doc["tolerances"]
         _require(isinstance(tols, dict), "expected an object", "tolerances")
+        checked = {}
         for key in tols:
             _require(key in ("rank_tol", "check_tol"), f"unknown key '{key}'", f"tolerances.{key}")
-            v = _as_number(tols[key], f"tolerances.{key}")
-            _require(v > 0.0, "tolerance must be > 0", f"tolerances.{key}")
-        rank_tol = float(tols["rank_tol"]) if "rank_tol" in tols else None
-        check_tol = float(tols["check_tol"]) if "check_tol" in tols else None
+            checked[key] = _as_tolerance(tols[key], f"tolerances.{key}")
+        rank_tol = checked.get("rank_tol")
+        check_tol = checked.get("check_tol")
 
     options = doc.get("options") or {}
     _require(isinstance(options, dict), "expected an object", "options")
@@ -322,10 +321,8 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        if value.ndim == 2:
-            pairs = np.ascontiguousarray(value, dtype=complex).view(float)
-            return pairs.reshape(*value.shape, 2).tolist()
-        return [_jsonable(v) for v in value.tolist()]
+        pairs = np.ascontiguousarray(value, dtype=complex).view(float)
+        return pairs.reshape(*value.shape, 2).tolist()
     if isinstance(value, (complex, np.complexfloating)):
         z = complex(value)
         return [z.real, z.imag]
@@ -454,6 +451,7 @@ def emit_report(report: RunReport, fmt: str = "json") -> str:
 
 
 def _bounds_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
+    """Optimal frame bounds and range inclusion for (field_f, operator_k)."""
     report = frame_ops.ckframe_check(spec.field_f, spec.operator_k, rank_tol, tol)
     results = {
         "lower": report.bounds.lower,
@@ -470,8 +468,9 @@ def _bounds_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str
 
 
 def _atoms_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
+    """Minimal-norm atomic coefficient map and reconstruction residual."""
     cmap = atoms_duals.atom_coefficient_map(spec.field_f, spec.operator_k, rank_tol, tol)
-    residual = atoms_duals.verify_atomic_decomposition(spec.field_f, spec.operator_k, cmap, tol)
+    residual = atoms_duals.verify_atomic_decomposition(spec.field_f, spec.operator_k, cmap)
     results = {
         "coefficients": cmap.matrix,
         "bound_constant": cmap.bound,
@@ -481,6 +480,7 @@ def _atoms_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str,
 
 
 def _dual_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
+    """Canonical dual field with certified bound interval."""
     dual = atoms_duals.canonical_dual(spec.field_f, spec.operator_k, rank_tol, tol)
     results = {
         "projected_frame": dual.projected_frame.samples,
@@ -493,6 +493,7 @@ def _dual_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, 
 
 
 def _verify_pair_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
+    """Check the five dual-pair identities for (field_f, field_g, operator_k)."""
     if spec.field_g is None:
         raise ValidationError("verify-pair requires field_g", "field_g")
     pair = atoms_duals.verify_dual_pair(
@@ -515,6 +516,7 @@ def _verify_pair_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tupl
 
 
 def _douglas_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
+    """Range inclusion / factorization / majorization for (operator_k, synthesis)."""
     l2 = frame_ops.whitened_synthesis_matrix(spec.field_f)
     result = douglas.douglas_factor(spec.operator_k, l2, rank_tol, tol)
     agree = result.included == (result.factor is not None) == (result.lambda_min is not None)
@@ -530,6 +532,7 @@ def _douglas_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[st
 
 
 def _sandwich_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
+    """Two-sided bounds of the inverted frame operator on range(operator_k)."""
     sandwich = atoms_duals.sandwich_check(spec.field_f, spec.operator_k, rank_tol, tol)
     # reads the compression to range(k) that sandwich_check kept
     restricted = atoms_duals.subspace_cframe_margin(spec.field_f, spec.operator_k, rank_tol, tol)
@@ -546,6 +549,7 @@ _RUNNERS = {
     "douglas": _douglas_results,
     "sandwich": _sandwich_results,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run_command(
@@ -598,6 +602,7 @@ PARAM_DEFAULTS = {
     "random_bessel_pair": {"n": 4, "n0": 2, "atoms": 16},
     "interval_fourier": {"n": 4, "atoms": 16},
 }
+GENERATOR_KINDS = tuple(PARAM_DEFAULTS)
 
 
 #: Most complex cells a generated matrix may hold (2**24 cells is 256 MiB).
@@ -610,12 +615,10 @@ def _check_cells(kind: str, *shapes: tuple[int, int]) -> None:
         raise BadParams(f"{kind} would generate a matrix of more than {MAX_GENERATED_CELLS} cells")
 
 
-def _param_int(params: dict, key: str, minimum: int = 1) -> int:
-    if key not in params:
-        raise BadParams(f"missing parameter '{key}'")
+def _param_int(params: dict, key: str) -> int:
     v = params[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise BadParams(f"parameter '{key}' must be an integer >= {minimum}, got {v!r}")
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise BadParams(f"parameter '{key}' must be an integer >= 1, got {v!r}")
     return v
 
 
@@ -648,6 +651,8 @@ def generate_example(kind: str, params: dict, seed: int = 0) -> ProblemSpec:
         raise UnknownKind(f"unknown generator kind '{kind}'")
     if not isinstance(params, dict):
         raise BadParams("params must be an object")
+    if seed < 0:
+        raise BadParams(f"seed must be >= 0, got {seed}")
     params = _with_defaults(kind, params)
     rng = np.random.default_rng(seed)
 

@@ -234,16 +234,15 @@ def _owned(a: np.ndarray) -> np.ndarray:
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether a and b have one shape, dtype and raw bytes, so that -0.0
-    and 0.0 differ.  F-ordered operands, such as the B that
+    """Whether complex arrays a and b have one shape, dtype and raw bytes,
+    so that -0.0 and 0.0 differ.  F-ordered operands, such as the B that
     whitened_synthesis_matrix returns, are compared without a copy, and
-    8 bytes at a time when the dtype allows."""
+    8 bytes at a time."""
     if a.shape != b.shape or a.dtype != b.dtype:
         return False
     if a.flags.f_contiguous and b.flags.f_contiguous:
         a, b = a.T, b.T
-    word = np.uint64 if a.dtype.itemsize % 8 == 0 else np.uint8
-    return np.array_equal(*(np.ascontiguousarray(x).view(word) for x in (a, b)))
+    return np.array_equal(*(np.ascontiguousarray(x).view(np.uint64) for x in (a, b)))
 
 
 class _Kept:

@@ -4,12 +4,15 @@ import json
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
 
 from ckframe.cli import main
+from ckframe.errors import BadParams
 from ckframe.harness import (
+    GENERATOR_KINDS,
     MAX_GENERATED_CELLS,
     emit_spec,
     generate_example,
@@ -275,3 +278,107 @@ def test_huge_gen_size_is_refused_before_building(kind, key):
         f"ckframe: input error: {kind} would generate a matrix of more than "
         f"{MAX_GENERATED_CELLS} cells"
     ]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_tol_flag_must_be_finite_and_positive(value, onb_spec, monkeypatch, capsys):
+    # the rule a spec's tolerances.check_tol keeps; at inf every check passes
+    monkeypatch.delenv("CKFRAME_TOL", raising=False)
+    assert main(["bounds", onb_spec, "--tol", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ckframe: input error: ")
+    assert captured.err.rstrip().endswith("at '--tol'")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_env_tolerance_must_be_finite_and_positive(value, onb_spec, monkeypatch, capsys):
+    monkeypatch.setenv("CKFRAME_TOL", value)
+    assert main(["bounds", onb_spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ckframe: input error: ")
+    assert captured.err.rstrip().endswith("at 'CKFRAME_TOL'")
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_negative_seed_is_an_input_error(kind, capsys):
+    with pytest.raises(BadParams):
+        generate_example(kind, {}, -1)
+    assert main(["gen", "--kind", kind, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["ckframe: input error: seed must be >= 0, got -1"]
+
+
+def test_gen_refuses_onb_one_past_the_cell_limit_before_allocating(capsys):
+    # 4096**2 cells fit exactly; one row and column more does not
+    assert 4096**2 == MAX_GENERATED_CELLS < 4097**2
+    tracemalloc.start()
+    try:
+        code = main(["gen", "--kind", "onb", "--params", '{"n": 4097}'])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    # the refused identity alone would take 256 MiB
+    assert peak < 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"ckframe: input error: onb would generate a matrix of more than {MAX_GENERATED_CELLS} cells"
+    ]
+
+
+SCALED_ONB_MATRICES = {
+    "atoms": ("coefficients", ["1.000000000000e+00", "5.000000000000e-01"]),
+    "dual": ("dual_field", ["1.000000000000e+00", "5.000000000000e-01"]),
+    "douglas": ("factor", ["1.000000000000e+00", "5.000000000000e-01"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCALED_ONB_MATRICES))
+def test_text_format_writes_a_matrix_row_by_row(command, tmp_path, capsys):
+    # gen's default scaled_onb, f = diag(1, 2) and k = I, holds diag(1, 1/2)
+    spec_path = tmp_path / "spec.json"
+    assert main(["gen", "--kind", "scaled_onb", "--out", str(spec_path)]) == 0
+    assert main([command, str(spec_path), "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    key, (d0, d1) = SCALED_ONB_MATRICES[command]
+    zero = "0.000000000000e+00"
+    block = [
+        f"{key}:",
+        "  [0]:",
+        f"    [0]: [{d0}, {zero}]",
+        f"    [1]: [{zero}, {zero}]",
+        "  [1]:",
+        f"    [0]: [{zero}, {zero}]",
+        f"    [1]: [{d1}, {zero}]",
+    ]
+    start = lines.index(f"{key}:")
+    assert lines[start : start + len(block)] == block
+
+
+def test_json_report_writes_null_for_an_absent_douglas_factor(tmp_path, capsys):
+    path = tmp_path / "excluded.json"
+    path.write_text(json.dumps(EXCLUDED))
+    assert main(["douglas", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert '    "factor": null,\n' in out
+    assert '    "lambda_min": null,\n' in out
+    assert json.loads(out)["results"]["included"] is False
+
+
+def test_json_report_of_a_zero_field_pair(tmp_path, capsys):
+    # k = 0 is onto neither side, so there are no notes and no onto
+    # residuals; a zero f has no Bessel bound, so its certificate is unbounded
+    doc = dict(BROKEN_PAIR)
+    doc["field_f"] = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    doc["operator_k"] = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-pair", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '    "lower_bound_cert": "unbounded",\n' in out
+    assert '    "notes": [],\n' in out
+    assert '    "onto_variant_residuals": null,\n' in out

@@ -352,3 +352,22 @@ def test_operator_norm_of_a_zero_matrix_takes_no_svd(monkeypatch):
     s = np.array([[2.0, 1j], [-1j, 1.0]])
     assert operator_norm(s - s.conj().T) == 0.0
     assert not counts
+
+
+@pytest.mark.parametrize(
+    "shape,through_r",
+    [((16, 32), True), ((96, 384), True), ((15, 32), False), ((16, 31), False)],
+)
+def test_operator_norm_of_a_wide_matrix_through_its_triangular_factor(shape, through_r, monkeypatch):
+    # at least twice as wide as tall with 16 rows or more, ||m|| is read
+    # off the R of m.T = Q R; just short of that, off m itself
+    m = crandn(np.random.default_rng(shape[0] * shape[1]), *shape)
+    direct = float(np.linalg.norm(m, 2))
+    counts = counted_factorizations(monkeypatch)
+    norm = operator_norm(m)
+    assert counts["qr"] == int(through_r)
+    assert counts["norm2"] == 1
+    if through_r:
+        assert norm == pytest.approx(direct, rel=1e-13)
+    else:
+        assert norm == direct
