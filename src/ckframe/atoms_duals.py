@@ -40,6 +40,7 @@ from .linalg import (
     _owned,
     _ranked_svd,
     _RankedSVD,
+    _check_tol,
     _separated_rank,
     adjoint,
     as_operator,
@@ -347,6 +348,7 @@ def _dual_pair_report(
     basis_h: Optional[np.ndarray] = None, basis_h0: Optional[np.ndarray] = None,
 ) -> DualPairReport:
     """verify_dual_pair, given ||k|| and the rank of k."""
+    _check_tol(tol)
     if f.space != g.space:
         raise SpaceMismatch("f and g must live over the same measure space")
     n, n0 = f.dim, g.dim

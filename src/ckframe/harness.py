@@ -5,7 +5,8 @@ field over it, the operator k, and optionally a second field.  Complex
 scalars are [re, im] pairs; matrices are row-major nested arrays.  Spec
 files serialize floats at full precision (parse/emit round-trips), while
 reports use fixed %.12e formatting so identical runs are byte-identical
-apart from the wall_time entry.
+apart from the wall_time entry.  Specs and JSON reports write their
+matrices through one row writer, _matrix_chunks, straight from the arrays.
 """
 
 from __future__ import annotations
@@ -64,7 +65,12 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Result envelope for one command run."""
+    """Result envelope for one command run.
+
+    results holds the command's values as its runner returned them: dicts,
+    lists, floats, bools, strings, None and UNBOUNDED, with each matrix a
+    2-D complex ndarray.  emit_report serializes them.
+    """
 
     command: str
     inputs_digest: str
@@ -268,31 +274,37 @@ def _spec_chunks(spec: ProblemSpec) -> Iterator[str]:
         separator = ",\n  "
         value = doc[key]
         if isinstance(value, np.ndarray):
-            yield from _matrix_chunks(value)
+            yield from _matrix_chunks(value, "[\n        %r,\n        %r\n      ]", "  ", _spec_entry)
         else:
-            yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+            yield _spec_entry(value)
     yield "\n}\n"
 
 
-#: One complex cell of a spec matrix, as json.dumps(indent=2) lays it out
-#: at the depth of a top-level entry.
-_CELL = "      [\n        %r,\n        %r\n      ]"
+def _spec_entry(value) -> str:
+    """value as json.dumps(indent=2) lays it out at the depth of a top-level entry."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
-def _matrix_chunks(m: np.ndarray) -> Iterator[str]:
-    """A complex matrix as nested [re, im] pairs, one row per chunk."""
-    parts = np.ascontiguousarray(m, dtype=complex).view(float)
-    if parts.size == 0 or not np.isfinite(parts).all():
-        # json's own spelling of empty rows and of NaN / Infinity
-        nested = parts.reshape(*m.shape, 2).tolist()
-        yield json.dumps(nested, indent=2).replace("\n", "\n  ")
+def _pairs(m: np.ndarray) -> np.ndarray:
+    """A complex matrix's cells as [re, im] float pairs, shape m.shape + (2,)."""
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(*m.shape, 2)
+
+
+def _matrix_chunks(m: np.ndarray, cell: str, pad: str, nested) -> Iterator[str]:
+    """A complex matrix as nested [re, im] pairs closing at indent pad, one
+    row per chunk, each pair laid out by the template cell.  An empty or
+    non-finite matrix goes whole to nested(pairs as lists), the writer's
+    own walk, which spells empty rows, NaN and infinities its way."""
+    pairs = _pairs(m)
+    if pairs.size == 0 or not np.isfinite(pairs).all():
+        yield nested(pairs.tolist())
         return
-    row_text = "    [\n" + ",\n".join([_CELL] * m.shape[1]) + "\n    ]"
+    row_text = f"{pad}  [\n" + ",\n".join([pad + "    " + cell] * m.shape[1]) + f"\n{pad}  ]"
     separator = "[\n"
-    for row in parts:
-        yield separator + row_text % tuple(row.tolist())
+    for row in pairs:
+        yield separator + row_text % tuple(row.ravel().tolist())
         separator = ",\n"
-    yield "\n  ]"
+    yield f"\n{pad}]"
 
 
 def emit_spec(spec: ProblemSpec) -> str:
@@ -310,29 +322,6 @@ def spec_digest(spec: ProblemSpec) -> str:
 
 # ---------------------------------------------------------------------------
 # canonical report serialization
-
-
-def _jsonable(value):
-    """Convert results to JSON-ready structures (complex -> [re, im])."""
-    if isinstance(value, Unbounded):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        pairs = np.ascontiguousarray(value, dtype=complex).view(float)
-        return pairs.reshape(*value.shape, 2).tolist()
-    if isinstance(value, (complex, np.complexfloating)):
-        z = complex(value)
-        return [z.real, z.imag]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
 
 
 def _canonical_fragment(value, indent: int) -> str:
@@ -353,6 +342,10 @@ def _canonical_fragment(value, indent: int) -> str:
         return f"{value:.12e}"
     if isinstance(value, str):
         return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        return "".join(
+            _matrix_chunks(value, "[%.12e, %.12e]", pad, lambda pairs: _canonical_fragment(pairs, indent))
+        )
     if isinstance(value, (list, tuple)):
         if len(value) == 0:
             return "[]"
@@ -387,6 +380,8 @@ def report_to_json(report: RunReport) -> str:
 
 def _text_value(value, indent: int, lines: list[str], label: str) -> None:
     pad = "  " * indent
+    if isinstance(value, np.ndarray):
+        value = _pairs(value).tolist()
     if isinstance(value, dict):
         lines.append(f"{pad}{label}:")
         for k in sorted(value, key=str):
@@ -561,13 +556,15 @@ def run_command(
     """Execute one command against a spec and wrap the outcome.
 
     Tolerance resolution: explicit override, else the spec's check_tol,
-    else the supplied default.  Library errors become status=failed with
-    the originating error class name in the results; schema errors
-    (e.g. verify-pair without field_g) propagate to the caller.
+    else the supplied default; each given tolerance must be finite and
+    > 0, else ValidationError names it.  Library errors become
+    status=failed with the originating error class name in the results;
+    schema errors (e.g. verify-pair without field_g) propagate.
     """
     if command not in _RUNNERS:
         raise ValidationError(f"unknown command '{command}'", "command")
-    tol = tol_override if tol_override is not None else (
+    default_tol = _as_tolerance(default_tol, "default_tol")
+    tol = _as_tolerance(tol_override, "tol_override") if tol_override is not None else (
         spec.check_tol if spec.check_tol is not None else default_tol
     )
     rank_tol = spec.rank_tol if spec.rank_tol is not None else DEFAULT_RANK_TOL
@@ -585,7 +582,7 @@ def run_command(
         command=command,
         inputs_digest=digest,
         status=status,
-        results=_jsonable(results),
+        results=results,
         wall_time=elapsed,
     )
 

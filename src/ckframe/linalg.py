@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, RankAmbiguous
+from .errors import NotHermitian, NotPSD, RankAmbiguous, ValidationError
 
 OperatorMatrix = np.ndarray
 
@@ -135,6 +135,13 @@ def hermitian_eig(m, tol: float = DEFAULT_CHECK_TOL) -> HermitianEig:
     sym = 0.5 * (a + a.conj().T)
     vals, vecs = np.linalg.eigh(sym)
     return HermitianEig(eigenvalues=vals, eigenvectors=_fix_phases(vecs))
+
+
+def _check_tol(tol: float) -> None:
+    """Raise ValidationError naming tol unless the tolerance that grades a
+    verdict is finite and > 0: inf would pass every check, NaN fail all."""
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tolerance must be finite and > 0, got {tol!r}", "tol")
 
 
 def _separated_rank(sigma: np.ndarray, rank_tol: float, name: str) -> int:
@@ -325,6 +332,7 @@ class _Kept:
         None); and a thunk for ||coords|| = ||pinv(B) k||.  The distance and
         the norm are kept with the other answers about k.
         """
+        _check_tol(tol)
         svd = self.factor(name, rank_tol, right)
         ask = self.asker(k)
         proj = svd.u.conj().T @ k

@@ -7,6 +7,7 @@ Rayleigh-type quotients with local refinement.
 """
 
 import json
+import math
 import re
 from collections import Counter
 
@@ -15,6 +16,7 @@ import numpy as np
 import ckframe
 from ckframe import SampleField, ScalarField, make_measure_space
 from ckframe.frame_ops import analysis, synthesis, synthesis_matrix
+from ckframe.linalg import DEFAULT_CHECK_TOL, Unbounded
 from ckframe.measure import l2_norm
 
 
@@ -190,6 +192,133 @@ def strip_wall_time(text):
     """Normalize the wall_time entry so reports compare byte for byte."""
     text = re.sub(r'"wall_time": [^\n]+', '"wall_time": 0', text)
     return re.sub(r"wall_time: [^\n]+", "wall_time: 0", text)
+
+
+# ---------------------------------------------------------------------------
+# the report writer as it was before result matrices stayed arrays: every
+# value converted to nested lists first, then written one element at a time
+
+
+def _reference_jsonable(value):
+    """Convert results to JSON-ready structures (complex -> [re, im])."""
+    if isinstance(value, Unbounded):
+        return value
+    if isinstance(value, dict):
+        return {str(k): _reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        pairs = np.ascontiguousarray(value, dtype=complex).view(float)
+        return pairs.reshape(*value.shape, 2).tolist()
+    if isinstance(value, (complex, np.complexfloating)):
+        z = complex(value)
+        return [z.real, z.imag]
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+def _reference_fragment(value, indent):
+    pad = "  " * indent
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Unbounded):
+        return '"unbounded"'
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if math.isnan(value):
+            raise ValueError("NaN is not serializable in a report")
+        if math.isinf(value):
+            return '"unbounded"'
+        return f"{value:.12e}"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        if len(value) == 0:
+            return "[]"
+        scalars = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        if scalars:
+            return "[" + ", ".join(_reference_fragment(v, 0) for v in value) + "]"
+        inner = ",\n".join(pad + "  " + _reference_fragment(v, indent + 1) for v in value)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            pad + "  " + json.dumps(str(k)) + ": " + _reference_fragment(value[k], indent + 1)
+            for k in sorted(value, key=str)
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__} in a report")
+
+
+def _reference_text_value(value, indent, lines, label):
+    pad = "  " * indent
+    if isinstance(value, dict):
+        lines.append(f"{pad}{label}:")
+        for k in sorted(value, key=str):
+            _reference_text_value(value[k], indent + 1, lines, str(k))
+    elif isinstance(value, (list, tuple)) and any(isinstance(v, (list, tuple, dict)) for v in value):
+        lines.append(f"{pad}{label}:")
+        for i, v in enumerate(value):
+            _reference_text_value(v, indent + 1, lines, f"[{i}]")
+    else:
+        lines.append(f"{pad}{label}: {_reference_text_scalar(value)}")
+
+
+def _reference_text_scalar(value):
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, Unbounded) or (isinstance(value, float) and math.isinf(value)):
+        return "unbounded"
+    if isinstance(value, float):
+        return f"{value:.12e}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_reference_text_scalar(v) for v in value) + "]"
+    return str(value)
+
+
+def reference_emit_report(report, fmt):
+    """emit_report(report, fmt) the element-by-element way."""
+    results = _reference_jsonable(report.results)
+    if fmt == "json":
+        doc = {
+            "command": report.command,
+            "inputs_digest": report.inputs_digest,
+            "status": report.status,
+            "results": results,
+            "wall_time": report.wall_time,
+        }
+        return _reference_fragment(doc, 0) + "\n"
+    lines = [
+        "ckframe report",
+        f"command: {report.command}",
+        f"status: {report.status}",
+        f"inputs_digest: {report.inputs_digest}",
+        f"wall_time: {report.wall_time:.3e}s",
+    ]
+    if report.command == "verify-pair" and "residual_c1" in results:
+        lines.append("conditions:")
+        lines.append("  condition  residual            pass")
+        for i in range(1, 6):
+            r = results[f"residual_c{i}"]
+            ok = "yes" if r <= results.get("tolerance", DEFAULT_CHECK_TOL) else "no"
+            lines.append(f"  c{i}         {r:.12e}  {ok}")
+        rest = {k: v for k, v in results.items() if not k.startswith("residual_c")}
+    else:
+        rest = results
+    for k in sorted(rest, key=str):
+        _reference_text_value(rest[k], 0, lines, str(k))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

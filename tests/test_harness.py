@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ckframe import (
+    UNBOUNDED,
     BadParams,
     ParseError,
     SampleField,
@@ -17,7 +19,9 @@ from ckframe import (
     make_measure_space,
 )
 from ckframe import harness
-from ckframe.frame_ops import ckframe_check, frame_operator
+from ckframe.atoms_duals import verify_dual_pair
+from ckframe.douglas import range_included
+from ckframe.frame_ops import ckframe_check, frame_operator, whitened_synthesis_matrix
 from ckframe.harness import (
     COMMANDS,
     GENERATOR_KINDS,
@@ -33,7 +37,7 @@ from ckframe.harness import (
     run_command,
     spec_digest,
 )
-from helpers import counted_factorizations, oracle_spec_text, strip_wall_time
+from helpers import counted_factorizations, oracle_spec_text, reference_emit_report, strip_wall_time
 
 MINIMAL_SPEC = """
 {
@@ -406,13 +410,17 @@ def test_bounds_degenerate_zero_k():
     assert report.results["degenerate"] is True
 
 
+def assert_same_array(actual, expected):
+    """Same dtype, shape and values, each zero with the same sign."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual.view(float)), np.signbit(expected.view(float)))
+
+
 def test_dual_on_scaled_onb():
     report = run_command(generate_example("scaled_onb", {}), "dual")
     assert report.status == STATUS_OK
-    assert report.results["dual_field"] == [
-        [[1.0, 0.0], [0.0, 0.0]],
-        [[0.0, 0.0], [0.5, 0.0]],
-    ]
+    assert_same_array(report.results["dual_field"], np.diag([1.0, 0.5]).astype(complex))
     assert report.results["lower_bound"] == pytest.approx(0.25)
     assert report.results["upper_bound"] == pytest.approx(1.0)
 
@@ -562,6 +570,38 @@ def test_tolerance_resolution_order():
     assert run_command(loose, "verify-pair", default_tol=1e-8).status == STATUS_OK
 
 
+def leaky_spec():
+    """f = diag(1, 0), whose synthesis range misses half of range(k) for k = I."""
+    space = make_measure_space(["a", "b"], [1.0, 1.0])
+    f = SampleField(space, np.diag([1.0, 0.0]))
+    return ProblemSpec(space=space, field_f=f, operator_k=np.eye(2, dtype=complex), field_g=f)
+
+
+#: Each entry point that grades a verdict by a tolerance, and the name of
+#: the argument a bad tolerance is reported under.
+TOLERANCE_TAKERS = {
+    "run_command-tol_override": (lambda s, tol: run_command(s, "bounds", tol_override=tol), "tol_override"),
+    "run_command-default_tol": (lambda s, tol: run_command(s, "bounds", default_tol=tol), "default_tol"),
+    "ckframe_check": (lambda s, tol: ckframe_check(s.field_f, s.operator_k, tol=tol), "tol"),
+    "range_included": (
+        lambda s, tol: range_included(s.operator_k, whitened_synthesis_matrix(s.field_f), tol=tol),
+        "tol",
+    ),
+    "verify_dual_pair": (lambda s, tol: verify_dual_pair(s.field_f, s.field_g, s.operator_k, tol=tol), "tol"),
+}
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+@pytest.mark.parametrize("taker", sorted(TOLERANCE_TAKERS))
+def test_a_tolerance_must_be_finite_and_positive(taker, tol):
+    # at tol = inf every check would pass and diag(1, 0) would be a ck-frame
+    assert run_command(leaky_spec(), "bounds").results["is_ck_frame"] is False
+    call, name = TOLERANCE_TAKERS[taker]
+    with pytest.raises(ValidationError) as exc:
+        call(leaky_spec(), tol)
+    assert exc.value.path == name
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 
@@ -580,14 +620,14 @@ def test_report_json_shape():
     assert doc["command"] == "bounds"
     assert doc["inputs_digest"].startswith("sha256:")
     assert isinstance(doc["wall_time"], float)
-    # run_command hands each result matrix over as nested [re, im] pairs,
-    # each zero keeping its sign
+    # a result matrix is a complex array, which the report writes as nested
+    # [re, im] pairs, each zero keeping its sign
     signed = np.array([[-0.0, complex(0.0, -0.0)], [complex(1.5, -0.0), complex(-0.0, -2.0)]])
     matrices = RunReport(
         command="atoms",
         inputs_digest="sha256:0",
         status=STATUS_OK,
-        results=harness._jsonable({"m": signed, "real": np.array([[-0.0, 1.0]])}),
+        results={"m": signed, "real": np.array([[-0.0, 1.0]])},
         wall_time=0.0,
     )
     results = json.loads(emit_report(matrices, "json"))["results"]
@@ -634,6 +674,100 @@ def test_report_rejects_unknown_format_and_nan():
     )
     with pytest.raises(ValueError):
         emit_report(poisoned, "json")
+
+
+# ---------------------------------------------------------------------------
+# report bytes against the element-by-element writer
+
+#: Matrix parts whose spelling is easy to get wrong: signed zeros,
+#: subnormals and the largest exponents.
+SPECIAL_PARTS = [-0.0, 0.0, 5e-324, -2.5e-310, 1e-300, 1e308, -1e308, 1.0, -0.5]
+
+
+@st.composite
+def complex_matrices(draw, rows=st.integers(0, 4), cols=st.integers(0, 4), finite=False):
+    """A complex matrix of special and arbitrary finite parts; unless
+    finite is set, one in three gets a few infinite or NaN parts."""
+    shape = (draw(rows), draw(cols))
+    parts = st.sampled_from(SPECIAL_PARTS) | st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array(draw(st.lists(parts, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape))))
+    if values.size and not finite and draw(st.integers(0, 2)) == 0:
+        bad = st.tuples(st.integers(0, values.size - 1), st.sampled_from([math.inf, -math.inf, math.nan]))
+        for index, value in draw(st.lists(bad, min_size=1, max_size=2)):
+            values[index] = value
+    return values.view(complex).reshape(shape)
+
+
+@st.composite
+def matrix_results(draw):
+    """A results dict with the scalars a runner returns and one to three
+    matrices, each at a depth of 0 to 3 nested dicts."""
+    results = {
+        "lower": draw(st.floats(allow_nan=False)),
+        "upper": UNBOUNDED,
+        "holds": draw(st.booleans()),
+        "factor": None,
+        "kind": "ckFrame",
+        "onto": [draw(st.floats(allow_nan=False)), None],
+    }
+    for _ in range(draw(st.integers(1, 3))):
+        node = results
+        for level in range(draw(st.integers(0, 3))):
+            node = node.setdefault(f"d{level}", {})
+        node[draw(st.sampled_from(["m", "n"]))] = draw(complex_matrices())
+    return results
+
+
+def written(write, report, fmt):
+    """write(report, fmt), or ValueError if it raises one."""
+    try:
+        return write(report, fmt)
+    except ValueError:
+        return ValueError
+
+
+def assert_written_as_reference(results):
+    report = RunReport("dual", "sha256:0", STATUS_OK, results, 0.125)
+    for fmt in ("json", "text"):
+        assert written(emit_report, report, fmt) == written(reference_emit_report, report, fmt)
+
+
+@given(matrix_results())
+def test_report_bytes_match_the_element_by_element_writer(results):
+    assert_written_as_reference(results)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.zeros((0, 3), dtype=complex),
+        np.zeros((3, 0), dtype=complex),
+        np.array([[complex(-0.0, 5e-324)]]),
+        np.array([[complex(1e308, -1e308), complex(-2.5e-310, -0.0)]]),
+        np.array([[1.0, complex(math.inf, 0.0)]]),
+        np.array([[1.0], [complex(0.0, math.nan)]]),
+    ],
+    ids=["0xn", "nx0", "1x1", "extremes", "inf", "nan"],
+)
+def test_report_bytes_of_odd_matrices_match_the_element_by_element_writer(m):
+    assert_written_as_reference({"m": m, "d0": {"d1": {"m": m}}})
+    report = RunReport("dual", "sha256:0", STATUS_OK, {"m": m}, 0.0)
+    if np.isnan(m.view(float)).any():
+        with pytest.raises(ValueError):
+            emit_report(report)
+    elif np.isinf(m.view(float)).any():
+        assert '"unbounded"' in emit_report(report)
+
+
+@given(complex_matrices(rows=st.just(2), cols=st.integers(1, 3), finite=True), complex_matrices())
+def test_spec_text_matches_the_oracle_on_random_odd_matrices(f_samples, k):
+    # a field's samples are finite, but a library-built spec's k may be
+    # empty or hold infinities and NaN
+    base = minimal_spec()
+    spec = ProblemSpec(space=base.space, field_f=SampleField(base.space, f_samples), operator_k=k)
+    text = oracle_spec_text(spec)
+    assert emit_spec(spec) == text
+    assert spec_digest(spec) == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
