@@ -70,8 +70,11 @@ class DualPairReport:
 
     c1: k h0 recovered by synthesizing f against <h0, g(.)>;
     c2: k* h recovered by synthesizing g against <h, f(.)>;
-    c3, c4: the two bilinear-form identities over basis pairs;
-    c5: the c4 identity pinned to the standard coordinate bases.
+    c3, c4: the two bilinear-form identities;
+    c5: the c4 identity in coordinates.
+    Each is read in the standard bases of H and H0 (see verify_dual_pair
+    for other bases), so c3, c4 and c5 are all the largest entry of the
+    mismatch k - sum_x w_x f_x g_x*.
     c1-c5 are relative to ||k|| and the squared norm identities to
     ||k||^2 (both to 1 when k = 0), so rescaling g and k together leaves
     them unchanged.  onto_variant_residuals carries the norm-identity
@@ -137,7 +140,7 @@ def atom_coefficient_map(
         can reproduce k in that case.
     """
     kk = as_operator(k)
-    # the one reader of vh, which f keeps; coords are read off the same SVD
+    # reads vh, which f keeps; coords are read off the same SVD
     report, b, coords = _frame_check(f, kk, rank_tol, tol, right=True)
     if not report.range_included:
         raise RangeNotIncluded(
@@ -318,48 +321,40 @@ def verify_dual_pair(
     k,
     tol: float = DEFAULT_CHECK_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
-    basis_h: Optional[np.ndarray] = None,
-    basis_h0: Optional[np.ndarray] = None,
 ) -> DualPairReport:
     """Check the five equivalent identities that make (f, g) a dual pair
     for k, and report each residual separately.
 
     By linearity each identity holds for all vectors iff it holds on one
-    orthonormal basis (pair); the default is the standard coordinate
-    bases, and callers may supply any other orthonormal ``basis_h`` /
-    ``basis_h0`` as columns.  Condition c5 always uses the standard
-    bases.  When k (resp. k*) is surjective, the corresponding norm
-    identity is evaluated as well; the adjoint-side identity is checked
-    in squared form, which is the only scaling consistent with c4.
+    orthonormal basis (pair); the standard coordinate bases of H and H0
+    are checked.  The residuals in other orthonormal bases E of H and
+    Gamma of H0 are those of the transformed triple (E* f, Gamma* g,
+    E* k Gamma) in the standard bases.  When k (resp. k*) is surjective,
+    the corresponding norm identity is evaluated as well; the
+    adjoint-side identity is checked in squared form, which is the only
+    scaling consistent with c4.
 
     Every residual is a norm of the one mismatch D = k - sum_x w_x f_x g_x*:
-    c1 and c2 are the worst column norms of D and D* on the bases, c3 and
-    c4 the largest entry of D and of D* in basis coordinates, c5 that of D.
+    c1 and c2 are the worst column norms of D and D*, and c3, c4 and c5
+    the largest entry of D (which is that of D*).
     """
     kk = as_operator(k)
     sigma = np.linalg.svd(kk, compute_uv=False)
     k_norm = float(sigma[0]) if sigma.size else 0.0
     rank = _separated_rank(sigma, rank_tol, "k")
-    return _dual_pair_report(f, g, kk, k_norm, rank, tol, basis_h, basis_h0)
+    return _dual_pair_report(f, g, kk, k_norm, rank, tol)
 
 
 def _dual_pair_report(
-    f: SampleField, g: SampleField, kk: OperatorMatrix, k_norm: float, rank: int, tol: float,
-    basis_h: Optional[np.ndarray] = None, basis_h0: Optional[np.ndarray] = None,
+    f: SampleField, g: SampleField, kk: OperatorMatrix, k_norm: float, rank: int, tol: float
 ) -> DualPairReport:
     """verify_dual_pair, given ||k|| and the rank of k."""
-    _check_tol(tol)
+    _check_tol(tol, "tol")
     if f.space != g.space:
         raise SpaceMismatch("f and g must live over the same measure space")
     n, n0 = f.dim, g.dim
     if kk.shape != (n, n0):
         raise DimMismatch(f"k has shape {kk.shape}, expected {(n, n0)}")
-    # the standard bases stay None: a product by an exact identity could
-    # change only the sign of a zero, which abs and column norms erase
-    e = None if basis_h is None else as_operator(basis_h)
-    gamma = None if basis_h0 is None else as_operator(basis_h0)
-    if (e is not None and e.shape != (n, n)) or (gamma is not None and gamma.shape != (n0, n0)):
-        raise DimMismatch("basis matrices must be square of the ambient dims")
 
     b_f = whitened_synthesis_matrix(f)
     d = kk - b_f @ whitened_synthesis_matrix(g).conj().T
@@ -367,17 +362,13 @@ def _dual_pair_report(
     scale = k_norm or 1.0
 
     # c1: k h0 = T_f <h0, g(.)>;  c2: k* h = T_g <h, f(.)>
-    d_gamma = _in_basis(d, gamma)
-    d_adj_e = _in_basis(d.conj().T, e)
-    c1 = _max_column_norm(d_gamma) / scale
-    c2 = _max_column_norm(d_adj_e) / scale
-    # c3: <k h0, h> = integral of <h0, g(x)> <f(x), h>;  c4, its adjoint
-    # identity, has the conjugate transpose of the same residual matrix
-    form = d_gamma if e is None else e.conj().T @ d_gamma
-    c3 = float(np.max(np.abs(form), initial=0.0)) / scale
-    c4 = c3
-    # c5: the c4 identity pinned to standard coordinates
-    c5 = float(np.max(np.abs(d), initial=0.0)) / scale
+    d_adj = d.conj().T
+    c1 = _max_column_norm(d) / scale
+    c2 = _max_column_norm(d_adj) / scale
+    # c3: <k h0, h> = integral of <h0, g(x)> <f(x), h>; c4, its adjoint
+    # identity, and c5, the c4 identity in standard coordinates, read the
+    # entries of the same residual matrix
+    c3 = c4 = c5 = float(np.max(np.abs(d), initial=0.0)) / scale
 
     # surjectivity-conditional norm identities: ||k h0||^2 minus the
     # integral of <h0, g(x)> <f(x), k h0> is <D h0, k h0>, and likewise
@@ -388,9 +379,9 @@ def _dual_pair_report(
         res_k: Optional[float] = None
         res_k_star: Optional[float] = None
         if rank == n:
-            res_k = _max_column_inner(d_gamma, _in_basis(kk, gamma)) / scale / scale
+            res_k = _max_column_inner(d, kk) / scale / scale
         if rank == n0:
-            res_k_star = _max_column_inner(d_adj_e, _in_basis(kk.conj().T, e)) / scale / scale
+            res_k_star = _max_column_inner(d_adj, kk.conj().T) / scale / scale
             notes.append(
                 "adjoint-side norm identity verified in squared form ||k* h||^2; "
                 "the unsquared form is dimensionally inconsistent with c4"
@@ -411,11 +402,6 @@ def _dual_pair_report(
     )
 
 
-def _in_basis(m: np.ndarray, basis: Optional[np.ndarray]) -> np.ndarray:
-    """m times basis, or m itself for the standard basis (None)."""
-    return m if basis is None else m @ basis
-
-
 def _max_column_inner(u: np.ndarray, v: np.ndarray) -> float:
     """max_j |<u_j, v_j>| over the columns of two equal-shape matrices."""
     return float(np.max(np.abs(np.sum(u * v.conj(), axis=0)), initial=0.0))
@@ -429,24 +415,31 @@ def canonical_dual(
 ) -> CanonicalDual:
     """Construct the canonical dual of (f, k) and verify it.
 
-    The dual is g = k* G f pointwise, where G inverts the compression
-    of S_f to range(k); the projected frame is P f for P the orthogonal
-    projector onto range(k).  The pair (P f, g) must verify as a dual
-    pair for k, and the optimal bounds of g (as a frame against k*)
-    must land inside [1/B, ||k||^2 ||pinv(k)||^2 / A], to a relative
-    tolerance tol.
+    The dual is g = k* G f pointwise, where G = U_k (U_k* S_f U_k)^-1 U_k*
+    inverts the compression of S_f to range(k); unlike the one-sided
+    inverse_on_range, G maps range(k) into itself, which keeps g's bounds
+    inside the certified interval.  The projected frame is P f for P the
+    orthogonal projector onto range(k).  G is never formed:
+    with B = U_r Sigma_r vh and c = Sigma_r U_r* U_k = p diag(sc) qh (see
+    _OnRange), g's whitened synthesis matrix is
+    k* U_k qh* diag(1/sc) p* vh, read off factors already held, so its
+    error grows like eps * cond(B) rather than cond(B)^2.  vh is then
+    kept for f, as after atom_coefficient_map.  The pair (P f, g) must
+    verify as a dual pair for k, and the optimal bounds of g (as a frame
+    against k*) must land inside [1/B, ||k||^2 ||pinv(k)||^2 / A], to a
+    relative tolerance tol.
 
     Raises CanonicalDualFailed if either verification fails; degenerate
     and non-frame inputs raise as in inverse_on_range.
     """
     kk = as_operator(k)
     on = _on_range(f, kk, rank_tol, tol)
-    # G = U (U* S_f U)^-1 U* maps range(k) back into range(k); that
-    # invariance keeps the dual's optimal bounds inside the certified
-    # interval, which the one-sided inverse_on_range does not provide
-    root = on.k_u @ (on.qh.conj().T / on.sc)
+    # k* G B = k* U_k qh* diag(1/sc) p* vh, since G B = U_k (c* c)^-1 c* vh;
+    # the small factors are multiplied first
+    vh = _kept(f).factor("B of f", rank_tol, right=True).vh
+    left = adjoint(kk) @ on.k_u @ (on.qh.conj().T / on.sc) @ on.p.conj().T
     projected = map_field(on.k_u @ on.k_u.conj().T, f)
-    dual = map_field(adjoint(kk) @ root @ root.conj().T, f)
+    dual = SampleField(f.space, (vh.T @ left.T) / np.sqrt(f.space.weight_array)[:, None])
 
     # verified with rank(k) as _on_range decided it
     pair = _dual_pair_report(projected, dual, kk, float(on.k_s[0]), on.k_s.size, tol)

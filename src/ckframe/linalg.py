@@ -137,11 +137,12 @@ def hermitian_eig(m, tol: float = DEFAULT_CHECK_TOL) -> HermitianEig:
     return HermitianEig(eigenvalues=vals, eigenvectors=_fix_phases(vecs))
 
 
-def _check_tol(tol: float) -> None:
-    """Raise ValidationError naming tol unless the tolerance that grades a
-    verdict is finite and > 0: inf would pass every check, NaN fail all."""
+def _check_tol(tol: float, name: str) -> None:
+    """Raise ValidationError at name unless the tolerance tol, which grades
+    a verdict or a rank, is finite and > 0: inf would pass every check (or
+    count no direction), NaN fail all."""
     if not 0.0 < tol < np.inf:
-        raise ValidationError(f"tolerance must be finite and > 0, got {tol!r}", "tol")
+        raise ValidationError(f"tolerance must be finite and > 0, got {tol!r}", name)
 
 
 def _separated_rank(sigma: np.ndarray, rank_tol: float, name: str) -> int:
@@ -150,10 +151,10 @@ def _separated_rank(sigma: np.ndarray, rank_tol: float, name: str) -> int:
     Rank counts sigma_i > rank_tol * sigma_max.  Any sigma_i strictly inside
     (rank_tol, GRAY_ZONE_FACTOR * rank_tol) * sigma_max makes the rank
     ill-determined and raises RankAmbiguous, whose message names the
-    matrix the singular values are of as name.
+    matrix the singular values are of as name.  A rank_tol that is not
+    finite and > 0 raises ValidationError at 'rank_tol'.
     """
-    if rank_tol <= 0.0:
-        raise ValueError("rank_tol must be positive")
+    _check_tol(rank_tol, "rank_tol")
     if sigma.size == 0:
         return 0
     top = float(sigma[0])
@@ -332,7 +333,7 @@ class _Kept:
         None); and a thunk for ||coords|| = ||pinv(B) k||.  The distance and
         the norm are kept with the other answers about k.
         """
-        _check_tol(tol)
+        _check_tol(tol, "tol")
         svd = self.factor(name, rank_tol, right)
         ask = self.asker(k)
         proj = svd.u.conj().T @ k

@@ -1,14 +1,14 @@
 """What ckframe.linalg keeps for a live field (linalg._Kept): the ranked
 SVD of its whitened synthesis matrix B, taken once (u, s and the small
-right factor w, with vh = w Q.T formed once atom_coefficient_map or
-douglas_factor reads it), and ||B||, and, for one operator k at a time,
-held beside a copy of that k, ||k||, the inclusion distance, ||pinv(B) k||
-and the compression of S_f to range(k).  A k is told from the held one,
-and a raw Douglas l2 from a live field's B, by comparing bytes; a Douglas
-face whose l2 is a live field's B asks as that field, and any other l2
-registers nothing.  A second
-question about the same (f, k) takes no factorization of B, gets
-bit-identical answers, and still raises what a cold field raises.
+right factor w, with vh = w Q.T formed once atom_coefficient_map,
+canonical_dual or douglas_factor reads it), and ||B||, and, for one
+operator k at a time, held beside a copy of that k, ||k||, the inclusion
+distance, ||pinv(B) k|| and the compression of S_f to range(k).  A k is
+told from the held one, and a raw Douglas l2 from a live field's B, by
+comparing bytes; a Douglas face whose l2 is a live field's B asks as that
+field, and any other l2 registers nothing.  A second question about the
+same (f, k) takes no factorization of B, gets bit-identical answers, and
+still raises what a cold field raises.
 
 A spec read back with parse_problem holds new field objects, so nothing
 is kept for them yet (a "cold" field), as in one CLI process."""
@@ -163,9 +163,16 @@ def test_a_second_call_on_a_field_takes_no_svd_of_b(monkeypatch):
     assert dict(counts) == {"svd": 3}
     assert not modes
 
-    for name in ("cframe_bounds", "inverse_on_range", "subspace_cframe_margin", "canonical_dual"):
+    for name in ("cframe_bounds", "inverse_on_range", "subspace_cframe_margin"):
         ENTRY_POINTS[name](f, k)
         assert not modes, name
+    # the dual is read off vh: the first call forms it with the Q of one
+    # reduced QR, and f keeps it
+    canonical_dual(f, k)
+    assert modes == ["reduced"]
+    modes.clear()
+    canonical_dual(f, k)
+    assert not modes
 
 
 def test_atoms_takes_its_own_full_svd_and_reseeds(monkeypatch):

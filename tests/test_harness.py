@@ -19,8 +19,8 @@ from ckframe import (
     make_measure_space,
 )
 from ckframe import harness
-from ckframe.atoms_duals import verify_dual_pair
-from ckframe.douglas import range_included
+from ckframe.atoms_duals import canonical_dual, verify_dual_pair
+from ckframe.douglas import douglas_factor, range_included
 from ckframe.frame_ops import ckframe_check, frame_operator, whitened_synthesis_matrix
 from ckframe.harness import (
     COMMANDS,
@@ -37,6 +37,7 @@ from ckframe.harness import (
     run_command,
     spec_digest,
 )
+from ckframe.linalg import pseudoinverse
 from helpers import counted_factorizations, oracle_spec_text, reference_emit_report, strip_wall_time
 
 MINIMAL_SPEC = """
@@ -602,6 +603,30 @@ def test_a_tolerance_must_be_finite_and_positive(taker, tol):
     assert exc.value.path == name
 
 
+#: Each entry point that decides a rank by rank_tol, called on f = diag(1, 2)
+#: and k = I.
+RANK_TOL_TAKERS = {
+    "ckframe_check": lambda f, k, t: ckframe_check(f, k, rank_tol=t),
+    "douglas_factor": lambda f, k, t: douglas_factor(k, whitened_synthesis_matrix(f), rank_tol=t),
+    "verify_dual_pair": lambda f, k, t: verify_dual_pair(f, f, k, rank_tol=t),
+    "canonical_dual": lambda f, k, t: canonical_dual(f, k, rank_tol=t),
+    "pseudoinverse": lambda f, k, t: pseudoinverse(whitened_synthesis_matrix(f), rank_tol=t),
+}
+
+
+@pytest.mark.parametrize("rank_tol", [float("inf"), float("nan"), 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+@pytest.mark.parametrize("taker", sorted(RANK_TOL_TAKERS))
+def test_a_rank_tolerance_must_be_finite_and_positive(taker, rank_tol):
+    # at rank_tol = nan or inf no direction counts, and diag(1, 2) would
+    # not reproduce I
+    space = make_measure_space(["a", "b"], [1.0, 1.0])
+    f = SampleField(space, np.diag([1.0, 2.0]))
+    assert ckframe_check(f, np.eye(2)).is_ck_frame
+    with pytest.raises(ValidationError) as exc:
+        RANK_TOL_TAKERS[taker](f, np.eye(2), rank_tol)
+    assert exc.value.path == "rank_tol"
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 
@@ -780,7 +805,7 @@ def test_spec_text_matches_the_oracle_on_random_odd_matrices(f_samples, k):
 #: SVD of the square triangular factor.
 FACTORIZATIONS = {
     "atoms": (4, 1),
-    "dual": (11, 2),
+    "dual": (11, 3),
     "verify-pair": (2, 0),
     "douglas": (4, 1),
     "sandwich": (7, 1),

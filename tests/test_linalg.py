@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ckframe import NotHermitian, NotPSD, RankAmbiguous
+from ckframe import NotHermitian, NotPSD, RankAmbiguous, ValidationError
 from ckframe.linalg import (
     UNBOUNDED,
     Unbounded,
@@ -219,7 +219,7 @@ def test_rank_gray_zone_rejected_and_escapable():
         range_projector(m)
     with pytest.raises(RankAmbiguous, match="^rank of s: singular value 5.000e-10"):
         max_psd_multiplier(m, m)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         pseudoinverse(m, rank_tol=0.0)
 
 
