@@ -38,7 +38,6 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     OperatorMatrix,
     _owned,
-    _ranked_svd,
     _RankedSVD,
     _check_tol,
     _separated_rank,
@@ -198,9 +197,13 @@ class _OnRange:
     retained singular values (k_s[0] = ||k||) and B = U Sigma V*,
     c = Sigma_r U_r* U_k = p diag(sc) qh is B* restricted to range(k), so
     the compression M = U_k* S_f U_k = c* c has eigenvalues sc^2 and
-    S_f U_k = U_r Sigma_r c; a is the ck-frame lower bound A.  It is kept
-    per (f, k), so its arrays are owned and read-only, and k's right
-    factor, which nothing reads, is left out.
+    S_f U_k = U_r Sigma_r c; a is the ck-frame lower bound A.  k's SVD is
+    the one kept for f with the other answers about k (linalg._Kept), of
+    which only u and s are held, ranked here.  When B is onto, so that
+    B = U Sigma V* holds with nothing dropped, sc[0] is also the norm
+    ||P B|| = ||U_k* U Sigma V*|| of the projected frame P f, which
+    canonical_dual hands to it.  It is kept per (f, k), so its arrays are
+    owned and read-only.
     """
 
     a: float
@@ -242,14 +245,19 @@ def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
             "f does not reproduce k: range inclusion residual "
             f"{report.residuals['range_inclusion']:.3e}"
         )
-    ks = _ranked_svd(kk, rank_tol, name="k")
-    c = b.s[:, None] * (b.u.conj().T @ ks.u)
+    # k's one SVD, kept for f with the other answers about k, ranked here;
+    # at full rank its arrays are held as they are, not copied again
+    k_u, k_s = _kept(f).k_svd(kk)
+    r = _separated_rank(k_s, rank_tol, "k")
+    if r < k_s.size:
+        k_u, k_s = _owned(k_u[:, :r]), _owned(k_s[:r])
+    c = b.s[:, None] * (b.u.conj().T @ k_u)
     p, sc, qh = (_owned(x) for x in np.linalg.svd(c, full_matrices=False))
     # a passed check leaves this only when tol lets a retained direction of
     # k escape range(B); rank is judged by the cutoff that decided B's rank
-    if sc.size < ks.s.size or sc[-1] <= rank_tol * b.top:
+    if sc.size < r or sc[-1] <= rank_tol * b.top:
         raise NotInvertibleOnRange("frame operator drops rank on range(k)")
-    return _OnRange(float(report.bounds.lower), b, _owned(ks.u), _owned(ks.s), p, sc, qh)
+    return _OnRange(float(report.bounds.lower), b, k_u, k_s, p, sc, qh)
 
 
 def inverse_on_range(
@@ -424,7 +432,8 @@ def canonical_dual(
     _OnRange), g's whitened synthesis matrix is
     k* U_k qh* diag(1/sc) p* vh, read off factors already held, so its
     error grows like eps * cond(B) rather than cond(B)^2.  vh is then
-    kept for f, as after atom_coefficient_map.  The pair (P f, g) must
+    kept for f, as after atom_coefficient_map.  When B is onto, P f is
+    handed its norm ||P B|| = sc[0] (see _OnRange).  The pair (P f, g) must
     verify as a dual pair for k, and the optimal bounds of g (as a frame
     against k*) must land inside [1/B, ||k||^2 ||pinv(k)||^2 / A], to a
     relative tolerance tol.
@@ -439,6 +448,10 @@ def canonical_dual(
     vh = _kept(f).factor("B of f", rank_tol, right=True).vh
     left = adjoint(kk) @ on.k_u @ (on.qh.conj().T / on.sc) @ on.p.conj().T
     projected = map_field(on.k_u @ on.k_u.conj().T, f)
+    if on.b.s.size == f.dim:
+        # B onto H: ||P B|| is sc[0] exactly (see _OnRange), so the pair
+        # report below, and any later one on projected, takes no norm of it
+        _kept(projected).of_b["b_norm"] = float(on.sc[0])
     dual = SampleField(f.space, (vh.T @ left.T) / np.sqrt(f.space.weight_array)[:, None])
 
     # verified with rank(k) as _on_range decided it

@@ -19,6 +19,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     GRAY_ZONE_FACTOR,
     OperatorMatrix,
+    _check_multiplier,
     _kept_like,
     as_operator,
 )
@@ -61,10 +62,12 @@ def minimal_multiplier(
     """Least lam >= 0 with l1 l1* <= lam * l2 l2*, or None if none exists.
 
     On inclusion this is ||pinv(l2) l1||^2, which equals
-    1 / max_psd_multiplier(l2 l2*, l1 l1*); l1 = 0 gives 0.0.
+    1 / max_psd_multiplier(l2 l2*, l1 l1*); l1 = 0 gives 0.0.  Raises
+    NotRepresentable for a nonzero l1 unless it and its reciprocal, the
+    frame check's lower bound, are both finite normal doubles.
     """
-    _, _, coords, coords_norm = _inclusion(l1, l2, rank_tol, tol, False)
-    return None if coords is None else coords_norm() ** 2
+    _, _, coords, multiplier = _inclusion(l1, l2, rank_tol, tol, False)
+    return None if coords is None else multiplier()
 
 
 def douglas_factor(
@@ -76,15 +79,16 @@ def douglas_factor(
     """Factor l1 through l2 when possible.
 
     On inclusion, factor is the minimal-norm X = pinv(l2) l1 and lambda_min
-    the least admissible majorization multiplier.  Otherwise both are None
-    and the result records how far l1 is from range(l2).
+    the least admissible majorization multiplier (NotRepresentable as in
+    minimal_multiplier).  Otherwise both are None and the result records
+    how far l1 is from range(l2).
     """
-    svd, residual, coords, coords_norm = _inclusion(l1, l2, rank_tol, tol, True)
+    svd, residual, coords, multiplier = _inclusion(l1, l2, rank_tol, tol, True)
     included = coords is not None
     return DouglasResult(
         included=included,
         factor=svd.vh.conj().T @ coords if included else None,
-        lambda_min=coords_norm() ** 2 if included else None,
+        lambda_min=multiplier() if included else None,
         residual=residual,
         marginal=not included and residual < GRAY_ZONE_FACTOR * tol,
     )
@@ -93,11 +97,21 @@ def douglas_factor(
 def _inclusion(l1, l2, rank_tol: float, tol: float, right: bool):
     """linalg._Kept.inclusion of l1 against range(l2), asked as the live
     field whose B has the bytes of l2 if there is one (see
-    linalg._kept_like)."""
+    linalg._kept_like), with a thunk for ||pinv(l2) l1||^2 in place of
+    the one for its root, which raises NotRepresentable for a nonzero l1
+    where the frame check's lower bound, its reciprocal, does (see
+    linalg._check_multiplier)."""
     a = as_operator(l1)
     b = as_operator(l2)
     if a.shape[0] != b.shape[0]:
         raise DimMismatch(
             f"operators map into different spaces: {a.shape[0]} vs {b.shape[0]} rows"
         )
-    return _kept_like(b).inclusion(a, "l2", rank_tol, tol, right)
+    svd, residual, coords, coords_norm = _kept_like(b).inclusion(a, "l2", rank_tol, tol, right)
+
+    def multiplier() -> float:
+        if a.any():
+            _check_multiplier(coords_norm(), "the Douglas multiplier")
+        return coords_norm() ** 2
+
+    return svd, residual, coords, multiplier

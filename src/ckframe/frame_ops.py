@@ -26,6 +26,7 @@ from .linalg import (
     UNBOUNDED,
     OperatorMatrix,
     Unbounded,
+    _check_multiplier,
     _Kept,
     _kept_for,
     _RankedSVD,
@@ -183,10 +184,8 @@ def _frame_check(
     if degenerate:
         lower = UNBOUNDED
     elif included:
-        with np.errstate(over="ignore", under="ignore"):
-            lower = float(np.float64(coords_norm()) ** -2)
-        if not 0.0 < lower < np.inf:
-            raise NotRepresentable("the lower frame bound is outside double precision range")
+        _check_multiplier(coords_norm(), "the lower frame bound")
+        lower = float(np.float64(coords_norm()) ** -2)
     else:
         lower = 0.0
     report = CkFrameReport(

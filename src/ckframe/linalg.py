@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, RankAmbiguous, ValidationError
+from .errors import NotHermitian, NotPSD, NotRepresentable, RankAmbiguous, ValidationError
 
 OperatorMatrix = np.ndarray
 
@@ -172,6 +172,18 @@ def _separated_rank(sigma: np.ndarray, rank_tol: float, name: str) -> int:
     return int(np.count_nonzero(sigma > lo))
 
 
+def _check_multiplier(coords_norm: float, what: str) -> None:
+    """Raise NotRepresentable, naming what, unless the Douglas multiplier
+    lambda_min = x^2 of x = coords_norm = ||pinv(B) k|| > 0 and the lower
+    bound A = x^-2 are both finite normal doubles.  They are one number,
+    so every face that reports either refuses the same (f, k)."""
+    with np.errstate(over="ignore", under="ignore"):
+        square = np.float64(coords_norm) ** 2
+    tiny = np.finfo(float).tiny
+    if not tiny <= square <= 1.0 / tiny:
+        raise NotRepresentable(f"{what} is outside double precision range")
+
+
 @dataclass(frozen=True)
 class _RankedSVD:
     """Thin SVD of a matrix m, truncated to its separated numerical rank r.
@@ -222,16 +234,22 @@ def _ranked_svd(
     and w are bit-identical whether or not vh is formed.
     """
     a = as_operator(m)
-    wide = a.shape[0] < a.shape[1]
-    if wide and right:
-        q, tri = np.linalg.qr(a.T)
-    elif wide:
-        tri = np.linalg.qr(a.T, mode="r")
-    u, s, w = np.linalg.svd(tri.T if wide else a, full_matrices=False)
+    u, s, w, q = _thin_svd(a, right)
     r = _separated_rank(s, rank_tol, name)
     w = w[:r]
-    vh = (w @ q.T if right else None) if wide else w
+    vh = (None if q is None else w @ q.T) if a.shape[0] < a.shape[1] else w
     return _RankedSVD(u[:, :r], s[:r], float(s[0]) if s.size else 0.0, w, vh)
+
+
+def _thin_svd(a: np.ndarray, right: bool = False):
+    """The one SVD _ranked_svd takes of the complex matrix a, before any
+    rank is decided: (u, s, w, q) with a = u diag(s) w, or, for a wide a,
+    a = u diag(s) w q.T with q the orthogonal factor of the QR of a.T,
+    which is formed only when right is set (else None)."""
+    if a.shape[0] >= a.shape[1]:
+        return (*np.linalg.svd(a, full_matrices=False), None)
+    q, tri = np.linalg.qr(a.T) if right else (None, np.linalg.qr(a.T, mode="r"))
+    return (*np.linalg.svd(tri.T, full_matrices=False), q)
 
 
 def _owned(a: np.ndarray) -> np.ndarray:
@@ -257,8 +275,15 @@ class _Kept:
     """What is kept about a matrix B, which b() returns: per rank_tol its
     ranked SVD, whose vh is formed from the kept w once a caller reads it,
     and ||B||; and, in about_k, an owned read-only copy of one operator k
-    with the answers about it (||k||, the distance of k from range(B),
-    ||pinv(B) k||, the compression of S_f to range(k)).  A live field's
+    with the answers about it (k's thin SVD before its rank is decided,
+    the distance of k from range(B), ||pinv(B) k||, the compression of
+    S_f to range(k)).  Three quantities are read off factors already
+    held rather than computed again: ||k|| is the top singular value of
+    k's one SVD, which the compression also ranks; the distance is
+    exactly 0.0, with no residual formed, when B is onto (its rank is its
+    row count, so U_r U_r* is the identity); and canonical_dual hands its
+    projected frame P f the norm ||P B|| that its compression holds (see
+    atoms_duals._OnRange), when B is onto.  A live field's
     _Kept is registered (see _kept_for), and a Douglas face whose l2 has
     the bytes of its B asks as that field; any other B gets a throwaway
     _Kept.  An asker tells its k from the held one by comparing raw bytes
@@ -296,9 +321,13 @@ class _Kept:
 
         return ask
 
+    def k_svd(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u and s of k's one thin SVD (see _k_svd)."""
+        return _k_svd(self.asker(k), k)
+
     def k_norm(self, k: np.ndarray) -> float:
-        """||k||, kept with the other answers about k."""
-        return self.asker(k)("k_norm", lambda: operator_norm(k))
+        """||k||, read off k's one thin SVD (see _k_norm)."""
+        return _k_norm(self.asker(k), k)
 
     def b_norm(self, b: np.ndarray) -> float:
         """||B||, for b the B that b() returns."""
@@ -327,11 +356,13 @@ class _Kept:
 
         Returns (svd, distance, coords, coords_norm): the ranked SVD of B
         that decided it (see factor); ||k - U_r U_r* k|| / ||k||, the
-        relative distance of k from range(B) (0.0 when k = 0); when that is
-        within tol, the coordinates Sigma_r^-1 U_r* k of pinv(B) k in the
-        orthonormal basis vh, read off that SVD so they match its vh (else
-        None); and a thunk for ||coords|| = ||pinv(B) k||.  The distance and
-        the norm are kept with the other answers about k.
+        relative distance of k from range(B) (0.0 when k = 0, and exactly
+        0.0, with no residual formed, when B is onto, as U_r U_r* is then
+        the identity); when that is within tol, the coordinates
+        Sigma_r^-1 U_r* k of pinv(B) k in the orthonormal basis vh, read
+        off that SVD so they match its vh (else None); and a thunk for
+        ||coords|| = ||pinv(B) k||.  The distance and the norm are kept
+        with the other answers about k.
         """
         _check_tol(tol, "tol")
         svd = self.factor(name, rank_tol, right)
@@ -339,14 +370,30 @@ class _Kept:
         proj = svd.u.conj().T @ k
 
         def residual() -> float:
-            k_norm = ask("k_norm", lambda: operator_norm(k))
+            k_norm = _k_norm(ask, k)
             return operator_norm(k - svd.u @ proj) / k_norm if k_norm > 0.0 else 0.0
 
-        distance = ask(("residual", rank_tol), residual)
+        onto = svd.s.size == svd.u.shape[0]
+        distance = 0.0 if onto else ask(("residual", rank_tol), residual)
         coords = proj / svd.s[:, None] if distance <= tol else None
         return svd, distance, coords, lambda: ask(
             ("coords_norm", rank_tol), lambda: operator_norm(coords)
         )
+
+
+def _k_svd(ask, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u and s of the thin SVD that _ranked_svd takes of k, owned and
+    read-only, kept through ask (a _Kept.asker of k) with the other answers
+    about k.  No rank is decided on it here, so a question that needs only
+    ||k|| raises no RankAmbiguous about k; a caller that ranks k applies
+    _separated_rank to s."""
+    return ask("k_svd", lambda: tuple(_owned(x) for x in _thin_svd(k)[:2]))
+
+
+def _k_norm(ask, k: np.ndarray) -> float:
+    """||k||, the top singular value of k's kept SVD (see _k_svd); 0.0 for
+    an all-zero k, without an SVD."""
+    return float(_k_svd(ask, k)[1][0]) if k.any() else 0.0
 
 
 #: The _Kept of each live field, and the same objects by the probe of the

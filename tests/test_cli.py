@@ -198,6 +198,24 @@ def test_unrepresentable_frame_operator_fails_without_stderr(weight, sample, tmp
             assert json.loads(captured.out)["results"]["error"] == "NotRepresentable"
 
 
+@pytest.mark.parametrize("cell", [[1e300, 1e300], [1e-300, 0.0]], ids=["huge", "tiny"])
+def test_unrepresentable_douglas_multiplier_fails_as_every_face_does(cell, tmp_path, capsys):
+    # ||pinv(B) k||^2 overflows for the huge k and underflows to 0 for the
+    # tiny nonzero one; A = 1 / ||pinv(B) k||^2 does the reverse, so every
+    # face of the inclusion refuses the spec alike
+    doc = json.loads(emit_spec(generate_example("random_ckframe", {})))
+    doc["operator_k"] = [[cell for _ in row] for row in doc["operator_k"]]
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cmd in ("bounds", "atoms", "douglas", "dual", "sandwich"):
+            assert main([cmd, str(path)]) == 1, cmd
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert json.loads(captured.out)["results"]["error"] == "NotRepresentable", cmd
+
+
 def test_row_lengths_checked_before_allocation(tmp_path, capsys):
     # a 1 x 10**12 complex matrix would need 16 TB
     doc = {

@@ -4,8 +4,9 @@ multiplier for operator pairs."""
 import numpy as np
 import pytest
 
-from ckframe import DimMismatch
+from ckframe import DimMismatch, NotRepresentable, SampleField, make_measure_space
 from ckframe.douglas import douglas_factor, minimal_multiplier, range_included
+from ckframe.frame_ops import ckframe_check, whitened_synthesis_matrix
 from ckframe.linalg import operator_norm
 from helpers import bisect_max_multiplier, counted_factorizations, crandn, with_rank
 
@@ -108,19 +109,19 @@ def test_multiplier_absent_when_not_included():
 
 def test_predicates_take_only_the_factorizations_they_read(monkeypatch):
     # one factorization of the wide l2 (the QR of its transpose and the SVD
-    # of the triangular factor, without vh) and the two norms of the
-    # inclusion residual; only minimal_multiplier adds ||coords||, and
-    # neither builds the factor
+    # of the triangular factor, without vh); l2 is onto, so no inclusion
+    # residual and no ||l1|| are taken; only minimal_multiplier adds
+    # ||coords||, and neither builds the factor
     rng = np.random.default_rng(5)
     l2 = with_rank(rng, 6, 20, 6)
     l1 = l2 @ crandn(rng, 20, 3)
     expected = douglas_factor(l1, l2)
     counts = counted_factorizations(monkeypatch)
     assert range_included(l1, l2) is True
-    assert dict(counts) == {"qr": 1, "svd": 1, "norm2": 2}
+    assert dict(counts) == {"qr": 1, "svd": 1}
     counts.clear()
     assert minimal_multiplier(l1, l2) == expected.lambda_min
-    assert dict(counts) == {"qr": 1, "svd": 1, "norm2": 3}
+    assert dict(counts) == {"qr": 1, "svd": 1, "norm2": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -215,3 +216,38 @@ def test_zero_through_zero_is_included():
     assert result.included
     assert result.lambda_min == 0.0
     assert np.all(result.factor == 0)
+
+
+#: ||pinv(B) k|| = c for B = I and k = c I: values on both sides of where
+#: c^2 or c^-2 leaves the normal doubles (c = 2^-511, 2^511).
+EXTREME_SCALES = [1e-160, 7.5e-155, 1.2e-154, 2.0**-511, 1.6e-154, 1e-100]
+EXTREME_SCALES += [1e100, 6e153, 2.0**511, 6.8e153, 1.3e154, 1.4e154, 1e160]
+
+
+@pytest.mark.parametrize("scale", EXTREME_SCALES)
+def test_every_face_refuses_the_same_unrepresentable_multiplier(scale):
+    # lambda_min = c^2 and the lower bound A = c^-2 are one number: each
+    # face either reports it or raises NotRepresentable, all alike, and
+    # the python ** of the multiplier never raises OverflowError
+    space = make_measure_space(["a", "b"], [1.0, 1.0])
+    f = SampleField(space, np.eye(2))
+    k = scale * np.eye(2, dtype=complex)
+    b = whitened_synthesis_matrix(f)
+    faces = {
+        "bounds": lambda: ckframe_check(SampleField(space, np.eye(2)), k).bounds.lower,
+        "minimal_multiplier": lambda: minimal_multiplier(k, b),
+        "douglas_factor": lambda: douglas_factor(k, b).lambda_min,
+    }
+    outcomes = {}
+    for name, face in faces.items():
+        try:
+            outcomes[name] = face()
+        except NotRepresentable:
+            outcomes[name] = None
+    assert len({value is None for value in outcomes.values()}) == 1, outcomes
+    tiny = np.finfo(float).tiny
+    representable = tiny <= scale * scale <= 1.0 / tiny
+    assert (outcomes["bounds"] is not None) == representable, outcomes
+    if representable:
+        assert outcomes["minimal_multiplier"] == outcomes["douglas_factor"]
+        assert outcomes["bounds"] * outcomes["minimal_multiplier"] == pytest.approx(1.0, rel=1e-14)

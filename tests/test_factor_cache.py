@@ -2,8 +2,10 @@
 SVD of its whitened synthesis matrix B, taken once (u, s and the small
 right factor w, with vh = w Q.T formed once atom_coefficient_map,
 canonical_dual or douglas_factor reads it), and ||B||, and, for one
-operator k at a time, held beside a copy of that k, ||k||, the inclusion
-distance, ||pinv(B) k|| and the compression of S_f to range(k).  A k is
+operator k at a time, held beside a copy of that k, k's thin SVD (||k||
+is its top singular value), the inclusion distance (only when B is not
+onto: otherwise it is 0.0), ||pinv(B) k|| and the compression of S_f to
+range(k).  A k is
 told from the held one, and a raw Douglas l2 from a live field's B, by
 comparing bytes; a Douglas face whose l2 is a live field's B asks as that
 field, and any other l2 registers nothing.  A second question about the
@@ -39,6 +41,7 @@ from ckframe.atoms_duals import (
     sandwich_check,
     subspace_cframe_margin,
     verify_atomic_decomposition,
+    verify_dual_pair,
 )
 from ckframe.douglas import douglas_factor, minimal_multiplier, range_included
 from ckframe.frame_ops import (
@@ -55,7 +58,9 @@ from ckframe.linalg import (
     DEFAULT_RANK_TOL,
     _kept_like,
     _ranked_svd,
+    operator_norm,
     range_basis,
+    range_projector,
 )
 from helpers import (
     ckframe_instance,
@@ -64,7 +69,9 @@ from helpers import (
     diagnose,
     excluded_instance,
     parseval_field,
+    random_space,
     random_unitary,
+    with_rank,
 )
 
 #: Every public entry point that factors the B of the field it is given,
@@ -225,27 +232,49 @@ def test_the_left_factor_is_the_same_bits_with_or_without_vh(shape):
         assert np.allclose((with_vh.u * with_vh.s) @ with_vh.vh, b, atol=1e-13 * with_vh.top)
 
 
-def problem_arrays(seed):
-    """(labels, weights, samples, k) of a random_ckframe at n = n0 = 8,
-    atoms = 32, as the benchmark holds its problems: plain arrays, with no
-    field built from them left alive."""
-    spec = generate_example("random_ckframe", {"n": 8, "n0": 8, "atoms": 32}, seed)
+SMALL = {"n": 8, "n0": 8, "atoms": 32}
+#: The sizes of the benchmark's lib_dense problems.
+DENSE = {"n": 96, "n0": 96, "atoms": 384}
+
+
+def problem_arrays(seed, params=SMALL):
+    """(labels, weights, samples, k) of a random_ckframe, at n = n0 = 8,
+    atoms = 32 by default, as the benchmark holds its problems: plain
+    arrays, with no field built from them left alive."""
+    spec = generate_example("random_ckframe", params, seed)
     f = spec.field_f
     return f.space.labels, f.space.weight_array, np.array(f.samples), spec.operator_k
 
 
-def test_a_diagnosis_stays_within_its_factorization_budget(monkeypatch):
-    # the counts do not depend on the sizes; at the benchmark's lib_dense
-    # sizes one diagnosis took 14 SVDs and 29 norm(., 2) without the memo
-    arrays = problem_arrays(seed=4)
+def assert_diagnosis_budget(arrays, monkeypatch) -> tuple[dict, dict]:
+    """Diagnose arrays, asserting its exact factorizations; return the
+    diagnosis and the counts.
+
+    The SVDs of f's B, of k, of k's compression, of the dual's B, of k
+    again in verify_dual_pair (its fields are not f) and of the sandwich;
+    ||pinv(B) k|| for f and for the dual.  Both B are onto, so no
+    inclusion residual and no ||k|| are taken, and the projected frame
+    is handed its norm.  Without the memo one lib_dense diagnosis took 14
+    SVDs and 29 norm(., 2)."""
     counts = counted_factorizations(monkeypatch)
     modes = qr_modes(monkeypatch)
-    first = diagnose(*arrays)
-    assert counts["svd"] <= 6 and counts["qr"] <= 3 and counts["norm2"] <= 7, dict(counts)
-    assert counts["eigh"] == counts["eigvalsh"] == 0, dict(counts)
+    diagnosis = diagnose(*arrays)
+    assert dict(counts) == {"svd": 6, "qr": 3, "norm2": 2}
     # f's B for the check, its Q for atom_coefficient_map's vh, and the
     # dual's B once
     assert modes == ["r", "reduced", "r"]
+    return diagnosis, counts
+
+
+def test_a_lib_dense_diagnosis_takes_exactly_its_factorization_budget(monkeypatch):
+    # 384 atoms against 96 dimensions: wide enough that a norm of the
+    # projected frame's B would take a QR of its own
+    assert_diagnosis_budget(problem_arrays(4, DENSE), monkeypatch)
+
+
+def test_a_diagnosis_stays_within_its_factorization_budget(monkeypatch):
+    arrays = problem_arrays(seed=4)
+    first, counts = assert_diagnosis_budget(arrays, monkeypatch)
     # fresh objects on the same arrays: what the first diagnosis kept died
     # with its fields, so the second takes exactly the same work
     once = dict(counts)
@@ -263,7 +292,7 @@ def test_a_field_reads_only_its_own_entries(monkeypatch):
     ckframe_check(warm.field_f, warm.operator_k)
     counts = counted_factorizations(monkeypatch)
     ckframe_check(fresh.field_f, fresh.operator_k)
-    assert dict(counts) == {"qr": 1, "svd": 1, "norm2": 3}
+    assert dict(counts) == {"qr": 1, "svd": 1, "norm2": 1}
 
 
 def test_warm_cframe_bounds_takes_one_eigh(monkeypatch):
@@ -347,9 +376,10 @@ def test_operands_are_recognised_by_their_bytes(monkeypatch):
     atom_coefficient_map(f, k)
     counts = counted_factorizations(monkeypatch)
     # a k that differs from the held one only in the sign of a zero asks
-    # its own questions: ||k||, the distance and ||pinv(B) k|| again
+    # its own questions: ||pinv(B) k|| again (B is onto, so no distance
+    # and no ||k|| are taken)
     assert bits(ckframe_check(f, signed)) == cold_signed
-    assert dict(counts) == {"norm2": 3}
+    assert dict(counts) == {"norm2": 1}
     assert bits(_KEPT[f].about_k[0]) == bits(signed)
     ckframe_check(f, k)
     counts.clear()
@@ -430,7 +460,7 @@ def test_a_field_keeps_the_answers_about_one_k_at_a_time():
     kept = _KEPT[f]
     held, answers = kept.about_k
     assert held is not k and bits(held) == bits(k)
-    assert len(answers) == 6 and len(kept.of_b) == 2
+    assert len(answers) == 4 and len(kept.of_b) == 2
 
 
 def test_the_douglas_faces_ask_as_a_live_field_and_register_nothing(monkeypatch):
@@ -556,19 +586,20 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
     kept = _KEPT[f]
     assert set(kept.of_b) == {("svd", DEFAULT_RANK_TOL), ("svd", 1e-12)}
     held, answers = kept.about_k
+    # B is onto, so no distance is kept: it is 0.0 without being formed
     assert set(answers) == {
-        "k_norm",
-        ("residual", DEFAULT_RANK_TOL),
-        ("residual", 1e-12),
+        "k_svd",
         ("coords_norm", DEFAULT_RANK_TOL),
         ("coords_norm", 1e-12),
         ("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL),
     }
-    # the compression keeps k's left factor and singular values, not its
-    # right factor, which nothing reads
+    # k's SVD and the compression keep k's left factor and singular
+    # values, not its right factor, which nothing reads
     k_right = _ranked_svd(k, name="k").w
     compression = answers[("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL)]
-    assert all(bits(array) != bits(k_right) for array in arrays_in(compression))
+    assert len(answers["k_svd"]) == 2
+    for answer in (answers["k_svd"], compression):
+        assert all(bits(array) != bits(k_right) for array in arrays_in(answer))
     entries = {**kept.of_b, **answers, "k": held}
     assert _kept_like(whitened_synthesis_matrix(f)) is kept
     for value in entries.values():
@@ -578,6 +609,100 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
             assert f.space.n_atoms not in array.shape or array is vh
     refs = [weakref.ref(entry) for entry in entries.values() if dataclasses.is_dataclass(entry)]
     refs.append(weakref.ref(kept))
-    del f, kept, entries, entry, vh, held, answers, compression
+    del f, kept, entries, entry, answer, vh, held, answers, compression
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+# ---------------------------------------------------------------------------
+# what a diagnosis reads off factors it already holds: ||k|| off k's one SVD,
+# a distance of exactly 0.0 when B is onto, and ||P B|| off the compression
+
+
+def reproducing_instance(seed, rank):
+    """(f, k) in H = C^5 with B of the given rank (5: onto H) and range(k)
+    inside range(B)."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, 12)
+    f = SampleField(space, with_rank(rng, 12, 5, rank))
+    return f, synthesis_matrix(f) @ crandn(rng, 12, 3)
+
+
+def fresh_copy(field):
+    """A new field over the same arrays, for which nothing is kept."""
+    return SampleField(field.space, np.array(field.samples))
+
+
+@pytest.mark.parametrize("rank", [5, 3], ids=["onto", "rank_deficient"])
+@pytest.mark.parametrize("seed", range(3))
+def test_the_projected_frame_norm_is_handed_over_only_when_exact(rank, seed):
+    f, k = reproducing_instance(seed, rank)
+    dual = canonical_dual(f, k)
+    cold = operator_norm(whitened_synthesis_matrix(fresh_copy(dual.projected_frame)))
+    on = _KEPT[f].about_k[1][("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL)]
+    held = _KEPT[dual.projected_frame].of_b["b_norm"]
+    if rank == 5:
+        # ||P B|| = sc[0] of the compression, to rounding
+        assert held == float(on.sc[0])
+        assert held == pytest.approx(cold, rel=1e-14, abs=0.0)
+        assert dual.pair.lower_bound_cert == pytest.approx(1.0 / cold**2, rel=1e-13, abs=0.0)
+    else:
+        # sc[0] misses the directions of B that the rank decision dropped,
+        # so the pair report takes the norm itself
+        assert bits(held) == bits(cold)
+        assert bits(dual.pair.lower_bound_cert) == bits(1.0 / cold**2)
+    # a pair check on the same fields reads the norm that was handed over;
+    # on fresh copies it takes the norm itself and finds the same residuals
+    warm = verify_dual_pair(dual.projected_frame, dual.dual_field, k)
+    assert bits(warm.lower_bound_cert) == bits(dual.pair.lower_bound_cert)
+    cold_pair = verify_dual_pair(fresh_copy(dual.projected_frame), fresh_copy(dual.dual_field), k)
+    assert bits(dataclasses.replace(cold_pair, lower_bound_cert=0.0)) == bits(
+        dataclasses.replace(warm, lower_bound_cert=0.0)
+    )
+    assert cold_pair.lower_bound_cert == pytest.approx(warm.lower_bound_cert, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("rank", [5, 3], ids=["onto", "rank_deficient"])
+@pytest.mark.parametrize("seed", range(3))
+def test_the_inclusion_distance_is_exactly_zero_only_for_an_onto_b(rank, seed):
+    f, k = reproducing_instance(seed, rank)
+    escaping = k + crandn(np.random.default_rng(seed), 5, 3)
+    for kk in (k, escaping):
+        # cold, and warm after the compression and the atoms read k's SVD
+        cold = ckframe_check(fresh_copy(f), kk).residuals["range_inclusion"]
+        warm_f = fresh_copy(f)
+        for name in ("sandwich_check", "verify_atomic_decomposition", "canonical_dual"):
+            outcome(name, warm_f, kk)
+        warm = ckframe_check(warm_f, kk).residuals["range_inclusion"]
+        assert bits(warm) == bits(cold)
+        # and the compression ranks the SVD of k that the check kept
+        checked_f = fresh_copy(f)
+        ckframe_check(checked_f, kk)
+        cold_sandwich = outcome("sandwich_check", fresh_copy(f), kk)
+        assert outcome("sandwich_check", checked_f, kk) == cold_sandwich
+        reference = np.linalg.norm(
+            kk - range_projector(whitened_synthesis_matrix(f)) @ kk, 2
+        ) / np.linalg.norm(kk, 2)
+        if rank == 5:
+            assert cold == 0.0
+        else:
+            assert cold != 0.0
+            assert cold == pytest.approx(reference, rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("rank", [2, 1], ids=["onto", "rank_deficient"])
+def test_only_the_commands_that_rank_k_find_it_ambiguous(rank):
+    # sigma(k) = (1, 1e-9), in the ambiguous band (1e-10, 1e-8) of rank(k);
+    # range(k) sits inside range(B) in H = C^2 (B = I) and in H = C^3 (B of
+    # rank 2), so the frame check, which reads only ||k|| off k's SVD, passes
+    k = np.diag([1.0, 1e-9]).astype(complex)
+    if rank == 1:
+        k = np.vstack([k, np.zeros((1, 2))])
+    space = make_measure_space(["a", "b"], [1.0, 1.0])
+    f = SampleField(space, np.eye(2, k.shape[0]))
+    for _ in range(2):
+        # cold the first time, warm the second
+        assert ckframe_check(f, k).is_ck_frame
+        for entry_point in (sandwich_check, canonical_dual):
+            with pytest.raises(RankAmbiguous, match="^rank of k: singular value 1.000e-09"):
+                entry_point(f, k)
