@@ -193,17 +193,19 @@ def _max_column_norm(m: np.ndarray) -> float:
 class _OnRange:
     """S_f restricted to range(k), read off the SVDs of B and of k.
 
-    With U_k = k_u the retained left singular vectors of k, k_s its
-    retained singular values (k_s[0] = ||k||) and B = U Sigma V*,
+    With U_k = k_u an orthonormal basis of range(k), k_s the retained
+    singular values of k (k_s[0] = ||k||) and B = U Sigma V*,
     c = Sigma_r U_r* U_k = p diag(sc) qh is B* restricted to range(k), so
     the compression M = U_k* S_f U_k = c* c has eigenvalues sc^2 and
     S_f U_k = U_r Sigma_r c; a is the ck-frame lower bound A.  k's SVD is
     the one kept for f with the other answers about k (linalg._Kept), of
-    which only u and s are held, ranked here.  When B is onto, so that
-    B = U Sigma V* holds with nothing dropped, sc[0] is also the norm
-    ||P B|| = ||U_k* U Sigma V*|| of the projected frame P f, which
-    canonical_dual hands to it.  It is kept per (f, k), so its arrays are
-    owned and read-only.
+    which only u and s are held, ranked here; U_k is its left factor.
+    When k and B are both onto H, range(k) is H and any orthonormal basis
+    of H serves: U_k is U_r, so c = Sigma_r, p = qh = I and sc = sigma
+    with no SVD of c taken.  When B is onto, so that B = U Sigma V* holds
+    with nothing dropped, sc[0] is also the norm ||P B|| = ||U_k* U Sigma
+    V*|| of the projected frame P f, which canonical_dual hands to it.
+    It is kept per (f, k), so its arrays are owned and read-only.
     """
 
     a: float
@@ -217,8 +219,11 @@ class _OnRange:
     def sandwich_margin(self) -> float:
         """sandwich_check, read off this factorization."""
         # h = S_f u with u = U_k qh* diag(1/sc) z gives <G h, h> = <u, S_f u> /
-        # ||S_f u||^2 = ||z||^2 / ||Sigma_r p z||^2
-        sv = np.linalg.svd(self.b.s[:, None] * self.p, compute_uv=False)
+        # ||S_f u||^2 = ||z||^2 / ||Sigma_r p z||^2.  A square p is unitary,
+        # so Sigma_r p then has the singular values sigma of B
+        sv = self.b.s
+        if self.p.shape[0] != self.p.shape[1]:
+            sv = np.linalg.svd(sv[:, None] * self.p, compute_uv=False)
         lo_margin = (self.b.top / float(sv[0])) ** 2 - 1.0
         hi_margin = 1.0 - self.a * (float(self.k_s[-1]) / float(sv[-1])) ** 2
         return min(lo_margin, hi_margin)
@@ -251,8 +256,13 @@ def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
     r = _separated_rank(k_s, rank_tol, "k")
     if r < k_s.size:
         k_u, k_s = _owned(k_u[:, :r]), _owned(k_s[:r])
-    c = b.s[:, None] * (b.u.conj().T @ k_u)
-    p, sc, qh = (_owned(x) for x in np.linalg.svd(c, full_matrices=False))
+    if r == b.s.size == f.dim:
+        # k and B onto H: U_r is a basis of range(k) = H, and c = Sigma_r
+        eye = _owned(np.eye(r, dtype=complex))
+        k_u, p, sc, qh = b.u, eye, b.s, eye
+    else:
+        c = b.s[:, None] * (b.u.conj().T @ k_u)
+        p, sc, qh = (_owned(x) for x in np.linalg.svd(c, full_matrices=False))
     # a passed check leaves this only when tol lets a retained direction of
     # k escape range(B); rank is judged by the cutoff that decided B's rank
     if sc.size < r or sc[-1] <= rank_tol * b.top:
@@ -296,9 +306,11 @@ def sandwich_check(
     For G = inverse_on_range(f, k) and unit test vectors h in
     S_f(range(k)), the quadratic form <G h, h> must lie between 1/B and
     ||pinv(k)||^2 / A, where (A, B) are the ck-frame bounds.  The exact
-    extrema over the subspace are computed from one SVD, and each side's
-    slack is taken relative to its bound, so rescaling f or k leaves it
-    unchanged; the return value is negative iff some h violates a side.
+    extrema over the subspace are computed from one SVD, or from the
+    singular values of B when rank(k) = rank(B) (see _OnRange), and each
+    side's slack is taken relative to its bound, so rescaling f or k
+    leaves it unchanged; the return value is negative iff some h
+    violates a side.
     """
     return _on_range(f, as_operator(k), rank_tol, tol).sandwich_margin()
 
@@ -344,26 +356,27 @@ def verify_dual_pair(
 
     Every residual is a norm of the one mismatch D = k - sum_x w_x f_x g_x*:
     c1 and c2 are the worst column norms of D and D*, and c3, c4 and c5
-    the largest entry of D (which is that of D*).
+    the largest entry of D (which is that of D*).  ||k|| and rank(k) are
+    read off k's one thin SVD, kept for f with its other answers about k,
+    so a pair check on the fields canonical_dual returns factors no k and
+    gives its pair report bit for bit.
     """
     kk = as_operator(k)
-    sigma = np.linalg.svd(kk, compute_uv=False)
+    _check_tol(tol, "tol")
+    if f.space != g.space:
+        raise SpaceMismatch("f and g must live over the same measure space")
+    if kk.shape != (f.dim, g.dim):
+        raise DimMismatch(f"k has shape {kk.shape}, expected {(f.dim, g.dim)}")
+    sigma = _kept(f).k_svd(kk)[1]
     k_norm = float(sigma[0]) if sigma.size else 0.0
-    rank = _separated_rank(sigma, rank_tol, "k")
-    return _dual_pair_report(f, g, kk, k_norm, rank, tol)
+    return _dual_pair_report(f, g, kk, k_norm, _separated_rank(sigma, rank_tol, "k"), tol)
 
 
 def _dual_pair_report(
     f: SampleField, g: SampleField, kk: OperatorMatrix, k_norm: float, rank: int, tol: float
 ) -> DualPairReport:
-    """verify_dual_pair, given ||k|| and the rank of k."""
-    _check_tol(tol, "tol")
-    if f.space != g.space:
-        raise SpaceMismatch("f and g must live over the same measure space")
+    """verify_dual_pair on checked operands, given ||k|| and the rank of k."""
     n, n0 = f.dim, g.dim
-    if kk.shape != (n, n0):
-        raise DimMismatch(f"k has shape {kk.shape}, expected {(n, n0)}")
-
     b_f = whitened_synthesis_matrix(f)
     d = kk - b_f @ whitened_synthesis_matrix(g).conj().T
     # residuals are relative to ||k||, squared ones to ||k||^2
@@ -432,11 +445,15 @@ def canonical_dual(
     _OnRange), g's whitened synthesis matrix is
     k* U_k qh* diag(1/sc) p* vh, read off factors already held, so its
     error grows like eps * cond(B) rather than cond(B)^2.  vh is then
-    kept for f, as after atom_coefficient_map.  When B is onto, P f is
-    handed its norm ||P B|| = sc[0] (see _OnRange).  The pair (P f, g) must
-    verify as a dual pair for k, and the optimal bounds of g (as a frame
-    against k*) must land inside [1/B, ||k||^2 ||pinv(k)||^2 / A], to a
-    relative tolerance tol.
+    kept for f, as after atom_coefficient_map.  P f is handed k's SVD
+    that f holds and, when B is onto, its norm ||P B|| = sc[0] (see
+    _OnRange), so that a pair check on it factors neither.  When k is
+    onto H as well, P = I: the projected frame is f itself, no projector
+    is formed, g is k* U_r diag(1/sigma) vh, and the norm handed over is
+    ||B|| = sigma_max, unless f already holds one.  The pair (P f, g) must
+    verify as a dual pair for k, on g's own samples, and the optimal
+    bounds of g (as a frame against k*), decided on g's own B, must land
+    inside [1/B, ||k||^2 ||pinv(k)||^2 / A], to a relative tolerance tol.
 
     Raises CanonicalDualFailed if either verification fails; degenerate
     and non-frame inputs raise as in inverse_on_range.
@@ -447,11 +464,17 @@ def canonical_dual(
     # the small factors are multiplied first
     vh = _kept(f).factor("B of f", rank_tol, right=True).vh
     left = adjoint(kk) @ on.k_u @ (on.qh.conj().T / on.sc) @ on.p.conj().T
-    projected = map_field(on.k_u @ on.k_u.conj().T, f)
+    if on.k_s.size == f.dim:
+        # k onto H: range(k) is H and P = I
+        projected = f
+    else:
+        projected = map_field(on.k_u @ on.k_u.conj().T, f)
+        # so that a pair check on P f reads k's one SVD too
+        _kept(projected).asker(kk)("k_svd", lambda: _kept(f).k_svd(kk))
     if on.b.s.size == f.dim:
         # B onto H: ||P B|| is sc[0] exactly (see _OnRange), so the pair
         # report below, and any later one on projected, takes no norm of it
-        _kept(projected).of_b["b_norm"] = float(on.sc[0])
+        _kept(projected).of_b.setdefault("b_norm", float(on.sc[0]))
     dual = SampleField(f.space, (vh.T @ left.T) / np.sqrt(f.space.weight_array)[:, None])
 
     # verified with rank(k) as _on_range decided it

@@ -283,17 +283,20 @@ class _Kept:
     exactly 0.0, with no residual formed, when B is onto (its rank is its
     row count, so U_r U_r* is the identity); and canonical_dual hands its
     projected frame P f the norm ||P B|| that its compression holds (see
-    atoms_duals._OnRange), when B is onto.  A live field's
-    _Kept is registered (see _kept_for), and a Douglas face whose l2 has
-    the bytes of its B asks as that field; any other B gets a throwaway
-    _Kept.  An asker tells its k from the held one by comparing raw bytes
-    once, so a k changed in place, or differing only in the sign of a
-    zero, gets answers for its own bytes; keeping one about another k drops
-    the previous k's.  The same LAPACK call on the same bytes returns the
-    same bits, so an answer is bit-identical to computing it again; a
-    compute() that raises keeps nothing.  Threads asking at once can at
-    worst compute an answer twice, as each asker only reads and fills the
-    answers about its own k.
+    atoms_duals._OnRange), when B is onto.  When k is onto too, P f is f
+    itself and that norm is sigma_max of B's kept SVD, held unless f
+    already holds an ||B||: it and operator_norm(B) agree to rounding,
+    not always to the bit, so the first one held is the one read.  A
+    live field's _Kept is registered (see _kept_for), and a Douglas face
+    whose l2 has the bytes of its B asks as that field; any other B gets
+    a throwaway _Kept.  An asker tells its k from the held one by
+    comparing raw bytes once, so a k changed in place, or differing only
+    in the sign of a zero, gets answers for its own bytes; asking about
+    another k drops the previous k's answers.  The same LAPACK call on
+    the same bytes returns the same bits, so an answer is bit-identical
+    to computing it again; a compute() that raises keeps no answer.
+    Threads asking at once can at worst compute an answer twice, as each
+    asker only reads and fills the answers about its own k.
     """
 
     __slots__ = ("b", "of_b", "about_k", "__weakref__")
@@ -308,7 +311,9 @@ class _Kept:
         name, else compute(), kept there."""
         about = self.about_k
         if about[0] is None or not _same_bytes(about[0], k):
-            about = (_owned(np.array(k, copy=True)), {})
+            # published at once, so that the askers a compute() makes about
+            # the same k fill this answer set rather than a set of their own
+            about = self.about_k = (_owned(np.array(k, copy=True)), {})
 
         def ask(name, compute):
             kept = about[1].get(name)
@@ -330,7 +335,8 @@ class _Kept:
         return _k_norm(self.asker(k), k)
 
     def b_norm(self, b: np.ndarray) -> float:
-        """||B||, for b the B that b() returns."""
+        """||B||, for b the B that b() returns, unless one was handed over
+        first (see atoms_duals.canonical_dual)."""
         return self.of_b.get("b_norm") or self.of_b.setdefault("b_norm", operator_norm(b))
 
     def factor(self, name: str, rank_tol: float, right: bool = False) -> _RankedSVD:

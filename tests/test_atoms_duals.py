@@ -39,6 +39,7 @@ from ckframe.harness import generate_example
 from ckframe.linalg import operator_norm, pseudoinverse, range_basis
 from helpers import (
     ckframe_instance,
+    counted_factorizations,
     crandn,
     excluded_instance,
     parseval_field,
@@ -47,6 +48,7 @@ from helpers import (
     random_unitary,
     reference_atomic_residual,
     reference_dual_pair_residuals,
+    with_rank,
 )
 
 TOL = 1e-8
@@ -559,6 +561,71 @@ def test_canonical_dual_residual_grows_like_kappa_not_kappa_squared(kappa, seed)
     # verification from kappa = 1e4
     f, k = conditioned_instance(seed, kappa)
     assert canonical_dual(f, k).pair.max_residual() <= 1e-15 * kappa
+
+
+def onto_instance(seed, n0_extra=None):
+    """(f, k) in H = C^n, n in 2..6, with B onto H (4n atoms of random
+    weight) and k an n x n0 Gaussian, onto H for n0 >= n."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    f = random_field(rng, random_space(rng, 4 * n), n)
+    extra = int(rng.integers(0, 4)) if n0_extra is None else n0_extra
+    return f, crandn(rng, n, n + extra)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_an_onto_k_and_b_give_the_classical_dual_of_f_itself(seed):
+    # range(k) = H, so P = I and G = S_f^-1: g(x) = k* S_f^-1 f(x), the
+    # classical canonical dual carried through k*
+    f, k = onto_instance(seed)
+    dual = canonical_dual(f, k)
+    classical = f.samples @ np.linalg.solve(frame_operator(f), k).conj()
+    error = np.max(np.abs(dual.dual_field.samples - classical))
+    assert error <= 1e-12 * np.max(np.abs(classical))
+    assert dual.projected_frame is f
+    # the sides that the compression makes tight are exactly tight: the
+    # singular values of Sigma_r p and of c are those of B, read as they are
+    assert sandwich_check(f, k) == 0.0
+    assert subspace_cframe_margin(f, k) == 0.0
+
+
+def b_of_rank(seed, rank):
+    """(f, k) in H = C^4 with B of the given rank over 16 atoms and an
+    onto-as-possible k = T_f mix with six columns: rank(k) = rank(B)."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, 16)
+    f = SampleField(space, with_rank(rng, 16, 4, rank))
+    return f, synthesis_matrix(f) @ crandn(rng, 16, 6)
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        # B's QR and the SVD of its triangular factor, k's (wide: QR and
+        # SVD) and ||pinv(B) k||: nothing of the compression or sandwich
+        ("both onto", {"qr": 2, "svd": 2, "norm2": 1}),
+        # rank(k) = 2 < 4: the compression's SVD and the sandwich's, as p is
+        # 4 x 2
+        ("k not onto", {"qr": 2, "svd": 4, "norm2": 1}),
+        # rank(k) = rank(B) = 3 < 4: the inclusion distance and the
+        # compression's SVD; p is square, so the sandwich takes none
+        ("B not onto", {"qr": 2, "svd": 3, "norm2": 2}),
+    ],
+)
+def test_the_onto_rule_is_taken_only_when_k_and_b_are_both_onto(case, expected, monkeypatch):
+    if case == "both onto":
+        f, k = onto_instance(3, n0_extra=2)
+    elif case == "k not onto":
+        f, k = ckframe_instance(np.random.default_rng(3), 4, 6, 16)
+        k = k[:, :2] @ crandn(np.random.default_rng(4), 2, 6)
+    else:
+        f, k = b_of_rank(3, 3)
+    counts = counted_factorizations(monkeypatch)
+    margin = sandwich_check(f, k)
+    assert dict(counts) == expected
+    assert margin >= -TOL
+    dual = canonical_dual(f, k)
+    assert (dual.projected_frame is f) == (case == "both onto")
 
 
 def test_canonical_dual_propagates_degeneracy():

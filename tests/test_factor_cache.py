@@ -250,16 +250,18 @@ def assert_diagnosis_budget(arrays, monkeypatch) -> tuple[dict, dict]:
     """Diagnose arrays, asserting its exact factorizations; return the
     diagnosis and the counts.
 
-    The SVDs of f's B, of k, of k's compression, of the dual's B, of k
-    again in verify_dual_pair (its fields are not f) and of the sandwich;
-    ||pinv(B) k|| for f and for the dual.  Both B are onto, so no
-    inclusion residual and no ||k|| are taken, and the projected frame
-    is handed its norm.  Without the memo one lib_dense diagnosis took 14
-    SVDs and 29 norm(., 2)."""
+    The SVDs of f's B, of k and of the dual's B; ||pinv(B) k|| for f and
+    for the dual.  Both B are onto, so no inclusion residual and no ||k||
+    are taken.  k is onto too (n0 = n), so U_r is a basis of range(k):
+    the compression needs no SVD, the sandwich reads B's singular values,
+    and the projected frame is f itself, whose ||B|| is sigma_max.
+    verify_dual_pair then asks as f and reads k's kept SVD.  Without the
+    memo one lib_dense diagnosis took 14 SVDs and 29 norm(., 2), and
+    without the onto rule 6 SVDs."""
     counts = counted_factorizations(monkeypatch)
     modes = qr_modes(monkeypatch)
     diagnosis = diagnose(*arrays)
-    assert dict(counts) == {"svd": 6, "qr": 3, "norm2": 2}
+    assert dict(counts) == {"svd": 3, "qr": 3, "norm2": 2}
     # f's B for the check, its Q for atom_coefficient_map's vh, and the
     # dual's B once
     assert modes == ["r", "reduced", "r"]
@@ -282,6 +284,52 @@ def test_a_diagnosis_stays_within_its_factorization_budget(monkeypatch):
     second = diagnose(*arrays)
     assert dict(counts) == once
     assert bits(second) == bits(first)
+
+
+def test_nested_asks_on_a_cold_field_keep_their_answers(monkeypatch):
+    # the compression is asked for first; the frame check and k's SVD it
+    # asks for inside fill the same answer set, so none is lost when the
+    # compression is stored
+    spec = parse_problem(emit_spec(generate_example("random_bessel_pair", {}, 0)))
+    f, k = spec.field_f, spec.operator_k
+    sandwich_check(f, k)
+    assert set(_KEPT[f].about_k[1]) == {
+        "k_svd",
+        ("coords_norm", DEFAULT_RANK_TOL),
+        ("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL),
+    }
+    counts = counted_factorizations(monkeypatch)
+    ckframe_check(f, k)
+    assert not counts, dict(counts)
+
+
+#: Specs whose k is onto H (the first four) and specs whose k is not, the
+#: last with a B that is not onto either.
+PAIR_SPECS = {
+    "scaled_onb": ("scaled_onb", {}),
+    "interval_fourier": ("interval_fourier", {}),
+    "square": ("random_ckframe", {"n": 4, "n0": 4, "atoms": 16}),
+    "wide": ("random_ckframe", {"n": 3, "n0": 6, "atoms": 9}),
+    "tall": ("random_ckframe", {}),
+    "few_atoms": ("random_ckframe", {"n": 5, "n0": 3, "atoms": 3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SPECS))
+@pytest.mark.parametrize("seed", range(3))
+def test_the_dual_pair_report_is_that_of_verify_dual_pair_bit_for_bit(name, seed, monkeypatch):
+    kind, params = PAIR_SPECS[name]
+    spec = parse_problem(emit_spec(generate_example(kind, params, seed)))
+    f, k = spec.field_f, spec.operator_k
+    dual = canonical_dual(f, k)
+    onto = np.linalg.matrix_rank(k) == f.dim
+    assert (dual.projected_frame is f) == onto
+    counts = counted_factorizations(monkeypatch)
+    pair = verify_dual_pair(dual.projected_frame, dual.dual_field, k)
+    assert bits(pair) == bits(dual.pair)
+    # k's SVD and ||P B|| are read off what P f (which is f when k is
+    # onto) holds
+    assert not counts, dict(counts)
 
 
 def test_a_field_reads_only_its_own_entries(monkeypatch):

@@ -813,6 +813,16 @@ FACTORIZATIONS = {
 }
 
 
+#: The same on a gen-default interval_fourier spec, whose k = I and B are
+#: onto H: U_r is then a basis of range(k), so neither the compression nor
+#: the sandwich takes an SVD, and the projected frame is f, whose ||B||
+#: the pair report reads off B's SVD.
+ONTO_FACTORIZATIONS = {
+    "dual": (5, 3),
+    "sandwich": (3, 1),
+}
+
+
 def cold_spec(kind: str) -> ProblemSpec:
     """A gen-default spec read back from its text, as the CLI reads it: its
     fields are new objects, so none has a kept factorization yet
@@ -839,3 +849,11 @@ def test_command_factorization_counts_are_pinned(command, monkeypatch):
     counts = counted_factorizations(monkeypatch)
     run_command(spec, command)
     assert dense_and_qr(counts) == FACTORIZATIONS[command], dict(counts)
+
+
+@pytest.mark.parametrize("command", sorted(ONTO_FACTORIZATIONS))
+def test_onto_factorization_counts_are_pinned(command, monkeypatch):
+    spec = cold_spec("interval_fourier")
+    counts = counted_factorizations(monkeypatch)
+    assert run_command(spec, command).status == STATUS_OK
+    assert dense_and_qr(counts) == ONTO_FACTORIZATIONS[command], dict(counts)

@@ -73,7 +73,10 @@ def problems(draw):
         # with fewer atoms than n, a random k escapes the synthesis range
         n = draw(st.integers(2, 5))
         atoms = draw(st.sampled_from([n - 1, n, 2 * n]))
-        params = {"n": n, "n0": draw(sizes), "atoms": atoms}
+        # n0 = n and n0 > n: with n atoms or more, k is onto H, and the
+        # faces read range(k) = H off B's own factors
+        n0 = draw(st.one_of(sizes, st.just(n), st.integers(n + 1, n + 3)))
+        params = {"n": n, "n0": n0, "atoms": atoms}
     elif kind == "interval_fourier":
         n = draw(sizes)
         params = {"n": n, "atoms": draw(st.integers(n, 3 * n))}
