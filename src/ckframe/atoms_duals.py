@@ -12,6 +12,7 @@ k : H0 -> H.  The central objects:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -139,8 +140,8 @@ def atom_coefficient_map(
         can reproduce k in that case.
     """
     kk = as_operator(k)
-    # reads vh, which f keeps; coords are read off the same SVD
-    report, b, coords = _frame_check(f, kk, rank_tol, tol, right=True)
+    # reads vh, which f keeps; coords and their norm are read off the same SVD
+    report, b, coords, x = _frame_check(f, kk, rank_tol, tol, right=True)
     if not report.range_included:
         raise RangeNotIncluded(
             f"range inclusion residual {report.residuals['range_inclusion']:.3e} "
@@ -150,7 +151,7 @@ def atom_coefficient_map(
     return CoefficientMap(
         matrix=(b.vh.conj().T @ coords) / np.sqrt(w)[:, None],
         source_dims=(kk.shape[1], f.space.n_atoms),
-        bound=0.0 if report.degenerate else float(report.bounds.lower) ** -0.5,
+        bound=x,
     )
 
 
@@ -176,7 +177,9 @@ def verify_atomic_decomposition(
     mismatch = kk - f.samples.T @ (w[:, None] * m.matrix)
     # ||k|| as a frame check of the same k kept it for f
     worst = _max_column_norm(mismatch) / (_kept(f).k_norm(kk) or 1.0)
-    worst_coeff_norm = float(np.sqrt(np.max(w @ np.abs(m.matrix) ** 2, initial=0.0)))
+    # the weighted L2 norm of m h is the plain norm of sqrt(w) m h, whose
+    # entries are of the size of the bound, where those of m can overflow
+    worst_coeff_norm = _max_column_norm(np.sqrt(w)[:, None] * m.matrix)
     bound_excess = max(0.0, worst_coeff_norm - m.bound) / (m.bound or 1.0)
     return max(worst, bound_excess)
 
@@ -204,7 +207,7 @@ class _OnRange:
     of H serves: U_k is U_r, so c = Sigma_r, p = qh = I and sc = sigma
     with no SVD of c taken.  When B is onto, so that B = U Sigma V* holds
     with nothing dropped, sc[0] is also the norm ||P B|| = ||U_k* U Sigma
-    V*|| of the projected frame P f, which canonical_dual hands to it.
+    V*|| of the projected frame P f (see linalg._Kept for its handover).
     It is kept per (f, k), so its arrays are owned and read-only.
     """
 
@@ -242,7 +245,7 @@ def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
 
 
 def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -> _OnRange:
-    report, b, _ = _frame_check(f, kk, rank_tol, tol)
+    report, b, _, _ = _frame_check(f, kk, rank_tol, tol)
     if report.degenerate:
         raise DegenerateOperator("k = 0 holds vacuously; no closed-range certificate")
     if not report.is_ck_frame:
@@ -256,7 +259,7 @@ def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
     r = _separated_rank(k_s, rank_tol, "k")
     if r < k_s.size:
         k_u, k_s = _owned(k_u[:, :r]), _owned(k_s[:r])
-    if r == b.s.size == f.dim:
+    if r == f.dim and b.onto:
         # k and B onto H: U_r is a basis of range(k) = H, and c = Sigma_r
         eye = _owned(np.eye(r, dtype=complex))
         k_u, p, sc, qh = b.u, eye, b.s, eye
@@ -356,10 +359,12 @@ def verify_dual_pair(
 
     Every residual is a norm of the one mismatch D = k - sum_x w_x f_x g_x*:
     c1 and c2 are the worst column norms of D and D*, and c3, c4 and c5
-    the largest entry of D (which is that of D*).  ||k|| and rank(k) are
-    read off k's one thin SVD, kept for f with its other answers about k,
-    so a pair check on the fields canonical_dual returns factors no k and
-    gives its pair report bit for bit.
+    the largest entry of D (which is that of D*).  The norms are taken
+    of D and k scaled by the power of two that brings the larger of ||k||
+    and D's largest entry into [1/2, 1), so no square or product of
+    entries overflows; the scaling is exact, so a residual in range keeps
+    its bits.  ||k|| and rank(k) are read off k's one thin SVD, kept for
+    f with its other answers about k (see linalg._Kept).
     """
     kk = as_operator(k)
     _check_tol(tol, "tol")
@@ -367,29 +372,26 @@ def verify_dual_pair(
         raise SpaceMismatch("f and g must live over the same measure space")
     if kk.shape != (f.dim, g.dim):
         raise DimMismatch(f"k has shape {kk.shape}, expected {(f.dim, g.dim)}")
-    sigma = _kept(f).k_svd(kk)[1]
-    k_norm = float(sigma[0]) if sigma.size else 0.0
-    return _dual_pair_report(f, g, kk, k_norm, _separated_rank(sigma, rank_tol, "k"), tol)
-
-
-def _dual_pair_report(
-    f: SampleField, g: SampleField, kk: OperatorMatrix, k_norm: float, rank: int, tol: float
-) -> DualPairReport:
-    """verify_dual_pair on checked operands, given ||k|| and the rank of k."""
     n, n0 = f.dim, g.dim
+    sigma = _kept(f).k_svd(kk)[1]
+    rank = _separated_rank(sigma, rank_tol, "k")
     b_f = whitened_synthesis_matrix(f)
     d = kk - b_f @ whitened_synthesis_matrix(g).conj().T
-    # residuals are relative to ||k||, squared ones to ||k||^2
-    scale = k_norm or 1.0
+    # residuals are relative to ||k|| (1 when k = 0), squared ones to its square
+    scale = float(sigma[0]) if sigma.size and sigma[0] > 0.0 else 1.0
+    # c3: <k h0, h> = integral of <h0, g(x)> <f(x), h>; c4, its adjoint
+    # identity, and c5, the c4 identity in standard coordinates, read the
+    # entries of the same residual matrix
+    d_max = float(np.max(np.abs(d), initial=0.0))
+    c3 = c4 = c5 = d_max / scale
+    # the exact scaling of the docstring, for the norms below
+    t = math.ldexp(1.0, -math.frexp(max(d_max, scale))[1])
+    d, kk, scale = d * t, kk * t, scale * t
 
     # c1: k h0 = T_f <h0, g(.)>;  c2: k* h = T_g <h, f(.)>
     d_adj = d.conj().T
     c1 = _max_column_norm(d) / scale
     c2 = _max_column_norm(d_adj) / scale
-    # c3: <k h0, h> = integral of <h0, g(x)> <f(x), h>; c4, its adjoint
-    # identity, and c5, the c4 identity in standard coordinates, read the
-    # entries of the same residual matrix
-    c3 = c4 = c5 = float(np.max(np.abs(d), initial=0.0)) / scale
 
     # surjectivity-conditional norm identities: ||k h0||^2 minus the
     # integral of <h0, g(x)> <f(x), k h0> is <D h0, k h0>, and likewise
@@ -445,15 +447,13 @@ def canonical_dual(
     _OnRange), g's whitened synthesis matrix is
     k* U_k qh* diag(1/sc) p* vh, read off factors already held, so its
     error grows like eps * cond(B) rather than cond(B)^2.  vh is then
-    kept for f, as after atom_coefficient_map.  P f is handed k's SVD
-    that f holds and, when B is onto, its norm ||P B|| = sc[0] (see
-    _OnRange), so that a pair check on it factors neither.  When k is
-    onto H as well, P = I: the projected frame is f itself, no projector
-    is formed, g is k* U_r diag(1/sigma) vh, and the norm handed over is
-    ||B|| = sigma_max, unless f already holds one.  The pair (P f, g) must
-    verify as a dual pair for k, on g's own samples, and the optimal
-    bounds of g (as a frame against k*), decided on g's own B, must land
-    inside [1/B, ||k||^2 ||pinv(k)||^2 / A], to a relative tolerance tol.
+    kept for f, as after atom_coefficient_map.  When k is onto H, P = I:
+    the projected frame is f itself and no projector is formed.  The pair
+    (P f, g) must verify as a dual pair for k by verify_dual_pair, on g's
+    own samples; P f is handed what f holds (see linalg._Kept), so that
+    check factors nothing.  The optimal bounds of g (as a frame against
+    k*), decided on g's own B, must land inside
+    [1/B, ||k||^2 ||pinv(k)||^2 / A], to a relative tolerance tol.
 
     Raises CanonicalDualFailed if either verification fails; degenerate
     and non-frame inputs raise as in inverse_on_range.
@@ -469,16 +469,13 @@ def canonical_dual(
         projected = f
     else:
         projected = map_field(on.k_u @ on.k_u.conj().T, f)
-        # so that a pair check on P f reads k's one SVD too
+        # the handover (see linalg._Kept): k's SVD, and ||P B|| when B is onto
         _kept(projected).asker(kk)("k_svd", lambda: _kept(f).k_svd(kk))
-    if on.b.s.size == f.dim:
-        # B onto H: ||P B|| is sc[0] exactly (see _OnRange), so the pair
-        # report below, and any later one on projected, takes no norm of it
+    if on.b.onto:
         _kept(projected).of_b.setdefault("b_norm", float(on.sc[0]))
     dual = SampleField(f.space, (vh.T @ left.T) / np.sqrt(f.space.weight_array)[:, None])
 
-    # verified with rank(k) as _on_range decided it
-    pair = _dual_pair_report(projected, dual, kk, float(on.k_s[0]), on.k_s.size, tol)
+    pair = verify_dual_pair(projected, dual, kk, tol, rank_tol)
     if not pair.holds:
         raise CanonicalDualFailed(
             f"constructed dual fails the pair identities (max residual "
@@ -489,7 +486,7 @@ def canonical_dual(
     upper_bound = (float(on.k_s[0]) / float(on.k_s[-1])) ** 2 / on.a
 
     # the dual's optimal bounds as a frame against k*, decided on its own B
-    best, _, _ = _frame_check(dual, adjoint(kk), rank_tol, tol, name="B of the dual field g")
+    best = _frame_check(dual, adjoint(kk), rank_tol, tol, name="B of the dual field g")[0]
     best_lower = float(best.bounds.lower)
     best_upper = best.bounds.upper
     if best_lower < lower_bound * (1.0 - tol):

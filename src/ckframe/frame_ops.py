@@ -129,7 +129,7 @@ def cframe_bounds(f: SampleField) -> FrameBounds:
     largest eigenvalue of S_f = B B*.
     """
     b = _kept(f).factor("B of f", DEFAULT_RANK_TOL)
-    spans = b.s.size == f.dim
+    spans = b.onto
     upper = max(float(hermitian_eig(frame_operator(f)).eigenvalues[-1]), 0.0)
     lower = float(b.s[-1]) ** 2 if spans else 0.0
     return FrameBounds(lower=lower, upper=upper, kind=C_FRAME if spans else C_BESSEL)
@@ -167,11 +167,13 @@ def _kept(f: SampleField) -> _Kept:
 def _frame_check(
     f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float, right: bool = False,
     name: str = "B of f",
-) -> tuple[CkFrameReport, _RankedSVD, Optional[np.ndarray]]:
+) -> tuple[CkFrameReport, _RankedSVD, Optional[np.ndarray], Optional[float]]:
     """ckframe_check, also handing back the ranked SVD of B it was read from
     (the one with vh when right is set) and, on inclusion, the coordinates
-    Sigma_r^-1 U_r* k of pinv(B) k, read off that SVD.  name is what a
-    RankAmbiguous message calls B.
+    Sigma_r^-1 U_r* k of pinv(B) k, read off that SVD, and their norm
+    x = ||pinv(B) k|| (0.0 when k = 0), of which the lower bound is
+    A = x^-2 (else both None).  name is what a RankAmbiguous message
+    calls B.
 
     Both factorizations of B and the answers about k are kept for f (see
     linalg._Kept), so asking again about the same (f, k) factors nothing.
@@ -180,12 +182,13 @@ def _frame_check(
         raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
     b, residual, coords, coords_norm = _kept(f).inclusion(kk, name, rank_tol, tol, right)
     included = coords is not None
+    x = coords_norm() if included else None
     degenerate = not kk.any()
     if degenerate:
         lower = UNBOUNDED
     elif included:
-        _check_multiplier(coords_norm(), "the lower frame bound")
-        lower = float(np.float64(coords_norm()) ** -2)
+        _check_multiplier(x, "the lower frame bound")
+        lower = float(np.float64(x) ** -2)
     else:
         lower = 0.0
     report = CkFrameReport(
@@ -195,4 +198,4 @@ def _frame_check(
         residuals={"range_inclusion": residual},
         degenerate=degenerate,
     )
-    return report, b, coords
+    return report, b, coords, x

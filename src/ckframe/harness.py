@@ -656,9 +656,7 @@ def generate_example(kind: str, params: dict, seed: int = 0) -> ProblemSpec:
     if kind == "onb":
         n = _param_int(params, "n")
         _check_cells(kind, (n, n))
-        space = _counting_space(n)
-        eye = np.eye(n, dtype=complex)
-        return ProblemSpec(space=space, field_f=SampleField(space, eye), operator_k=eye.copy())
+        kind, params = "scaled_onb", {"scales": [1.0] * n}
 
     if kind == "scaled_onb":
         if not isinstance(params["scales"], list) or not params["scales"]:

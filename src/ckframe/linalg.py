@@ -151,10 +151,11 @@ def _separated_rank(sigma: np.ndarray, rank_tol: float, name: str) -> int:
     Rank counts sigma_i > rank_tol * sigma_max.  Any sigma_i strictly inside
     (rank_tol, GRAY_ZONE_FACTOR * rank_tol) * sigma_max makes the rank
     ill-determined and raises RankAmbiguous, whose message names the
-    matrix the singular values are of as name.  A rank_tol that is not
-    finite and > 0 raises ValidationError at 'rank_tol'.
+    matrix the singular values are of as name.  A rank_tol outside (0, 1),
+    from 1 up would count not even sigma_max, raises ValidationError.
     """
-    _check_tol(rank_tol, "rank_tol")
+    if not 0.0 < rank_tol < 1.0:
+        raise ValidationError(f"rank tolerance must be in (0, 1), got {rank_tol!r}", "rank_tol")
     if sigma.size == 0:
         return 0
     top = float(sigma[0])
@@ -192,22 +193,30 @@ class _RankedSVD:
     the one SVD taken (see _ranked_svd): of m itself when m is square or
     tall, where w is also m's right factor vh (r, cols); of the triangular
     factor R.T of a wide m = R.T Q.T, where vh = w Q.T is None until it is
-    asked for.  top is the largest singular value before truncation.  u, s
-    and w are the same bits whether or not vh was formed.
+    asked for.  u, s and w are the same bits whether or not vh was formed.
     """
 
     u: np.ndarray
     s: np.ndarray
-    top: float
     w: np.ndarray
     vh: Optional[np.ndarray] = None
+
+    @property
+    def top(self) -> float:
+        """sigma_max, which every rank decision keeps; 0.0 for m = 0."""
+        return float(self.s[0]) if self.s.size else 0.0
+
+    @property
+    def onto(self) -> bool:
+        """Whether the rank of m is its row count: u u* is the identity."""
+        return self.s.size == self.u.shape[0]
 
     def owned(self) -> _RankedSVD:
         """The same factorization with owned read-only arrays: holding it
         keeps none of LAPACK's output buffers alive."""
         w = _owned(self.w)
         vh = w if self.vh is self.w else None if self.vh is None else _owned(self.vh)
-        return _RankedSVD(_owned(self.u), _owned(self.s), self.top, w, vh)
+        return _RankedSVD(_owned(self.u), _owned(self.s), w, vh)
 
     def with_vh(self, m) -> _RankedSVD:
         """This factorization of m with vh formed.  A wide m takes only the
@@ -238,7 +247,7 @@ def _ranked_svd(
     r = _separated_rank(s, rank_tol, name)
     w = w[:r]
     vh = (None if q is None else w @ q.T) if a.shape[0] < a.shape[1] else w
-    return _RankedSVD(u[:, :r], s[:r], float(s[0]) if s.size else 0.0, w, vh)
+    return _RankedSVD(u[:, :r], s[:r], w, vh)
 
 
 def _thin_svd(a: np.ndarray, right: bool = False):
@@ -277,26 +286,25 @@ class _Kept:
     and ||B||; and, in about_k, an owned read-only copy of one operator k
     with the answers about it (k's thin SVD before its rank is decided,
     the distance of k from range(B), ||pinv(B) k||, the compression of
-    S_f to range(k)).  Three quantities are read off factors already
-    held rather than computed again: ||k|| is the top singular value of
-    k's one SVD, which the compression also ranks; the distance is
-    exactly 0.0, with no residual formed, when B is onto (its rank is its
-    row count, so U_r U_r* is the identity); and canonical_dual hands its
-    projected frame P f the norm ||P B|| that its compression holds (see
-    atoms_duals._OnRange), when B is onto.  When k is onto too, P f is f
-    itself and that norm is sigma_max of B's kept SVD, held unless f
-    already holds an ||B||: it and operator_norm(B) agree to rounding,
-    not always to the bit, so the first one held is the one read.  A
-    live field's _Kept is registered (see _kept_for), and a Douglas face
-    whose l2 has the bytes of its B asks as that field; any other B gets
-    a throwaway _Kept.  An asker tells its k from the held one by
-    comparing raw bytes once, so a k changed in place, or differing only
-    in the sign of a zero, gets answers for its own bytes; asking about
-    another k drops the previous k's answers.  The same LAPACK call on
-    the same bytes returns the same bits, so an answer is bit-identical
-    to computing it again; a compute() that raises keeps no answer.
-    Threads asking at once can at worst compute an answer twice, as each
-    asker only reads and fills the answers about its own k.
+    S_f to range(k)).  ||k|| is the top singular value of k's one SVD,
+    which the compression and verify_dual_pair rank; the distance is 0.0,
+    with no residual formed, when B is onto.  The handover:
+    atoms_duals.canonical_dual checks its pair by verify_dual_pair on the
+    projected frame P f, having handed P f k's SVD and, when B is onto,
+    ||P B|| = sc[0] of the compression (see atoms_duals._OnRange), so the
+    check factors nothing.  When k is onto H too, P f is f, whose norm is
+    then sigma_max of B's kept SVD unless f already holds an ||B||: the
+    two agree to rounding, not always to the bit, so the first one held
+    is the one read.  A live field's _Kept is registered (see _kept_for),
+    and a Douglas face whose l2 has the bytes of its B asks as that field;
+    any other B gets a throwaway _Kept.  An asker tells its k from the
+    held one by comparing raw bytes once, so a k changed in place, or
+    differing only in the sign of a zero, gets answers for its own bytes;
+    asking about another k drops the previous k's answers.  The same
+    LAPACK call on the same bytes returns the same bits, so an answer is
+    bit-identical to computing it again; a compute() that raises keeps no
+    answer.  Threads asking at once can at worst compute an answer twice,
+    as each asker only reads and fills the answers about its own k.
     """
 
     __slots__ = ("b", "of_b", "about_k", "__weakref__")
@@ -327,12 +335,15 @@ class _Kept:
         return ask
 
     def k_svd(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u and s of k's one thin SVD (see _k_svd)."""
-        return _k_svd(self.asker(k), k)
+        """u and s of k's thin SVD (as _ranked_svd takes it), owned, kept
+        with the other answers about k.  No rank is decided on it, so a
+        question that needs only ||k|| raises no RankAmbiguous about k."""
+        return self.asker(k)("k_svd", lambda: tuple(_owned(x) for x in _thin_svd(k)[:2]))
 
     def k_norm(self, k: np.ndarray) -> float:
-        """||k||, read off k's one thin SVD (see _k_norm)."""
-        return _k_norm(self.asker(k), k)
+        """||k||, the top singular value of k's kept SVD; 0.0 for an
+        all-zero k, without an SVD."""
+        return float(self.k_svd(k)[1][0]) if k.any() else 0.0
 
     def b_norm(self, b: np.ndarray) -> float:
         """||B||, for b the B that b() returns, unless one was handed over
@@ -376,30 +387,14 @@ class _Kept:
         proj = svd.u.conj().T @ k
 
         def residual() -> float:
-            k_norm = _k_norm(ask, k)
+            k_norm = self.k_norm(k)
             return operator_norm(k - svd.u @ proj) / k_norm if k_norm > 0.0 else 0.0
 
-        onto = svd.s.size == svd.u.shape[0]
-        distance = 0.0 if onto else ask(("residual", rank_tol), residual)
+        distance = 0.0 if svd.onto else ask(("residual", rank_tol), residual)
         coords = proj / svd.s[:, None] if distance <= tol else None
         return svd, distance, coords, lambda: ask(
             ("coords_norm", rank_tol), lambda: operator_norm(coords)
         )
-
-
-def _k_svd(ask, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u and s of the thin SVD that _ranked_svd takes of k, owned and
-    read-only, kept through ask (a _Kept.asker of k) with the other answers
-    about k.  No rank is decided on it here, so a question that needs only
-    ||k|| raises no RankAmbiguous about k; a caller that ranks k applies
-    _separated_rank to s."""
-    return ask("k_svd", lambda: tuple(_owned(x) for x in _thin_svd(k)[:2]))
-
-
-def _k_norm(ask, k: np.ndarray) -> float:
-    """||k||, the top singular value of k's kept SVD (see _k_svd); 0.0 for
-    an all-zero k, without an SVD."""
-    return float(_k_svd(ask, k)[1][0]) if k.any() else 0.0
 
 
 #: The _Kept of each live field, and the same objects by the probe of the
@@ -471,17 +466,17 @@ def range_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:
     return u @ u.conj().T
 
 
-def _check_psd(a: OperatorMatrix, tol: float, name: str) -> np.ndarray:
-    """Validate Hermitian PSD; return ascending eigenvalues."""
-    scale = max(1.0, operator_norm(a))
+def _check_psd(a: OperatorMatrix, tol: float, name: str) -> None:
+    """Raise NotPSD (naming a as name) unless a is Hermitian and its least
+    eigenvalue is >= -tol * max(1, ||a||), with ||a|| read off the
+    eigenvalues (to within the symmetry defect hermitian_eig allows)."""
     try:
-        eig = hermitian_eig(a, tol)
+        vals = hermitian_eig(a, tol).eigenvalues
     except NotHermitian as exc:
         raise NotPSD(f"{name}: {exc}") from exc
-    lo = float(eig.eigenvalues[0]) if eig.eigenvalues.size else 0.0
-    if lo < -tol * scale:
+    lo = float(vals[0]) if vals.size else 0.0
+    if lo < -tol * max(1.0, float(np.max(np.abs(vals), initial=0.0))):
         raise NotPSD(f"{name}: smallest eigenvalue {lo:.3e} is negative")
-    return eig.eigenvalues
 
 
 def max_psd_multiplier(

@@ -459,3 +459,39 @@ def reference_fix_phases(vectors):
         phase = col[i0] / abs(col[i0])
         out[:, j] = col * np.conj(phase)
     return out
+
+
+# ---------------------------------------------------------------------------
+# a continuous frame with closed-form answers
+
+
+def hilbert_inverse(n) -> np.ndarray:
+    """The inverse of the n x n Hilbert matrix H_ij = 1 / (i + j + 1), from
+    its closed form in integers (Choi, "Tricks or Treats with the Hilbert
+    Matrix", Amer. Math. Monthly 90, 1983), as floats; every entry is
+    exact, which holds up to n = 11."""
+    entries = [
+        [
+            (-1) ** (i + j)
+            * (i + j + 1)
+            * math.comb(n + i, n - j - 1)
+            * math.comb(n + j, n - i - 1)
+            * math.comb(i + j, i) ** 2
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    assert max(abs(x) for row in entries for x in row) < 2**53
+    return np.array(entries, dtype=float)
+
+
+def monomial_interval(n, m):
+    """(f, k) for the monomials f(x) = (1, x, ..., x^(n-1)) on [0, 1] with
+    Lebesgue measure, and k the projector onto the first m of them.  The 2n
+    Gauss-Legendre nodes integrate every <f(x), h> <h', f(x)> (degree at
+    most 2n - 2) exactly, so S_f is the Hilbert matrix H_n, and the lower
+    bound is A = 1 / lambda_max(H_n^-1[:m, :m])."""
+    nodes, weights = np.polynomial.legendre.leggauss(2 * n)
+    space = make_measure_space([f"x{i}" for i in range(2 * n)], weights / 2)
+    f = SampleField(space, np.vander((nodes + 1) / 2, n, increasing=True).astype(complex))
+    return f, np.diag([1.0] * m + [0.0] * (n - m)).astype(complex)

@@ -448,6 +448,27 @@ def test_pair_residuals_do_not_depend_on_the_scale_of_k(scale):
     assert report.onto_variant_residuals[0] == pytest.approx(1e-5, rel=1e-6)
 
 
+def pair_residuals(report):
+    onto = [r for r in report.onto_variant_residuals or () if r is not None]
+    return [getattr(report, f"residual_c{i}") for i in range(1, 6)] + onto
+
+
+@pytest.mark.parametrize("s", [1e160, 1e-160])
+def test_pair_residuals_of_a_scaled_k_are_those_of_inversely_scaled_fields(s):
+    # D = s k - B_f B_g* is s times the D of (f, g / s, k), and residuals
+    # are relative to ||s k||; at 1e160 the squares of D's entries overflow.
+    # g / s would leave g's frame operator under the normal doubles, so
+    # f and g share the scaling, each taking 1 / sqrt(s)
+    spec = generate_example("random_bessel_pair", {})
+    f, g, k = spec.field_f, spec.field_g, spec.operator_k
+    root = s**0.5
+    scaled_k = verify_dual_pair(f, g, s * k)
+    scaled_fields = verify_dual_pair(
+        SampleField(f.space, f.samples / root), SampleField(g.space, g.samples / root), k
+    )
+    assert pair_residuals(scaled_k) == pytest.approx(pair_residuals(scaled_fields), rel=1e-12)
+
+
 def test_atomic_residual_does_not_depend_on_the_scale_of_k():
     rng = np.random.default_rng(61)
     f, k = ckframe_instance(rng, 3, 2, 8)

@@ -216,6 +216,48 @@ def test_unrepresentable_douglas_multiplier_fails_as_every_face_does(cell, tmp_p
             assert json.loads(captured.out)["results"]["error"] == "NotRepresentable", cmd
 
 
+@pytest.mark.parametrize("params", [{}, {"n": 4, "n0": 4, "atoms": 16}], ids=["default", "square"])
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+def test_tiny_weights_keep_every_face_ok_without_stderr(scale, params, tmp_path, capsys):
+    # ||pinv(B) k|| grows like scale^-1/2 and the atom coefficients m like
+    # 1/scale, so |m|^2 overflows; the bound check reads the whitened
+    # sqrt(w) m, whose entries are of the size of the bound
+    doc = json.loads(emit_spec(generate_example("random_ckframe", params)))
+    doc["space"]["weights"] = [w * scale for w in doc["space"]["weights"]]
+    path = tmp_path / "tiny-weights.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cmd in ("bounds", "atoms", "dual", "douglas", "sandwich"):
+            assert main([cmd, str(path)]) == 0, cmd
+            captured = capsys.readouterr()
+            assert captured.err == "", cmd
+            assert json.loads(captured.out)["status"] == "ok", cmd
+
+
+@pytest.mark.parametrize("edit", ["operator_k", "weights"])
+def test_huge_pair_residuals_are_read_without_overflow(edit, tmp_path, capsys):
+    # k or the weights times 1e160: the entries of D = k - B_f B_g* are
+    # about 1e160, and so c1 and c2, column norms of D, are at least c3,
+    # its largest entry, where squaring D overflowed to "unbounded"
+    doc = json.loads(emit_spec(generate_example("random_bessel_pair", {})))
+    if edit == "weights":
+        doc["space"]["weights"] = [w * 1e160 for w in doc["space"]["weights"]]
+    else:
+        doc["operator_k"] = [[[x * 1e160 for x in cell] for cell in row] for row in doc["operator_k"]]
+    path = tmp_path / "huge-pair.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify-pair", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    results = json.loads(captured.out)["results"]
+    c = [results[f"residual_c{i}"] for i in range(1, 6)]
+    assert all(isinstance(r, float) for r in c + results["onto_variant_residuals"][1:]), results
+    assert min(c[0], c[1]) >= c[2] == c[3] == c[4] > 0.0
+
+
 def test_row_lengths_checked_before_allocation(tmp_path, capsys):
     # a 1 x 10**12 complex matrix would need 16 TB
     doc = {

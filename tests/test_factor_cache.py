@@ -47,6 +47,7 @@ from ckframe.douglas import douglas_factor, minimal_multiplier, range_included
 from ckframe.frame_ops import (
     cframe_bounds,
     ckframe_check,
+    frame_operator,
     synthesis_matrix,
     whitened_synthesis_matrix,
 )
@@ -58,6 +59,7 @@ from ckframe.linalg import (
     DEFAULT_RANK_TOL,
     _kept_like,
     _ranked_svd,
+    max_psd_multiplier,
     operator_norm,
     range_basis,
     range_projector,
@@ -352,6 +354,25 @@ def test_warm_cframe_bounds_takes_one_eigh(monkeypatch):
     counts = counted_factorizations(monkeypatch)
     cframe_bounds(spec.field_f)
     assert dict(counts) == {"eigh": 1}
+
+
+@pytest.mark.parametrize("skew", [0.0, 1e-12])
+def test_max_psd_multiplier_reads_each_scale_off_its_eigenvalues(skew, monkeypatch):
+    # the PSD checks read ||s|| and ||c|| off the eigenvalues they take, so
+    # the only norm(., 2) is of a nonzero symmetry defect: S_f is exactly
+    # Hermitian, and c = k k* is made so, then skewed within tolerance
+    # (whether a product k k* comes out exactly Hermitian is up to BLAS)
+    spec = generate_example("random_ckframe", {})
+    s = frame_operator(spec.field_f)
+    c = spec.operator_k @ spec.operator_k.conj().T
+    c = 0.5 * (c + c.conj().T)
+    c[0, 1] += skew * operator_norm(c)
+    counts = counted_factorizations(monkeypatch)
+    max_psd_multiplier(s, c)
+    expected = {"svd": 1, "eigh": 2, "eigvalsh": 1}
+    if skew:
+        expected["norm2"] = 1
+    assert dict(counts) == expected
 
 
 @given(

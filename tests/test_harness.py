@@ -614,11 +614,15 @@ RANK_TOL_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("rank_tol", [float("inf"), float("nan"), 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+@pytest.mark.parametrize(
+    "rank_tol",
+    [float("inf"), float("nan"), 0.0, -1.0, 1.0, 2.0],
+    ids=["inf", "nan", "zero", "negative", "one", "above-one"],
+)
 @pytest.mark.parametrize("taker", sorted(RANK_TOL_TAKERS))
 def test_a_rank_tolerance_must_be_finite_and_positive(taker, rank_tol):
-    # at rank_tol = nan or inf no direction counts, and diag(1, 2) would
-    # not reproduce I
+    # at rank_tol = nan or from 1 up no direction counts, not even
+    # sigma_max, and diag(1, 2) would not reproduce I
     space = make_measure_space(["a", "b"], [1.0, 1.0])
     f = SampleField(space, np.diag([1.0, 2.0]))
     assert ckframe_check(f, np.eye(2)).is_ck_frame

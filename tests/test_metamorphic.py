@@ -55,9 +55,15 @@ def verdicts(f, k) -> dict:
 
 
 def one_verdict(f, k) -> dict:
-    """verdicts(f, k), after checking that the faces agree."""
+    """verdicts(f, k), after checking that the faces agree and, where they
+    hold, that the atom bound x = ||pinv(B) k||, the Douglas multiplier
+    x^2 and the lower bound A = x^-2 are one number, bit for bit."""
     out = verdicts(f, k)
     assert len({v is True for v in out.values()}) == 1, out
+    if out["bounds"] is True:
+        bound = atom_coefficient_map(f, k).bound
+        assert bound**2 == minimal_multiplier(k, whitened_synthesis_matrix(f))
+        assert float(np.float64(bound) ** -2) == ckframe_check(f, k).bounds.lower
     return out
 
 
