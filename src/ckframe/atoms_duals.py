@@ -24,12 +24,14 @@ from .errors import (
     DimMismatch,
     NotADualPair,
     NotInvertibleOnRange,
+    NotRepresentable,
     RangeNotIncluded,
     SpaceMismatch,
 )
 from .frame_ops import (
     _frame_check,
     _kept,
+    _whitened_rows,
     frame_operator,
     map_field,
     whitened_synthesis_matrix,
@@ -44,7 +46,6 @@ from .linalg import (
     _separated_rank,
     adjoint,
     as_operator,
-    operator_norm,
     pseudoinverse,
 )
 from .measure import SampleField
@@ -205,10 +206,8 @@ class _OnRange:
     which only u and s are held, ranked here; U_k is its left factor.
     When k and B are both onto H, range(k) is H and any orthonormal basis
     of H serves: U_k is U_r, so c = Sigma_r, p = qh = I and sc = sigma
-    with no SVD of c taken.  When B is onto, so that B = U Sigma V* holds
-    with nothing dropped, sc[0] is also the norm ||P B|| = ||U_k* U Sigma
-    V*|| of the projected frame P f (see linalg._Kept for its handover).
-    It is kept per (f, k), so its arrays are owned and read-only.
+    with no SVD of c taken.  It is kept per (f, k), so its arrays are
+    owned and read-only.
     """
 
     a: float
@@ -363,8 +362,10 @@ def verify_dual_pair(
     of D and k scaled by the power of two that brings the larger of ||k||
     and D's largest entry into [1/2, 1), so no square or product of
     entries overflows; the scaling is exact, so a residual in range keeps
-    its bits.  ||k|| and rank(k) are read off k's one thin SVD, kept for
-    f with its other answers about k (see linalg._Kept).
+    its bits.  g's B enters D unchecked, as S_g may underflow where D
+    does not; a D that is not finite raises NotRepresentable.  ||k||,
+    rank(k) and ||B_f|| of lower_bound_cert = 1 / ||B_f||^2 are read off
+    the SVDs of k and of B_f kept for f (see linalg._Kept).
     """
     kk = as_operator(k)
     _check_tol(tol, "tol")
@@ -375,8 +376,11 @@ def verify_dual_pair(
     n, n0 = f.dim, g.dim
     sigma = _kept(f).k_svd(kk)[1]
     rank = _separated_rank(sigma, rank_tol, "k")
-    b_f = whitened_synthesis_matrix(f)
-    d = kk - b_f @ whitened_synthesis_matrix(g).conj().T
+    # g's B is formed without its check: S_g can underflow where D cannot
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = kk - whitened_synthesis_matrix(f) @ _whitened_rows(g).conj()
+    if not np.isfinite(d).all():
+        raise NotRepresentable("the pair mismatch k - B_f B_g* is outside double precision range")
     # residuals are relative to ||k|| (1 when k = 0), squared ones to its square
     scale = float(sigma[0]) if sigma.size and sigma[0] > 0.0 else 1.0
     # c3: <k h0, h> = integral of <h0, g(x)> <f(x), h>; c4, its adjoint
@@ -411,7 +415,7 @@ def verify_dual_pair(
             )
         onto_res = (res_k, res_k_star)
 
-    upper_f = _kept(f).b_norm(b_f) ** 2
+    upper_f = _kept(f).b_svd().top ** 2
     return DualPairReport(
         residual_c1=c1,
         residual_c2=c2,
@@ -450,9 +454,10 @@ def canonical_dual(
     kept for f, as after atom_coefficient_map.  When k is onto H, P = I:
     the projected frame is f itself and no projector is formed.  The pair
     (P f, g) must verify as a dual pair for k by verify_dual_pair, on g's
-    own samples; P f is handed what f holds (see linalg._Kept), so that
-    check factors nothing.  The optimal bounds of g (as a frame against
-    k*), decided on g's own B, must land inside
+    own samples; P f is handed only k's SVD, the same bits whichever
+    field keeps it, so the report is that of fresh copies of P f and g,
+    bit for bit.  The optimal bounds of g (as a frame against k*),
+    decided on g's own B, must land inside
     [1/B, ||k||^2 ||pinv(k)||^2 / A], to a relative tolerance tol.
 
     Raises CanonicalDualFailed if either verification fails; degenerate
@@ -469,10 +474,8 @@ def canonical_dual(
         projected = f
     else:
         projected = map_field(on.k_u @ on.k_u.conj().T, f)
-        # the handover (see linalg._Kept): k's SVD, and ||P B|| when B is onto
+        # k's SVD is the same bits whichever field keeps it
         _kept(projected).asker(kk)("k_svd", lambda: _kept(f).k_svd(kk))
-    if on.b.onto:
-        _kept(projected).of_b.setdefault("b_norm", float(on.sc[0]))
     dual = SampleField(f.space, (vh.T @ left.T) / np.sqrt(f.space.weight_array)[:, None])
 
     pair = verify_dual_pair(projected, dual, kk, tol, rank_tol)
@@ -523,7 +526,7 @@ def dual_frame_bounds_check(
     S_f - k k* / B_g and S_g - k* k / B_f, each divided by its form's
     Bessel bound (B_f and B_g), so rescaling f -> c f, g -> g / c leaves
     them unchanged.  They lie in [-1, 1], and both must be >= -tol for a
-    genuine pair.
+    genuine pair.  Each Bessel bound is sigma_max^2 of the field's kept SVD.
 
     Raises NotADualPair when the pair identities fail or a field is
     identically zero.
@@ -534,8 +537,7 @@ def dual_frame_bounds_check(
         raise NotADualPair(
             f"pair identities fail (max residual {pair.max_residual():.3e})"
         )
-    b_f = 1.0 / pair.lower_bound_cert
-    b_g = operator_norm(whitened_synthesis_matrix(g)) ** 2
+    b_f, b_g = (_kept(field).b_svd().top ** 2 for field in (f, g))
     if b_f <= 0.0 or b_g <= 0.0:
         raise NotADualPair("a zero field cannot certify reciprocal bounds")
     s_f = frame_operator(f)

@@ -31,7 +31,6 @@ from .linalg import (
     _kept_for,
     _RankedSVD,
     as_operator,
-    hermitian_eig,
 )
 from .measure import SampleField, ScalarField
 
@@ -96,13 +95,20 @@ def whitened_synthesis_matrix(f: SampleField) -> OperatorMatrix:
     Raises NotRepresentable when the trace of S_f = B B* overflows, or
     underflows for a nonzero B, in double precision.
     """
-    w = f.space.weight_array
+    rows = _whitened_rows(f)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = f.samples * np.sqrt(w)[:, None]
         energy = np.vdot(rows, rows).real
     if not (np.isfinite(energy) and (energy >= np.finfo(float).tiny or not rows.any())):
         raise NotRepresentable("the frame operator is outside double precision range")
     return rows.T
+
+
+def _whitened_rows(f: SampleField) -> np.ndarray:
+    """B.T, the rows sqrt(w_i) f_i of f's whitened synthesis matrix, with
+    no check of S_f: a product of B with another field's B can be in range
+    where S_f is not."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return f.samples * np.sqrt(f.space.weight_array)[:, None]
 
 
 def frame_operator(f: SampleField) -> OperatorMatrix:
@@ -123,16 +129,15 @@ def map_field(u, f: SampleField) -> SampleField:
 def cframe_bounds(f: SampleField) -> FrameBounds:
     """Optimal plain frame bounds of f.
 
-    Whether f is a frame (spans H) is the rank decision on the singular
-    values of the whitened synthesis matrix B, as in ckframe_check; the
-    lower bound is then sigma_min(B)^2, else 0.0.  The upper bound is the
-    largest eigenvalue of S_f = B B*.
+    Both are read off the SVD of the whitened synthesis matrix B kept for
+    f: whether f is a frame (spans H) is the rank decision on it, as in
+    ckframe_check; the lower bound is then sigma_min(B)^2, else 0.0, and
+    the upper bound is sigma_max(B)^2, the bits of ckframe_check's.
     """
     b = _kept(f).factor("B of f", DEFAULT_RANK_TOL)
     spans = b.onto
-    upper = max(float(hermitian_eig(frame_operator(f)).eigenvalues[-1]), 0.0)
     lower = float(b.s[-1]) ** 2 if spans else 0.0
-    return FrameBounds(lower=lower, upper=upper, kind=C_FRAME if spans else C_BESSEL)
+    return FrameBounds(lower=lower, upper=b.top**2, kind=C_FRAME if spans else C_BESSEL)
 
 
 def ckframe_check(

@@ -68,19 +68,11 @@ def adjoint(m) -> OperatorMatrix:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; 0.0 for an all-zero matrix, without an SVD.
-
-    A matrix at least twice as wide as it is tall, with 16 rows or more, is
-    normed through the triangular factor R of its transpose, as _ranked_svd
-    factors it (m = R.T Q.T, so ||m|| = ||R||): from about those sizes on
-    that is cheaper than norm(m, 2), below them the extra call costs more.
-    """
+    """Largest singular value, norm(m, 2); 0.0 for an all-zero matrix,
+    without an SVD.  The norm of a field's B is not taken here: it is
+    sigma_max of B's one kept SVD (see _Kept)."""
     a = as_operator(m)
-    if not a.any():
-        return 0.0
-    if a.shape[1] >= 2 * a.shape[0] >= 32:
-        a = np.linalg.qr(a.T, mode="r")
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.norm(a, 2)) if a.any() else 0.0
 
 
 @dataclass(frozen=True)
@@ -187,13 +179,14 @@ def _check_multiplier(coords_norm: float, what: str) -> None:
 
 @dataclass(frozen=True)
 class _RankedSVD:
-    """Thin SVD of a matrix m, truncated to its separated numerical rank r.
+    """Thin SVD of a matrix m, or a slice of it to a separated rank r.
 
-    u (rows, r), s (r,) descending and w (r, ·) are the retained factors of
-    the one SVD taken (see _ranked_svd): of m itself when m is square or
-    tall, where w is also m's right factor vh (r, cols); of the triangular
-    factor R.T of a wide m = R.T Q.T, where vh = w Q.T is None until it is
-    asked for.  u, s and w are the same bits whether or not vh was formed.
+    u (rows, ·), s (·,) descending and w (·, ·) are the factors of the one
+    SVD taken (see _thin_svd): of m itself when m is square or tall, where
+    w is also m's right factor vh; of the triangular factor R.T of a wide
+    m = R.T Q.T, where vh = w Q.T is None until it is asked for.  u, s and
+    w are the same bits whether or not vh was formed.  ranked slices all
+    four to the rank decided on s, so every rank_tol reads the one SVD.
     """
 
     u: np.ndarray
@@ -203,13 +196,23 @@ class _RankedSVD:
 
     @property
     def top(self) -> float:
-        """sigma_max, which every rank decision keeps; 0.0 for m = 0."""
+        """sigma_max = ||m||, which every rank decision keeps; 0.0 for m = 0."""
         return float(self.s[0]) if self.s.size else 0.0
 
     @property
     def onto(self) -> bool:
         """Whether the rank of m is its row count: u u* is the identity."""
         return self.s.size == self.u.shape[0]
+
+    def ranked(self, rank_tol: float, name: str) -> _RankedSVD:
+        """The factors sliced to the _separated_rank r of s (name is what a
+        RankAmbiguous message calls m).  vh is sliced too: a product of the
+        sliced w would differ in its bits at r = 1 (gemv, not gemm)."""
+        r = _separated_rank(self.s, rank_tol, name)
+        if r == self.s.size:
+            return self
+        vh = None if self.vh is None else self.vh[:r]
+        return _RankedSVD(self.u[:, :r], self.s[:r], self.w[:r], vh)
 
     def owned(self) -> _RankedSVD:
         """The same factorization with owned read-only arrays: holding it
@@ -221,7 +224,7 @@ class _RankedSVD:
     def with_vh(self, m) -> _RankedSVD:
         """This factorization of m with vh formed.  A wide m takes only the
         reduced QR of its transpose, for Q: its R is the same bits as the
-        one factored before (see _ranked_svd), so w Q.T pairs with u."""
+        one factored before (see _thin_svd), so w Q.T pairs with u."""
         if self.vh is not None:
             return self
         q = np.linalg.qr(as_operator(m).T)[0]
@@ -231,34 +234,29 @@ class _RankedSVD:
 def _ranked_svd(
     m, rank_tol: float = DEFAULT_RANK_TOL, right: bool = False, name: str = "m"
 ) -> _RankedSVD:
-    """One SVD of m with the _separated_rank decision applied to it (name
-    is what a RankAmbiguous message calls m), with vh when right is set.
+    """The thin SVD of m ranked by _separated_rank (name is what a
+    RankAmbiguous message calls m), with vh when right is set."""
+    return _thin_svd(as_operator(m), right).ranked(rank_tol, name)
 
-    A wide m (more columns than rows) is factored through the QR of its
+
+def _thin_svd(a: np.ndarray, right: bool = False) -> _RankedSVD:
+    """The one SVD taken of the complex matrix a, before any rank is
+    decided, with vh when right is set.
+
+    A wide a (more columns than rows) is factored through the QR of its
     transpose, as in Chan's R-SVD (Golub and Van Loan, Matrix Computations,
-    4th ed., 8.6): m.T = Q R gives m = R.T Q.T, whose rows of Q.T are
-    orthonormal, so the SVD U Sigma W* of the square R.T gives m's u and s,
+    4th ed., 8.6): a.T = Q R gives a = R.T Q.T, whose rows of Q.T are
+    orthonormal, so the SVD U Sigma W* of the square R.T gives a's u and s,
     and vh = W* Q.T costs the orthogonal factor Q only when right is set.
     R comes off the same Householder factorization in both modes, so u, s
     and w are bit-identical whether or not vh is formed.
     """
-    a = as_operator(m)
-    u, s, w, q = _thin_svd(a, right)
-    r = _separated_rank(s, rank_tol, name)
-    w = w[:r]
-    vh = (None if q is None else w @ q.T) if a.shape[0] < a.shape[1] else w
-    return _RankedSVD(u[:, :r], s[:r], w, vh)
-
-
-def _thin_svd(a: np.ndarray, right: bool = False):
-    """The one SVD _ranked_svd takes of the complex matrix a, before any
-    rank is decided: (u, s, w, q) with a = u diag(s) w, or, for a wide a,
-    a = u diag(s) w q.T with q the orthogonal factor of the QR of a.T,
-    which is formed only when right is set (else None)."""
     if a.shape[0] >= a.shape[1]:
-        return (*np.linalg.svd(a, full_matrices=False), None)
+        u, s, w = np.linalg.svd(a, full_matrices=False)
+        return _RankedSVD(u, s, w, w)
     q, tri = np.linalg.qr(a.T) if right else (None, np.linalg.qr(a.T, mode="r"))
-    return (*np.linalg.svd(tri.T, full_matrices=False), q)
+    u, s, w = np.linalg.svd(tri.T, full_matrices=False)
+    return _RankedSVD(u, s, w, None if q is None else w @ q.T)
 
 
 def _owned(a: np.ndarray) -> np.ndarray:
@@ -281,37 +279,32 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class _Kept:
-    """What is kept about a matrix B, which b() returns: per rank_tol its
-    ranked SVD, whose vh is formed from the kept w once a caller reads it,
-    and ||B||; and, in about_k, an owned read-only copy of one operator k
-    with the answers about it (k's thin SVD before its rank is decided,
-    the distance of k from range(B), ||pinv(B) k||, the compression of
-    S_f to range(k)).  ||k|| is the top singular value of k's one SVD,
-    which the compression and verify_dual_pair rank; the distance is 0.0,
-    with no residual formed, when B is onto.  The handover:
-    atoms_duals.canonical_dual checks its pair by verify_dual_pair on the
-    projected frame P f, having handed P f k's SVD and, when B is onto,
-    ||P B|| = sc[0] of the compression (see atoms_duals._OnRange), so the
-    check factors nothing.  When k is onto H too, P f is f, whose norm is
-    then sigma_max of B's kept SVD unless f already holds an ||B||: the
-    two agree to rounding, not always to the bit, so the first one held
-    is the one read.  A live field's _Kept is registered (see _kept_for),
-    and a Douglas face whose l2 has the bytes of its B asks as that field;
-    any other B gets a throwaway _Kept.  An asker tells its k from the
-    held one by comparing raw bytes once, so a k changed in place, or
-    differing only in the sign of a zero, gets answers for its own bytes;
-    asking about another k drops the previous k's answers.  The same
-    LAPACK call on the same bytes returns the same bits, so an answer is
-    bit-identical to computing it again; a compute() that raises keeps no
-    answer.  Threads asking at once can at worst compute an answer twice,
-    as each asker only reads and fills the answers about its own k.
+    """What is kept about a matrix B, which b() returns: its one thin SVD
+    (see _thin_svd), taken before any rank is decided, whose vh is formed
+    from the kept w once a caller reads it.  Each rank_tol's ranked SVD is
+    a slice of it, and ||B|| is its sigma_max, for every caller.  And, in
+    about_k, an owned read-only copy of one operator k with the answers
+    about it (k's thin SVD before its rank is decided, the distance of k
+    from range(B), ||pinv(B) k||, the compression of S_f to range(k)).
+    ||k|| is the top singular value of k's one SVD, which the compression
+    and verify_dual_pair rank; the distance is 0.0, with no residual
+    formed, when B is onto.  A live field's _Kept is registered (see
+    _kept_for), and a Douglas face whose l2 has the bytes of its B asks as
+    that field; any other B gets a throwaway _Kept.  An asker tells its k
+    from the held one by comparing raw bytes once, so a k changed in
+    place, or differing only in the sign of a zero, gets answers for its
+    own bytes; asking about another k drops the previous k's answers.  The
+    same LAPACK call on the same bytes returns the same bits, so an answer
+    is bit-identical to computing it again; a compute() that raises keeps
+    no answer.  Threads asking at once can at worst compute an answer
+    twice, as each asker only reads and fills the answers about its own k.
     """
 
-    __slots__ = ("b", "of_b", "about_k", "__weakref__")
+    __slots__ = ("b", "svd", "about_k", "__weakref__")
 
     def __init__(self, b) -> None:
         self.b = b
-        self.of_b: dict = {}
+        self.svd: Optional[_RankedSVD] = None
         self.about_k: tuple[Optional[np.ndarray], dict] = (None, {})
 
     def asker(self, k: np.ndarray):
@@ -335,38 +328,37 @@ class _Kept:
         return ask
 
     def k_svd(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u and s of k's thin SVD (as _ranked_svd takes it), owned, kept
-        with the other answers about k.  No rank is decided on it, so a
-        question that needs only ||k|| raises no RankAmbiguous about k."""
-        return self.asker(k)("k_svd", lambda: tuple(_owned(x) for x in _thin_svd(k)[:2]))
+        """u and s of k's thin SVD (see _thin_svd), owned, kept with the
+        other answers about k.  No rank is decided on it, so a question
+        that needs only ||k|| raises no RankAmbiguous about k."""
+
+        def compute():
+            svd = _thin_svd(k)
+            return _owned(svd.u), _owned(svd.s)
+
+        return self.asker(k)("k_svd", compute)
 
     def k_norm(self, k: np.ndarray) -> float:
         """||k||, the top singular value of k's kept SVD; 0.0 for an
         all-zero k, without an SVD."""
         return float(self.k_svd(k)[1][0]) if k.any() else 0.0
 
-    def b_norm(self, b: np.ndarray) -> float:
-        """||B||, for b the B that b() returns, unless one was handed over
-        first (see atoms_duals.canonical_dual)."""
-        return self.of_b.get("b_norm") or self.of_b.setdefault("b_norm", operator_norm(b))
+    def b_svd(self, right: bool = False) -> _RankedSVD:
+        """B's one thin SVD, unranked, with vh when right is set: vh is formed
+        from the kept w (see _RankedSVD.with_vh), so B is factored once."""
+        svd = self.svd
+        if svd is None or (right and svd.vh is None):
+            b = self.b()
+            svd = (_thin_svd(b, right) if svd is None else svd.with_vh(b)).owned()
+            with _LOCK:
+                if self.svd is None or self.svd.vh is None:
+                    self.svd = svd
+        return svd
 
     def factor(self, name: str, rank_tol: float, right: bool = False) -> _RankedSVD:
-        """The ranked SVD of B, with vh when right is set (name is what a
-        RankAmbiguous message calls B).  One factorization per rank_tol is
-        kept; a caller that reads vh has it formed from that
-        factorization's w (see _RankedSVD.with_vh), so B's SVD is taken
-        once whether or not vh is ever read."""
-        key = ("svd", rank_tol)
-        svd = self.of_b.get(key)
-        if svd is not None and (svd.vh is not None or not right):
-            return svd
-        b = self.b()
-        svd = (_ranked_svd(b, rank_tol, right, name) if svd is None else svd.with_vh(b)).owned()
-        with _LOCK:
-            held = self.of_b.get(key)
-            if held is None or held.vh is None:
-                self.of_b[key] = svd
-        return svd
+        """B's kept SVD ranked at rank_tol (name is what a RankAmbiguous
+        message calls B), with vh when right is set."""
+        return self.b_svd(right).ranked(rank_tol, name)
 
     def inclusion(self, k: np.ndarray, name: str, rank_tol: float, tol: float, right: bool):
         """Whether range(k) sits inside range(B), by Douglas's lemma.

@@ -51,6 +51,11 @@ def parseval_field(n, atoms, seed=0):
     return SampleField(space, u[:, :n])
 
 
+def fresh_copy(field):
+    """A new field over the same arrays, for which nothing is kept."""
+    return SampleField(field.space, np.array(field.samples))
+
+
 def with_rank(rng, rows, cols, rank):
     """Matrix of exact rank with retained singular values in [0.5, 2]."""
     if rank == 0:

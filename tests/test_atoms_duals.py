@@ -10,6 +10,7 @@ from ckframe import (
     DimMismatch,
     NotADualPair,
     NotInvertibleOnRange,
+    NotRepresentable,
     RangeNotIncluded,
     SampleField,
     make_measure_space,
@@ -467,6 +468,16 @@ def test_pair_residuals_of_a_scaled_k_are_those_of_inversely_scaled_fields(s):
         SampleField(f.space, f.samples / root), SampleField(g.space, g.samples / root), k
     )
     assert pair_residuals(scaled_k) == pytest.approx(pair_residuals(scaled_fields), rel=1e-12)
+
+
+def test_a_pair_mismatch_outside_double_precision_is_refused():
+    # g's B is formed without a check of S_g, but its entries sqrt(w) g
+    # overflow here, so D = k - B_f B_g* is not finite and no residual is read
+    space = make_measure_space(["a", "b"], [1e20, 1e20])
+    f = SampleField(space, np.eye(2))
+    g = SampleField(space, 1e300 * np.eye(2))
+    with pytest.raises(NotRepresentable, match="pair mismatch"):
+        verify_dual_pair(f, g, np.eye(2))
 
 
 def test_atomic_residual_does_not_depend_on_the_scale_of_k():

@@ -258,6 +258,29 @@ def test_huge_pair_residuals_are_read_without_overflow(edit, tmp_path, capsys):
     assert min(c[0], c[1]) >= c[2] == c[3] == c[4] > 0.0
 
 
+@pytest.mark.parametrize("params", [{}, {"n": 16, "n0": 40, "atoms": 64}], ids=["default", "16-40-64"])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_pair_whose_s_g_underflows_keeps_the_residuals_of_the_unscaled_pair(seed, params, tmp_path, capsys):
+    # g and k times 2^-530: S_g, of the size 2^-1060, underflows, but
+    # D = k - B_f B_g* is only scaled, exactly, and every residual is
+    # relative to ||k||, so the report is that of the unscaled pair
+    doc = json.loads(emit_spec(generate_example("random_bessel_pair", params, seed)))
+    reports = []
+    for _ in range(2):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify-pair", str(path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports.append((code, json.loads(captured.out)["results"]))
+        for key in ("field_g", "operator_k"):
+            doc[key] = [[[x * 2.0**-530 for x in cell] for cell in row] for row in doc[key]]
+    assert reports[1] == reports[0]
+    assert "error" not in reports[0][1]
+
+
 def test_row_lengths_checked_before_allocation(tmp_path, capsys):
     # a 1 x 10**12 complex matrix would need 16 TB
     doc = {

@@ -1,8 +1,9 @@
-"""What ckframe.linalg keeps for a live field (linalg._Kept): the ranked
-SVD of its whitened synthesis matrix B, taken once (u, s and the small
-right factor w, with vh = w Q.T formed once atom_coefficient_map,
-canonical_dual or douglas_factor reads it), and ||B||, and, for one
-operator k at a time, held beside a copy of that k, k's thin SVD (||k||
+"""What ckframe.linalg keeps for a live field (linalg._Kept): the one thin
+SVD of its whitened synthesis matrix B, taken once before any rank is
+decided (u, s and the small right factor w, with vh = w Q.T formed once
+atom_coefficient_map, canonical_dual or douglas_factor reads it), of
+which every rank_tol reads a slice and every caller reads ||B|| = s[0],
+and, for one operator k at a time, held beside a copy of that k, k's thin SVD (||k||
 is its top singular value), the inclusion distance (only when B is not
 onto: otherwise it is 0.0), ||pinv(B) k|| and the compression of S_f to
 range(k).  A k is
@@ -70,6 +71,7 @@ from helpers import (
     crandn,
     diagnose,
     excluded_instance,
+    fresh_copy,
     parseval_field,
     random_space,
     random_unitary,
@@ -122,10 +124,10 @@ def outcome(name, f, k):
         return (type(exc).__name__, str(exc))
 
 
-def kept_factor(f, rank_tol=DEFAULT_RANK_TOL):
-    """The ranked SVD of the whitened synthesis matrix kept for f, or None."""
+def kept_factor(f):
+    """The one thin SVD of the whitened synthesis matrix kept for f, or None."""
     kept = _KEPT.get(f)
-    return None if kept is None else kept.of_b.get(("svd", rank_tol))
+    return None if kept is None else kept.svd
 
 
 def arrays_in(x):
@@ -332,6 +334,9 @@ def test_the_dual_pair_report_is_that_of_verify_dual_pair_bit_for_bit(name, seed
     # k's SVD and ||P B|| are read off what P f (which is f when k is
     # onto) holds
     assert not counts, dict(counts)
+    # and on fresh copies, which hold nothing, the report has the same bits
+    cold = verify_dual_pair(fresh_copy(dual.projected_frame), fresh_copy(dual.dual_field), k)
+    assert bits(cold) == bits(dual.pair)
 
 
 def test_a_field_reads_only_its_own_entries(monkeypatch):
@@ -345,15 +350,13 @@ def test_a_field_reads_only_its_own_entries(monkeypatch):
     assert dict(counts) == {"qr": 1, "svd": 1, "norm2": 1}
 
 
-def test_warm_cframe_bounds_takes_one_eigh(monkeypatch):
-    # S_f is exactly Hermitian, so its symmetry defect is an all-zero
-    # matrix, whose norm takes no SVD, and within tol, so ||S_f|| is not
-    # taken either
+def test_warm_cframe_bounds_takes_no_factorization(monkeypatch):
+    # both bounds are read off the SVD of B that the check kept
     spec = parse_problem(emit_spec(generate_example("random_ckframe", {})))
     ckframe_check(spec.field_f, spec.operator_k)
     counts = counted_factorizations(monkeypatch)
     cframe_bounds(spec.field_f)
-    assert dict(counts) == {"eigh": 1}
+    assert not counts, dict(counts)
 
 
 @pytest.mark.parametrize("skew", [0.0, 1e-12])
@@ -394,6 +397,12 @@ def test_warm_and_cold_fields_give_bit_identical_results(kind, seed, scales, ord
         outcome(name, warm.field_f, warm.operator_k)
     for name in ENTRY_POINTS:
         assert outcome(name, warm.field_f, warm.operator_k) == cold[name], name
+    # ||B|| is read one way: the frame bounds' upper bound is the check's
+    try:
+        check = ckframe_check(parse_problem(text).field_f, warm.operator_k)
+    except CkFrameError:
+        return
+    assert bits(cframe_bounds(parse_problem(text).field_f).upper) == bits(check.bounds.upper)
 
 
 def test_operands_mutated_in_place_get_the_cold_answer_for_their_new_bytes():
@@ -529,7 +538,8 @@ def test_a_field_keeps_the_answers_about_one_k_at_a_time():
     kept = _KEPT[f]
     held, answers = kept.about_k
     assert held is not k and bits(held) == bits(k)
-    assert len(answers) == 4 and len(kept.of_b) == 2
+    # one unranked SVD of B serves both rank_tols
+    assert len(answers) == 4 and kept.svd.s.shape == (f.dim,)
 
 
 def test_the_douglas_faces_ask_as_a_live_field_and_register_nothing(monkeypatch):
@@ -612,12 +622,14 @@ def test_rank_ambiguity_is_raised_again_on_a_warm_field():
     k = np.eye(2)
     assert ckframe_check(f, k, rank_tol=1e-12).is_ck_frame
     atom_coefficient_map(f, k, rank_tol=1e-12)
+    # the one SVD, vh included, is kept; each rank_tol decides on it anew
+    held = kept_factor(f)
+    assert held.vh is not None
     for _ in range(2):
         for entry_point in (ckframe_check, sandwich_check, atom_coefficient_map):
             with pytest.raises(RankAmbiguous, match="rank of B of f"):
                 entry_point(f, k)
-    assert kept_factor(f, 1e-12).vh is not None
-    assert kept_factor(f) is None
+    assert kept_factor(f) is held
 
 
 def test_unrepresentable_inputs_are_raised_again_on_a_warm_field():
@@ -645,15 +657,12 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
     atom_coefficient_map(f, k)
     sandwich_check(f, k)
     ckframe_check(f, k, rank_tol=1e-12)
-    for rank_tol in (DEFAULT_RANK_TOL, 1e-12):
-        entry = kept_factor(f, rank_tol)
-        assert entry.u.shape == (3, 3) and entry.s.shape == (3,) and entry.w.shape == (3, 3)
-    # vh, one column per atom, is formed only at the rank_tol atoms asked at
-    assert kept_factor(f, 1e-12).vh is None
-    vh = kept_factor(f).vh
+    # one SVD for both rank_tols, and vh, one column per atom, formed once
+    entry = kept_factor(f)
+    assert entry.u.shape == (3, 3) and entry.s.shape == (3,) and entry.w.shape == (3, 3)
+    vh = entry.vh
     assert vh.shape == (3, 16)
     kept = _KEPT[f]
-    assert set(kept.of_b) == {("svd", DEFAULT_RANK_TOL), ("svd", 1e-12)}
     held, answers = kept.about_k
     # B is onto, so no distance is kept: it is 0.0 without being formed
     assert set(answers) == {
@@ -669,7 +678,7 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
     assert len(answers["k_svd"]) == 2
     for answer in (answers["k_svd"], compression):
         assert all(bits(array) != bits(k_right) for array in arrays_in(answer))
-    entries = {**kept.of_b, **answers, "k": held}
+    entries = {"svd": entry, **answers, "k": held}
     assert _kept_like(whitened_synthesis_matrix(f)) is kept
     for value in entries.values():
         for array in arrays_in(value):
@@ -685,7 +694,7 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
 
 # ---------------------------------------------------------------------------
 # what a diagnosis reads off factors it already holds: ||k|| off k's one SVD,
-# a distance of exactly 0.0 when B is onto, and ||P B|| off the compression
+# a distance of exactly 0.0 when B is onto, and ||P B|| off P B's own SVD
 
 
 def reproducing_instance(seed, rank):
@@ -697,38 +706,22 @@ def reproducing_instance(seed, rank):
     return f, synthesis_matrix(f) @ crandn(rng, 12, 3)
 
 
-def fresh_copy(field):
-    """A new field over the same arrays, for which nothing is kept."""
-    return SampleField(field.space, np.array(field.samples))
-
-
 @pytest.mark.parametrize("rank", [5, 3], ids=["onto", "rank_deficient"])
 @pytest.mark.parametrize("seed", range(3))
-def test_the_projected_frame_norm_is_handed_over_only_when_exact(rank, seed):
+def test_the_pair_report_is_that_of_fresh_copies_bit_for_bit(rank, seed):
+    # k is not onto H = C^5, so the projected frame P f is not f: its ||P B||
+    # is sigma_max of its own kept SVD, whether B is onto or not, and a pair
+    # check on fresh copies of P f and g, warm or cold, has the same bits
     f, k = reproducing_instance(seed, rank)
     dual = canonical_dual(f, k)
-    cold = operator_norm(whitened_synthesis_matrix(fresh_copy(dual.projected_frame)))
-    on = _KEPT[f].about_k[1][("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL)]
-    held = _KEPT[dual.projected_frame].of_b["b_norm"]
-    if rank == 5:
-        # ||P B|| = sc[0] of the compression, to rounding
-        assert held == float(on.sc[0])
-        assert held == pytest.approx(cold, rel=1e-14, abs=0.0)
-        assert dual.pair.lower_bound_cert == pytest.approx(1.0 / cold**2, rel=1e-13, abs=0.0)
-    else:
-        # sc[0] misses the directions of B that the rank decision dropped,
-        # so the pair report takes the norm itself
-        assert bits(held) == bits(cold)
-        assert bits(dual.pair.lower_bound_cert) == bits(1.0 / cold**2)
-    # a pair check on the same fields reads the norm that was handed over;
-    # on fresh copies it takes the norm itself and finds the same residuals
-    warm = verify_dual_pair(dual.projected_frame, dual.dual_field, k)
-    assert bits(warm.lower_bound_cert) == bits(dual.pair.lower_bound_cert)
-    cold_pair = verify_dual_pair(fresh_copy(dual.projected_frame), fresh_copy(dual.dual_field), k)
-    assert bits(dataclasses.replace(cold_pair, lower_bound_cert=0.0)) == bits(
-        dataclasses.replace(warm, lower_bound_cert=0.0)
-    )
-    assert cold_pair.lower_bound_cert == pytest.approx(warm.lower_bound_cert, rel=1e-13, abs=0.0)
+    assert dual.projected_frame is not f
+    projected = fresh_copy(dual.projected_frame)
+    assert bits(verify_dual_pair(projected, fresh_copy(dual.dual_field), k)) == bits(dual.pair)
+    assert bits(verify_dual_pair(dual.projected_frame, dual.dual_field, k)) == bits(dual.pair)
+    top = kept_factor(projected).top
+    assert bits(dual.pair.lower_bound_cert) == bits(1.0 / top**2)
+    cold = operator_norm(whitened_synthesis_matrix(projected))
+    assert top == pytest.approx(cold, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("rank", [5, 3], ids=["onto", "rank_deficient"])

@@ -1,6 +1,8 @@
 """Synthesis/analysis/frame operators, optimal bounds, and the
 reproducing-operator check."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -190,8 +192,12 @@ def test_cframe_bounds_scaled():
 
 def test_cframe_bounds_rank_deficient_is_bessel():
     b = cframe_bounds(doubled_atom_field())
-    assert (b.lower, b.upper) == (0.0, 2.0)
-    assert b.kind == "cBessel"
+    assert b.lower == 0.0 and b.kind == "cBessel"
+    # sigma_max(B)^2, the bits of the check's upper bound, and 2 to rounding
+    assert struct.pack("<d", b.upper) == struct.pack(
+        "<d", ckframe_check(doubled_atom_field(), np.eye(2)).bounds.upper
+    )
+    assert b.upper == pytest.approx(2.0, rel=4 * np.finfo(float).eps)
 
 
 def test_cframe_bounds_tiny_orthogonal_basis_is_a_frame():

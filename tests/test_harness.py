@@ -807,11 +807,13 @@ def test_spec_text_matches_the_oracle_on_random_odd_matrices(f_samples, k):
 #: of k and of small compressions, plus norm(., 2), which runs an SVD of
 #: its own.  A wide B is factored through the QR of its transpose and the
 #: SVD of the square triangular factor.  Every B here is onto, so no
-#: inclusion residual is formed and ||k|| is read off k's one SVD.
+#: inclusion residual is formed and ||k|| is read off k's one SVD.  ||B||
+#: is sigma_max of B's one SVD: verify-pair factors f's B, and dual, whose
+#: k is not onto H, factors the B of the projected frame P f.
 FACTORIZATIONS = {
     "atoms": (3, 1),
-    "dual": (6, 3),
-    "verify-pair": (2, 0),
+    "dual": (7, 4),
+    "verify-pair": (2, 1),
     "douglas": (2, 1),
     "sandwich": (5, 1),
 }

@@ -12,6 +12,7 @@ from ckframe.linalg import (
     UNBOUNDED,
     Unbounded,
     _fix_phases,
+    _thin_svd,
     adjoint,
     as_operator,
     hermitian_eig,
@@ -355,19 +356,22 @@ def test_operator_norm_of_a_zero_matrix_takes_no_svd(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "shape,through_r",
+    "shape,right",
     [((16, 32), True), ((96, 384), True), ((15, 32), False), ((16, 31), False)],
 )
-def test_operator_norm_of_a_wide_matrix_through_its_triangular_factor(shape, through_r, monkeypatch):
-    # at least twice as wide as tall with 16 rows or more, ||m|| is read
-    # off the R of m.T = Q R; just short of that, off m itself
+def test_operator_norm_of_a_wide_matrix_through_its_triangular_factor(shape, right, monkeypatch):
+    # operator_norm takes norm(m, 2) of a wide m as it is, with no QR; the
+    # one SVD that _thin_svd takes of it goes through the R of m.T = Q R,
+    # and its sigma_max agrees with that norm, with vh formed or not
     m = crandn(np.random.default_rng(shape[0] * shape[1]), *shape)
     direct = float(np.linalg.norm(m, 2))
     counts = counted_factorizations(monkeypatch)
     norm = operator_norm(m)
-    assert counts["qr"] == int(through_r)
-    assert counts["norm2"] == 1
-    if through_r:
-        assert norm == pytest.approx(direct, rel=1e-13)
-    else:
-        assert norm == direct
+    assert norm == direct
+    assert dict(counts) == {"norm2": 1}
+    svd = _thin_svd(m, right)
+    assert counts["qr"] == 1 and counts["svd"] == 1 and counts["norm2"] == 1
+    assert svd.top == pytest.approx(direct, rel=1e-13)
+    assert (svd.vh is not None) == right
+    if right:
+        np.testing.assert_allclose((svd.u * svd.s) @ svd.vh, m, atol=1e-12)

@@ -2,12 +2,17 @@
 2018): the faces of one theorem give one verdict on a problem, and that
 verdict does not move when H or H0 gets a unitary change of basis, when
 f, k or the weights are rescaled, or when an atom is split into two
-half-weight copies.
+half-weight copies.  Beside the verdicts, three inequalities of the
+theory hold on the same problems: the lower bound A is the largest PSD
+multiplier of k k* under S_f, raising a weight lowers neither frame
+bound, and the canonical pair enjoys the reciprocal lower bounds.
 
 A verdict is whether f reproduces k, as each face decides it: the frame
 check, the atom coefficient map, the three Douglas faces, the canonical
 dual and the eigenvalue sandwich.  A face that raises gives the name of
 its error.  Problems come from the existing generator kinds."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -18,17 +23,19 @@ from ckframe import CkFrameError, SampleField, make_measure_space
 from ckframe.atoms_duals import (
     atom_coefficient_map,
     canonical_dual,
+    dual_frame_bounds_check,
     sandwich_check,
     verify_atomic_decomposition,
     verify_dual_pair,
 )
 from ckframe.douglas import douglas_factor, minimal_multiplier, range_included
-from ckframe.frame_ops import ckframe_check, map_field, whitened_synthesis_matrix
+from ckframe.frame_ops import ckframe_check, frame_operator, map_field, whitened_synthesis_matrix
 from ckframe.harness import GENERATOR_KINDS, generate_example
-from ckframe.linalg import DEFAULT_CHECK_TOL
-from helpers import random_unitary
+from ckframe.linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, max_psd_multiplier
+from helpers import fresh_copy, random_unitary
 
 TOL = DEFAULT_CHECK_TOL
+EPS = np.finfo(float).eps
 
 
 def _outcome(call):
@@ -154,3 +161,77 @@ def test_the_conjugated_coefficient_map_is_a_dual_field_of_f(problem):
     assume(ckframe_check(f, k).is_ck_frame)
     m = atom_coefficient_map(f, k)
     assert verify_dual_pair(f, SampleField(f.space, m.matrix.conj()), k).holds
+
+
+# ---------------------------------------------------------------------------
+# inequalities of the theory
+
+
+def condition(f) -> float:
+    """kappa(B), sigma_max over the least singular value the rank keeps."""
+    s = np.linalg.svd(whitened_synthesis_matrix(f), compute_uv=False)
+    s = s[s > DEFAULT_RANK_TOL * s[0]]
+    return float(s[0] / s[-1])
+
+
+def ck_frame_report(f, k):
+    """ckframe_check(f, k) of a ck-frame with k != 0; other problems and
+    those the check refuses are not drawn."""
+    try:
+        report = ckframe_check(f, k)
+    except CkFrameError:
+        report = None
+    assume(report is not None and report.is_ck_frame and not report.degenerate)
+    return report
+
+
+def within(a, b, rel) -> bool:
+    return abs(a - b) <= rel * max(a, b)
+
+
+@given(problems())
+def test_the_lower_bound_is_the_largest_psd_multiplier(problem):
+    # A = 1 / ||pinv(B) k||^2 is the largest a with a k k* <= S_f; the PSD
+    # pencil finds it through S_f, whose eigenvalues square those of B, so
+    # the two agree to c eps kappa(B)^2 (the worst c seen is about 9)
+    f, k = problem
+    a = ck_frame_report(f, k).bounds.lower
+    c = k @ k.conj().T
+    try:
+        best = max_psd_multiplier(frame_operator(f), 0.5 * (c + c.conj().T))
+    except CkFrameError:
+        best = None
+    assume(best is not None)
+    slack = 64 * EPS * condition(f) ** 2
+    assert within(a, best, slack), (a, best)
+    if slack < 1e-7:
+        assert not within(a * (1 + 1e-6), best, slack)
+
+
+@given(problems(), st.integers(0, 2**16), st.floats(1.0, 4.0))
+def test_raising_a_weight_lowers_neither_frame_bound(problem, which, factor):
+    # S_f gains the PSD term (factor - 1) w_i f_i f_i*, so no h loses energy
+    f, k = problem
+    before = ck_frame_report(f, k).bounds
+    w = np.array(f.space.weight_array)
+    w[which % w.size] *= factor
+    after = ck_frame_report(SampleField(make_measure_space(f.space.labels, w), f.samples), k).bounds
+    assert after.lower >= before.lower * (1 - 64 * EPS * condition(f) ** 2)
+    assert after.upper >= before.upper * (1 - 16 * EPS)
+
+
+@given(problems())
+def test_the_canonical_pair_enjoys_the_reciprocal_lower_bounds(problem):
+    # g is a frame for k* with bound 1 / B_f and f one for k with 1 / B_g;
+    # both Bessel bounds are read off the fields' kept SVDs, so the margins
+    # on fresh copies of the fields are the same bits
+    f, k = problem
+    try:
+        dual = canonical_dual(f, k)
+    except CkFrameError:
+        dual = None
+    assume(dual is not None)
+    margins = dual_frame_bounds_check(dual.projected_frame, dual.dual_field, k)
+    assert min(margins) >= -TOL, margins
+    cold = dual_frame_bounds_check(fresh_copy(dual.projected_frame), fresh_copy(dual.dual_field), k)
+    assert [struct.pack("<d", m) for m in cold] == [struct.pack("<d", m) for m in margins]
