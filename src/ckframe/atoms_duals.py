@@ -292,8 +292,13 @@ def inverse_on_range(
     """
     on = _on_range(f, as_operator(k), rank_tol, tol)
     # S_f U = (U_r Sigma_r p) diag(sc) qh; the singular values of Sigma_r p
-    # lie in [sigma_r, sigma_max], so its pseudoinverse keeps them all
-    left = pseudoinverse(on.b.s[:, None] * on.p, rank_tol) @ on.b.u.conj().T
+    # lie in [sigma_r, sigma_max], so its pseudoinverse keeps them all.  A
+    # square p is unitary, and then pinv(Sigma_r p) = p* Sigma_r^-1
+    if on.p.shape[0] == on.p.shape[1]:
+        left = on.p.conj().T / on.b.s
+    else:
+        left = pseudoinverse(on.b.s[:, None] * on.p, rank_tol)
+    left = left @ on.b.u.conj().T
     return on.k_u @ (on.qh.conj().T / on.sc) @ left
 
 

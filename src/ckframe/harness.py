@@ -11,6 +11,7 @@ matrices through one row writer, _matrix_chunks, straight from the arrays.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -144,14 +145,17 @@ def _as_matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
 
 def _matrix_from_lists(value: list, rows: int, cols: int) -> Optional[np.ndarray]:
     """The matrix in one conversion when every cell is a pair of finite
-    int/float leaves (so no bool and no numeric string), else None."""
+    int/float leaves (so no bool and no numeric string), else None.
+
+    The leaf-type sweep must come before np.fromiter, which reads "1.5"
+    and True as numbers and None as NaN."""
     flat = chain.from_iterable
     if set(map(type, flat(value))) != {list} or set(map(len, flat(value))) != {2}:
         return None
     if not set(map(type, flat(flat(value)))) <= {int, float}:
         return None
     try:
-        pairs = np.array(value, dtype=float)
+        pairs = np.fromiter(flat(flat(value)), dtype=float, count=2 * rows * cols)
     except OverflowError:
         return None
     if not np.isfinite(pairs).all():
@@ -164,7 +168,22 @@ def parse_problem(text: str) -> ProblemSpec:
 
     Raises ParseError for malformed JSON and ValidationError (carrying
     the JSON path) for schema violations.
+
+    The cyclic garbage collector is paused, process-wide, until the
+    parsed JSON tree is dropped, and switched back on on the way out only
+    if it was on: the tree holds one list per [re, im] pair, and JSON
+    values form no reference cycles, so passes over it find nothing.
     """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _spec_from_text(text)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _spec_from_text(text: str) -> ProblemSpec:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -57,9 +57,11 @@ def make_measure_space(labels, weights) -> MeasureSpace:
         raise EmptySpace("a measure space needs at least one atom")
     if len(labs) != len(ws):
         raise LengthMismatch(f"{len(labs)} labels but {len(ws)} weights")
-    for i, w in enumerate(ws):
-        if not np.isfinite(w) or w <= 0.0:
-            raise NonPositiveWeight(f"weight[{i}] = {w!r} must be finite and > 0")
+    arr = np.array(ws)
+    bad = ~(np.isfinite(arr) & (arr > 0.0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise NonPositiveWeight(f"weight[{i}] = {ws[i]!r} must be finite and > 0")
     return MeasureSpace(labels=labs, weights=ws)
 
 

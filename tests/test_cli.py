@@ -1,5 +1,6 @@
 """Command-line entry point: exit codes, output routing, tolerance overrides."""
 
+import hashlib
 import json
 import resource
 import subprocess
@@ -57,6 +58,21 @@ def test_gen_writes_parseable_spec(tmp_path):
     assert main(["gen", "--kind", "scaled_onb", "--out", str(out)]) == 0
     spec = parse_problem(out.read_text())
     assert spec.dim_h == 2
+
+
+@pytest.mark.parametrize(
+    "kind,params,seed",
+    [(kind, "{}", seed) for kind in GENERATOR_KINDS for seed in range(3)]
+    + [("random_ckframe", '{"n": 32, "n0": 16, "atoms": 256}', 0)],
+)
+def test_the_inputs_digest_is_the_sha256_of_the_spec_file(kind, params, seed, tmp_path):
+    # gen writes the canonical text, so hashing what was parsed from it
+    # gives the hash of the file's own bytes
+    spec_path, report_path = tmp_path / "spec.json", tmp_path / "report.json"
+    assert main(["gen", "--kind", kind, "--params", params, "--seed", str(seed), "--out", str(spec_path)]) == 0
+    assert main(["bounds", str(spec_path), "--out", str(report_path)]) in (0, 1)
+    digest = json.loads(report_path.read_text())["inputs_digest"]
+    assert digest == "sha256:" + hashlib.sha256(spec_path.read_bytes()).hexdigest()
 
 
 def test_gen_to_stdout(capsys):

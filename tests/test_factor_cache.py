@@ -359,6 +359,17 @@ def test_warm_cframe_bounds_takes_no_factorization(monkeypatch):
     assert not counts, dict(counts)
 
 
+@pytest.mark.parametrize("kind", ["interval_fourier", "scaled_onb"])
+def test_warm_inverse_on_range_takes_no_factorization(kind, monkeypatch):
+    # k and B are onto H, so p is square and unitary: pinv(Sigma_r p) is
+    # p* Sigma_r^-1, with no SVD of Sigma_r p
+    spec = parse_problem(emit_spec(generate_example(kind, {})))
+    sandwich_check(spec.field_f, spec.operator_k)
+    counts = counted_factorizations(monkeypatch)
+    inverse_on_range(spec.field_f, spec.operator_k)
+    assert not counts, dict(counts)
+
+
 @pytest.mark.parametrize("skew", [0.0, 1e-12])
 def test_max_psd_multiplier_reads_each_scale_off_its_eigenvalues(skew, monkeypatch):
     # the PSD checks read ||s|| and ||c|| off the eigenvalues they take, so

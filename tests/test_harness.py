@@ -1,5 +1,6 @@
 """Problem-spec JSON schema, example generators, and command dispatch."""
 
+import gc
 import hashlib
 import json
 import math
@@ -140,6 +141,43 @@ def test_parse_rejects_non_finite_entries():
         parse_problem(spec_with(operator_k=[[[1, 0], [0, 0]], [[0, 0], ["nan", 0]]]))
 
 
+def test_parse_runs_no_collection_over_the_json_tree():
+    # field_f alone has 2 * 800 * 64 = 102,400 leaves
+    text = emit_spec(generate_example("random_ckframe", {"n": 64, "n0": 32, "atoms": 800}))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        parse_problem(text)
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [(MINIMAL_SPEC, None), ("{not json", ParseError), (spec_with(dim_h=0), ValidationError)],
+    ids=["parsed", "parse-error", "validation-error"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_parse_leaves_the_collector_as_it_found_it(text, error, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            parse_problem(text)
+        else:
+            with pytest.raises(error):
+                parse_problem(text)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_parse_accepts_tolerances_and_options():
     text = spec_with(tolerances={"check_tol": 1e-6, "rank_tol": 1e-9}, options={"note": "x"})
     spec = parse_problem(text)
@@ -261,6 +299,10 @@ def test_spec_text_matches_the_oracle_on_odd_operators(k):
 # the one-conversion matrix parser against the cell walk
 
 GOOD_CELLS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+#: A 64 x 32 field_f as a spec file spells it.
+GENERATED_CELLS = json.loads(
+    emit_spec(generate_example("random_ckframe", {"n": 32, "n0": 8, "atoms": 64}))
+)["field_f"]
 
 
 def matrix_outcome(value, rows, cols):
@@ -296,17 +338,25 @@ def with_cell(i, j, cell):
         ([[[1, 0]], [[0, 0], [1, 0]]], "field_f[0]"),
         (with_cell(0, 0, [1, 0, 0]), "field_f[0][0]"),
         (with_cell(1, 0, 5), "field_f[1][0]"),
+        (with_cell(0, 1, ["1.5", 0]), "field_f[0][1][0]"),
+        (with_cell(1, 1, [None, 0]), "field_f[1][1][0]"),
         (with_cell(0, 1, [-0.0, 2**60 + 1]), None),
         (with_cell(1, 1, [1e-300, -7]), None),
+        (GENERATED_CELLS, None),
     ],
-    ids=["bool", "nan-string", "huge-int", "nan-float", "ragged-row", "triple", "non-list", "ints", "floats"],
+    ids=[
+        "bool", "nan-string", "huge-int", "nan-float", "ragged-row", "triple", "non-list",
+        "numeric-string", "null", "ints", "floats", "generated",
+    ],
 )
 def test_matrix_parser_and_cell_walk_agree(value, path, monkeypatch):
-    fast, walked = fast_and_walked(value, 2, 2, monkeypatch)
+    # the last row has the expected length in every case
+    rows, cols = len(value), len(value[-1])
+    fast, walked = fast_and_walked(value, rows, cols, monkeypatch)
     assert fast == walked
     if path is None:
         assert fast[0] == "accepted"
-        assert harness._matrix_from_lists(value, 2, 2) is not None
+        assert harness._matrix_from_lists(value, rows, cols) is not None
     else:
         assert fast[:2] == ("rejected", path)
 

@@ -65,6 +65,21 @@ def test_negative_and_nonfinite_weights_rejected():
         make_measure_space(["a"], [float("inf")])
 
 
+@pytest.mark.parametrize(
+    "weights,message",
+    [
+        ([1.0, 0.0, -1.0], "weight[1] = 0.0 must be finite and > 0"),
+        ([1.0, 2.0, float("nan"), 0.0], "weight[2] = nan must be finite and > 0"),
+        ([-0.0, float("inf")], "weight[0] = -0.0 must be finite and > 0"),
+        ([3.0, float("-inf")], "weight[1] = -inf must be finite and > 0"),
+    ],
+)
+def test_the_first_bad_weight_is_named(weights, message):
+    with pytest.raises(NonPositiveWeight) as exc:
+        make_measure_space(["x"] * len(weights), weights)
+    assert str(exc.value) == message
+
+
 def test_empty_space_rejected():
     with pytest.raises(EmptySpace):
         make_measure_space([], [])

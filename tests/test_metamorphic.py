@@ -2,10 +2,12 @@
 2018): the faces of one theorem give one verdict on a problem, and that
 verdict does not move when H or H0 gets a unitary change of basis, when
 f, k or the weights are rescaled, or when an atom is split into two
-half-weight copies.  Beside the verdicts, three inequalities of the
-theory hold on the same problems: the lower bound A is the largest PSD
-multiplier of k k* under S_f, raising a weight lowers neither frame
-bound, and the canonical pair enjoys the reciprocal lower bounds.
+half-weight copies.  Beside the verdicts, inequalities and identities of
+the theory hold on the same problems: the lower bound A is the largest
+PSD multiplier of k k* under S_f; raising a weight, or joining a second
+field over a disjoint space, lowers neither frame bound; composing k
+with v divides A by at most ||v||^2; the inverse on range(k) inverts
+S_f there; and the canonical pair enjoys the reciprocal lower bounds.
 
 A verdict is whether f reproduces k, as each face decides it: the frame
 check, the atom coefficient map, the three Douglas faces, the canonical
@@ -24,6 +26,7 @@ from ckframe.atoms_duals import (
     atom_coefficient_map,
     canonical_dual,
     dual_frame_bounds_check,
+    inverse_on_range,
     sandwich_check,
     verify_atomic_decomposition,
     verify_dual_pair,
@@ -32,7 +35,7 @@ from ckframe.douglas import douglas_factor, minimal_multiplier, range_included
 from ckframe.frame_ops import ckframe_check, frame_operator, map_field, whitened_synthesis_matrix
 from ckframe.harness import GENERATOR_KINDS, generate_example
 from ckframe.linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, max_psd_multiplier
-from helpers import fresh_copy, random_unitary
+from helpers import crandn, fresh_copy, random_unitary
 
 TOL = DEFAULT_CHECK_TOL
 EPS = np.finfo(float).eps
@@ -218,6 +221,48 @@ def test_raising_a_weight_lowers_neither_frame_bound(problem, which, factor):
     after = ck_frame_report(SampleField(make_measure_space(f.space.labels, w), f.samples), k).bounds
     assert after.lower >= before.lower * (1 - 64 * EPS * condition(f) ** 2)
     assert after.upper >= before.upper * (1 - 16 * EPS)
+
+
+@given(problems(), unitary_seeds, st.integers(1, 4), magnitudes)
+def test_composing_k_with_v_divides_the_lower_bound_by_at_most_its_norm_squared(problem, seed, m, c):
+    # ||v* k* h|| <= ||v|| ||k* h||, so A ||v||^-2 k v (k v)* <= A k k* <= S_f
+    f, k = problem
+    before = ck_frame_report(f, k).bounds.lower
+    v = c * crandn(np.random.default_rng(seed), k.shape[1], m)
+    after = ck_frame_report(f, k @ v).bounds.lower
+    norm_v = float(np.linalg.norm(v, 2))
+    assert after >= before / norm_v**2 * (1 - 64 * EPS * condition(f) ** 2)
+
+
+@given(problems(), unitary_seeds, st.integers(1, 6), magnitudes)
+def test_joining_a_field_over_a_disjoint_space_lowers_neither_frame_bound(problem, seed, atoms, c):
+    # the join's S is S_f + S_e, and S_e is PSD, so no h loses energy
+    f, k = problem
+    before = ck_frame_report(f, k).bounds
+    rng = np.random.default_rng(seed)
+    extra = c * crandn(rng, atoms, f.dim)
+    weights = np.concatenate([f.space.weight_array, rng.uniform(0.1, 2.0, atoms)])
+    labels = [f"x{j}" for j in range(weights.size)]
+    joined = SampleField(make_measure_space(labels, weights), np.vstack([f.samples, extra]))
+    after = ck_frame_report(joined, k).bounds
+    kappa = max(condition(f), condition(joined))
+    assert after.lower >= before.lower * (1 - 64 * EPS * kappa**2)
+    assert after.upper >= before.upper * (1 - 16 * EPS)
+
+
+@given(problems())
+def test_the_inverse_on_range_inverts_the_frame_operator_there(problem):
+    # G S_f u = u for u in range(k), here for u = k x; G is of size
+    # 1/sigma_min(B)^2 and S_f of size ||B||^2, so the residual is eps kappa^2
+    f, k = problem
+    ck_frame_report(f, k)
+    try:
+        g = inverse_on_range(f, k)
+    except CkFrameError:
+        g = None
+    assume(g is not None)
+    residual = np.linalg.norm(g @ frame_operator(f) @ k - k, 2)
+    assert residual <= 64 * EPS * condition(f) ** 2 * np.linalg.norm(k, 2)
 
 
 @given(problems())
