@@ -31,10 +31,10 @@ from .errors import (
 from .frame_ops import (
     _frame_check,
     _kept,
+    _whitened_matrix,
     _whitened_rows,
     frame_operator,
     map_field,
-    whitened_synthesis_matrix,
 )
 from .linalg import (
     DEFAULT_CHECK_TOL,
@@ -383,7 +383,7 @@ def verify_dual_pair(
     rank = _separated_rank(sigma, rank_tol, "k")
     # g's B is formed without its check: S_g can underflow where D cannot
     with np.errstate(over="ignore", invalid="ignore"):
-        d = kk - whitened_synthesis_matrix(f) @ _whitened_rows(g).conj()
+        d = kk - _whitened_matrix(f) @ _whitened_rows(g).conj()
     if not np.isfinite(d).all():
         raise NotRepresentable("the pair mismatch k - B_f B_g* is outside double precision range")
     # residuals are relative to ||k|| (1 when k = 0), squared ones to its square

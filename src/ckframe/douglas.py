@@ -95,12 +95,11 @@ def douglas_factor(
 
 
 def _inclusion(l1, l2, rank_tol: float, tol: float, right: bool):
-    """linalg._Kept.inclusion of l1 against range(l2), asked as the live
-    field whose B has the bytes of l2 if there is one (see
-    linalg._kept_like), with a thunk for ||pinv(l2) l1||^2 in place of
-    the one for its root, which raises NotRepresentable for a nonzero l1
-    where the frame check's lower bound, its reciprocal, does (see
-    linalg._check_multiplier)."""
+    """linalg._Kept.inclusion of l1 against range(l2), asked as the field
+    whose handed-out B is l2 itself, if any (see linalg._kept_like), with
+    a thunk for ||pinv(l2) l1||^2 in place of the one for its root, which
+    raises NotRepresentable for a nonzero l1 where the frame check's lower
+    bound, its reciprocal, does (see linalg._check_multiplier)."""
     a = as_operator(l1)
     b = as_operator(l2)
     if a.shape[0] != b.shape[0]:

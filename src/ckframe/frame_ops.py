@@ -14,7 +14,7 @@ inequality holds against ||k* h||^2 and range(k) sits inside range(T_f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,7 @@ from .linalg import (
     OperatorMatrix,
     Unbounded,
     _check_multiplier,
+    _hand_out,
     _Kept,
     _kept_for,
     _RankedSVD,
@@ -92,14 +93,22 @@ def whitened_synthesis_matrix(f: SampleField) -> OperatorMatrix:
     in those coordinates T_f has column i equal to sqrt(w_i) * f_i.  Ranks,
     norms, and pseudoinverses of T_f are computed through this matrix.
 
-    Raises NotRepresentable when the trace of S_f = B B* overflows, or
-    underflows for a nonzero B, in double precision.
+    The B returned is read-only; a Douglas face given this very array asks
+    as f (see linalg._kept_like).  Raises NotRepresentable when the trace
+    of S_f = B B* overflows, or underflows for a nonzero B, in doubles.
     """
+    return _hand_out(_whitened_matrix(f), _kept(f))
+
+
+def _whitened_matrix(f: SampleField) -> OperatorMatrix:
+    """f's B, built as whitened_synthesis_matrix builds it but not handed
+    out: a view of read-only rows, so it cannot be made writable."""
     rows = _whitened_rows(f)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         energy = np.vdot(rows, rows).real
     if not (np.isfinite(energy) and (energy >= np.finfo(float).tiny or not rows.any())):
         raise NotRepresentable("the frame operator is outside double precision range")
+    rows.setflags(write=False)
     return rows.T
 
 
@@ -127,17 +136,12 @@ def map_field(u, f: SampleField) -> SampleField:
 
 
 def cframe_bounds(f: SampleField) -> FrameBounds:
-    """Optimal plain frame bounds of f.
-
-    Both are read off the SVD of the whitened synthesis matrix B kept for
-    f: whether f is a frame (spans H) is the rank decision on it, as in
-    ckframe_check; the lower bound is then sigma_min(B)^2, else 0.0, and
-    the upper bound is sigma_max(B)^2, the bits of ckframe_check's.
-    """
-    b = _kept(f).factor("B of f", DEFAULT_RANK_TOL)
-    spans = b.onto
-    lower = float(b.s[-1]) ** 2 if spans else 0.0
-    return FrameBounds(lower=lower, upper=b.top**2, kind=C_FRAME if spans else C_BESSEL)
+    """Optimal plain frame bounds of f: ckframe_check's bounds, bit for bit,
+    for k = I on H at the default tolerances.  f is a frame when H sits
+    inside range(B); the lower bound is then ||pinv(B)||^-2, else 0.0 (a
+    Bessel field), and the upper bound is sigma_max(B)^2."""
+    report = _frame_check(f, np.eye(f.dim, dtype=complex), DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL)[0]
+    return replace(report.bounds, kind=C_FRAME if report.range_included else C_BESSEL)
 
 
 def ckframe_check(
@@ -166,7 +170,7 @@ def ckframe_check(
 
 def _kept(f: SampleField) -> _Kept:
     """What is kept for f (see linalg._Kept), made on first use."""
-    return _kept_for(f, whitened_synthesis_matrix)
+    return _kept_for(f, _whitened_matrix)
 
 
 def _frame_check(

@@ -268,13 +268,10 @@ def _owned(a: np.ndarray) -> np.ndarray:
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether complex arrays a and b have one shape, dtype and raw bytes,
-    so that -0.0 and 0.0 differ.  F-ordered operands, such as the B that
-    whitened_synthesis_matrix returns, are compared without a copy, and
-    8 bytes at a time."""
+    so that -0.0 and 0.0 differ, compared 8 bytes at a time: how an asker
+    tells its k from the held one."""
     if a.shape != b.shape or a.dtype != b.dtype:
         return False
-    if a.flags.f_contiguous and b.flags.f_contiguous:
-        a, b = a.T, b.T
     return np.array_equal(*(np.ascontiguousarray(x).view(np.uint64) for x in (a, b)))
 
 
@@ -288,16 +285,17 @@ class _Kept:
     from range(B), ||pinv(B) k||, the compression of S_f to range(k)).
     ||k|| is the top singular value of k's one SVD, which the compression
     and verify_dual_pair rank; the distance is 0.0, with no residual
-    formed, when B is onto.  A live field's _Kept is registered (see
-    _kept_for), and a Douglas face whose l2 has the bytes of its B asks as
-    that field; any other B gets a throwaway _Kept.  An asker tells its k
-    from the held one by comparing raw bytes once, so a k changed in
-    place, or differing only in the sign of a zero, gets answers for its
-    own bytes; asking about another k drops the previous k's answers.  The
-    same LAPACK call on the same bytes returns the same bits, so an answer
-    is bit-identical to computing it again; a compute() that raises keeps
-    no answer.  Threads asking at once can at worst compute an answer
-    twice, as each asker only reads and fills the answers about its own k.
+    formed, when B is onto.  A live field's _Kept is found by the field
+    (see _kept_for) and by identity of the B handed out for it (see
+    _kept_like); any other l2 of a Douglas face gets a throwaway _Kept.
+    An asker tells its k from the held one by comparing raw bytes once, so
+    a k changed in place, or differing only in the sign of a zero, gets
+    answers for its own bytes; asking about another k drops the previous
+    k's answers.  The same LAPACK call on the same bytes returns the same
+    bits, so an answer is bit-identical to computing it again; a compute()
+    that raises keeps no answer.  Threads asking at once can at worst
+    compute an answer twice, as each asker only reads and fills the
+    answers about its own k.
     """
 
     __slots__ = ("b", "svd", "about_k", "__weakref__")
@@ -389,43 +387,42 @@ class _Kept:
         )
 
 
-#: The _Kept of each live field, and the same objects by the probe of the
-#: field's B for callers that hold only a raw matrix (the Douglas faces).
-#: Both entries go when the field is collected.  Fields whose B share a
-#: probe share a slot, the last one registered holding it.
+#: The _Kept of each live field; an entry goes when its field is collected.
 _KEPT: weakref.WeakKeyDictionary[object, _Kept] = weakref.WeakKeyDictionary()
-_BY_PROBE: weakref.WeakValueDictionary[tuple, _Kept] = weakref.WeakValueDictionary()
+#: By id(B), each B that whitened_synthesis_matrix handed out: weak refs to
+#: B and to its field's _Kept, so nothing is kept alive; it goes with B.
+_HANDED: dict[int, tuple[weakref.ref, weakref.ref]] = {}
 #: Makes storing an answer and publishing the k it is about atomic.
 _LOCK = threading.Lock()
 
 
-def _probe(b: np.ndarray) -> tuple:
-    """Shape, dtype and the bytes of the first and last columns of b (of B,
-    the first and last atoms): cheap to take, and enough to tell most
-    fields apart.  A match is confirmed on all of b's bytes."""
-    return (b.shape, b.dtype.str, b[:, :1].tobytes(), b[:, -1:].tobytes())
-
-
 def _kept_for(field, b_of) -> _Kept:
-    """The _Kept of a live field, made on first use and registered under
-    the probe of its B, which b_of(field) computes.  Its b() builds B from
-    a shallow copy of field, which shares the field's read-only parts: the
-    field itself would never be collected, and a weak reference to it could
-    not build B for a Douglas face still asking as it after it is gone."""
+    """The _Kept of a live field, made on first use.  Its b() builds B with
+    b_of from a shallow copy of field, which shares its read-only parts:
+    holding the field itself would keep it alive."""
     kept = _KEPT.get(field)
     if kept is None:
         twin = copy.copy(field)
-        probe = _probe(b_of(twin))
-        kept = _BY_PROBE[probe] = _KEPT.setdefault(field, _Kept(lambda: b_of(twin)))
+        kept = _KEPT.setdefault(field, _Kept(lambda: b_of(twin)))
     return kept
 
 
+def _hand_out(b: np.ndarray, kept: _Kept) -> np.ndarray:
+    """b, the read-only B of the field whose _Kept is kept, recorded in
+    _HANDED so that a Douglas face given b itself asks as that field."""
+    key, forget = id(b), _HANDED.pop
+    _HANDED[key] = (weakref.ref(b, lambda _: forget(key, None)), weakref.ref(kept))
+    return b
+
+
 def _kept_like(b: np.ndarray) -> _Kept:
-    """The _Kept of a live field whose B has the bytes of b, else a throwaway
-    one of b.  The field is looked up by the probe of b and counts only once
-    its B matches b byte for byte."""
-    kept = _BY_PROBE.get(_probe(b))
-    return kept if kept is not None and _same_bytes(kept.b(), b) else _Kept(lambda: b)
+    """The _Kept of the live field whose handed-out B is b itself while b
+    and the array it views are read-only, so b has that B's bytes; else a
+    throwaway _Kept of b, as for a copy of a B, whatever its bytes."""
+    ref, kept = _HANDED.get(id(b), (None, None))
+    if ref is None or ref() is not b or b.flags.writeable or b.base.flags.writeable:
+        return _Kept(lambda: b)
+    return kept() or _Kept(lambda: b)
 
 
 def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:

@@ -7,11 +7,12 @@ and, for one operator k at a time, held beside a copy of that k, k's thin SVD (|
 is its top singular value), the inclusion distance (only when B is not
 onto: otherwise it is 0.0), ||pinv(B) k|| and the compression of S_f to
 range(k).  A k is
-told from the held one, and a raw Douglas l2 from a live field's B, by
-comparing bytes; a Douglas face whose l2 is a live field's B asks as that
-field, and any other l2 registers nothing.  A second question about the
-same (f, k) takes no factorization of B, gets bit-identical answers, and
-still raises what a cold field raises.
+told from the held one by comparing bytes.  whitened_synthesis_matrix
+hands out a read-only B and records it by identity, so a Douglas face
+whose l2 is that very array asks as its field; any other l2, a copy with
+the same bytes included, is answered from scratch and registers nothing.
+A second question about the same (f, k) takes no factorization of B,
+gets bit-identical answers, and still raises what a cold field raises.
 
 A spec read back with parse_problem holds new field objects, so nothing
 is kept for them yet (a "cold" field), as in one CLI process."""
@@ -33,6 +34,7 @@ from ckframe import (
     NotRepresentable,
     RankAmbiguous,
     SampleField,
+    frame_ops,
     make_measure_space,
 )
 from ckframe.atoms_duals import (
@@ -54,12 +56,13 @@ from ckframe.frame_ops import (
 )
 from ckframe.harness import GENERATOR_KINDS, emit_spec, generate_example, parse_problem
 from ckframe.linalg import (
-    _BY_PROBE,
+    _HANDED,
     _KEPT,
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
     _kept_like,
     _ranked_svd,
+    _same_bytes,
     max_psd_multiplier,
     operator_norm,
     range_basis,
@@ -79,8 +82,8 @@ from helpers import (
 )
 
 #: Every public entry point that factors the B of the field it is given,
-#: and the Douglas faces, which ask as the live field whose B has the
-#: bytes of their raw l2.
+#: and the Douglas faces, which ask as the field whose handed-out B is
+#: their l2.
 ENTRY_POINTS = {
     "ckframe_check": ckframe_check,
     "cframe_bounds": lambda f, k: cframe_bounds(f),
@@ -351,11 +354,23 @@ def test_a_field_reads_only_its_own_entries(monkeypatch):
 
 
 def test_warm_cframe_bounds_takes_no_factorization(monkeypatch):
-    # both bounds are read off the SVD of B that the check kept
-    spec = parse_problem(emit_spec(generate_example("random_ckframe", {})))
-    ckframe_check(spec.field_f, spec.operator_k)
+    # cframe_bounds is the check of k = I: after a check of another k it
+    # reads the SVD of B that the check kept, and takes only ||pinv(B)||
+    text = emit_spec(generate_example("random_ckframe", {}))
+    spec = parse_problem(text)
+    f = spec.field_f
+    ckframe_check(f, spec.operator_k)
     counts = counted_factorizations(monkeypatch)
-    cframe_bounds(spec.field_f)
+    cframe_bounds(f)
+    assert dict(counts) == {"norm2": 1}
+    # asked again, or after a check of I itself, it takes nothing
+    counts.clear()
+    cframe_bounds(f)
+    assert not counts, dict(counts)
+    checked = parse_problem(text).field_f
+    ckframe_check(checked, np.eye(checked.dim))
+    counts.clear()
+    cframe_bounds(checked)
     assert not counts, dict(counts)
 
 
@@ -433,8 +448,9 @@ def test_operands_mutated_in_place_get_the_cold_answer_for_their_new_bytes():
     k[...] = k_out
     assert bits(ckframe_check(f, k)) == cold_check
 
-    # a raw l2 with the bytes of f's B reads what f keeps, until it changes
-    l2 = whitened_synthesis_matrix(f)
+    # a writable copy of f's B, answered for its bytes before and after
+    # they change
+    l2 = np.array(whitened_synthesis_matrix(f))
     assert not douglas_factor(k_out, l2).included
     l2[...] = l2_new
     assert bits(
@@ -453,13 +469,12 @@ def test_operands_are_recognised_by_their_bytes(monkeypatch):
     signed = k.copy()
     signed[0, 0] = complex(-0.0, 0.0)
     b = whitened_synthesis_matrix(f)
-    # one flipped bit in a middle atom: the probe of the copy still matches B
+    # a copy of B with one flipped bit in a middle atom
     flipped = np.ascontiguousarray(b)
     flipped.view(np.uint64)[1, 12] ^= 1
-    same = np.ascontiguousarray(b)
     # cold answers, taken while nothing is kept for f
     cold_signed = bits(ckframe_check(SampleField(f.space, f.samples), signed))
-    cold_flipped, cold_same = douglas_answers(k, flipped), douglas_answers(k, same)
+    cold_flipped = douglas_answers(k, flipped)
 
     ckframe_check(f, k)
     atom_coefficient_map(f, k)
@@ -472,14 +487,10 @@ def test_operands_are_recognised_by_their_bytes(monkeypatch):
     assert bits(_KEPT[f].about_k[0]) == bits(signed)
     ckframe_check(f, k)
     counts.clear()
-    # each of the three faces factors the flipped copy itself
-    assert douglas_answers(k, flipped) == cold_flipped
+    # each of the three faces factors the flipped copy itself, and its
+    # answers are its own
+    assert douglas_answers(k, flipped) == cold_flipped != douglas_answers(k, b)
     assert counts["svd"] == 3, dict(counts)
-    counts.clear()
-    # an unflipped copy is another object in another memory order
-    assert same is not b and not same.flags.f_contiguous
-    assert douglas_answers(k, same) == cold_same
-    assert not counts, dict(counts)
 
 
 def test_arrays_handed_to_callers_cannot_change_later_answers():
@@ -558,8 +569,8 @@ def test_the_douglas_faces_ask_as_a_live_field_and_register_nothing(monkeypatch)
     f, k = ckframe_instance(rng, 4, 3, 12)
     ckframe_check(f, k)
     kept = _KEPT[f]
-    registered = (len(_KEPT), len(_BY_PROBE))
     b = whitened_synthesis_matrix(f)
+    registered = (len(_KEPT), len(_HANDED))
     counts = counted_factorizations(monkeypatch)
     assert range_included(k, b) and minimal_multiplier(k, b) > 0.0
     assert not counts
@@ -576,7 +587,83 @@ def test_the_douglas_faces_ask_as_a_live_field_and_register_nothing(monkeypatch)
     assert not counts, dict(counts)
     # a raw l2 that is no live field's B is answered, but registers nothing
     assert douglas_factor(other, crandn(rng, 4, 12)).included
-    assert (len(_KEPT), len(_BY_PROBE)) == registered
+    assert (len(_KEPT), len(_HANDED)) == registered
+
+
+# ---------------------------------------------------------------------------
+# a handed-out B: read-only, found by its identity, never keeping its field
+
+
+def test_a_cold_check_builds_b_once(monkeypatch):
+    f, k = ckframe_instance(np.random.default_rng(18), 4, 3, 12)
+    built = []
+    rows = frame_ops._whitened_rows
+
+    def counted_rows(field):
+        built.append(field)
+        return rows(field)
+
+    monkeypatch.setattr(frame_ops, "_whitened_rows", counted_rows)
+    ckframe_check(f, k)
+    assert len(built) == 1
+    # and handing B out builds it once more, for the caller
+    whitened_synthesis_matrix(f)
+    assert len(built) == 2
+
+
+def test_the_handed_out_b_is_read_only():
+    f, k = ckframe_instance(np.random.default_rng(19), 4, 3, 12)
+    b = whitened_synthesis_matrix(f)
+    assert not b.flags.writeable and not b.base.flags.writeable
+    with pytest.raises(ValueError):
+        b.setflags(write=True)
+    with pytest.raises(ValueError):
+        b[0, 0] = 1.0
+    assert _kept_like(b) is _KEPT[f]
+    # the array it views made writable again: b no longer stands for f
+    b.base.setflags(write=True)
+    assert _kept_like(b) is not _KEPT[f]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_copy_of_b_is_answered_cold_and_registers_nothing(order, monkeypatch):
+    rng = np.random.default_rng(20)
+    f, k = ckframe_instance(rng, 4, 3, 12)
+    b = whitened_synthesis_matrix(f)
+    ckframe_check(f, k)
+    warm = douglas_answers(k, b)
+    registered = (len(_KEPT), len(_HANDED))
+    copy = np.array(b, order=order)
+    assert copy.flags.writeable and _same_bytes(copy, b)
+    counts = counted_factorizations(monkeypatch)
+    # each of the three faces factors the copy itself, to the warm bits
+    assert douglas_answers(k, copy) == warm
+    assert counts["svd"] == 3, dict(counts)
+    # a read-only copy is no handed-out B either
+    copy.setflags(write=False)
+    counts.clear()
+    assert douglas_answers(k, copy) == warm
+    assert counts["svd"] == 3, dict(counts)
+    assert (len(_KEPT), len(_HANDED)) == registered
+
+
+def test_a_b_that_outlives_its_field_keeps_nothing_alive():
+    rng = np.random.default_rng(21)
+    f, k = ckframe_instance(rng, 4, 3, 12)
+    cold = douglas_answers(k, np.array(whitened_synthesis_matrix(fresh_copy(f))))
+    ckframe_check(f, k)
+    b = whitened_synthesis_matrix(f)
+    kept = weakref.ref(_KEPT[f])
+    assert _HANDED[id(b)][0]() is b and _HANDED[id(b)][1]() is kept()
+    del f
+    gc.collect()
+    assert kept() is None
+    # b is answered as a raw l2, to the cold bits
+    assert douglas_answers(k, b) == cold
+    # and its entry goes with it
+    key = id(b)
+    del b
+    assert key not in _HANDED
 
 
 def test_concurrent_diagnoses_match_serial_ones():
@@ -654,12 +741,17 @@ def test_unrepresentable_inputs_are_raised_again_on_a_warm_field():
             ckframe_check(f, 1e-200 * np.eye(2))
         with pytest.raises(NotRepresentable):
             atom_coefficient_map(f, 1e-200 * np.eye(2))
-    # S_f = B B* overflows: nothing is kept, every call raises
+    # S_f = B B* overflows: no B is handed out, no answer is kept, and
+    # every call raises
     huge = SampleField(make_measure_space(["a", "b"], [1e308, 1e308]), 1e200 * np.eye(2))
+    handed = len(_HANDED)
     for _ in range(2):
         with pytest.raises(NotRepresentable):
             ckframe_check(huge, np.eye(2))
-    assert huge not in _KEPT
+        with pytest.raises(NotRepresentable):
+            whitened_synthesis_matrix(huge)
+    assert _KEPT[huge].svd is None and _KEPT[huge].about_k == (None, {})
+    assert len(_HANDED) == handed
 
 
 def test_kept_factor_owns_small_arrays_and_dies_with_its_field():

@@ -24,7 +24,7 @@ from ckframe.frame_ops import (
     synthesis_matrix,
     whitened_synthesis_matrix,
 )
-from ckframe.harness import generate_example
+from ckframe.harness import GENERATOR_KINDS, generate_example
 from ckframe.linalg import UNBOUNDED, operator_norm
 from ckframe.measure import hilbert_inner, l2_inner, l2_norm
 from helpers import (
@@ -32,6 +32,7 @@ from helpers import (
     ckframe_instance,
     crandn,
     excluded_instance,
+    fresh_copy,
     min_quotient,
     random_field,
     random_space,
@@ -207,6 +208,28 @@ def test_cframe_bounds_tiny_orthogonal_basis_is_a_frame():
     assert b.kind == "cFrame"
     assert b.lower == pytest.approx(1e-10, rel=1e-12)
     assert b.upper == pytest.approx(1e-10, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_cframe_bounds_are_the_check_of_the_identity_bit_for_bit(kind, seed):
+    # the optimal lower bound is read one way, ||pinv(B)||^-2, not also as
+    # sigma_min(B)^2, which differs in the last bits; on fresh copies, so
+    # neither reads what the other kept
+    f = generate_example(kind, {}, seed).field_f
+    bounds = cframe_bounds(fresh_copy(f))
+    check = ckframe_check(fresh_copy(f), np.eye(f.dim)).bounds
+    assert struct.pack("<d", bounds.lower) == struct.pack("<d", check.lower)
+    assert struct.pack("<d", bounds.upper) == struct.pack("<d", check.upper)
+
+
+def test_cframe_bounds_refuse_the_lower_bound_the_check_of_the_identity_refuses():
+    # sigma_min(B)^2 = 1e-314 is subnormal, so the lower bound is not a
+    # normal double, though S_f is in range and B is clearly onto
+    f = SampleField(make_measure_space(["a", "b"], [1.0, 1.0]), np.diag([1e-150, 1e-157]))
+    for bounds in (cframe_bounds, lambda f: ckframe_check(f, np.eye(2)).bounds):
+        with pytest.raises(NotRepresentable, match="lower frame bound"):
+            bounds(f)
 
 
 def test_ckframe_check_scaled_with_one_column():

@@ -7,7 +7,8 @@ the theory hold on the same problems: the lower bound A is the largest
 PSD multiplier of k k* under S_f; raising a weight, or joining a second
 field over a disjoint space, lowers neither frame bound; composing k
 with v divides A by at most ||v||^2; the inverse on range(k) inverts
-S_f there; and the canonical pair enjoys the reciprocal lower bounds.
+S_f there; and the canonical pair, and f with the dual field of its
+conjugated atom map, enjoy the reciprocal lower bounds.
 
 A verdict is whether f reproduces k, as each face decides it: the frame
 check, the atom coefficient map, the three Douglas faces, the canonical
@@ -159,11 +160,16 @@ def test_splitting_an_atom_into_half_weight_copies_keeps_the_verdict(problem, wh
 @given(problems())
 def test_the_conjugated_coefficient_map_is_a_dual_field_of_f(problem):
     # k h = T_f(m h) = sum_x w_x f_x (m h)_x for every h, so k is
-    # sum_x w_x f_x g_x* with g_x the conjugated row x of m
+    # sum_x w_x f_x g_x* with g_x the conjugated row x of m; as in every
+    # dual pair, g is then a frame for k* with bound 1 / B_f, and f one
+    # for k with 1 / B_g
     f, k = problem
     assume(ckframe_check(f, k).is_ck_frame)
-    m = atom_coefficient_map(f, k)
-    assert verify_dual_pair(f, SampleField(f.space, m.matrix.conj()), k).holds
+    g = SampleField(f.space, atom_coefficient_map(f, k).matrix.conj())
+    assert verify_dual_pair(f, g, k).holds
+    if k.any():
+        margins = dual_frame_bounds_check(f, g, k)
+        assert min(margins) >= -TOL, margins
 
 
 # ---------------------------------------------------------------------------
