@@ -64,9 +64,7 @@ from .harness import (
     run_command,
 )
 from .linalg import (
-    UNBOUNDED,
     HermitianEig,
-    Unbounded,
     adjoint,
     hermitian_eig,
     max_psd_multiplier,

@@ -24,7 +24,6 @@ from .errors import (
     DimMismatch,
     NotADualPair,
     NotInvertibleOnRange,
-    NotRepresentable,
     RangeNotIncluded,
     SpaceMismatch,
 )
@@ -42,6 +41,7 @@ from .linalg import (
     OperatorMatrix,
     _owned,
     _RankedSVD,
+    _check_finite,
     _check_tol,
     _separated_rank,
     adjoint,
@@ -55,13 +55,13 @@ from .measure import SampleField
 class CoefficientMap:
     """Linear map sending h in H0 to a coefficient function on the atoms.
 
-    matrix has one row per atom, one column per H0 coordinate.  bound is
+    matrix has one row per atom and one column per H0 coordinate, so its
+    shape (n_atoms, dim H0) is the map's dimensions.  bound is
     the operator norm from H0 into weighted L2: the constant a with
     ||m h||_{L2} <= a ||h|| for every h.
     """
 
     matrix: OperatorMatrix
-    source_dims: tuple[int, int]
     bound: float
 
 
@@ -139,6 +139,8 @@ def atom_coefficient_map(
     RangeNotIncluded
         If range(k) is not contained in range(T_f); no coefficient map
         can reproduce k in that case.
+    NotRepresentable
+        If an entry of m is outside double precision range.
     """
     kk = as_operator(k)
     # reads vh, which f keeps; coords and their norm are read off the same SVD
@@ -148,12 +150,10 @@ def atom_coefficient_map(
             f"range inclusion residual {report.residuals['range_inclusion']:.3e} "
             f"exceeds tolerance {tol:.1e}"
         )
-    w = f.space.weight_array
-    return CoefficientMap(
-        matrix=(b.vh.conj().T @ coords) / np.sqrt(w)[:, None],
-        source_dims=(kk.shape[1], f.space.n_atoms),
-        bound=x,
-    )
+    # the bound is finite, but m is sqrt(w) m divided by sqrt(w), which can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = (b.vh.conj().T @ coords) / np.sqrt(f.space.weight_array)[:, None]
+    return CoefficientMap(matrix=_check_finite(matrix, "the atom coefficient map"), bound=x)
 
 
 def verify_atomic_decomposition(
@@ -168,10 +168,12 @@ def verify_atomic_decomposition(
     the returned residual.  A zero k or bound divides by 1.
     """
     kk = as_operator(k)
-    dim0, n_atoms = m.source_dims
+    if m.matrix.ndim != 2:
+        raise DimMismatch("coefficient map shape does not match field")
+    n_atoms, dim0 = m.matrix.shape
     if kk.shape != (f.dim, dim0):
         raise DimMismatch(f"k has shape {kk.shape}, expected {(f.dim, dim0)}")
-    if m.matrix.shape != (n_atoms, dim0) or n_atoms != f.space.n_atoms:
+    if n_atoms != f.space.n_atoms:
         raise DimMismatch("coefficient map shape does not match field")
 
     w = f.space.weight_array
@@ -269,7 +271,7 @@ def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
     # k escape range(B); rank is judged by the cutoff that decided B's rank
     if sc.size < r or sc[-1] <= rank_tol * b.top:
         raise NotInvertibleOnRange("frame operator drops rank on range(k)")
-    return _OnRange(float(report.bounds.lower), b, k_u, k_s, p, sc, qh)
+    return _OnRange(report.bounds.lower, b, k_u, k_s, p, sc, qh)
 
 
 def inverse_on_range(
@@ -384,8 +386,7 @@ def verify_dual_pair(
     # g's B is formed without its check: S_g can underflow where D cannot
     with np.errstate(over="ignore", invalid="ignore"):
         d = kk - _whitened_matrix(f) @ _whitened_rows(g).conj()
-    if not np.isfinite(d).all():
-        raise NotRepresentable("the pair mismatch k - B_f B_g* is outside double precision range")
+    _check_finite(d, "the pair mismatch k - B_f B_g*")
     # residuals are relative to ||k|| (1 when k = 0), squared ones to its square
     scale = float(sigma[0]) if sigma.size and sigma[0] > 0.0 else 1.0
     # c3: <k h0, h> = integral of <h0, g(x)> <f(x), h>; c4, its adjoint
@@ -429,7 +430,7 @@ def verify_dual_pair(
         residual_c5=c5,
         holds=max(c1, c2, c3, c4, c5) <= tol,
         onto_variant_residuals=onto_res,
-        lower_bound_cert=1.0 / upper_f if upper_f > 0.0 else float("inf"),
+        lower_bound_cert=1.0 / upper_f if upper_f > 0.0 else math.inf,
         notes=tuple(notes),
     )
 
@@ -465,8 +466,9 @@ def canonical_dual(
     decided on g's own B, must land inside
     [1/B, ||k||^2 ||pinv(k)||^2 / A], to a relative tolerance tol.
 
-    Raises CanonicalDualFailed if either verification fails; degenerate
-    and non-frame inputs raise as in inverse_on_range.
+    Raises CanonicalDualFailed if either verification fails and
+    NotRepresentable if a sample of g is outside double precision range;
+    degenerate and non-frame inputs raise as in inverse_on_range.
     """
     kk = as_operator(k)
     on = _on_range(f, kk, rank_tol, tol)
@@ -481,7 +483,10 @@ def canonical_dual(
         projected = map_field(on.k_u @ on.k_u.conj().T, f)
         # k's SVD is the same bits whichever field keeps it
         _kept(projected).asker(kk)("k_svd", lambda: _kept(f).k_svd(kk))
-    dual = SampleField(f.space, (vh.T @ left.T) / np.sqrt(f.space.weight_array)[:, None])
+    # g's samples are its whitened rows divided by sqrt(w), which can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = (vh.T @ left.T) / np.sqrt(f.space.weight_array)[:, None]
+    dual = SampleField(f.space, _check_finite(samples, "the canonical dual field"))
 
     pair = verify_dual_pair(projected, dual, kk, tol, rank_tol)
     if not pair.holds:
@@ -495,7 +500,7 @@ def canonical_dual(
 
     # the dual's optimal bounds as a frame against k*, decided on its own B
     best = _frame_check(dual, adjoint(kk), rank_tol, tol, name="B of the dual field g")[0]
-    best_lower = float(best.bounds.lower)
+    best_lower = best.bounds.lower
     best_upper = best.bounds.upper
     if best_lower < lower_bound * (1.0 - tol):
         raise CanonicalDualFailed(

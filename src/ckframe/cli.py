@@ -5,7 +5,8 @@ report (JSON or text); `gen` writes example spec files.  Exit codes:
 0 checks passed (or vacuous/degenerate), 1 checks failed, 2 input
 error, 3 internal error.  CKFRAME_TOL overrides the default check
 tolerance; a spec's own tolerances and --tol take precedence over it.
-Each tolerance must be a finite number > 0.
+Each tolerance must be a finite number > 0.  A spec file is read as
+UTF-8 (RFC 8259), whatever the locale.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def main(argv=None) -> int:
         if args.command == "gen":
             try:
                 params = json.loads(args.params)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ParseError(f"--params is not valid JSON: {exc}") from exc
             spec = generate_example(args.kind, params, args.seed)
             _write(args.out, emit_spec(spec))
@@ -77,7 +78,11 @@ def main(argv=None) -> int:
         except ValueError as exc:
             raise ValidationError(f"CKFRAME_TOL is not a number: {env_tol!r}") from exc
         default_tol = _as_tolerance(default_tol, "CKFRAME_TOL")
-        spec = parse_problem(Path(args.spec).read_text())
+        try:
+            text = Path(args.spec).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"spec is not UTF-8 text: {exc}") from exc
+        spec = parse_problem(text)
         report = run_command(spec, args.command, tol_override=tol, default_tol=default_tol)
         _write(args.out, emit_report(report, args.format))
         return 1 if report.status == STATUS_FAILED else 0

@@ -14,6 +14,7 @@ inequality holds against ||k* h||^2 and range(k) sits inside range(T_f).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -23,9 +24,7 @@ from .errors import DimMismatch, NotRepresentable, SpaceMismatch
 from .linalg import (
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
-    UNBOUNDED,
     OperatorMatrix,
-    Unbounded,
     _check_multiplier,
     _hand_out,
     _Kept,
@@ -44,11 +43,11 @@ CK_FRAME = "ckFrame"
 class FrameBounds:
     """Optimal constants of a frame-type inequality.
 
-    lower is UNBOUNDED exactly in the vacuous k = 0 case; otherwise a
-    nonnegative float.  kind records which inequality the bounds certify.
+    lower is math.inf exactly in the vacuous k = 0 case; otherwise a
+    nonnegative finite float.  kind records which inequality the bounds certify.
     """
 
-    lower: float | Unbounded
+    lower: float
     upper: float
     kind: str
 
@@ -159,7 +158,7 @@ def ckframe_check(
     * range_included: ||(I - U_r U_r*) k|| <= tol * ||k||;
     * bounds.lower: the largest A with A k k* <= S_f, which is
       1 / ||Sigma_r^-1 U_r* k||^2 = 1 / ||pinv(B) k||^2 on inclusion and
-      0.0 otherwise (UNBOUNDED when k = 0).
+      0.0 otherwise (math.inf when k = 0).
 
     A is positive exactly when range(k) is included, so is_ck_frame is
     the inclusion verdict.  The k = 0 case is vacuously a frame and
@@ -194,7 +193,7 @@ def _frame_check(
     x = coords_norm() if included else None
     degenerate = not kk.any()
     if degenerate:
-        lower = UNBOUNDED
+        lower = math.inf
     elif included:
         _check_multiplier(x, "the lower frame bound")
         lower = float(np.float64(x) ** -2)

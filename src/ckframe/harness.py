@@ -30,7 +30,7 @@ from .errors import (
     UnknownKind,
     ValidationError,
 )
-from .linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, Unbounded
+from .linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL
 from .measure import MeasureSpace, SampleField, make_measure_space
 
 STATUS_OK = "ok"
@@ -69,8 +69,9 @@ class RunReport:
     """Result envelope for one command run.
 
     results holds the command's values as its runner returned them: dicts,
-    lists, floats, bools, strings, None and UNBOUNDED, with each matrix a
-    2-D complex ndarray.  emit_report serializes them.
+    lists, floats, bools, strings and None, with each matrix a 2-D complex
+    ndarray.  A vacuously infinite bound is math.inf, which both writers
+    print as "unbounded".  emit_report serializes them.
     """
 
     command: str
@@ -163,11 +164,16 @@ def _matrix_from_lists(value: list, rows: int, cols: int) -> Optional[np.ndarray
     return pairs.view(complex).reshape(rows, cols)
 
 
+# json.dumps writes options back recursing once per level: keep well inside 1000
+MAX_OPTIONS_DEPTH = 500
+
+
 def parse_problem(text: str) -> ProblemSpec:
     """Parse and validate a problem-spec JSON document.
 
-    Raises ParseError for malformed JSON and ValidationError (carrying
-    the JSON path) for schema violations.
+    Raises ParseError for malformed JSON, or JSON nested past the
+    decoder's recursion limit, and ValidationError (carrying the JSON
+    path) for schema violations, options deeper than MAX_OPTIONS_DEPTH too.
 
     The cyclic garbage collector is paused, process-wide, until the
     parsed JSON tree is dropped, and switched back on on the way out only
@@ -186,7 +192,7 @@ def parse_problem(text: str) -> ProblemSpec:
 def _spec_from_text(text: str) -> ProblemSpec:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be an object", "")
 
@@ -250,6 +256,11 @@ def _spec_from_text(text: str) -> ProblemSpec:
 
     options = doc.get("options") or {}
     _require(isinstance(options, dict), "expected an object", "options")
+    level = [options]  # its arrays and objects a level deeper each pass, without recursion
+    for _ in range(MAX_OPTIONS_DEPTH):
+        level = [c for v in level for c in (v.values() if isinstance(v, dict) else v)
+                 if isinstance(c, (dict, list))]
+    _require(not level, f"options nest deeper than {MAX_OPTIONS_DEPTH} levels", "options")
 
     return ProblemSpec(
         space=space,
@@ -349,16 +360,12 @@ def _canonical_fragment(value, indent: int) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Unbounded):
-        return '"unbounded"'
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
         if math.isnan(value):
             raise ValueError("NaN is not serializable in a report")
-        if math.isinf(value):
-            return '"unbounded"'
-        return f"{value:.12e}"
+        return '"unbounded"' if math.isinf(value) else f"{value:.12e}"
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
@@ -418,10 +425,8 @@ def _text_scalar(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, Unbounded) or (isinstance(value, float) and math.isinf(value)):
-        return "unbounded"
     if isinstance(value, float):
-        return f"{value:.12e}"
+        return "unbounded" if math.isinf(value) else f"{value:.12e}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_text_scalar(v) for v in value) + "]"
     return str(value)

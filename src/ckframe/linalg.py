@@ -9,6 +9,7 @@ between "zero" and "clearly nonzero" are rejected rather than guessed at.
 from __future__ import annotations
 
 import copy
+import math
 import threading
 import weakref
 from dataclasses import dataclass, replace
@@ -29,27 +30,6 @@ GRAY_ZONE_FACTOR = 100.0
 
 #: Default relative tolerance for residual / symmetry / PSD checks.
 DEFAULT_CHECK_TOL = 1e-8
-
-
-class Unbounded:
-    """Sentinel for a vacuously infinite bound (e.g. lower bound when k = 0).
-
-    Kept distinct from float('inf') so reports serialize to the string
-    "unbounded" instead of a non-standard JSON token.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNBOUNDED"
-
-
-UNBOUNDED = Unbounded()
 
 
 def as_operator(m) -> OperatorMatrix:
@@ -163,6 +143,13 @@ def _separated_rank(sigma: np.ndarray, rank_tol: float, name: str) -> int:
             f"({lo:.3e}, {hi:.3e}); rank-dependent output would be unstable"
         )
     return int(np.count_nonzero(sigma > lo))
+
+
+def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """a, if its entries are all finite; else raise NotRepresentable naming what."""
+    if not np.isfinite(a).all():
+        raise NotRepresentable(f"{what} is outside double precision range")
+    return a
 
 
 def _check_multiplier(coords_norm: float, what: str) -> None:
@@ -473,7 +460,7 @@ def max_psd_multiplier(
     c,
     rank_tol: float = DEFAULT_RANK_TOL,
     tol: float = DEFAULT_CHECK_TOL,
-) -> float | Unbounded:
+) -> float:
     """Largest a >= 0 such that s - a*c remains positive semidefinite.
 
     Parameters
@@ -487,9 +474,9 @@ def max_psd_multiplier(
 
     Returns
     -------
-    float or Unbounded
+    float
         0.0 when range(c) is not contained in range(s) (no positive
-        multiplier exists); UNBOUNDED when c = 0 (every multiplier works);
+        multiplier exists); math.inf when c = 0 (every multiplier works);
         otherwise 1 / lambda_max(s^{+/2} c s^{+/2}).
 
     Raises
@@ -505,7 +492,7 @@ def max_psd_multiplier(
     _check_psd(b, tol, "c")
 
     if not b.any():
-        return UNBOUNDED
+        return math.inf
     # for PSD s = U Sigma U*, one SVD gives both range(s) and s^{+/2}
     svd, _, coords, _ = _Kept(lambda: a).inclusion(b, "s", rank_tol, tol, False)
     # range(c) must sit inside range(s), otherwise some h has c-energy but
@@ -518,5 +505,5 @@ def max_psd_multiplier(
     if lam <= 0.0:
         # c vanishes on range(s); with the range check passed this means
         # c is numerically zero relative to s
-        return UNBOUNDED
+        return math.inf
     return 1.0 / lam

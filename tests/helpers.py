@@ -16,7 +16,7 @@ import numpy as np
 import ckframe
 from ckframe import SampleField, ScalarField, make_measure_space
 from ckframe.frame_ops import analysis, synthesis, synthesis_matrix
-from ckframe.linalg import DEFAULT_CHECK_TOL, Unbounded
+from ckframe.linalg import DEFAULT_CHECK_TOL
 from ckframe.measure import l2_norm
 
 
@@ -206,8 +206,6 @@ def strip_wall_time(text):
 
 def _reference_jsonable(value):
     """Convert results to JSON-ready structures (complex -> [re, im])."""
-    if isinstance(value, Unbounded):
-        return value
     if isinstance(value, dict):
         return {str(k): _reference_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -233,8 +231,6 @@ def _reference_fragment(value, indent):
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Unbounded):
-        return '"unbounded"'
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -283,7 +279,7 @@ def _reference_text_scalar(value):
         return "none"
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, Unbounded) or (isinstance(value, float) and math.isinf(value)):
+    if isinstance(value, float) and math.isinf(value):
         return "unbounded"
     if isinstance(value, float):
         return f"{value:.12e}"

@@ -84,7 +84,7 @@ def lstsq_coefficients(f, k):
 def test_atoms_onb_identity():
     cmap = atom_coefficient_map(onb_field(), np.eye(2))
     assert np.allclose(cmap.matrix, np.eye(2), atol=1e-14)
-    assert cmap.source_dims == (2, 2)
+    assert cmap.matrix.shape == (2, 2)
 
 
 def test_atoms_onb_diagonal_k():
@@ -149,7 +149,7 @@ def test_atoms_and_douglas_residuals_grow_like_kappa_not_kappa_squared(kappa, se
 def test_verify_zero_map_against_nonzero_k():
     f = onb_field()
     k = np.eye(2)
-    zero = CoefficientMap(matrix=np.zeros((2, 2), dtype=complex), source_dims=(2, 2), bound=0.0)
+    zero = CoefficientMap(matrix=np.zeros((2, 2), dtype=complex), bound=0.0)
     assert verify_atomic_decomposition(f, k, zero) == pytest.approx(1.0)
 
 
@@ -170,7 +170,6 @@ def test_verify_kernel_perturbation_leaves_residual_unchanged():
     whitened = perturbed_matrix * np.sqrt(f.space.weight_array)[:, None]
     perturbed = CoefficientMap(
         matrix=perturbed_matrix,
-        source_dims=cmap.source_dims,
         bound=operator_norm(whitened),
     )
     after = verify_atomic_decomposition(f, k, perturbed)
@@ -182,9 +181,10 @@ def test_verify_shape_guards():
     cmap = atom_coefficient_map(f, np.eye(2))
     with pytest.raises(DimMismatch):
         verify_atomic_decomposition(f, np.ones((3, 2)), cmap)
-    bad = CoefficientMap(matrix=np.zeros((3, 2), dtype=complex), source_dims=(2, 3), bound=0.0)
-    with pytest.raises(DimMismatch):
-        verify_atomic_decomposition(f, np.eye(2), bad)
+    for matrix in (np.zeros((3, 2), dtype=complex), np.zeros(4, dtype=complex)):
+        bad = CoefficientMap(matrix=matrix, bound=0.0)
+        with pytest.raises(DimMismatch):
+            verify_atomic_decomposition(f, np.eye(2), bad)
 
 
 def test_atoms_equivalence_no_third_outcome():
@@ -431,7 +431,7 @@ def test_vectorized_residuals_match_per_basis_loops():
             if want is not None:
                 assert got == pytest.approx(want, rel=rel)
         for bound in (0.5, 1e3):
-            m = CoefficientMap(crandn(rng, atoms, n0), source_dims=(n0, atoms), bound=bound)
+            m = CoefficientMap(crandn(rng, atoms, n0), bound=bound)
             assert verify_atomic_decomposition(f, k, m) == pytest.approx(
                 reference_atomic_residual(f, k, m), rel=rel
             )
@@ -486,11 +486,11 @@ def test_atomic_residual_does_not_depend_on_the_scale_of_k():
     m = atom_coefficient_map(f, k)
     # a relative defect of 1e-5 in the coefficients, then k and the map
     # rescaled together
-    noisy = CoefficientMap(m.matrix * (1 + 1e-5), m.source_dims, m.bound)
+    noisy = CoefficientMap(m.matrix * (1 + 1e-5), m.bound)
     residual = verify_atomic_decomposition(f, k, noisy)
     assert residual > TOL
     for c in (1e-6, 1e3):
-        scaled = CoefficientMap(c * noisy.matrix, m.source_dims, c * m.bound)
+        scaled = CoefficientMap(c * noisy.matrix, c * m.bound)
         assert verify_atomic_decomposition(f, c * k, scaled) == pytest.approx(residual, rel=1e-9)
 
 

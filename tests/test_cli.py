@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -116,11 +117,34 @@ def test_degenerate_exit_zero(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "degenerate"
 
 
+# options 990 levels deep: the decoder may read them, but they would be
+# written back past the interpreter's recursion limit
+DEEP_OPTIONS = json.dumps(BROKEN_PAIR)[:-1] + ', "options": ' + '{"a": ' * 990 + "{}" + "}" * 991
+
+
 def test_malformed_spec_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{oops")
-    assert main(["bounds", str(path)]) == 2
-    assert "input error" in capsys.readouterr().err
+    not_utf8 = b"\xff\xfe" + json.dumps(BROKEN_PAIR).encode()
+    for text in (b"{oops", not_utf8, b"[" * 200000, DEEP_OPTIONS.encode()):
+        path.write_bytes(text)
+        assert main(["bounds", str(path)]) == 2, text[:8]
+        assert "input error" in capsys.readouterr().err
+
+
+def test_spec_is_read_as_utf8_whatever_the_locale(tmp_path):
+    doc = dict(BROKEN_PAIR, space={"labels": ["\u00e9", "b"], "weights": [1.0, 1.0]})
+    path = tmp_path / "utf8.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    run = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "ckframe", "bounds", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    want = run_command(parse_problem(json.dumps(doc)), "bounds").inputs_digest
+    assert json.loads(run.stdout)["inputs_digest"] == want
 
 
 def test_missing_file_exit_two(tmp_path):
@@ -130,6 +154,7 @@ def test_missing_file_exit_two(tmp_path):
 def test_bad_gen_params_exit_two(tmp_path):
     assert main(["gen", "--kind", "onb", "--params", "{not json"]) == 2
     assert main(["gen", "--kind", "onb", "--params", '{"n": 0}']) == 2
+    assert main(["gen", "--kind", "onb", "--params", "[" * 200000]) == 2
 
 
 def test_env_tolerance_loosens_default(broken_pair_spec, monkeypatch):
@@ -212,6 +237,29 @@ def test_unrepresentable_frame_operator_fails_without_stderr(weight, sample, tmp
             captured = capsys.readouterr()
             assert captured.err == ""
             assert json.loads(captured.out)["results"]["error"] == "NotRepresentable"
+
+
+def test_overflowing_atom_map_and_dual_field_fail_without_stderr(tmp_path, capsys):
+    # B, S_f and the lower bound are in range, so the inclusion faces pass;
+    # the atom coefficients and the dual's samples divide by sqrt(1e-320)
+    # and overflow
+    doc = {
+        "space": {"labels": ["a", "b"], "weights": [1.0, 1e-320]},
+        "dim_h": 1,
+        "dim_h0": 1,
+        "field_f": [[[1e-153, 0]], [[1e3, 0]]],
+        "operator_k": [[[1, 0]]],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cmd, code in (("bounds", 0), ("douglas", 0), ("sandwich", 0), ("atoms", 1), ("dual", 1)):
+            assert main([cmd, str(path)]) == code, cmd
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            if code:
+                assert json.loads(captured.out)["results"]["error"] == "NotRepresentable", cmd
 
 
 @pytest.mark.parametrize("cell", [[1e300, 1e300], [1e-300, 0.0]], ids=["huge", "tiny"])

@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ckframe import (
-    UNBOUNDED,
     BadParams,
     ParseError,
     SampleField,
@@ -26,6 +25,7 @@ from ckframe.frame_ops import ckframe_check, frame_operator, whitened_synthesis_
 from ckframe.harness import (
     COMMANDS,
     GENERATOR_KINDS,
+    MAX_OPTIONS_DEPTH,
     ProblemSpec,
     RunReport,
     STATUS_DEGENERATE,
@@ -184,6 +184,22 @@ def test_parse_accepts_tolerances_and_options():
     assert spec.check_tol == 1e-6
     assert spec.rank_tol == 1e-9
     assert spec.options == {"note": "x"}
+
+
+def test_options_nest_at_most_max_options_depth():
+    def nested(depth):
+        value = []
+        for _ in range(depth - 1):
+            value = {"a": value}
+        return value
+
+    # the deepest options accepted are written back and digested
+    spec = parse_problem(spec_with(options=nested(MAX_OPTIONS_DEPTH)))
+    assert parse_problem(emit_spec(spec)) == spec
+    assert spec_digest(spec).startswith("sha256:")
+    with pytest.raises(ValidationError) as exc:
+        parse_problem(spec_with(options=nested(MAX_OPTIONS_DEPTH + 1)))
+    assert exc.value.path == "options"
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +799,7 @@ def matrix_results(draw):
     matrices, each at a depth of 0 to 3 nested dicts."""
     results = {
         "lower": draw(st.floats(allow_nan=False)),
-        "upper": UNBOUNDED,
+        "upper": math.inf,
         "holds": draw(st.booleans()),
         "factor": None,
         "kind": "ckFrame",
