@@ -12,7 +12,6 @@ UTF-8 (RFC 8259), whatever the locale.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -23,6 +22,7 @@ from .harness import (
     GENERATOR_KINDS,
     STATUS_FAILED,
     _as_tolerance,
+    _decode_json,
     emit_report,
     emit_spec,
     generate_example,
@@ -63,10 +63,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen":
-            try:
-                params = json.loads(args.params)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ParseError(f"--params is not valid JSON: {exc}") from exc
+            params = _decode_json(args.params, "--params is not valid JSON")
             spec = generate_example(args.kind, params, args.seed)
             _write(args.out, emit_spec(spec))
             return 0

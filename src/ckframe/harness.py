@@ -171,9 +171,10 @@ MAX_OPTIONS_DEPTH = 500
 def parse_problem(text: str) -> ProblemSpec:
     """Parse and validate a problem-spec JSON document.
 
-    Raises ParseError for malformed JSON, or JSON nested past the
-    decoder's recursion limit, and ValidationError (carrying the JSON
-    path) for schema violations, options deeper than MAX_OPTIONS_DEPTH too.
+    Raises ParseError for text _decode_json refuses and ValidationError
+    (carrying the JSON path) for schema violations: tolerances and options
+    must be objects ({} when absent or null), and options may nest at most
+    MAX_OPTIONS_DEPTH levels deep and hold finite numbers only.
 
     The cyclic garbage collector is paused, process-wide, until the
     parsed JSON tree is dropped, and switched back on on the way out only
@@ -189,11 +190,17 @@ def parse_problem(text: str) -> ProblemSpec:
             gc.enable()
 
 
-def _spec_from_text(text: str) -> ProblemSpec:
+def _decode_json(text: str, what: str):
+    """text as JSON, else ParseError "what: ..." (the decoder's ValueError
+    covers malformed text and integer literals past Python's digit limit)."""
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
+
+def _spec_from_text(text: str) -> ProblemSpec:
+    doc = _decode_json(text, "invalid JSON")
     _require(isinstance(doc, dict), "top level must be an object", "")
 
     known = {"space", "dim_h", "dim_h0", "field_f", "operator_k", "field_g", "tolerances", "options"}
@@ -242,24 +249,22 @@ def _spec_from_text(text: str) -> ProblemSpec:
         g_samples = _as_matrix(doc["field_g"], n_atoms, dim_h0, "field_g")
         field_g = SampleField(space, g_samples)
 
-    rank_tol = None
-    check_tol = None
-    if "tolerances" in doc and doc["tolerances"] is not None:
-        tols = doc["tolerances"]
-        _require(isinstance(tols, dict), "expected an object", "tolerances")
-        checked = {}
-        for key in tols:
-            _require(key in ("rank_tol", "check_tol"), f"unknown key '{key}'", f"tolerances.{key}")
-            checked[key] = _as_tolerance(tols[key], f"tolerances.{key}")
-        rank_tol = checked.get("rank_tol")
-        check_tol = checked.get("check_tol")
+    for key in ("tolerances", "options"):  # optional objects: absent or null reads as {}
+        doc[key] = {} if doc.get(key) is None else doc[key]
+        _require(isinstance(doc[key], dict), "expected an object", key)
+    tols, options = doc["tolerances"], doc["options"]
+    for key in tols:
+        _require(key in ("rank_tol", "check_tol"), f"unknown key '{key}'", f"tolerances.{key}")
+        tols[key] = _as_tolerance(tols[key], f"tolerances.{key}")
 
-    options = doc.get("options") or {}
-    _require(isinstance(options, dict), "expected an object", "options")
     level = [options]  # its arrays and objects a level deeper each pass, without recursion
     for _ in range(MAX_OPTIONS_DEPTH):
-        level = [c for v in level for c in (v.values() if isinstance(v, dict) else v)
-                 if isinstance(c, (dict, list))]
+        if not level:
+            break
+        values = [c for v in level for c in (v.values() if isinstance(v, dict) else v)]
+        _require(all(math.isfinite(c) for c in values if isinstance(c, float)),
+                 "numbers in options must be finite", "options")
+        level = [c for c in values if isinstance(c, (dict, list))]
     _require(not level, f"options nest deeper than {MAX_OPTIONS_DEPTH} levels", "options")
 
     return ProblemSpec(
@@ -267,8 +272,8 @@ def _spec_from_text(text: str) -> ProblemSpec:
         field_f=SampleField(space, f_samples),
         operator_k=k,
         field_g=field_g,
-        rank_tol=rank_tol,
-        check_tol=check_tol,
+        rank_tol=tols.get("rank_tol"),
+        check_tol=tols.get("check_tol"),
         options=options,
     )
 

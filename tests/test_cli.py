@@ -21,6 +21,7 @@ from ckframe.harness import (
     parse_problem,
     run_command,
 )
+from helpers import strip_wall_time
 
 BROKEN_PAIR = {
     "space": {"labels": ["a", "b"], "weights": [1.0, 1.0]},
@@ -122,13 +123,55 @@ def test_degenerate_exit_zero(tmp_path, capsys):
 DEEP_OPTIONS = json.dumps(BROKEN_PAIR)[:-1] + ', "options": ' + '{"a": ' * 990 + "{}" + "}" * 991
 
 
+# an integer literal past Python's 4,300-digit conversion limit, where the
+# decoder raises a plain ValueError; an interpreter without the limit
+# (3.10 before 3.10.7, or the limit set to 0) refuses the weight and dim_h
+# by their own checks but keeps the integer in options
+HUGE_LITERAL = "9" * 5000
+HUGE_INTEGERS = [
+    json.dumps(BROKEN_PAIR).replace('"weights": [1.0', '"weights": [' + HUGE_LITERAL),
+    json.dumps(BROKEN_PAIR).replace('"dim_h": 2', '"dim_h": ' + HUGE_LITERAL),
+]
+if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(HUGE_LITERAL):
+    HUGE_INTEGERS.append(json.dumps(BROKEN_PAIR)[:-1] + ', "options": {"n": ' + HUGE_LITERAL + "}}")
+
+
+def assert_one_input_error_line(err):
+    assert len(err.splitlines()) == 1 and err.startswith("ckframe: input error: "), err[:200]
+
+
 def test_malformed_spec_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     not_utf8 = b"\xff\xfe" + json.dumps(BROKEN_PAIR).encode()
-    for text in (b"{oops", not_utf8, b"[" * 200000, DEEP_OPTIONS.encode()):
+    overflow = json.dumps(BROKEN_PAIR)[:-1] + ', "options": {"y": 1e999}}'
+    bad = [b"{oops", not_utf8, b"[" * 200000, DEEP_OPTIONS.encode(), overflow.encode()]
+    bad += [text.encode() for text in HUGE_INTEGERS]
+    for text in bad:
         path.write_bytes(text)
         assert main(["bounds", str(path)]) == 2, text[:8]
-        assert "input error" in capsys.readouterr().err
+        assert_one_input_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["0", "false", '""', "[]"])
+@pytest.mark.parametrize("key", ["options", "tolerances"])
+def test_an_optional_object_that_is_not_an_object_exits_two(key, value, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(BROKEN_PAIR)[:-1] + f', "{key}": {value}}}')
+    assert main(["bounds", str(path)]) == 2
+    assert capsys.readouterr().err == f"ckframe: input error: expected an object at '{key}'\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("key", ["options", "tolerances"])
+def test_a_null_optional_object_reads_as_an_absent_one(key, fmt, tmp_path, capsys):
+    absent, null = tmp_path / "absent.json", tmp_path / "null.json"
+    absent.write_text(json.dumps(BROKEN_PAIR))
+    null.write_text(json.dumps(dict(BROKEN_PAIR, **{key: None})))
+    reports = []
+    for path in (absent, null):
+        assert main(["bounds", str(path), "--format", fmt]) == 0
+        reports.append(strip_wall_time(capsys.readouterr().out))
+    assert reports[0] == reports[1]
 
 
 def test_spec_is_read_as_utf8_whatever_the_locale(tmp_path):
@@ -151,10 +194,11 @@ def test_missing_file_exit_two(tmp_path):
     assert main(["bounds", str(tmp_path / "nope.json")]) == 2
 
 
-def test_bad_gen_params_exit_two(tmp_path):
-    assert main(["gen", "--kind", "onb", "--params", "{not json"]) == 2
-    assert main(["gen", "--kind", "onb", "--params", '{"n": 0}']) == 2
-    assert main(["gen", "--kind", "onb", "--params", "[" * 200000]) == 2
+def test_bad_gen_params_exit_two(capsys):
+    huge = ['{"n": ' + HUGE_LITERAL + "}", '{"n": -' + HUGE_LITERAL + "}"]
+    for params in ["{not json", '{"n": 0}', "[" * 200000] + huge:
+        assert main(["gen", "--kind", "onb", "--params", params]) == 2, params[:8]
+        assert_one_input_error_line(capsys.readouterr().err)
 
 
 def test_env_tolerance_loosens_default(broken_pair_spec, monkeypatch):

@@ -202,6 +202,16 @@ def test_options_nest_at_most_max_options_depth():
     assert exc.value.path == "options"
 
 
+def test_options_hold_finite_numbers_only():
+    for options in ('{"x": NaN}', '{"x": Infinity}', '{"x": [1, {"y": -Infinity}]}', '{"x": {"y": [1e999]}}'):
+        with pytest.raises(ValidationError) as exc:
+            parse_problem(spec_with()[:-1] + ', "options": ' + options + "}")
+        assert exc.value.path == "options"
+    # the largest finite double and integers past it are kept
+    spec = parse_problem(spec_with(options={"x": [1.7976931348623157e308, -(10**400)]}))
+    assert spec.options == {"x": [1.7976931348623157e308, -(10**400)]}
+
+
 # ---------------------------------------------------------------------------
 # serialization round trips
 
@@ -230,15 +240,17 @@ def test_digest_format_and_sensitivity():
 #: zero, subnormals, large exponents and integer-valued floats.
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-300, 0.1, 1.0, 2.0, -7.0, 1e16, 3e20]
 
-json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-(10**20), 10**20)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
-    max_leaves=8,
-)
+
+def json_trees(floats):
+    """JSON values whose float leaves come from floats."""
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-(10**20), 10**20) | floats | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+json_values = json_trees(st.floats(allow_nan=False, allow_infinity=False))
 positive_floats = st.floats(min_value=5e-324, max_value=1e300)
 
 
@@ -283,6 +295,65 @@ def test_spec_text_and_digest_match_the_whole_document_oracle(spec):
     assert emit_spec(spec) == text
     assert spec_digest(spec) == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
     assert parse_problem(text) == spec
+
+
+class NonStandardToken(Exception):
+    pass
+
+
+def is_rfc_8259(text):
+    """Whether text decodes as JSON without the NaN and Infinity tokens."""
+
+    def refuse(token):
+        raise NonStandardToken(token)
+
+    try:
+        json.loads(text, parse_constant=refuse)
+    except NonStandardToken:
+        return False
+    return True
+
+
+def set_option(doc, value):
+    doc["options"]["nested"] = [{"x": value}]
+
+
+def set_weight(doc, value):
+    doc["space"]["weights"][0] = value
+
+
+def set_cell(doc, value):
+    doc["field_f"][0][0][1] = value
+
+
+def set_tolerance(doc, value):
+    doc["tolerances"] = {"check_tol": value}
+
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(
+    edited_specs(),
+    st.dictionaries(st.text(max_size=5), json_trees(non_finite | st.floats()), max_size=3),
+    st.sampled_from([None, set_option, set_weight, set_cell, set_tolerance]),
+    non_finite,
+)
+def test_every_accepted_spec_is_written_back_as_rfc_8259_json(spec, options, place, value):
+    # a valid spec with options that may hold NaN and infinities, and maybe
+    # a non-finite number nested in options or as a weight, cell or tolerance
+    doc = json.loads(emit_spec(spec))
+    doc["options"] = options
+    if place is not None:
+        place(doc, value)
+    text = json.dumps(doc)
+    try:
+        accepted = parse_problem(text)
+    except ValidationError:
+        accepted = None
+    assert (accepted is not None) == is_rfc_8259(text)
+    if accepted is not None:
+        assert is_rfc_8259(emit_spec(accepted))
 
 
 def test_spec_text_matches_the_oracle_on_fixed_labels_and_values():
