@@ -228,25 +228,71 @@ def test_invalid_env_tolerance_exit_two(onb_spec, monkeypatch, capsys):
     assert "CKFRAME_TOL" in capsys.readouterr().err
 
 
+def _run_module(*args):
+    return subprocess.run([sys.executable, "-m", "ckframe", *args], capture_output=True, text=True)
+
+
 def test_module_entry_point(tmp_path):
     spec_path = tmp_path / "spec.json"
-    gen = subprocess.run(
-        [sys.executable, "-m", "ckframe", "gen", "--kind", "scaled_onb", "--out", str(spec_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert gen.returncode == 0
-    dual = subprocess.run(
-        [sys.executable, "-m", "ckframe", "dual", str(spec_path)],
-        capture_output=True,
-        text=True,
-    )
+    assert _run_module("gen", "--kind", "scaled_onb", "--out", str(spec_path)).returncode == 0
+    dual = _run_module("dual", str(spec_path))
     assert dual.returncode == 0
     doc = json.loads(dual.stdout)
     assert doc["results"]["dual_field"] == [
         [[1.0, 0.0], [0.0, 0.0]],
         [[0.0, 0.0], [0.5, 0.0]],
     ]
+    # exit codes 1 and 2 reach the calling process as well as 0
+    doc = json.loads(spec_path.read_text())
+    doc["operator_k"] = [[[1e300, 0.0] for _ in row] for row in doc["operator_k"]]
+    spec_path.write_text(json.dumps(doc))
+    failed = _run_module("bounds", str(spec_path))
+    assert (failed.returncode, failed.stderr) == (1, "")
+    assert json.loads(failed.stdout)["results"]["error"] == "NotRepresentable"
+    spec_path.write_text("{oops")
+    malformed = _run_module("bounds", str(spec_path))
+    assert (malformed.returncode, malformed.stdout) == (2, "")
+    assert_one_input_error_line(malformed.stderr)
+
+
+# (kind, params) of generated specs on which every inclusion face passes;
+# k is not onto for random_ckframe's defaults and onto for the others
+GENERATED_KFRAMES = [
+    pytest.param("scaled_onb", "{}", id="scaled_onb"),
+    pytest.param("random_ckframe", "{}", id="random_ckframe"),
+    pytest.param("interval_fourier", "{}", id="interval_fourier"),
+    pytest.param("random_ckframe", '{"n": 4, "n0": 4, "atoms": 16}', id="square"),
+    pytest.param("random_ckframe", '{"n": 32, "n0": 16, "atoms": 256}', id="32-16-256"),
+]
+
+
+@pytest.mark.parametrize("kind,params", GENERATED_KFRAMES)
+def test_the_written_canonical_dual_verifies_as_a_pair(kind, params, tmp_path):
+    # the pair is read back from the report, so its samples carry the
+    # report's %.12e rounding
+    spec_path, report_path = tmp_path / "spec.json", tmp_path / "report.json"
+    assert main(["gen", "--kind", kind, "--params", params, "--out", str(spec_path)]) == 0
+    assert main(["sandwich", str(spec_path)]) == 0
+    assert main(["dual", str(spec_path), "--out", str(report_path)]) == 0
+    doc = json.loads(spec_path.read_text())
+    results = json.loads(report_path.read_text())["results"]
+    doc["field_f"], doc["field_g"] = results["projected_frame"], results["dual_field"]
+    spec_path.write_text(json.dumps(doc))
+    for cmd in ("verify-pair", "sandwich"):
+        assert main([cmd, str(spec_path), "--out", str(report_path)]) == 0, cmd
+
+
+@pytest.mark.parametrize("kind,params", GENERATED_KFRAMES)
+def test_the_written_lower_bound_and_douglas_multiplier_are_reciprocals(kind, params, tmp_path):
+    # A = x^-2 and lambda_min = x^2 for one x = ||pinv(B) k||, so their
+    # product is 1 up to the reports' %.12e rounding
+    spec_path, report_path = tmp_path / "spec.json", tmp_path / "report.json"
+    assert main(["gen", "--kind", kind, "--params", params, "--out", str(spec_path)]) == 0
+    results = {}
+    for cmd in ("bounds", "douglas"):
+        assert main([cmd, str(spec_path), "--out", str(report_path)]) == 0, cmd
+        results[cmd] = json.loads(report_path.read_text())["results"]
+    assert abs(results["bounds"]["lower"] * results["douglas"]["lambda_min"] - 1.0) <= 1e-11
 
 
 @pytest.mark.parametrize("scales", [[1.0, 1e-6], [1e-5, 1e-5], [1.0, 3e-5]])

@@ -1,23 +1,26 @@
-"""README's library quickstart runs as shown and prints what its comments say."""
+"""README's examples run as shown and do what their comments say."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
+from ckframe.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def quickstart() -> str:
+def code_block(heading: str, language: str) -> str:
     text = README.read_text()
-    section = text[text.index("## Library quickstart") :]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = text[text.index(heading) :]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
 
 
 def test_readme_quickstart_prints_its_commented_values():
-    code = quickstart()
+    code = code_block("## Library quickstart", "python")
     namespace: dict = {}
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -29,3 +32,14 @@ def test_readme_quickstart_prints_its_commented_values():
     assert printed[0] == comments[0]
     assert printed[-1] == comments[2]
     assert np.array_equal(namespace["dual"].dual_field.samples, np.diag([1.0, 0.5]))
+
+
+def test_readme_command_lines_exit_as_their_comments_say(tmp_path, monkeypatch, capsys):
+    # each line reads the files the lines before it wrote
+    monkeypatch.chdir(tmp_path)
+    for line in code_block("## Command line", "sh").splitlines():
+        command, comment = line.split("#")
+        argv = shlex.split(command)
+        assert argv[0] == "ckframe", line
+        assert main(argv[1:]) == int(comment.removeprefix(" exit ")), line
+        assert capsys.readouterr().err == "", line
