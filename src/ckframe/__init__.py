@@ -31,9 +31,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveWeight,
     NotADualPair,
-    NotHermitian,
     NotInvertibleOnRange,
-    NotPSD,
     NotRepresentable,
     ParseError,
     RangeNotIncluded,
@@ -63,21 +61,11 @@ from .harness import (
     parse_problem,
     run_command,
 )
-from .linalg import (
-    HermitianEig,
-    adjoint,
-    hermitian_eig,
-    max_psd_multiplier,
-    operator_norm,
-    pseudoinverse,
-    range_basis,
-    range_projector,
-)
+from .linalg import adjoint, operator_norm, pseudoinverse
 from .measure import (
     MeasureSpace,
     SampleField,
     ScalarField,
-    field_l2_inner,
     hilbert_inner,
     l2_inner,
     l2_norm,

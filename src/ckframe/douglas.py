@@ -61,8 +61,8 @@ def minimal_multiplier(
 ) -> Optional[float]:
     """Least lam >= 0 with l1 l1* <= lam * l2 l2*, or None if none exists.
 
-    On inclusion this is ||pinv(l2) l1||^2, which equals
-    1 / max_psd_multiplier(l2 l2*, l1 l1*); l1 = 0 gives 0.0.  Raises
+    On inclusion this is ||pinv(l2) l1||^2, which equals 1 / a for the
+    largest a with a l1 l1* <= l2 l2*; l1 = 0 gives 0.0.  Raises
     NotRepresentable for a nonzero l1 unless it and its reciprocal, the
     frame check's lower bound, are both finite normal doubles.
     """

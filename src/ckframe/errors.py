@@ -15,14 +15,6 @@ class CkFrameError(Exception):
 # linear algebra
 
 
-class NotHermitian(CkFrameError):
-    """Matrix fails the Hermitian symmetry check at the given tolerance."""
-
-
-class NotPSD(CkFrameError):
-    """Matrix fails the positive-semidefinite check at the given tolerance."""
-
-
 class RankAmbiguous(CkFrameError):
     """Some singular value sits in the gray zone between 'zero' and
     'clearly nonzero', so rank-dependent outputs would be unstable."""

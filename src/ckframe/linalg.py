@@ -9,7 +9,6 @@ between "zero" and "clearly nonzero" are rejected rather than guessed at.
 from __future__ import annotations
 
 import copy
-import math
 import threading
 import weakref
 from dataclasses import dataclass, replace
@@ -17,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, NotRepresentable, RankAmbiguous, ValidationError
+from .errors import NotRepresentable, RankAmbiguous, ValidationError
 
 OperatorMatrix = np.ndarray
 
@@ -28,7 +27,7 @@ DEFAULT_RANK_TOL = 1e-10
 #: are neither clearly zero nor clearly nonzero.
 GRAY_ZONE_FACTOR = 100.0
 
-#: Default relative tolerance for residual / symmetry / PSD checks.
+#: Default relative tolerance for the residual and range-inclusion checks.
 DEFAULT_CHECK_TOL = 1e-8
 
 
@@ -53,60 +52,6 @@ def operator_norm(m) -> float:
     sigma_max of B's one kept SVD (see _Kept)."""
     a = as_operator(m)
     return float(np.linalg.norm(a, 2)) if a.any() else 0.0
-
-
-@dataclass(frozen=True)
-class HermitianEig:
-    """Spectral decomposition of a Hermitian matrix.
-
-    eigenvalues are ascending; eigenvector columns are orthonormal and
-    phase-fixed so the first non-negligible component of each is real
-    positive, making the decomposition deterministic for a fixed input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Each column times the conjugate phase of its first entry above 1e-8
-    of its largest magnitude.  The columns are eigenvectors: unit, never zero."""
-    if not vectors.size:
-        return np.array(vectors, copy=True)
-    mags = np.abs(vectors)
-    first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
-    pivot = vectors[first, np.arange(vectors.shape[1])]
-    # hypot is abs() of one complex number; np.abs of an array can differ in the last bit
-    return vectors * np.conj(pivot / np.hypot(pivot.real, pivot.imag))
-
-
-def hermitian_eig(m, tol: float = DEFAULT_CHECK_TOL) -> HermitianEig:
-    """Eigendecomposition of a (numerically) Hermitian matrix.
-
-    Parameters
-    ----------
-    m : array_like
-        Square matrix with ``norm(m - m*) <= tol * max(1, norm(m))``.
-    tol : float
-        Relative symmetry tolerance.
-
-    Raises
-    ------
-    NotHermitian
-        If the symmetry defect exceeds the tolerance.
-    """
-    a = as_operator(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotHermitian(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    defect = operator_norm(a - a.conj().T)
-    # a defect within tol passes whatever ||m|| is, so ||m|| is taken only
-    # when it can decide
-    if defect > tol and defect > tol * max(1.0, operator_norm(a)):
-        raise NotHermitian(f"symmetry defect {defect:.3e} exceeds tolerance")
-    # symmetrize before factoring so roundoff asymmetry cannot leak through
-    sym = 0.5 * (a + a.conj().T)
-    vals, vecs = np.linalg.eigh(sym)
-    return HermitianEig(eigenvalues=vals, eigenvectors=_fix_phases(vecs))
 
 
 def _check_tol(tol: float, name: str) -> None:
@@ -216,14 +161,6 @@ class _RankedSVD:
             return self
         q = np.linalg.qr(as_operator(m).T)[0]
         return replace(self, vh=self.w @ q.T)
-
-
-def _ranked_svd(
-    m, rank_tol: float = DEFAULT_RANK_TOL, right: bool = False, name: str = "m"
-) -> _RankedSVD:
-    """The thin SVD of m ranked by _separated_rank (name is what a
-    RankAmbiguous message calls m), with vh when right is set."""
-    return _thin_svd(as_operator(m), right).ranked(rank_tol, name)
 
 
 def _thin_svd(a: np.ndarray, right: bool = False) -> _RankedSVD:
@@ -424,86 +361,5 @@ def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:
         If some singular value falls in the gray zone where the rank
         decision would be unstable.
     """
-    svd = _ranked_svd(m, rank_tol, right=True)
+    svd = _thin_svd(as_operator(m), right=True).ranked(rank_tol, "m")
     return (svd.vh.conj().T / svd.s) @ svd.u.conj().T
-
-
-def range_basis(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:
-    """Orthonormal basis of the column space, as columns of a matrix.
-
-    Shape is (rows, rank); rank 0 gives a (rows, 0) matrix.
-    """
-    return _ranked_svd(m, rank_tol).u
-
-
-def range_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:
-    """Orthogonal projector onto the column space of m."""
-    u = range_basis(m, rank_tol)
-    return u @ u.conj().T
-
-
-def _check_psd(a: OperatorMatrix, tol: float, name: str) -> None:
-    """Raise NotPSD (naming a as name) unless a is Hermitian and its least
-    eigenvalue is >= -tol * max(1, ||a||), with ||a|| read off the
-    eigenvalues (to within the symmetry defect hermitian_eig allows)."""
-    try:
-        vals = hermitian_eig(a, tol).eigenvalues
-    except NotHermitian as exc:
-        raise NotPSD(f"{name}: {exc}") from exc
-    lo = float(vals[0]) if vals.size else 0.0
-    if lo < -tol * max(1.0, float(np.max(np.abs(vals), initial=0.0))):
-        raise NotPSD(f"{name}: smallest eigenvalue {lo:.3e} is negative")
-
-
-def max_psd_multiplier(
-    s,
-    c,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    tol: float = DEFAULT_CHECK_TOL,
-) -> float:
-    """Largest a >= 0 such that s - a*c remains positive semidefinite.
-
-    Parameters
-    ----------
-    s, c : array_like
-        Hermitian PSD matrices of equal size (checked to ``tol``).
-    rank_tol : float
-        Relative cutoff for the rank decisions inside the computation.
-    tol : float
-        Relative tolerance for the PSD and range-inclusion checks.
-
-    Returns
-    -------
-    float
-        0.0 when range(c) is not contained in range(s) (no positive
-        multiplier exists); math.inf when c = 0 (every multiplier works);
-        otherwise 1 / lambda_max(s^{+/2} c s^{+/2}).
-
-    Raises
-    ------
-    NotPSD
-        If either input fails the Hermitian PSD check.
-    """
-    a = as_operator(s)
-    b = as_operator(c)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise NotPSD(f"expected equal square shapes, got {a.shape} and {b.shape}")
-    _check_psd(a, tol, "s")
-    _check_psd(b, tol, "c")
-
-    if not b.any():
-        return math.inf
-    # for PSD s = U Sigma U*, one SVD gives both range(s) and s^{+/2}
-    svd, _, coords, _ = _Kept(lambda: a).inclusion(b, "s", rank_tol, tol, False)
-    # range(c) must sit inside range(s), otherwise some h has c-energy but
-    # no s-energy and only a = 0 survives
-    if coords is None:
-        return 0.0
-    root = svd.u / np.sqrt(svd.s)
-    w = root.conj().T @ b @ root
-    lam = float(np.linalg.eigvalsh(0.5 * (w + w.conj().T))[-1])
-    if lam <= 0.0:
-        # c vanishes on range(s); with the range check passed this means
-        # c is numerically zero relative to s
-        return math.inf
-    return 1.0 / lam

@@ -40,10 +40,6 @@ class MeasureSpace:
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
 
-    @property
-    def total_mass(self) -> float:
-        return float(sum(self.weights))
-
 
 def make_measure_space(labels, weights) -> MeasureSpace:
     """Validated constructor.
@@ -143,12 +139,3 @@ def l2_norm(phi: ScalarField) -> float:
     """Weighted 2-norm sqrt(sum_i w_i |phi_i|^2)."""
     w = phi.space.weight_array
     return float(np.sqrt(np.sum(w * np.abs(phi.values) ** 2)))
-
-
-def field_l2_inner(f: SampleField, g: SampleField) -> complex:
-    """sum_i w_i <f_i, g_i> for two vector fields of equal dimension."""
-    _same_space(f, g)
-    if f.dim != g.dim:
-        raise DimMismatch(f"field dims {f.dim} and {g.dim} differ")
-    w = f.space.weight_array
-    return complex(np.sum(w * np.sum(f.samples * g.samples.conj(), axis=1)))

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own code paths: bisection on
 the smallest eigenvalue instead of whitened pencils, raw least squares
 instead of pseudoinverse composition, and Monte-Carlo minimization of
-Rayleigh-type quotients with local refinement.
+Rayleigh-type quotients with local refinement.  The range and PSD-pencil
+oracles are plain numpy and share no code with ckframe.linalg.
 """
 
 import json
@@ -16,7 +17,7 @@ import numpy as np
 import ckframe
 from ckframe import SampleField, ScalarField, make_measure_space
 from ckframe.frame_ops import analysis, synthesis, synthesis_matrix
-from ckframe.linalg import DEFAULT_CHECK_TOL
+from ckframe.linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL
 from ckframe.measure import l2_norm
 
 
@@ -116,13 +117,55 @@ def bisect_max_multiplier(s, c, hi_cap=1e12):
     return lo
 
 
-def char_poly_eigenvalues_2x2(m):
-    """Ascending eigenvalues of a Hermitian 2x2 via the quadratic formula."""
-    m = np.asarray(m, dtype=complex)
-    tr = float(m[0, 0].real + m[1, 1].real)
-    det = float((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real)
-    disc = np.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    return np.array([(tr - disc) / 2.0, (tr + disc) / 2.0])
+def range_basis(m, rank_tol=DEFAULT_RANK_TOL):
+    """Orthonormal basis of the column space of m, as the columns of a
+    (rows, rank) matrix: m's left singular vectors whose singular values
+    exceed rank_tol * sigma_max."""
+    u, s, _ = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
+    return u[:, : int(np.count_nonzero(s > rank_tol * s[0]))]
+
+
+def range_projector(m, rank_tol=DEFAULT_RANK_TOL):
+    """Orthogonal projector onto the column space of m."""
+    u = range_basis(m, rank_tol)
+    return u @ u.conj().T
+
+
+def _check_psd(a, tol, name):
+    """Raise ValueError naming a as name unless its symmetry defect and the
+    negative part of its least eigenvalue are both within tol * max(1, ||a||)."""
+    scale = tol * max(1.0, float(np.linalg.norm(a, 2)))
+    if float(np.linalg.norm(a - a.conj().T, 2)) > scale:
+        raise ValueError(f"{name} is not Hermitian")
+    lo = float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
+    if lo < -scale:
+        raise ValueError(f"{name}: smallest eigenvalue {lo:.3e} is negative")
+
+
+def max_psd_multiplier(s, c, rank_tol=DEFAULT_RANK_TOL, tol=DEFAULT_CHECK_TOL):
+    """Largest a >= 0 with s - a*c PSD, for Hermitian PSD s and c of one
+    square shape, through the eigendecomposition of s: 0.0 when range(c)
+    leaves range(s) by more than tol relative to ||c||, math.inf when c = 0
+    or c vanishes on range(s), else 1 / lambda_max(s^{+/2} c s^{+/2})."""
+    s = np.asarray(s, dtype=complex)
+    c = np.asarray(c, dtype=complex)
+    if s.shape != c.shape or s.shape[0] != s.shape[1]:
+        raise ValueError(f"expected equal square shapes, got {s.shape} and {c.shape}")
+    _check_psd(s, tol, "s")
+    _check_psd(c, tol, "c")
+    if not c.any():
+        return math.inf
+    vals, vecs = np.linalg.eigh(0.5 * (s + s.conj().T))
+    # the eigenvalues of a PSD s are its singular values, so this is the
+    # rank cutoff rank_tol * sigma_max
+    kept = vals > rank_tol * vals[-1]
+    u = vecs[:, kept]
+    if np.linalg.norm(c - u @ (u.conj().T @ c), 2) > tol * np.linalg.norm(c, 2):
+        return 0.0
+    root = u / np.sqrt(vals[kept])
+    w = root.conj().T @ c @ root
+    lam = float(np.linalg.eigvalsh(0.5 * (w + w.conj().T))[-1])
+    return math.inf if lam <= 0.0 else 1.0 / lam
 
 
 def min_quotient(rng, s, c, budget, rounds=14):
@@ -444,22 +487,6 @@ def diagnose(labels, weights, samples, k) -> dict:
         "sandwich": ckframe.sandwich_check(f, k),
         "restricted": ckframe.subspace_cframe_margin(f, k),
     }
-
-
-def reference_fix_phases(vectors):
-    """Column by column: each column times the conjugate phase of its first
-    entry above 1e-8 of its largest magnitude; an all-zero column stays."""
-    out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        i0 = int(np.argmax(mags > 1e-8 * top))
-        phase = col[i0] / abs(col[i0])
-        out[:, j] = col * np.conj(phase)
-    return out
 
 
 # ---------------------------------------------------------------------------

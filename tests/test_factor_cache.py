@@ -50,7 +50,6 @@ from ckframe.douglas import douglas_factor, minimal_multiplier, range_included
 from ckframe.frame_ops import (
     cframe_bounds,
     ckframe_check,
-    frame_operator,
     synthesis_matrix,
     whitened_synthesis_matrix,
 )
@@ -61,12 +60,9 @@ from ckframe.linalg import (
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
     _kept_like,
-    _ranked_svd,
     _same_bytes,
-    max_psd_multiplier,
+    _thin_svd,
     operator_norm,
-    range_basis,
-    range_projector,
 )
 from helpers import (
     ckframe_instance,
@@ -78,6 +74,7 @@ from helpers import (
     parseval_field,
     random_space,
     random_unitary,
+    range_projector,
     with_rank,
 )
 
@@ -226,8 +223,8 @@ def test_the_left_factor_is_the_same_bits_with_or_without_vh(shape):
     full = crandn(rng, *shape)
     # and a rank-deficient b, whose rank is decided on the same singular values
     for b in (full, full[:, :1] @ full[:1, :]):
-        left = _ranked_svd(b)
-        with_vh = _ranked_svd(b, right=True)
+        left = _thin_svd(b).ranked(DEFAULT_RANK_TOL, "b")
+        with_vh = _thin_svd(b, right=True).ranked(DEFAULT_RANK_TOL, "b")
         assert (left.vh is None) == (shape[0] < shape[1])
         assert bits((left.u, left.s, left.top, left.w)) == bits(
             (with_vh.u, with_vh.s, with_vh.top, with_vh.w)
@@ -383,25 +380,6 @@ def test_warm_inverse_on_range_takes_no_factorization(kind, monkeypatch):
     counts = counted_factorizations(monkeypatch)
     inverse_on_range(spec.field_f, spec.operator_k)
     assert not counts, dict(counts)
-
-
-@pytest.mark.parametrize("skew", [0.0, 1e-12])
-def test_max_psd_multiplier_reads_each_scale_off_its_eigenvalues(skew, monkeypatch):
-    # the PSD checks read ||s|| and ||c|| off the eigenvalues they take, so
-    # the only norm(., 2) is of a nonzero symmetry defect: S_f is exactly
-    # Hermitian, and c = k k* is made so, then skewed within tolerance
-    # (whether a product k k* comes out exactly Hermitian is up to BLAS)
-    spec = generate_example("random_ckframe", {})
-    s = frame_operator(spec.field_f)
-    c = spec.operator_k @ spec.operator_k.conj().T
-    c = 0.5 * (c + c.conj().T)
-    c[0, 1] += skew * operator_norm(c)
-    counts = counted_factorizations(monkeypatch)
-    max_psd_multiplier(s, c)
-    expected = {"svd": 1, "eigh": 2, "eigvalsh": 1}
-    if skew:
-        expected["norm2"] = 1
-    assert dict(counts) == expected
 
 
 @given(
@@ -702,17 +680,6 @@ def test_threads_asking_one_field_about_different_k_get_their_own_answers():
     assert warm == cold * 25
 
 
-def test_range_basis_hands_back_a_writable_array_of_its_own():
-    f, k = ckframe_instance(np.random.default_rng(14), 3, 2, 16)
-    b = whitened_synthesis_matrix(f)
-    ckframe_check(f, k)
-    basis = range_basis(b)
-    expected = bits(ckframe_check(f, k))
-    basis[...] = 0.0
-    assert bits(range_basis(b)) != bits(basis)
-    assert bits(ckframe_check(f, k)) == expected
-
-
 def test_rank_ambiguity_is_raised_again_on_a_warm_field():
     # sigma = (1, 3e-9): clearly rank 2 at rank_tol 1e-12, ambiguous at 1e-10
     space = make_measure_space(["a", "b"], [1.0, 1.0])
@@ -776,7 +743,7 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
     }
     # k's SVD and the compression keep k's left factor and singular
     # values, not its right factor, which nothing reads
-    k_right = _ranked_svd(k, name="k").w
+    k_right = _thin_svd(k).w
     compression = answers[("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL)]
     assert len(answers["k_svd"]) == 2
     for answer in (answers["k_svd"], compression):

@@ -35,8 +35,8 @@ from ckframe.atoms_duals import (
 from ckframe.douglas import douglas_factor, minimal_multiplier, range_included
 from ckframe.frame_ops import ckframe_check, frame_operator, map_field, whitened_synthesis_matrix
 from ckframe.harness import GENERATOR_KINDS, generate_example
-from ckframe.linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, max_psd_multiplier
-from helpers import crandn, fresh_copy, random_unitary
+from ckframe.linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL
+from helpers import crandn, fresh_copy, max_psd_multiplier, random_unitary
 
 TOL = DEFAULT_CHECK_TOL
 EPS = np.finfo(float).eps

@@ -1,6 +1,7 @@
 """README's examples run as shown and do what their comments say."""
 
 import contextlib
+import inspect
 import io
 import re
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+import ckframe
 from ckframe.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,3 +45,21 @@ def test_readme_command_lines_exit_as_their_comments_say(tmp_path, monkeypatch, 
         assert argv[0] == "ckframe", line
         assert main(argv[1:]) == int(comment.removeprefix(" exit ")), line
         assert capsys.readouterr().err == "", line
+
+
+def test_readme_names_every_exported_function_and_class():
+    # a name counts when it is code: in a fenced block or an inline span
+    text = README.read_text()
+    fenced = re.findall(r"```[a-z]*\n(.*?)```", text, re.S)
+    prose = re.sub(r"```[a-z]*\n.*?```", "", text, flags=re.S)
+    code = " ".join(fenced + re.findall(r"`([^`]+)`", prose))
+    named = set(re.findall(r"\w+", code))
+    exported = [
+        name
+        for name, value in vars(ckframe).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and not (inspect.isclass(value) and issubclass(value, Exception))
+    ]
+    assert len(exported) > 30
+    assert [name for name in exported if name not in named] == []
