@@ -142,7 +142,7 @@ def atom_coefficient_map(
     NotRepresentable
         If an entry of m is outside double precision range.
     """
-    kk = as_operator(k)
+    kk, tol = as_operator(k), _check_tol(tol, "tol")
     # reads vh, which f keeps; coords and their norm are read off the same SVD
     report, b, coords, x = _frame_check(f, kk, rank_tol, tol, right=True)
     if not report.range_included:
@@ -241,6 +241,8 @@ class _OnRange:
 
 def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -> _OnRange:
     """The _OnRange of (f, k), kept for f with its other answers about k."""
+    # checked before they key the memo
+    tol, rank_tol = _check_tol(tol, "tol"), _check_tol(rank_tol, "rank_tol", 1.0)
     ask = _kept(f).asker(kk)
     return ask(("on_range", rank_tol, tol), lambda: _compress(f, kk, rank_tol, tol))
 
@@ -374,8 +376,7 @@ def verify_dual_pair(
     rank(k) and ||B_f|| of lower_bound_cert = 1 / ||B_f||^2 are read off
     the SVDs of k and of B_f kept for f (see linalg._Kept).
     """
-    kk = as_operator(k)
-    _check_tol(tol, "tol")
+    kk, tol = as_operator(k), _check_tol(tol, "tol")
     if f.space != g.space:
         raise SpaceMismatch("f and g must live over the same measure space")
     if kk.shape != (f.dim, g.dim):
@@ -470,7 +471,7 @@ def canonical_dual(
     NotRepresentable if a sample of g is outside double precision range;
     degenerate and non-frame inputs raise as in inverse_on_range.
     """
-    kk = as_operator(k)
+    kk, tol = as_operator(k), _check_tol(tol, "tol")
     on = _on_range(f, kk, rank_tol, tol)
     # k* G B = k* U_k qh* diag(1/sc) p* vh, since G B = U_k (c* c)^-1 c* vh;
     # the small factors are multiplied first

@@ -5,8 +5,8 @@ report (JSON or text); `gen` writes example spec files.  Exit codes:
 0 checks passed (or vacuous/degenerate), 1 checks failed, 2 input
 error, 3 internal error.  CKFRAME_TOL overrides the default check
 tolerance; a spec's own tolerances and --tol take precedence over it.
-Each tolerance must be a finite number > 0.  A spec file is read as
-UTF-8 (RFC 8259), whatever the locale.
+Each is a number in (0, inf), a spec's rank_tol one in (0, 1).  A spec
+file is read as UTF-8 (RFC 8259), whatever the locale.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from pathlib import Path
 from .errors import BadParams, CkFrameError, ParseError, UnknownKind, ValidationError
 from .harness import (
     _RUNNERS,
+    _WRITERS,
     GENERATOR_KINDS,
     STATUS_FAILED,
-    _as_tolerance,
     _decode_json,
     emit_report,
     emit_spec,
@@ -29,7 +29,7 @@ from .harness import (
     parse_problem,
     run_command,
 )
-from .linalg import DEFAULT_CHECK_TOL
+from .linalg import DEFAULT_CHECK_TOL, _check_tol
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(cmd, help=runner.__doc__)
         sp.add_argument("spec", help="path to a problem-spec JSON file")
         sp.add_argument("--out", default=None, help="write the report to this path instead of stdout")
-        sp.add_argument("--format", choices=("json", "text"), default="json", help="report format")
+        sp.add_argument("--format", choices=_WRITERS, default="json", help="report format")
         sp.add_argument("--tol", type=float, default=None, help="override the check tolerance")
     gen = sub.add_parser("gen", help="Generate an example problem spec.")
     gen.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
@@ -68,13 +68,13 @@ def main(argv=None) -> int:
             _write(args.out, emit_spec(spec))
             return 0
 
-        tol = None if args.tol is None else _as_tolerance(args.tol, "--tol")
+        tol = None if args.tol is None else _check_tol(args.tol, "--tol")
         env_tol = os.environ.get("CKFRAME_TOL")
         try:
             default_tol = float(env_tol) if env_tol is not None else DEFAULT_CHECK_TOL
         except ValueError as exc:
             raise ValidationError(f"CKFRAME_TOL is not a number: {env_tol!r}") from exc
-        default_tol = _as_tolerance(default_tol, "CKFRAME_TOL")
+        default_tol = _check_tol(default_tol, "CKFRAME_TOL")
         try:
             text = Path(args.spec).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:

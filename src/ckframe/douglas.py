@@ -20,6 +20,7 @@ from .linalg import (
     GRAY_ZONE_FACTOR,
     OperatorMatrix,
     _check_multiplier,
+    _check_tol,
     _kept_like,
     as_operator,
 )
@@ -83,6 +84,7 @@ def douglas_factor(
     minimal_multiplier).  Otherwise both are None and the result records
     how far l1 is from range(l2).
     """
+    tol = _check_tol(tol, "tol")
     svd, residual, coords, multiplier = _inclusion(l1, l2, rank_tol, tol, True)
     included = coords is not None
     return DouglasResult(

@@ -30,7 +30,7 @@ from .errors import (
     UnknownKind,
     ValidationError,
 )
-from .linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL
+from .linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, _as_number, _check_tol
 from .measure import MeasureSpace, SampleField, make_measure_space
 
 STATUS_OK = "ok"
@@ -90,37 +90,13 @@ def _require(cond: bool, message: str, path: str) -> None:
         raise ValidationError(message, path)
 
 
-def _as_number(value, path: str) -> float:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"expected a number, got {type(value).__name__}",
-        path,
-    )
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValidationError("number is too large for double precision", path) from None
-    _require(math.isfinite(number), "number must be finite", path)
-    return number
-
-
-def _as_tolerance(value, path: str) -> float:
-    """value as a tolerance: a finite number > 0.  path names where it came
-    from, a spec's JSON path or the CLI's --tol or CKFRAME_TOL."""
-    tol = _as_number(value, path)
-    _require(tol > 0.0, "tolerance must be > 0", path)
-    return tol
-
-
 def _as_complex(value, path: str) -> complex:
     _require(
         isinstance(value, list) and len(value) == 2,
         "complex scalar must be a [re, im] pair",
         path,
     )
-    re = _as_number(value[0], f"{path}[0]")
-    im = _as_number(value[1], f"{path}[1]")
-    return complex(re, im)
+    return complex(_as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]"))
 
 
 def _as_matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
@@ -253,9 +229,10 @@ def _spec_from_text(text: str) -> ProblemSpec:
         doc[key] = {} if doc.get(key) is None else doc[key]
         _require(isinstance(doc[key], dict), "expected an object", key)
     tols, options = doc["tolerances"], doc["options"]
+    uppers = {"rank_tol": 1.0, "check_tol": math.inf}  # each tolerance lies in (0, upper)
     for key in tols:
-        _require(key in ("rank_tol", "check_tol"), f"unknown key '{key}'", f"tolerances.{key}")
-        tols[key] = _as_tolerance(tols[key], f"tolerances.{key}")
+        _require(key in uppers, f"unknown key '{key}'", f"tolerances.{key}")
+        tols[key] = _check_tol(tols[key], f"tolerances.{key}", uppers[key])
 
     level = [options]  # its arrays and objects a level deeper each pass, without recursion
     for _ in range(MAX_OPTIONS_DEPTH):
@@ -294,11 +271,8 @@ def _spec_chunks(spec: ProblemSpec) -> Iterator[str]:
         "operator_k": spec.operator_k,
         "field_g": spec.field_g.samples if spec.field_g is not None else None,
     }
-    tols = {}
-    if spec.rank_tol is not None:
-        tols["rank_tol"] = spec.rank_tol
-    if spec.check_tol is not None:
-        tols["check_tol"] = spec.check_tol
+    tols = {key: tol for key, tol in (("rank_tol", spec.rank_tol), ("check_tol", spec.check_tol))
+            if tol is not None}
     if tols:
         doc["tolerances"] = tols
     if spec.options:
@@ -461,13 +435,15 @@ def report_to_text(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The report writers, by the name --format gives them.
+_WRITERS = {"json": report_to_json, "text": report_to_text}
+
+
 def emit_report(report: RunReport, fmt: str = "json") -> str:
     """Render a report deterministically as canonical JSON or text."""
-    if fmt == "json":
-        return report_to_json(report)
-    if fmt == "text":
-        return report_to_text(report)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in _WRITERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return _WRITERS[fmt](report)
 
 
 # ---------------------------------------------------------------------------
@@ -585,15 +561,15 @@ def run_command(
     """Execute one command against a spec and wrap the outcome.
 
     Tolerance resolution: explicit override, else the spec's check_tol,
-    else the supplied default; each given tolerance must be finite and
-    > 0, else ValidationError names it.  Library errors become
-    status=failed with the originating error class name in the results;
-    schema errors (e.g. verify-pair without field_g) propagate.
+    else the supplied default; a tol_override or default_tol that
+    linalg._check_tol refuses raises ValidationError naming it.  Library
+    errors become status=failed with the originating error class name in
+    the results; schema errors (e.g. verify-pair without field_g) propagate.
     """
     if command not in _RUNNERS:
         raise ValidationError(f"unknown command '{command}'", "command")
-    default_tol = _as_tolerance(default_tol, "default_tol")
-    tol = _as_tolerance(tol_override, "tol_override") if tol_override is not None else (
+    default_tol = _check_tol(default_tol, "default_tol")
+    tol = _check_tol(tol_override, "tol_override") if tol_override is not None else (
         spec.check_tol if spec.check_tol is not None else default_tol
     )
     rank_tol = spec.rank_tol if spec.rank_tol is not None else DEFAULT_RANK_TOL
@@ -677,6 +653,8 @@ def generate_example(kind: str, params: dict, seed: int = 0) -> ProblemSpec:
         raise UnknownKind(f"unknown generator kind '{kind}'")
     if not isinstance(params, dict):
         raise BadParams("params must be an object")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise BadParams(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise BadParams(f"seed must be >= 0, got {seed}")
     params = _with_defaults(kind, params)

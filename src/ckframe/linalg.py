@@ -9,6 +9,8 @@ between "zero" and "clearly nonzero" are rejected rather than guessed at.
 from __future__ import annotations
 
 import copy
+import math
+import numbers
 import threading
 import weakref
 from dataclasses import dataclass, replace
@@ -54,12 +56,28 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(a, 2)) if a.any() else 0.0
 
 
-def _check_tol(tol: float, name: str) -> None:
-    """Raise ValidationError at name unless the tolerance tol, which grades
-    a verdict or a rank, is finite and > 0: inf would pass every check (or
-    count no direction), NaN fail all."""
-    if not 0.0 < tol < np.inf:
-        raise ValidationError(f"tolerance must be finite and > 0, got {tol!r}", name)
+def _as_number(value, path: str) -> float:
+    """value, a real number but not a bool, as a finite double, else
+    ValidationError at path, where value came from."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"expected a number, got {type(value).__name__}", path)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValidationError("number is too large for double precision", path) from None
+    if not math.isfinite(number):
+        raise ValidationError("number must be finite", path)
+    return number
+
+
+def _check_tol(value, name: str, upper: float = math.inf) -> float:
+    """value as a tolerance: its _as_number, if in (0, upper), else
+    ValidationError at name.  upper is inf for a tol, which grades a verdict,
+    and 1 for a rank_tol, which decides a rank: from 1 up none would count."""
+    tol = _as_number(value, name)
+    if not 0.0 < tol < upper:
+        raise ValidationError(f"tolerance must lie in (0, {upper:g}), got {tol!r}", name)
+    return tol
 
 
 def _separated_rank(sigma: np.ndarray, rank_tol: float, name: str) -> int:
@@ -68,11 +86,10 @@ def _separated_rank(sigma: np.ndarray, rank_tol: float, name: str) -> int:
     Rank counts sigma_i > rank_tol * sigma_max.  Any sigma_i strictly inside
     (rank_tol, GRAY_ZONE_FACTOR * rank_tol) * sigma_max makes the rank
     ill-determined and raises RankAmbiguous, whose message names the
-    matrix the singular values are of as name.  A rank_tol outside (0, 1),
-    from 1 up would count not even sigma_max, raises ValidationError.
+    matrix the singular values are of as name.  rank_tol must pass
+    _check_tol with upper 1, else ValidationError at 'rank_tol'.
     """
-    if not 0.0 < rank_tol < 1.0:
-        raise ValidationError(f"rank tolerance must be in (0, 1), got {rank_tol!r}", "rank_tol")
+    rank_tol = _check_tol(rank_tol, "rank_tol", 1.0)
     if sigma.size == 0:
         return 0
     top = float(sigma[0])
@@ -295,7 +312,7 @@ class _Kept:
         ||coords|| = ||pinv(B) k||.  The distance and the norm are kept
         with the other answers about k.
         """
-        _check_tol(tol, "tol")
+        tol = _check_tol(tol, "tol")
         svd = self.factor(name, rank_tol, right)
         ask = self.asker(k)
         proj = svd.u.conj().T @ k

@@ -26,7 +26,6 @@ from ckframe.frame_ops import (
     ckframe_check,
     frame_operator,
     synthesis,
-    whitened_synthesis_matrix,
 )
 from ckframe.linalg import operator_norm, pseudoinverse
 from ckframe.measure import hilbert_inner, l2_inner, l2_norm

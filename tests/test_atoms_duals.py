@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ckframe import (
-    CanonicalDualFailed,
     DegenerateOperator,
     DimMismatch,
     NotADualPair,

@@ -222,6 +222,16 @@ def test_spec_tolerance_beats_env(tmp_path, monkeypatch):
     assert main(["verify-pair", str(path)]) == 1
 
 
+@pytest.mark.parametrize("rank_tol", [1, 2])
+def test_a_spec_rank_tol_from_one_up_exits_two(rank_tol, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(BROKEN_PAIR, tolerances={"rank_tol": rank_tol})))
+    assert main(["bounds", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert_one_input_error_line(err)
+    assert err.endswith("at 'tolerances.rank_tol'\n")
+
+
 def test_invalid_env_tolerance_exit_two(onb_spec, monkeypatch, capsys):
     monkeypatch.setenv("CKFRAME_TOL", "tight")
     assert main(["bounds", onb_spec]) == 2

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from ckframe import (
     BadParams,
+    CkFrameError,
     ParseError,
     SampleField,
     UnknownKind,
@@ -19,8 +21,8 @@ from ckframe import (
     make_measure_space,
 )
 from ckframe import harness
-from ckframe.atoms_duals import canonical_dual, verify_dual_pair
-from ckframe.douglas import douglas_factor, range_included
+from ckframe.atoms_duals import atom_coefficient_map, canonical_dual, sandwich_check, verify_dual_pair
+from ckframe.douglas import douglas_factor, minimal_multiplier, range_included
 from ckframe.frame_ops import ckframe_check, frame_operator, whitened_synthesis_matrix
 from ckframe.harness import (
     COMMANDS,
@@ -119,6 +121,11 @@ def test_parse_rejects_bad_tolerances():
     assert exc.value.path == "tolerances.check_tol"
     with pytest.raises(ValidationError):
         parse_problem(spec_with(tolerances={"typo_tol": 1e-8}))
+    # a rank_tol from 1 up counts no direction, caught when the spec is read
+    for rank_tol in (1, 2):
+        with pytest.raises(ValidationError) as exc:
+            parse_problem(spec_with(tolerances={"rank_tol": rank_tol}))
+        assert exc.value.path == "tolerances.rank_tol"
 
 
 def test_parse_rejects_bool_and_bad_dims():
@@ -252,6 +259,8 @@ def json_trees(floats):
 
 json_values = json_trees(st.floats(allow_nan=False, allow_infinity=False))
 positive_floats = st.floats(min_value=5e-324, max_value=1e300)
+#: A spec's rank_tol lies in (0, 1).
+rank_tols = st.floats(min_value=5e-324, max_value=1.0, exclude_max=True)
 
 
 @st.composite
@@ -277,7 +286,7 @@ def edited_specs(draw):
     field_g = spec.field_g
     if field_g is not None:
         field_g = SampleField(space, edited(field_g.samples, SPECIAL_FLOATS))
-    tols = draw(st.fixed_dictionaries({}, optional={"rank_tol": positive_floats, "check_tol": positive_floats}))
+    tols = draw(st.fixed_dictionaries({}, optional={"rank_tol": rank_tols, "check_tol": positive_floats}))
     return ProblemSpec(
         space=space,
         field_f=SampleField(space, edited(spec.field_f.samples, SPECIAL_FLOATS)),
@@ -521,6 +530,11 @@ def test_generator_rejections():
         generate_example("scaled_onb", {"scales": [1.0, 0.0]})
     with pytest.raises(BadParams):
         generate_example("scaled_onb", {"scales": []})
+    # a seed is an integer: True is no seed 1
+    for seed in ("3", None, 1.5, True):
+        with pytest.raises(BadParams, match="^seed must be an integer, got "):
+            generate_example("random_ckframe", {}, seed)
+    assert generate_example("random_ckframe", {}, np.int64(3)) == generate_example("random_ckframe", {}, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -726,18 +740,67 @@ TOLERANCE_TAKERS = {
         "tol",
     ),
     "verify_dual_pair": (lambda s, tol: verify_dual_pair(s.field_f, s.field_g, s.operator_k, tol=tol), "tol"),
+    "atom_coefficient_map": (lambda s, tol: atom_coefficient_map(s.field_f, s.operator_k, tol=tol), "tol"),
+    "sandwich_check": (lambda s, tol: sandwich_check(s.field_f, s.operator_k, tol=tol), "tol"),
+    "canonical_dual": (lambda s, tol: canonical_dual(s.field_f, s.operator_k, tol=tol), "tol"),
+    "douglas_factor": (
+        lambda s, tol: douglas_factor(s.operator_k, whitened_synthesis_matrix(s.field_f), tol=tol),
+        "tol",
+    ),
+    "minimal_multiplier": (
+        lambda s, tol: minimal_multiplier(s.operator_k, whitened_synthesis_matrix(s.field_f), tol=tol),
+        "tol",
+    ),
 }
 
+#: Values that are no tolerance, nor rank tolerance: not finite and > 0, a
+#: bool, not a number, or past double precision.
+NOT_TOLERANCES = [float("inf"), float("nan"), 0.0, -1.0, True, "1e-8", None, [1e-8], 10**400]
+NOT_TOLERANCE_IDS = ["inf", "nan", "zero", "negative", "true", "string", "none", "list", "huge-int"]
 
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+
+@pytest.mark.parametrize("tol", NOT_TOLERANCES, ids=NOT_TOLERANCE_IDS)
 @pytest.mark.parametrize("taker", sorted(TOLERANCE_TAKERS))
 def test_a_tolerance_must_be_finite_and_positive(taker, tol):
     # at tol = inf every check would pass and diag(1, 0) would be a ck-frame
     assert run_command(leaky_spec(), "bounds").results["is_ck_frame"] is False
     call, name = TOLERANCE_TAKERS[taker]
+    if tol is None and name == "tol_override":
+        # None is no override: the default tolerance grades
+        assert call(leaky_spec(), tol).results["is_ck_frame"] is False
+        return
     with pytest.raises(ValidationError) as exc:
         call(leaky_spec(), tol)
     assert exc.value.path == name
+
+
+def dual_pair_spec():
+    """f = diag(1, 2) and g = diag(1, 1/2), a dual pair for k = I."""
+    space = make_measure_space(["a", "b"], [1.0, 1.0])
+    f = SampleField(space, np.diag([1.0, 2.0]))
+    g = SampleField(space, np.diag([1.0, 0.5]))
+    return ProblemSpec(space=space, field_f=f, operator_k=np.eye(2, dtype=complex), field_g=g)
+
+
+def verdict(call, spec, tol):
+    """What call(spec, tol) returns, or the library error it raises, as text."""
+    try:
+        out = call(spec, tol)
+    except ValidationError:
+        raise
+    except CkFrameError as exc:
+        return type(exc).__name__, str(exc)
+    return repr((out.status, out.results) if isinstance(out, RunReport) else out)
+
+
+@pytest.mark.parametrize(
+    "tol", [np.float32(1e-6), np.int64(1), Fraction(1, 10**8)], ids=["float32", "int64", "fraction"]
+)
+@pytest.mark.parametrize("spec", [leaky_spec, dual_pair_spec], ids=["leaky", "pair"])
+@pytest.mark.parametrize("taker", sorted(TOLERANCE_TAKERS))
+def test_a_numpy_or_fraction_tolerance_grades_as_the_equal_float(taker, spec, tol):
+    call = TOLERANCE_TAKERS[taker][0]
+    assert verdict(call, spec(), tol) == verdict(call, spec(), float(tol))
 
 
 #: Each entry point that decides a rank by rank_tol, called on f = diag(1, 2)
@@ -753,8 +816,8 @@ RANK_TOL_TAKERS = {
 
 @pytest.mark.parametrize(
     "rank_tol",
-    [float("inf"), float("nan"), 0.0, -1.0, 1.0, 2.0],
-    ids=["inf", "nan", "zero", "negative", "one", "above-one"],
+    [*NOT_TOLERANCES, 1.0, 2.0],
+    ids=[*NOT_TOLERANCE_IDS, "one", "above-one"],
 )
 @pytest.mark.parametrize("taker", sorted(RANK_TOL_TAKERS))
 def test_a_rank_tolerance_must_be_finite_and_positive(taker, rank_tol):
