@@ -13,7 +13,8 @@ k : H0 -> H.  The central objects:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -143,8 +144,8 @@ def atom_coefficient_map(
         If an entry of m is outside double precision range.
     """
     kk, tol = as_operator(k), _check_tol(tol, "tol")
-    # reads vh, which f keeps; coords and their norm are read off the same SVD
-    report, b, coords, x = _frame_check(f, kk, rank_tol, tol, right=True)
+    # pinv(B) k and its norm, kept for f, are read off the same SVD
+    report, _, pinv_k, x = _frame_check(f, kk, rank_tol, tol, right=True)
     if not report.range_included:
         raise RangeNotIncluded(
             f"range inclusion residual {report.residuals['range_inclusion']:.3e} "
@@ -152,7 +153,7 @@ def atom_coefficient_map(
         )
     # the bound is finite, but m is sqrt(w) m divided by sqrt(w), which can overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = (b.vh.conj().T @ coords) / np.sqrt(f.space.weight_array)[:, None]
+        matrix = pinv_k() / np.sqrt(f.space.weight_array)[:, None]
     return CoefficientMap(matrix=_check_finite(matrix, "the atom coefficient map"), bound=x)
 
 
@@ -374,13 +375,27 @@ def verify_dual_pair(
     its bits.  g's B enters D unchecked, as S_g may underflow where D
     does not; a D that is not finite raises NotRepresentable.  ||k||,
     rank(k) and ||B_f|| of lower_bound_cert = 1 / ||B_f||^2 are read off
-    the SVDs of k and of B_f kept for f (see linalg._Kept).
+    the SVDs of k and of B_f kept for f (see linalg._Kept).  So is the
+    report of the last (g, tol, rank_tol) checked against f and k, with g
+    told by identity while it lives: asked again, it is read, not
+    recomputed, and a copy of g is checked afresh.
     """
     kk, tol = as_operator(k), _check_tol(tol, "tol")
     if f.space != g.space:
         raise SpaceMismatch("f and g must live over the same measure space")
     if kk.shape != (f.dim, g.dim):
         raise DimMismatch(f"k has shape {kk.shape}, expected {(f.dim, g.dim)}")
+    # checked before it keys the kept report
+    rank_tol = _check_tol(rank_tol, "rank_tol", 1.0)
+    tag = (weakref.ref(g), tol, rank_tol)
+    report = _kept(f).last(kk, "pair", tag, lambda: _pair_report(f, g, kk, tol, rank_tol))
+    return replace(report)
+
+
+def _pair_report(
+    f: SampleField, g: SampleField, kk: OperatorMatrix, tol: float, rank_tol: float
+) -> DualPairReport:
+    """verify_dual_pair's report on checked operands, computed."""
     n, n0 = f.dim, g.dim
     sigma = _kept(f).k_svd(kk)[1]
     rank = _separated_rank(sigma, rank_tol, "k")
@@ -476,7 +491,8 @@ def canonical_dual(
     # k* G B = k* U_k qh* diag(1/sc) p* vh, since G B = U_k (c* c)^-1 c* vh;
     # the small factors are multiplied first
     vh = _kept(f).factor("B of f", rank_tol, right=True).vh
-    left = adjoint(kk) @ on.k_u @ (on.qh.conj().T / on.sc) @ on.p.conj().T
+    kk_star = adjoint(kk)
+    left = kk_star @ on.k_u @ (on.qh.conj().T / on.sc) @ on.p.conj().T
     if on.k_s.size == f.dim:
         # k onto H: range(k) is H and P = I
         projected = f
@@ -500,7 +516,7 @@ def canonical_dual(
     upper_bound = (float(on.k_s[0]) / float(on.k_s[-1])) ** 2 / on.a
 
     # the dual's optimal bounds as a frame against k*, decided on its own B
-    best = _frame_check(dual, adjoint(kk), rank_tol, tol, name="B of the dual field g")[0]
+    best = _frame_check(dual, kk_star, rank_tol, tol, name="B of the dual field g")[0]
     best_lower = best.bounds.lower
     best_upper = best.bounds.upper
     if best_lower < lower_bound * (1.0 - tol):

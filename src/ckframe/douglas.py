@@ -51,7 +51,7 @@ def range_included(
     tol: float = DEFAULT_CHECK_TOL,
 ) -> bool:
     """True iff range(l1) sits inside range(l2) at the given tolerance."""
-    return _inclusion(l1, l2, rank_tol, tol, False)[2] is not None
+    return _inclusion(l1, l2, rank_tol, tol, False)[1] is not None
 
 
 def minimal_multiplier(
@@ -67,8 +67,8 @@ def minimal_multiplier(
     NotRepresentable for a nonzero l1 unless it and its reciprocal, the
     frame check's lower bound, are both finite normal doubles.
     """
-    _, _, coords, multiplier = _inclusion(l1, l2, rank_tol, tol, False)
-    return None if coords is None else multiplier()
+    _, pinv_k, multiplier = _inclusion(l1, l2, rank_tol, tol, False)
+    return None if pinv_k is None else multiplier()
 
 
 def douglas_factor(
@@ -85,11 +85,12 @@ def douglas_factor(
     how far l1 is from range(l2).
     """
     tol = _check_tol(tol, "tol")
-    svd, residual, coords, multiplier = _inclusion(l1, l2, rank_tol, tol, True)
-    included = coords is not None
+    residual, pinv_k, multiplier = _inclusion(l1, l2, rank_tol, tol, True)
+    included = pinv_k is not None
     return DouglasResult(
         included=included,
-        factor=svd.vh.conj().T @ coords if included else None,
+        # a copy the caller owns of the factor kept for l2's field
+        factor=pinv_k().copy() if included else None,
         lambda_min=multiplier() if included else None,
         residual=residual,
         marginal=not included and residual < GRAY_ZONE_FACTOR * tol,
@@ -98,21 +99,22 @@ def douglas_factor(
 
 def _inclusion(l1, l2, rank_tol: float, tol: float, right: bool):
     """linalg._Kept.inclusion of l1 against range(l2), asked as the field
-    whose handed-out B is l2 itself, if any (see linalg._kept_like), with
-    a thunk for ||pinv(l2) l1||^2 in place of the one for its root, which
-    raises NotRepresentable for a nonzero l1 where the frame check's lower
-    bound, its reciprocal, does (see linalg._check_multiplier)."""
+    whose handed-out B is l2 itself, if any (see linalg._kept_like), less
+    l2's SVD: (residual, pinv_k, multiplier), with a thunk for
+    ||pinv(l2) l1||^2 in place of the one for its root, which raises
+    NotRepresentable for a nonzero l1 where the frame check's lower bound,
+    its reciprocal, does (see linalg._check_multiplier)."""
     a = as_operator(l1)
     b = as_operator(l2)
     if a.shape[0] != b.shape[0]:
         raise DimMismatch(
             f"operators map into different spaces: {a.shape[0]} vs {b.shape[0]} rows"
         )
-    svd, residual, coords, coords_norm = _kept_like(b).inclusion(a, "l2", rank_tol, tol, right)
+    _, residual, pinv_k, coords_norm = _kept_like(b).inclusion(a, "l2", rank_tol, tol, right)
 
     def multiplier() -> float:
         if a.any():
             _check_multiplier(coords_norm(), "the Douglas multiplier")
         return coords_norm() ** 2
 
-    return svd, residual, coords, multiplier
+    return residual, pinv_k, multiplier

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -175,11 +175,11 @@ def _kept(f: SampleField) -> _Kept:
 def _frame_check(
     f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float, right: bool = False,
     name: str = "B of f",
-) -> tuple[CkFrameReport, _RankedSVD, Optional[np.ndarray], Optional[float]]:
+) -> tuple[CkFrameReport, _RankedSVD, Optional[Callable[[], np.ndarray]], Optional[float]]:
     """ckframe_check, also handing back the ranked SVD of B it was read from
-    (the one with vh when right is set) and, on inclusion, the coordinates
-    Sigma_r^-1 U_r* k of pinv(B) k, read off that SVD, and their norm
-    x = ||pinv(B) k|| (0.0 when k = 0), of which the lower bound is
+    (the one with vh when right is set) and, on inclusion, a thunk for the
+    kept read-only pinv(B) k, read off that SVD, which needs right set,
+    and x = ||pinv(B) k|| (0.0 when k = 0), of which the lower bound is
     A = x^-2 (else both None).  name is what a RankAmbiguous message
     calls B.
 
@@ -188,8 +188,8 @@ def _frame_check(
     """
     if kk.shape[0] != f.dim:
         raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
-    b, residual, coords, coords_norm = _kept(f).inclusion(kk, name, rank_tol, tol, right)
-    included = coords is not None
+    b, residual, pinv_k, coords_norm = _kept(f).inclusion(kk, name, rank_tol, tol, right)
+    included = pinv_k is not None
     x = coords_norm() if included else None
     degenerate = not kk.any()
     if degenerate:
@@ -206,4 +206,4 @@ def _frame_check(
         residuals={"range_inclusion": residual},
         degenerate=degenerate,
     )
-    return report, b, coords, x
+    return report, b, pinv_k, x

@@ -222,11 +222,16 @@ class _Kept:
     from the kept w once a caller reads it.  Each rank_tol's ranked SVD is
     a slice of it, and ||B|| is its sigma_max, for every caller.  And, in
     about_k, an owned read-only copy of one operator k with the answers
-    about it (k's thin SVD before its rank is decided, the distance of k
-    from range(B), ||pinv(B) k||, the compression of S_f to range(k)).
-    ||k|| is the top singular value of k's one SVD, which the compression
-    and verify_dual_pair rank; the distance is 0.0, with no residual
-    formed, when B is onto.  A live field's _Kept is found by the field
+    about it: k's thin SVD before its rank is decided; per rank_tol, U_r* k,
+    the distance of k from range(B), the minimal-norm factor
+    pinv(B) k = vh* Sigma_r^-1 U_r* k (once vh is formed) and its norm; the
+    compression of S_f to range(k); and the DualPairReport of the last
+    (g, tol, rank_tol) checked with B's field as f, beside a weak
+    reference to g (see last): one g at a time, told by identity, so a
+    copy of g is checked afresh.  ||k|| is the top singular value of k's
+    one SVD, which the compression and verify_dual_pair rank; the
+    distance is 0.0, with no residual formed, when B is onto.  No kept
+    array is handed to a caller.  A live field's _Kept is found by the field
     (see _kept_for) and by identity of the B handed out for it (see
     _kept_like); any other l2 of a Douglas face gets a throwaway _Kept.
     An asker tells its k from the held one by comparing raw bytes once, so
@@ -246,14 +251,20 @@ class _Kept:
         self.svd: Optional[_RankedSVD] = None
         self.about_k: tuple[Optional[np.ndarray], dict] = (None, {})
 
-    def asker(self, k: np.ndarray):
-        """ask(name, compute): the answer about the operator k kept under
-        name, else compute(), kept there."""
+    def _about(self, k: np.ndarray) -> tuple[np.ndarray, dict]:
+        """The held copy of k and the answers about it, begun afresh when
+        k's bytes are not the held ones."""
         about = self.about_k
         if about[0] is None or not _same_bytes(about[0], k):
             # published at once, so that the askers a compute() makes about
             # the same k fill this answer set rather than a set of their own
             about = self.about_k = (_owned(np.array(k, copy=True)), {})
+        return about
+
+    def asker(self, k: np.ndarray):
+        """ask(name, compute): the answer about the operator k kept under
+        name, else compute(), kept there."""
+        about = self._about(k)
 
         def ask(name, compute):
             kept = about[1].get(name)
@@ -265,6 +276,19 @@ class _Kept:
             return kept
 
         return ask
+
+    def last(self, k: np.ndarray, name: str, tag: tuple, compute):
+        """The answer about the operator k kept under name if it was
+        computed for a tag equal to tag, else compute(), kept there for tag
+        in place of the answer for any other: one tag at a time."""
+        about = self._about(k)
+        kept = about[1].get(name)
+        if kept is None or kept[0] != tag:
+            kept = (tag, compute())
+            with _LOCK:
+                about[1][name] = kept
+                self.about_k = about
+        return kept[1]
 
     def k_svd(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u and s of k's thin SVD (see _thin_svd), owned, kept with the
@@ -302,29 +326,35 @@ class _Kept:
     def inclusion(self, k: np.ndarray, name: str, rank_tol: float, tol: float, right: bool):
         """Whether range(k) sits inside range(B), by Douglas's lemma.
 
-        Returns (svd, distance, coords, coords_norm): the ranked SVD of B
+        Returns (svd, distance, pinv_k, coords_norm): the ranked SVD of B
         that decided it (see factor); ||k - U_r U_r* k|| / ||k||, the
         relative distance of k from range(B) (0.0 when k = 0, and exactly
         0.0, with no residual formed, when B is onto, as U_r U_r* is then
-        the identity); when that is within tol, the coordinates
-        Sigma_r^-1 U_r* k of pinv(B) k in the orthonormal basis vh, read
-        off that SVD so they match its vh (else None); and a thunk for
-        ||coords|| = ||pinv(B) k||.  The distance and the norm are kept
-        with the other answers about k.
+        the identity); and, when that is within tol (else both None),
+        thunks for the minimal-norm factor pinv(B) k = vh* coords, read-only,
+        which needs right set, and for ||coords|| = ||pinv(B) k||, where
+        coords = Sigma_r^-1 U_r* k is read off that SVD so that it matches
+        its vh.  U_r* k, the distance, pinv(B) k and its norm are kept with
+        the other answers about k.
         """
         tol = _check_tol(tol, "tol")
         svd = self.factor(name, rank_tol, right)
         ask = self.asker(k)
-        proj = svd.u.conj().T @ k
+        proj = ask(("proj", rank_tol), lambda: _owned(svd.u.conj().T @ k))
 
         def residual() -> float:
             k_norm = self.k_norm(k)
             return operator_norm(k - svd.u @ proj) / k_norm if k_norm > 0.0 else 0.0
 
         distance = 0.0 if svd.onto else ask(("residual", rank_tol), residual)
-        coords = proj / svd.s[:, None] if distance <= tol else None
-        return svd, distance, coords, lambda: ask(
-            ("coords_norm", rank_tol), lambda: operator_norm(coords)
+        if not distance <= tol:
+            return svd, distance, None, None
+        coords = proj / svd.s[:, None]
+        return (
+            svd,
+            distance,
+            lambda: ask(("pinv_k", rank_tol), lambda: _owned(svd.vh.conj().T @ coords)),
+            lambda: ask(("coords_norm", rank_tol), lambda: operator_norm(coords)),
         )
 
 

@@ -3,26 +3,32 @@ SVD of its whitened synthesis matrix B, taken once before any rank is
 decided (u, s and the small right factor w, with vh = w Q.T formed once
 atom_coefficient_map, canonical_dual or douglas_factor reads it), of
 which every rank_tol reads a slice and every caller reads ||B|| = s[0],
-and, for one operator k at a time, held beside a copy of that k, k's thin SVD (||k||
-is its top singular value), the inclusion distance (only when B is not
-onto: otherwise it is 0.0), ||pinv(B) k|| and the compression of S_f to
-range(k).  A k is
-told from the held one by comparing bytes.  whitened_synthesis_matrix
+and, for one operator k at a time, held beside a copy of that k: k's thin
+SVD (||k|| is its top singular value); per rank_tol, U_r* k, the
+inclusion distance (only when B is not onto: otherwise it is 0.0), the
+minimal-norm factor pinv(B) k (once atom_coefficient_map or
+douglas_factor asks for it) and its norm; the compression of S_f to
+range(k); and the dual-pair report of the last (g, tol, rank_tol), with a
+weak reference to g, so one g at a time, told by identity.  A k is told
+from the held one by comparing bytes.  whitened_synthesis_matrix
 hands out a read-only B and records it by identity, so a Douglas face
 whose l2 is that very array asks as its field; any other l2, a copy with
 the same bytes included, is answered from scratch and registers nothing.
 A second question about the same (f, k) takes no factorization of B,
 gets bit-identical answers, and still raises what a cold field raises.
+No kept array is handed to a caller.
 
 A spec read back with parse_problem holds new field objects, so nothing
 is kept for them yet (a "cold" field), as in one CLI process."""
 
+import ast
 import dataclasses
 import gc
 import struct
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +40,7 @@ from ckframe import (
     NotRepresentable,
     RankAmbiguous,
     SampleField,
+    atoms_duals,
     frame_ops,
     make_measure_space,
 )
@@ -64,6 +71,7 @@ from ckframe.linalg import (
     _thin_svd,
     operator_norm,
 )
+import helpers
 from helpers import (
     ckframe_instance,
     counted_factorizations,
@@ -155,6 +163,21 @@ def qr_modes(monkeypatch, b=None) -> list:
 
     monkeypatch.setattr(np.linalg, "qr", recording)
     return modes
+
+
+def counted_builds(monkeypatch) -> list:
+    """The field of each B built from now on, by frame_ops._whitened_rows,
+    patched in both modules that hold it."""
+    built = []
+    rows = frame_ops._whitened_rows
+
+    def counted_rows(field):
+        built.append(field)
+        return rows(field)
+
+    for module in (frame_ops, atoms_duals):
+        monkeypatch.setattr(module, "_whitened_rows", counted_rows)
+    return built
 
 
 def test_a_second_call_on_a_field_takes_no_svd_of_b(monkeypatch):
@@ -261,14 +284,21 @@ def assert_diagnosis_budget(arrays, monkeypatch) -> tuple[dict, dict]:
     and the projected frame is f itself, whose ||B|| is sigma_max.
     verify_dual_pair then asks as f and reads k's kept SVD.  Without the
     memo one lib_dense diagnosis took 14 SVDs and 29 norm(., 2), and
-    without the onto rule 6 SVDs."""
+    without the onto rule 6 SVDs.
+
+    B is built 6 times: f's for its SVD and again for its Q, f's and the
+    dual's for the pair mismatch, the dual's for its SVD and f's handed out
+    for the Douglas faces.  The second pair check reads the report kept for
+    (f, g, k); it took 8 builds when it was checked again."""
     counts = counted_factorizations(monkeypatch)
     modes = qr_modes(monkeypatch)
+    built = counted_builds(monkeypatch)
     diagnosis = diagnose(*arrays)
     assert dict(counts) == {"svd": 3, "qr": 3, "norm2": 2}
     # f's B for the check, its Q for atom_coefficient_map's vh, and the
     # dual's B once
     assert modes == ["r", "reduced", "r"]
+    assert len(built) == 6
     return diagnosis, counts
 
 
@@ -290,6 +320,37 @@ def test_a_diagnosis_stays_within_its_factorization_budget(monkeypatch):
     assert bits(second) == bits(first)
 
 
+def ckframe_calls(path) -> list:
+    """The names of the ckframe.<name> calls in the body of the function
+    diagnose defined in the module at path, in source order, which is their
+    call order in a body without branches, loops or lambdas."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    body = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "diagnose"
+    )
+    branches = (ast.If, ast.IfExp, ast.For, ast.While, ast.Try, ast.Lambda, ast.comprehension)
+    assert not any(isinstance(node, branches) for node in ast.walk(body)), path
+    calls = [
+        node
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "ckframe"
+    ]
+    return [call.func.attr for call in sorted(calls, key=lambda c: (c.lineno, c.col_offset))]
+
+
+def test_the_budget_diagnosis_asks_what_the_benchmarked_one_asks():
+    # the pins above describe the benchmark's lib_dense op only while
+    # helpers.diagnose makes the same public calls in the same order; the
+    # benchmark's module is read, not imported
+    bench = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    asked = ckframe_calls(helpers.__file__)
+    assert len(asked) == 13 and asked[:2] == ["make_measure_space", "SampleField"]
+    assert ckframe_calls(bench) == asked
+
+
 def test_nested_asks_on_a_cold_field_keep_their_answers(monkeypatch):
     # the compression is asked for first; the frame check and k's SVD it
     # asks for inside fill the same answer set, so none is lost when the
@@ -299,6 +360,7 @@ def test_nested_asks_on_a_cold_field_keep_their_answers(monkeypatch):
     sandwich_check(f, k)
     assert set(_KEPT[f].about_k[1]) == {
         "k_svd",
+        ("proj", DEFAULT_RANK_TOL),
         ("coords_norm", DEFAULT_RANK_TOL),
         ("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL),
     }
@@ -337,6 +399,87 @@ def test_the_dual_pair_report_is_that_of_verify_dual_pair_bit_for_bit(name, seed
     # and on fresh copies, which hold nothing, the report has the same bits
     cold = verify_dual_pair(fresh_copy(dual.projected_frame), fresh_copy(dual.dual_field), k)
     assert bits(cold) == bits(dual.pair)
+
+
+def dual_pair(seed=0):
+    """(f, g, k): the projected frame and the canonical dual of a random
+    ck-frame, a pair that verifies, whose report is kept for f."""
+    spec = parse_problem(emit_spec(generate_example("random_ckframe", {}, seed)))
+    dual = canonical_dual(spec.field_f, spec.operator_k)
+    return dual.projected_frame, dual.dual_field, spec.operator_k
+
+
+def test_a_second_pair_check_builds_no_b_and_reads_the_kept_report(monkeypatch):
+    f, g, k = dual_pair()
+    args = (f, g, k, 1e-9, 1e-12)
+    cold = bits(verify_dual_pair(*map(fresh_copy, args[:2]), *args[2:]))
+    first = verify_dual_pair(*args)
+    built = counted_builds(monkeypatch)
+    counts = counted_factorizations(monkeypatch)
+    second = verify_dual_pair(*args)
+    assert not built and not counts, (built, dict(counts))
+    assert bits(second) == bits(first) == cold
+    # each caller gets its own report, never the kept one
+    kept = _KEPT[f].about_k[1]["pair"][1]
+    assert second is not first and kept is not first and kept is not second
+
+
+@pytest.mark.parametrize("change", ["copy_of_g", "tol", "rank_tol", "collected_g"])
+def test_a_pair_check_of_another_g_or_tolerance_is_computed_afresh(change, monkeypatch):
+    f, g, k = dual_pair()
+    g = fresh_copy(g)
+    tol, rank_tol = DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL
+    verify_dual_pair(f, g, k, tol, rank_tol)
+    old = _KEPT[f].about_k[1]["pair"]
+    if change == "copy_of_g":
+        # same bytes, another object: told apart by identity
+        g = fresh_copy(g)
+    elif change == "tol":
+        tol = 1e-6
+    elif change == "rank_tol":
+        rank_tol = 1e-12
+    else:
+        samples, collected = g.samples, weakref.ref(g)
+        g = None
+        gc.collect()
+        assert collected() is None and old[0][0]() is None
+        g = SampleField(f.space, samples)
+    cold = bits(verify_dual_pair(fresh_copy(f), fresh_copy(g), k, tol, rank_tol))
+    built = counted_builds(monkeypatch)
+    assert bits(verify_dual_pair(f, g, k, tol, rank_tol)) == cold
+    assert built == [f, g]
+    # the new report replaced the old one: one g at a time, and asking
+    # again reads it
+    kept = _KEPT[f].about_k[1]["pair"]
+    assert kept is not old and kept[0] == (weakref.ref(g), tol, rank_tol)
+    built.clear()
+    assert bits(verify_dual_pair(f, g, k, tol, rank_tol)) == cold
+    assert not built
+
+
+def test_a_pair_check_that_raises_keeps_nothing(monkeypatch):
+    space = make_measure_space(["a", "b"], [1.0, 1.0])
+    f = SampleField(space, np.ones((2, 2)))
+    g = SampleField(space, np.eye(2))
+    # sigma(k) = (1, 1e-9) sits in the ambiguous band of rank(k), cold and warm
+    ambiguous = np.diag([1.0, 1e-9]).astype(complex)
+    for _ in range(2):
+        with pytest.raises(RankAmbiguous, match="^rank of k"):
+            verify_dual_pair(f, g, ambiguous)
+        assert "pair" not in _KEPT[f].about_k[1]
+    # a mismatch k - B_f B_g* past double range, after a report was kept:
+    # the kept report stays, and asking for it again builds nothing
+    k = np.eye(2, dtype=complex)
+    report = bits(verify_dual_pair(f, g, k))
+    kept = _KEPT[f].about_k[1]["pair"]
+    huge = SampleField(space, np.full((2, 2), 1e308))
+    for _ in range(2):
+        with pytest.raises(NotRepresentable, match="pair mismatch"):
+            verify_dual_pair(f, huge, k)
+        assert _KEPT[f].about_k[1]["pair"] is kept
+    built = counted_builds(monkeypatch)
+    assert bits(verify_dual_pair(f, g, k)) == report
+    assert not built
 
 
 def test_a_field_reads_only_its_own_entries(monkeypatch):
@@ -475,13 +618,21 @@ def test_arrays_handed_to_callers_cannot_change_later_answers():
     rng = np.random.default_rng(12)
     f, k = ckframe_instance(rng, 4, 3, 12)
     cold = {name: outcome(name, SampleField(f.space, f.samples), k) for name in ENTRY_POINTS}
-    handed = [
-        douglas_factor(k, whitened_synthesis_matrix(f)).factor,
-        atom_coefficient_map(f, k).matrix,
-        inverse_on_range(f, k),
-    ]
-    for array in handed:
+    # the Douglas factor and the atom map both come from the pinv(B) k kept
+    # for f: each is a fresh writable array the caller owns, so writing
+    # into one changes neither the other nor the next one handed out
+    handed = {
+        "douglas_factor": lambda field: douglas_factor(k, whitened_synthesis_matrix(field)).factor,
+        "atom_coefficient_map": lambda field: atom_coefficient_map(field, k).matrix,
+        "inverse_on_range": lambda field: inverse_on_range(field, k),
+    }
+    cold_arrays = {name: bits(hand(fresh_copy(f))) for name, hand in handed.items()}
+    for name in [*handed, *reversed(handed)]:
+        array = handed[name](f)
+        assert array.flags.writeable and array.flags.owndata, name
         array[...] = 7.0
+        again = handed[name](f)
+        assert again is not array and bits(again) == cold_arrays[name], name
     for name in ENTRY_POINTS:
         assert outcome(name, f, k) == cold[name], name
 
@@ -535,11 +686,23 @@ def test_a_field_keeps_the_answers_about_one_k_at_a_time():
         ckframe_check(f, k)
         sandwich_check(f, k)
         ckframe_check(f, k, rank_tol=1e-12)
+        # and one pair report, for the last g checked
+        for _ in range(2):
+            g = SampleField(f.space, crandn(rng, 12, 3))
+            verify_dual_pair(f, g, k)
     kept = _KEPT[f]
     held, answers = kept.about_k
     assert held is not k and bits(held) == bits(k)
     # one unranked SVD of B serves both rank_tols
-    assert len(answers) == 4 and kept.svd.s.shape == (f.dim,)
+    assert set(answers) == {
+        "k_svd",
+        "pair",
+        *(("proj", rank_tol) for rank_tol in (DEFAULT_RANK_TOL, 1e-12)),
+        *(("coords_norm", rank_tol) for rank_tol in (DEFAULT_RANK_TOL, 1e-12)),
+        ("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL),
+    }
+    assert kept.svd.s.shape == (f.dim,)
+    assert answers["pair"][0] == (weakref.ref(g), DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL)
 
 
 def test_the_douglas_faces_ask_as_a_live_field_and_register_nothing(monkeypatch):
@@ -574,14 +737,7 @@ def test_the_douglas_faces_ask_as_a_live_field_and_register_nothing(monkeypatch)
 
 def test_a_cold_check_builds_b_once(monkeypatch):
     f, k = ckframe_instance(np.random.default_rng(18), 4, 3, 12)
-    built = []
-    rows = frame_ops._whitened_rows
-
-    def counted_rows(field):
-        built.append(field)
-        return rows(field)
-
-    monkeypatch.setattr(frame_ops, "_whitened_rows", counted_rows)
+    built = counted_builds(monkeypatch)
     ckframe_check(f, k)
     assert len(built) == 1
     # and handing B out builds it once more, for the caller
@@ -680,6 +836,21 @@ def test_threads_asking_one_field_about_different_k_get_their_own_answers():
     assert warm == cold * 25
 
 
+def test_threads_checking_one_field_against_different_g_get_their_own_reports():
+    # f keeps one pair report at a time, which each thread may replace
+    f, g, k = dual_pair()
+    gs = [SampleField(f.space, g.samples * (1.0 + 1e-3 * i)) for i in range(6)]
+    cold = [bits(verify_dual_pair(fresh_copy(f), fresh_copy(g), k)) for g in gs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            warm = list(pool.map(lambda g: bits(verify_dual_pair(f, g, k)), gs * 25, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert warm == cold * 25
+
+
 def test_rank_ambiguity_is_raised_again_on_a_warm_field():
     # sigma = (1, 3e-9): clearly rank 2 at rank_tol 1e-12, ambiguous at 1e-10
     space = make_measure_space(["a", "b"], [1.0, 1.0])
@@ -722,11 +893,14 @@ def test_unrepresentable_inputs_are_raised_again_on_a_warm_field():
 
 
 def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
-    f, k = ckframe_instance(np.random.default_rng(3), 3, 2, 16)
+    rng = np.random.default_rng(3)
+    f, k = ckframe_instance(rng, 3, 2, 16)
+    g = SampleField(f.space, crandn(rng, 16, 2))
     ckframe_check(f, k)
     atom_coefficient_map(f, k)
     sandwich_check(f, k)
     ckframe_check(f, k, rank_tol=1e-12)
+    verify_dual_pair(f, g, k)
     # one SVD for both rank_tols, and vh, one column per atom, formed once
     entry = kept_factor(f)
     assert entry.u.shape == (3, 3) and entry.s.shape == (3,) and entry.w.shape == (3, 3)
@@ -734,13 +908,23 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
     assert vh.shape == (3, 16)
     kept = _KEPT[f]
     held, answers = kept.about_k
-    # B is onto, so no distance is kept: it is 0.0 without being formed
+    # B is onto, so no distance is kept: it is 0.0 without being formed;
+    # pinv(B) k is kept at the one rank_tol the atoms were asked at
     assert set(answers) == {
         "k_svd",
+        ("proj", DEFAULT_RANK_TOL),
+        ("proj", 1e-12),
         ("coords_norm", DEFAULT_RANK_TOL),
         ("coords_norm", 1e-12),
+        ("pinv_k", DEFAULT_RANK_TOL),
         ("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL),
+        "pair",
     }
+    pinv_k = answers[("pinv_k", DEFAULT_RANK_TOL)]
+    assert pinv_k.shape == (16, 2)
+    # the pair report is kept beside a weak reference to g, not g itself
+    (g_ref, *_), report = answers["pair"]
+    assert g_ref() is g
     # k's SVD and the compression keep k's left factor and singular
     # values, not its right factor, which nothing reads
     k_right = _thin_svd(k).w
@@ -754,10 +938,13 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
         for array in arrays_in(value):
             assert array.base is None
             assert not array.flags.writeable
-            assert f.space.n_atoms not in array.shape or array is vh
+            assert f.space.n_atoms not in array.shape or array is vh or array is pinv_k
     refs = [weakref.ref(entry) for entry in entries.values() if dataclasses.is_dataclass(entry)]
-    refs.append(weakref.ref(kept))
-    del f, kept, entries, entry, answer, vh, held, answers, compression
+    refs += [weakref.ref(kept), weakref.ref(report)]
+    del g
+    gc.collect()
+    assert g_ref() is None
+    del f, kept, entries, entry, answer, vh, held, answers, compression, pinv_k, report
     gc.collect()
     assert all(ref() is None for ref in refs)
 
