@@ -204,13 +204,14 @@ class _OnRange:
     singular values of k (k_s[0] = ||k||) and B = U Sigma V*,
     c = Sigma_r U_r* U_k = p diag(sc) qh is B* restricted to range(k), so
     the compression M = U_k* S_f U_k = c* c has eigenvalues sc^2 and
-    S_f U_k = U_r Sigma_r c; a is the ck-frame lower bound A.  k's SVD is
-    the one kept for f with the other answers about k (linalg._Kept), of
-    which only u and s are held, ranked here; U_k is its left factor.
-    When k and B are both onto H, range(k) is H and any orthonormal basis
-    of H serves: U_k is U_r, so c = Sigma_r, p = qh = I and sc = sigma
-    with no SVD of c taken.  It is kept per (f, k), so its arrays are
-    owned and read-only.
+    S_f U_k = U_r Sigma_r c; a is the ck-frame lower bound A.  k_s is
+    ranked here off the singular values of k kept for f with the other
+    answers about k (linalg._Kept).  When k and B are both onto H,
+    range(k) is H and any orthonormal basis of H serves: U_k is U_r, so
+    c = Sigma_r, p = qh = I and sc = sigma with no SVD of c taken, and
+    no left vector of k.  Otherwise U_k is k's kept left vectors
+    (linalg._Kept.k_left), sliced to the rank decided on k_s.  It is kept
+    per (f, k), so its arrays are owned and read-only.
     """
 
     a: float
@@ -257,17 +258,18 @@ def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
             "f does not reproduce k: range inclusion residual "
             f"{report.residuals['range_inclusion']:.3e}"
         )
-    # k's one SVD, kept for f with the other answers about k, ranked here;
-    # at full rank its arrays are held as they are, not copied again
-    k_u, k_s = _kept(f).k_svd(kk)
+    # k's singular values, kept for f with the other answers about k, ranked
+    # here; at full rank they are held as they are, not copied again
+    k_s = _kept(f).k_svd(kk)
     r = _separated_rank(k_s, rank_tol, "k")
     if r < k_s.size:
-        k_u, k_s = _owned(k_u[:, :r]), _owned(k_s[:r])
+        k_s = _owned(k_s[:r])
     if r == f.dim and b.onto:
         # k and B onto H: U_r is a basis of range(k) = H, and c = Sigma_r
         eye = _owned(np.eye(r, dtype=complex))
         k_u, p, sc, qh = b.u, eye, b.s, eye
     else:
+        k_u = _kept(f).k_left(kk, r)
         c = b.s[:, None] * (b.u.conj().T @ k_u)
         p, sc, qh = (_owned(x) for x in np.linalg.svd(c, full_matrices=False))
     # a passed check leaves this only when tol lets a retained direction of
@@ -375,9 +377,9 @@ def verify_dual_pair(
     its bits.  g's B enters D unchecked, as S_g may underflow where D
     does not; a D that is not finite raises NotRepresentable.  ||k||,
     rank(k) and ||B_f|| of lower_bound_cert = 1 / ||B_f||^2 are read off
-    the SVDs of k and of B_f kept for f (see linalg._Kept).  So is the
-    report of the last (g, tol, rank_tol) checked against f and k, with g
-    told by identity while it lives: asked again, it is read, not
+    k's singular values and B_f's SVD, kept for f (see linalg._Kept).  So
+    is the report of the last (g, tol, rank_tol) checked against f and k,
+    with g told by identity while it lives: asked again, it is read, not
     recomputed, and a copy of g is checked afresh.
     """
     kk, tol = as_operator(k), _check_tol(tol, "tol")
@@ -397,7 +399,7 @@ def _pair_report(
 ) -> DualPairReport:
     """verify_dual_pair's report on checked operands, computed."""
     n, n0 = f.dim, g.dim
-    sigma = _kept(f).k_svd(kk)[1]
+    sigma = _kept(f).k_svd(kk)
     rank = _separated_rank(sigma, rank_tol, "k")
     # g's B is formed without its check: S_g can underflow where D cannot
     with np.errstate(over="ignore", invalid="ignore"):
@@ -476,10 +478,10 @@ def canonical_dual(
     kept for f, as after atom_coefficient_map.  When k is onto H, P = I:
     the projected frame is f itself and no projector is formed.  The pair
     (P f, g) must verify as a dual pair for k by verify_dual_pair, on g's
-    own samples; P f is handed only k's SVD, the same bits whichever
-    field keeps it, so the report is that of fresh copies of P f and g,
-    bit for bit.  The optimal bounds of g (as a frame against k*),
-    decided on g's own B, must land inside
+    own samples; P f is handed only k's singular values, the same bits
+    whichever field keeps them, so the report is that of fresh copies of
+    P f and g, bit for bit.  The optimal bounds of g (as a frame against
+    k*), decided on g's own B, must land inside
     [1/B, ||k||^2 ||pinv(k)||^2 / A], to a relative tolerance tol.
 
     Raises CanonicalDualFailed if either verification fails and
@@ -498,7 +500,7 @@ def canonical_dual(
         projected = f
     else:
         projected = map_field(on.k_u @ on.k_u.conj().T, f)
-        # k's SVD is the same bits whichever field keeps it
+        # k's singular values are the same bits whichever field keeps them
         _kept(projected).asker(kk)("k_svd", lambda: _kept(f).k_svd(kk))
     # g's samples are its whitened rows divided by sqrt(w), which can overflow
     with np.errstate(over="ignore", invalid="ignore"):

@@ -222,18 +222,21 @@ class _Kept:
     from the kept w once a caller reads it.  Each rank_tol's ranked SVD is
     a slice of it, and ||B|| is its sigma_max, for every caller.  And, in
     about_k, an owned read-only copy of one operator k with the answers
-    about it: k's thin SVD before its rank is decided; per rank_tol, U_r* k,
+    about it: k's singular values before its rank is decided (see k_svd)
+    and, when k has fewer columns than rows or a range(k) question finds
+    it rank-deficient, its left vectors (see k_left); per rank_tol, U_r* k,
     the distance of k from range(B), the minimal-norm factor
     pinv(B) k = vh* Sigma_r^-1 U_r* k (once vh is formed) and its norm; the
     compression of S_f to range(k); and the DualPairReport of the last
     (g, tol, rank_tol) checked with B's field as f, beside a weak
     reference to g (see last): one g at a time, told by identity, so a
-    copy of g is checked afresh.  ||k|| is the top singular value of k's
-    one SVD, which the compression and verify_dual_pair rank; the
-    distance is 0.0, with no residual formed, when B is onto.  No kept
-    array is handed to a caller.  A live field's _Kept is found by the field
-    (see _kept_for) and by identity of the B handed out for it (see
-    _kept_like); any other l2 of a Douglas face gets a throwaway _Kept.
+    copy of g is checked afresh.  ||k|| is the top kept singular value of
+    k, which the compression and verify_dual_pair rank, so no answer
+    depends on which question came first; the distance is 0.0, with no
+    residual formed, when B is onto.  No kept array is handed to a caller.
+    A live field's _Kept is found by the field (see _kept_for) and by
+    identity of the B handed out for it (see _kept_like); any other l2 of
+    a Douglas face gets a throwaway _Kept.
     An asker tells its k from the held one by comparing raw bytes once, so
     a k changed in place, or differing only in the sign of a zero, gets
     answers for its own bytes; asking about another k drops the previous
@@ -290,21 +293,38 @@ class _Kept:
                 self.about_k = about
         return kept[1]
 
-    def k_svd(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u and s of k's thin SVD (see _thin_svd), owned, kept with the
-        other answers about k.  No rank is decided on it, so a question
-        that needs only ||k|| raises no RankAmbiguous about k."""
+    def k_svd(self, k: np.ndarray) -> np.ndarray:
+        """k's singular values, owned, kept with the other answers about k,
+        for every reader of ||k|| or rank(k).  A k with at least as many
+        columns as rows may be onto H, and then no question needs a basis of
+        range(k), so its values are taken alone; a narrower k is never onto,
+        and its values come with the left vectors that every range(k)
+        question reads (see k_left), from one SVD.  No rank is decided
+        here, so a question that needs only ||k|| raises no RankAmbiguous
+        about k."""
+        ask = self.asker(k)
 
         def compute():
-            svd = _thin_svd(k)
-            return _owned(svd.u), _owned(svd.s)
+            if k.shape[1] >= k.shape[0]:
+                return _owned(np.linalg.svd(k, compute_uv=False))
+            u, s, _ = np.linalg.svd(k, full_matrices=False)
+            ask("k_u", lambda: _owned(u))
+            return _owned(s)
 
-        return self.asker(k)("k_svd", compute)
+        return ask("k_svd", compute)
+
+    def k_left(self, k: np.ndarray, r: int) -> np.ndarray:
+        """U_k, the first r left singular vectors of k, where r is the rank
+        decided on k_svd: an orthonormal basis of range(k), owned.  All of
+        them are kept with the other answers about k, from k's SVD with
+        vectors, taken on first need unless k_svd took it with the values."""
+        u = self.asker(k)("k_u", lambda: _owned(np.linalg.svd(k, full_matrices=False)[0]))
+        return u if r == u.shape[1] else _owned(u[:, :r])
 
     def k_norm(self, k: np.ndarray) -> float:
-        """||k||, the top singular value of k's kept SVD; 0.0 for an
-        all-zero k, without an SVD."""
-        return float(self.k_svd(k)[1][0]) if k.any() else 0.0
+        """||k||, the top kept singular value of k; 0.0 for an all-zero k,
+        without an SVD."""
+        return float(self.k_svd(k)[0]) if k.any() else 0.0
 
     def b_svd(self, right: bool = False) -> _RankedSVD:
         """B's one thin SVD, unranked, with vh when right is set: vh is formed

@@ -62,11 +62,14 @@ def make_measure_space(labels, weights) -> MeasureSpace:
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
+    """values as a dtype array, in their memory order, over the bytes of
+    one immutable copy: neither the array nor its base can be made
+    writable, so what a field keeps about its values never goes stale."""
+    a = np.asarray(values, dtype=dtype)
     if not np.all(np.isfinite(a)):
         raise ValueError("field values must be finite")
-    a.setflags(write=False)
-    return a
+    order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+    return np.frombuffer(a.tobytes(order), dtype).reshape(a.shape, order=order)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ import re
 from collections import Counter
 
 import numpy as np
+from hypothesis import strategies as st
 
 import ckframe
 from ckframe import SampleField, ScalarField, make_measure_space
@@ -65,6 +66,30 @@ def with_rank(rng, rows, cols, rank):
     s = rng.uniform(0.5, 2.0, size=min(rows, cols))
     s[rank:] = 0.0
     return (u * s) @ vh
+
+
+#: Where k_on_the_rank_hairline puts a singular value of k against the
+#: ambiguous band (rank_tol, GRAY_ZONE_FACTOR * rank_tol) * sigma_max: the
+#: log10 range of its ratio to rank_tol * sigma_max, ten percent clear of
+#: either edge of the band.
+HAIRLINE_SIDES = {
+    "below": (-3.0, math.log10(0.9)),
+    "inside": (math.log10(1.1), math.log10(90.0)),
+    "above": (math.log10(110.0), 5.0),
+}
+
+
+@st.composite
+def k_on_the_rank_hairline(draw, side):
+    """A square k in C^n, 2 <= n <= 5, in random singular bases, whose
+    smallest singular value sits on the given side of the rank band
+    (HAIRLINE_SIDES) and whose others lie in [0.5, 2]."""
+    n = draw(st.integers(2, 5))
+    ratio = 10.0 ** draw(st.floats(*HAIRLINE_SIDES[side]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    s = np.sort(rng.uniform(0.5, 2.0, size=n))[::-1]
+    s[-1] = ratio * DEFAULT_RANK_TOL * s[0]
+    return (random_unitary(rng, n) * s) @ random_unitary(rng, n)
 
 
 def ckframe_instance(rng, n, n0, atoms):

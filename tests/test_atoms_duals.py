@@ -3,6 +3,8 @@ dual-pair verification, and the canonical dual construction."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ckframe import (
     DegenerateOperator,
@@ -11,6 +13,7 @@ from ckframe import (
     NotInvertibleOnRange,
     NotRepresentable,
     RangeNotIncluded,
+    RankAmbiguous,
     SampleField,
     make_measure_space,
 )
@@ -36,12 +39,14 @@ from ckframe.frame_ops import (
     whitened_synthesis_matrix,
 )
 from ckframe.harness import generate_example
-from ckframe.linalg import operator_norm
+from ckframe.linalg import DEFAULT_RANK_TOL, _separated_rank, operator_norm
 from helpers import (
+    HAIRLINE_SIDES,
     ckframe_instance,
     counted_factorizations,
     crandn,
     excluded_instance,
+    k_on_the_rank_hairline,
     max_psd_multiplier,
     parseval_field,
     random_field,
@@ -632,15 +637,17 @@ def b_of_rank(seed, rank):
 @pytest.mark.parametrize(
     "case, expected",
     [
-        # B's QR and the SVD of its triangular factor, k's (wide: QR and
-        # SVD) and ||pinv(B) k||: nothing of the compression or sandwich
-        ("both onto", {"qr": 2, "svd": 2, "norm2": 1}),
-        # rank(k) = 2 < 4: the compression's SVD and the sandwich's, as p is
-        # 4 x 2
-        ("k not onto", {"qr": 2, "svd": 4, "norm2": 1}),
-        # rank(k) = rank(B) = 3 < 4: the inclusion distance and the
-        # compression's SVD; p is square, so the sandwich takes none
-        ("B not onto", {"qr": 2, "svd": 3, "norm2": 2}),
+        # B's QR and the SVD of its triangular factor, k's singular values
+        # alone (k is wide) and ||pinv(B) k||: nothing of the compression
+        # or sandwich
+        ("both onto", {"qr": 1, "svd": 2, "norm2": 1}),
+        # rank(k) = 2 < 4: k's left vectors, the compression's SVD and the
+        # sandwich's, as p is 4 x 2
+        ("k not onto", {"qr": 1, "svd": 5, "norm2": 1}),
+        # rank(k) = rank(B) = 3 < 4: the inclusion distance, k's left
+        # vectors and the compression's SVD; p is square, so the sandwich
+        # takes none
+        ("B not onto", {"qr": 1, "svd": 4, "norm2": 2}),
     ],
 )
 def test_the_onto_rule_is_taken_only_when_k_and_b_are_both_onto(case, expected, monkeypatch):
@@ -657,6 +664,47 @@ def test_the_onto_rule_is_taken_only_when_k_and_b_are_both_onto(case, expected, 
     assert margin >= -TOL
     dual = canonical_dual(f, k)
     assert (dual.projected_frame is f) == (case == "both onto")
+
+
+@given(side=st.sampled_from(sorted(HAIRLINE_SIDES)), data=st.data())
+def test_on_the_rank_hairline_of_k_every_face_agrees_or_names_k(side, data):
+    # k's singular values are taken alone when k is square, and with its
+    # vectors by other paths: either way they decide one rank, outside the
+    # band, and raise about k inside it
+    k = data.draw(k_on_the_rank_hairline(side))
+    n = k.shape[0]
+    rng = np.random.default_rng(n)
+    f = random_field(rng, random_space(rng, 4 * n), n)
+    g = SampleField(f.space, crandn(rng, 4 * n, n))
+    sigmas = (np.linalg.svd(k, compute_uv=False), np.linalg.svd(k, full_matrices=False)[1])
+    faces = {
+        "sandwich_check": sandwich_check,
+        "subspace_cframe_margin": subspace_cframe_margin,
+        "inverse_on_range": inverse_on_range,
+        "canonical_dual": canonical_dual,
+        "verify_dual_pair": lambda f, k: verify_dual_pair(f, g, k),
+    }
+    if side == "inside":
+        for sigma in sigmas:
+            with pytest.raises(RankAmbiguous, match="^rank of k"):
+                _separated_rank(sigma, DEFAULT_RANK_TOL, "k")
+        for name, face in faces.items():
+            with pytest.raises(RankAmbiguous, match="^rank of k"):
+                face(f, k)
+        return
+    rank = n if side == "above" else n - 1
+    assert [_separated_rank(sigma, DEFAULT_RANK_TOL, "k") for sigma in sigmas] == [rank, rank]
+    # each face reads that rank: the projector, the onto variants, the
+    # basis of range(k) that G inverts S_f on, and both sandwiches hold
+    dual = canonical_dual(f, k)
+    assert (dual.projected_frame is f) == (rank == n)
+    onto = rank == n
+    assert (dual.pair.onto_variant_residuals is not None) == onto
+    assert (verify_dual_pair(f, g, k).onto_variant_residuals is not None) == onto
+    u_k = range_basis(k)
+    assert u_k.shape[1] == rank
+    np.testing.assert_allclose(inverse_on_range(f, k) @ frame_operator(f) @ u_k, u_k, atol=1e-10)
+    assert sandwich_check(f, k) >= -TOL and subspace_cframe_margin(f, k) >= -TOL
 
 
 def test_canonical_dual_propagates_degeneracy():

@@ -3,8 +3,10 @@ SVD of its whitened synthesis matrix B, taken once before any rank is
 decided (u, s and the small right factor w, with vh = w Q.T formed once
 atom_coefficient_map, canonical_dual or douglas_factor reads it), of
 which every rank_tol reads a slice and every caller reads ||B|| = s[0],
-and, for one operator k at a time, held beside a copy of that k: k's thin
-SVD (||k|| is its top singular value); per rank_tol, U_r* k, the
+and, for one operator k at a time, held beside a copy of that k: k's
+singular values (||k|| is the top one), taken without vectors unless k has
+fewer columns than rows, and k's left vectors once a question needs a
+basis of range(k) that B's SVD does not give; per rank_tol, U_r* k, the
 inclusion distance (only when B is not onto: otherwise it is 0.0), the
 minimal-norm factor pinv(B) k (once atom_coefficient_map or
 douglas_factor asks for it) and its norm; the compression of S_f to
@@ -66,6 +68,7 @@ from ckframe.linalg import (
     _KEPT,
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
+    _Kept,
     _kept_like,
     _same_bytes,
     _thin_svd,
@@ -162,6 +165,22 @@ def qr_modes(monkeypatch, b=None) -> list:
         return qr(a, mode)
 
     monkeypatch.setattr(np.linalg, "qr", recording)
+    return modes
+
+
+def svd_modes(monkeypatch, a=None) -> list:
+    """The mode of each np.linalg.svd from now on of the matrix a (of any
+    matrix when a is None): "vectors" when it took singular vectors,
+    "values" when it took the singular values alone."""
+    modes = []
+    svd = np.linalg.svd
+
+    def recording(m, *args, **kwargs):
+        if a is None or (np.shape(m) == np.shape(a) and np.array_equal(m, a)):
+            modes.append("vectors" if kwargs.get("compute_uv", True) else "values")
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
     return modes
 
 
@@ -280,11 +299,12 @@ def assert_diagnosis_budget(arrays, monkeypatch) -> tuple[dict, dict]:
     The SVDs of f's B, of k and of the dual's B; ||pinv(B) k|| for f and
     for the dual.  Both B are onto, so no inclusion residual and no ||k||
     are taken.  k is onto too (n0 = n), so U_r is a basis of range(k):
-    the compression needs no SVD, the sandwich reads B's singular values,
-    and the projected frame is f itself, whose ||B|| is sigma_max.
-    verify_dual_pair then asks as f and reads k's kept SVD.  Without the
-    memo one lib_dense diagnosis took 14 SVDs and 29 norm(., 2), and
-    without the onto rule 6 SVDs.
+    the compression needs no SVD and no left vector of k, the sandwich
+    reads B's singular values, and the projected frame is f itself, whose
+    ||B|| is sigma_max.  So k's SVD takes its singular values alone, which
+    verify_dual_pair then reads as f, while each B's (of its triangular
+    factor R.T) takes vectors.  Without the memo one lib_dense diagnosis
+    took 14 SVDs and 29 norm(., 2), and without the onto rule 6 SVDs.
 
     B is built 6 times: f's for its SVD and again for its Q, f's and the
     dual's for the pair mismatch, the dual's for its SVD and f's handed out
@@ -292,12 +312,15 @@ def assert_diagnosis_budget(arrays, monkeypatch) -> tuple[dict, dict]:
     (f, g, k); it took 8 builds when it was checked again."""
     counts = counted_factorizations(monkeypatch)
     modes = qr_modes(monkeypatch)
+    svds = svd_modes(monkeypatch)
     built = counted_builds(monkeypatch)
     diagnosis = diagnose(*arrays)
     assert dict(counts) == {"svd": 3, "qr": 3, "norm2": 2}
     # f's B for the check, its Q for atom_coefficient_map's vh, and the
     # dual's B once
     assert modes == ["r", "reduced", "r"]
+    # f's R.T, k, and the dual's R.T
+    assert svds == ["vectors", "values", "vectors"]
     assert len(built) == 6
     return diagnosis, counts
 
@@ -354,12 +377,14 @@ def test_the_budget_diagnosis_asks_what_the_benchmarked_one_asks():
 def test_nested_asks_on_a_cold_field_keep_their_answers(monkeypatch):
     # the compression is asked for first; the frame check and k's SVD it
     # asks for inside fill the same answer set, so none is lost when the
-    # compression is stored
+    # compression is stored.  k has fewer columns than rows, so its left
+    # vectors come with its singular values, from one SVD
     spec = parse_problem(emit_spec(generate_example("random_bessel_pair", {}, 0)))
     f, k = spec.field_f, spec.operator_k
     sandwich_check(f, k)
     assert set(_KEPT[f].about_k[1]) == {
         "k_svd",
+        "k_u",
         ("proj", DEFAULT_RANK_TOL),
         ("coords_norm", DEFAULT_RANK_TOL),
         ("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL),
@@ -367,6 +392,63 @@ def test_nested_asks_on_a_cold_field_keep_their_answers(monkeypatch):
     counts = counted_factorizations(monkeypatch)
     ckframe_check(f, k)
     assert not counts, dict(counts)
+
+
+# ---------------------------------------------------------------------------
+# k's singular values, taken without its vectors when k may be onto H
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (4, 4), (3, 6)], ids=["narrow", "square", "wide"])
+@pytest.mark.parametrize("rank", ["full", "deficient"])
+def test_k_keeps_the_singular_values_of_the_svd_its_shape_calls_for(shape, rank):
+    rng = np.random.default_rng(sum(shape))
+    k = with_rank(rng, *shape, min(shape) - (rank == "deficient"))
+    kept = _Kept(lambda: None)
+    sigma = kept.k_svd(k)
+    answers = kept.about_k[1]
+    if shape[1] < shape[0]:
+        # never onto: the vectors of the same SVD are kept beside the values
+        u, values, _ = np.linalg.svd(k, full_matrices=False)
+        assert bits(answers["k_u"]) == bits(u)
+    else:
+        values = np.linalg.svd(k, compute_uv=False)
+        assert "k_u" not in answers
+    assert bits(sigma) == bits(values)
+    assert not sigma.flags.writeable and sigma.base is None
+    # k's left vectors, sliced to the rank decided on the kept values
+    r = int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * sigma[0]))
+    u = kept.k_left(k, r)
+    assert bits(u) == bits(np.linalg.svd(k, full_matrices=False)[0][:, :r])
+    assert not u.flags.writeable and u.base is None
+
+
+def rank_deficient_wide_instance(seed=0):
+    """(f, k): f a frame in H = C^3 over 12 atoms, k (3 x 4) of rank 2."""
+    rng = np.random.default_rng(seed)
+    f = SampleField(random_space(rng, 12), crandn(rng, 12, 3))
+    return f, with_rank(rng, 3, 4, 2)
+
+
+RANGE_K_FACES = ("sandwich_check", "subspace_cframe_margin", "inverse_on_range", "canonical_dual")
+
+
+@pytest.mark.parametrize("first", [None, "verify_atomic_decomposition", "verify_dual_pair"])
+def test_a_rank_deficient_wide_k_takes_its_vectors_once_whatever_asked_first(first, monkeypatch):
+    f, k = rank_deficient_wide_instance()
+    g = SampleField(f.space, crandn(np.random.default_rng(1), 12, 4))
+    # each face answers (raises nothing), cold
+    cold = {name: bits(ENTRY_POINTS[name](fresh_copy(f), k)) for name in RANGE_K_FACES}
+    modes = svd_modes(monkeypatch, k)
+    if first == "verify_dual_pair":
+        verify_dual_pair(f, g, k)
+    elif first is not None:
+        outcome(first, f, k)
+    answers = {name: outcome(name, f, k) for name in RANGE_K_FACES}
+    # the values for ||k|| and rank(k), then the vectors once, on the first
+    # question that needs a basis of range(k)
+    assert modes == ["values", "vectors"]
+    assert answers == cold
+    assert _KEPT[f].about_k[1]["k_u"].shape == (3, 3)
 
 
 #: Specs whose k is onto H (the first four) and specs whose k is not, the
@@ -693,9 +775,11 @@ def test_a_field_keeps_the_answers_about_one_k_at_a_time():
     kept = _KEPT[f]
     held, answers = kept.about_k
     assert held is not k and bits(held) == bits(k)
-    # one unranked SVD of B serves both rank_tols
+    # one unranked SVD of B serves both rank_tols; k (4 x 3) keeps the left
+    # vectors of its one SVD for the compression
     assert set(answers) == {
         "k_svd",
+        "k_u",
         "pair",
         *(("proj", rank_tol) for rank_tol in (DEFAULT_RANK_TOL, 1e-12)),
         *(("coords_norm", rank_tol) for rank_tol in (DEFAULT_RANK_TOL, 1e-12)),
@@ -743,6 +827,28 @@ def test_a_cold_check_builds_b_once(monkeypatch):
     # and handing B out builds it once more, for the caller
     whitened_synthesis_matrix(f)
     assert len(built) == 2
+
+
+def test_a_fields_arrays_cannot_be_rewritten_under_its_kept_answers():
+    space = make_measure_space(["a", "b"], [1.0, 1.0])
+    f = SampleField(space, np.eye(2))
+    k = np.eye(2)
+    bounds = ckframe_check(f, k).bounds
+    assert (bounds.lower, bounds.upper) == (1.0, 1.0)
+    g = SampleField(space, np.eye(2))
+    report = bits(verify_dual_pair(f, g, k))
+    for field in (f, g):
+        for array in (field.samples, field.samples.base):
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+            with pytest.raises(ValueError):
+                array[...] = 3.0
+    # so the kept answers are those of the fields' own bytes, as a fresh
+    # field's, and another field's answers are its own
+    assert bits(ckframe_check(f, k)) == bits(ckframe_check(fresh_copy(f), k))
+    assert bits(verify_dual_pair(f, g, k)) == report
+    threes = ckframe_check(SampleField(space, np.full((2, 2), 3.0)), k).bounds
+    assert threes.lower == 0.0 and threes.upper == pytest.approx(36.0, rel=1e-14)
 
 
 def test_the_handed_out_b_is_read_only():
@@ -912,6 +1018,7 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
     # pinv(B) k is kept at the one rank_tol the atoms were asked at
     assert set(answers) == {
         "k_svd",
+        "k_u",
         ("proj", DEFAULT_RANK_TOL),
         ("proj", 1e-12),
         ("coords_norm", DEFAULT_RANK_TOL),
@@ -925,12 +1032,13 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
     # the pair report is kept beside a weak reference to g, not g itself
     (g_ref, *_), report = answers["pair"]
     assert g_ref() is g
-    # k's SVD and the compression keep k's left factor and singular
-    # values, not its right factor, which nothing reads
-    k_right = _thin_svd(k).w
+    # k (3 x 2) keeps its singular values and the left vectors of the same
+    # SVD, which the compression reads, not its right factor, which nothing
+    # reads
+    u, sigma, k_right = np.linalg.svd(k, full_matrices=False)
     compression = answers[("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL)]
-    assert len(answers["k_svd"]) == 2
-    for answer in (answers["k_svd"], compression):
+    assert bits(answers["k_svd"]) == bits(sigma) and bits(answers["k_u"]) == bits(u)
+    for answer in (answers["k_svd"], answers["k_u"], compression):
         assert all(bits(array) != bits(k_right) for array in arrays_in(answer))
     entries = {"svd": entry, **answers, "k": held}
     assert _kept_like(whitened_synthesis_matrix(f)) is kept

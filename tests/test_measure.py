@@ -125,6 +125,27 @@ def test_field_values_are_frozen():
     assert f.dim == 2
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_field_values_cannot_be_made_writable(order):
+    # each field array views one immutable copy of its values, so neither
+    # it nor its base can be made writable again; it keeps their memory
+    # order and alignment
+    space = make_measure_space(["a", "b", "c"], [1.0, 2.0, 3.0])
+    samples = np.array(np.arange(6.0).reshape(3, 2), order=order)
+    f = SampleField(space, samples)
+    phi = ScalarField(space, samples[:, 0])
+    assert np.shares_memory(f.samples, f.samples.base)
+    for array in (f.samples, f.samples.base, phi.values, phi.values.base):
+        assert not array.flags.writeable and array.flags.aligned
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
+    assert f.samples.flags.f_contiguous == (order == "F")
+    assert np.array_equal(f.samples, samples) and np.array_equal(phi.values, samples[:, 0])
+    # and the caller's array is not frozen with it
+    samples[0, 0] = 7.0
+    assert f.samples[0, 0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # inner products
 
