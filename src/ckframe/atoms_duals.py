@@ -25,12 +25,13 @@ from .errors import (
     DimMismatch,
     NotADualPair,
     NotInvertibleOnRange,
+    NotRepresentable,
     RangeNotIncluded,
     SpaceMismatch,
 )
 from .frame_ops import (
+    _b_svd,
     _frame_check,
-    _kept,
     _whitened_matrix,
     _whitened_rows,
     frame_operator,
@@ -40,6 +41,7 @@ from .linalg import (
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
     OperatorMatrix,
+    _AboutK,
     _owned,
     _RankedSVD,
     _check_finite,
@@ -145,7 +147,7 @@ def atom_coefficient_map(
     """
     kk, tol = as_operator(k), _check_tol(tol, "tol")
     # pinv(B) k and its norm, kept for f, are read off the same SVD
-    report, _, pinv_k, x = _frame_check(f, kk, rank_tol, tol, right=True)
+    report, svd, coords = _frame_check(f, kk, rank_tol, tol, right=True)
     if not report.range_included:
         raise RangeNotIncluded(
             f"range inclusion residual {report.residuals['range_inclusion']:.3e} "
@@ -153,8 +155,10 @@ def atom_coefficient_map(
         )
     # the bound is finite, but m is sqrt(w) m divided by sqrt(w), which can overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = pinv_k() / np.sqrt(f.space.weight_array)[:, None]
-    return CoefficientMap(matrix=_check_finite(matrix, "the atom coefficient map"), bound=x)
+        matrix = coords.factor(svd) / np.sqrt(f.space.weight_array)[:, None]
+    return CoefficientMap(
+        matrix=_check_finite(matrix, "the atom coefficient map"), bound=coords.pinv_norm(svd)
+    )
 
 
 def verify_atomic_decomposition(
@@ -179,8 +183,12 @@ def verify_atomic_decomposition(
 
     w = f.space.weight_array
     mismatch = kk - f.samples.T @ (w[:, None] * m.matrix)
-    # ||k|| as a frame check of the same k kept it for f
-    worst = _max_column_norm(mismatch) / (_kept(f).k_norm(kk) or 1.0)
+    # ||k|| as a frame check of the same k kept it for f; both scaled as in
+    # _pair_report, so that no square of an entry overflows
+    k_norm = f._kept.about_k(kk).norm() or 1.0
+    top = max(float(np.max(np.abs(mismatch), initial=0.0)), k_norm)
+    mismatch, k_norm = _times_two_to(-math.frexp(top)[1], mismatch, k_norm)
+    worst = _max_column_norm(mismatch) / k_norm
     # the weighted L2 norm of m h is the plain norm of sqrt(w) m h, whose
     # entries are of the size of the bound, where those of m can overflow
     worst_coeff_norm = _max_column_norm(np.sqrt(w)[:, None] * m.matrix)
@@ -190,6 +198,13 @@ def verify_atomic_decomposition(
 
 def _max_column_norm(m: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(m, axis=0), initial=0.0))
+
+
+def _times_two_to(e: int, *values) -> list:
+    """values times 2^e, in two steps, so that 2^e may lie outside double
+    range: exact but where a product is subnormal."""
+    halves = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
+    return [value * halves[0] * halves[1] for value in values]
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +221,11 @@ class _OnRange:
     the compression M = U_k* S_f U_k = c* c has eigenvalues sc^2 and
     S_f U_k = U_r Sigma_r c; a is the ck-frame lower bound A.  k_s is
     ranked here off the singular values of k kept for f with the other
-    answers about k (linalg._Kept).  When k and B are both onto H,
+    answers about k (linalg._AboutK).  When k and B are both onto H,
     range(k) is H and any orthonormal basis of H serves: U_k is U_r, so
     c = Sigma_r, p = qh = I and sc = sigma with no SVD of c taken, and
     no left vector of k.  Otherwise U_k is k's kept left vectors
-    (linalg._Kept.k_left), sliced to the rank decided on k_s.  It is kept
+    (linalg._AboutK.u), sliced to the rank decided on k_s.  It is kept
     per (f, k), so its arrays are owned and read-only.
     """
 
@@ -222,35 +237,44 @@ class _OnRange:
     sc: np.ndarray
     qh: np.ndarray
 
-    def sandwich_margin(self) -> float:
-        """sandwich_check, read off this factorization."""
+    def sandwich_margins(self) -> tuple[np.float64, np.float64]:
+        """sandwich_check's two margins, read off this factorization."""
         # h = S_f u with u = U_k qh* diag(1/sc) z gives <G h, h> = <u, S_f u> /
         # ||S_f u||^2 = ||z||^2 / ||Sigma_r p z||^2.  A square p is unitary,
         # so Sigma_r p then has the singular values sigma of B
         sv = self.b.s
         if self.p.shape[0] != self.p.shape[1]:
             sv = np.linalg.svd(sv[:, None] * self.p, compute_uv=False)
-        lo_margin = (self.b.top / float(sv[0])) ** 2 - 1.0
-        hi_margin = 1.0 - self.a * (float(self.k_s[-1]) / float(sv[-1])) ** 2
-        return min(lo_margin, hi_margin)
+        lo_margin = (self.b.top / sv[0]) ** 2 - 1.0
+        hi_margin = 1.0 - self.a * (self.k_s[-1] / sv[-1]) ** 2
+        return lo_margin, hi_margin
 
-    def restricted_margin(self) -> float:
-        """subspace_cframe_margin, read off this factorization."""
-        lo_margin = (float(self.sc[-1]) / float(self.k_s[-1])) ** 2 / self.a - 1.0
-        hi_margin = 1.0 - (float(self.sc[0]) / self.b.top) ** 2
-        return min(lo_margin, hi_margin)
+    def restricted_margins(self) -> tuple[np.float64, np.float64]:
+        """subspace_cframe_margin's two margins, read off this factorization."""
+        lo_margin = (self.sc[-1] / self.k_s[-1]) ** 2 / self.a - 1.0
+        hi_margin = 1.0 - (self.sc[0] / self.b.top) ** 2
+        return lo_margin, hi_margin
+
+
+def _least_margin(margins) -> float:
+    """The lesser of the margins that margins() returns, each relative to
+    its bound, in doubles; NotRepresentable when a ratio inside overflows,
+    as it can where the bounds do not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = np.array(margins())
+    return float(_check_finite(both, "a bound margin").min())
 
 
 def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -> _OnRange:
     """The _OnRange of (f, k), kept for f with its other answers about k."""
-    # checked before they key the memo
+    # checked before they key the kept compressions
     tol, rank_tol = _check_tol(tol, "tol"), _check_tol(rank_tol, "rank_tol", 1.0)
-    ask = _kept(f).asker(kk)
-    return ask(("on_range", rank_tol, tol), lambda: _compress(f, kk, rank_tol, tol))
+    kept = f._kept.about_k(kk).on_range
+    return kept.get((rank_tol, tol)) or kept.setdefault((rank_tol, tol), _compress(f, kk, rank_tol, tol))
 
 
 def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -> _OnRange:
-    report, b, _, _ = _frame_check(f, kk, rank_tol, tol)
+    report, b, _ = _frame_check(f, kk, rank_tol, tol)
     if report.degenerate:
         raise DegenerateOperator("k = 0 holds vacuously; no closed-range certificate")
     if not report.is_ck_frame:
@@ -260,7 +284,8 @@ def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
         )
     # k's singular values, kept for f with the other answers about k, ranked
     # here; at full rank they are held as they are, not copied again
-    k_s = _kept(f).k_svd(kk)
+    about = f._kept.about_k(kk)
+    k_s = about.values()
     r = _separated_rank(k_s, rank_tol, "k")
     if r < k_s.size:
         k_s = _owned(k_s[:r])
@@ -269,7 +294,11 @@ def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
         eye = _owned(np.eye(r, dtype=complex))
         k_u, p, sc, qh = b.u, eye, b.s, eye
     else:
-        k_u = _kept(f).k_left(kk, r)
+        # U_k, an orthonormal basis of range(k), from k's SVD with vectors
+        # unless its values came with them
+        if about.u is None:
+            about.u = _owned(np.linalg.svd(about.k, full_matrices=False)[0])
+        k_u = about.u if r == about.u.shape[1] else _owned(about.u[:, :r])
         c = b.s[:, None] * (b.u.conj().T @ k_u)
         p, sc, qh = (_owned(x) for x in np.linalg.svd(c, full_matrices=False))
     # a passed check leaves this only when tol lets a retained direction of
@@ -326,7 +355,7 @@ def sandwich_check(
     leaves it unchanged; the return value is negative iff some h
     violates a side.
     """
-    return _on_range(f, as_operator(k), rank_tol, tol).sandwich_margin()
+    return _least_margin(_on_range(f, as_operator(k), rank_tol, tol).sandwich_margins)
 
 
 def subspace_cframe_margin(
@@ -342,7 +371,7 @@ def subspace_cframe_margin(
     compression of S_f to an orthonormal basis of range(k), with each
     side's slack taken relative to its bound.
     """
-    return _on_range(f, as_operator(k), rank_tol, tol).restricted_margin()
+    return _least_margin(_on_range(f, as_operator(k), rank_tol, tol).restricted_margins)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +404,12 @@ def verify_dual_pair(
     and D's largest entry into [1/2, 1), so no square or product of
     entries overflows; the scaling is exact, so a residual in range keeps
     its bits.  g's B enters D unchecked, as S_g may underflow where D
-    does not; a D that is not finite raises NotRepresentable.  ||k||,
-    rank(k) and ||B_f|| of lower_bound_cert = 1 / ||B_f||^2 are read off
-    k's singular values and B_f's SVD, kept for f (see linalg._Kept).  So
-    is the report of the last (g, tol, rank_tol) checked against f and k,
-    with g told by identity while it lives: asked again, it is read, not
-    recomputed, and a copy of g is checked afresh.
+    does not; a D or a residual that is not finite raises NotRepresentable.
+    ||k||, rank(k) and ||B_f|| of lower_bound_cert = 1 / ||B_f||^2 are
+    read off k's singular values and B_f's SVD, kept for f (see
+    linalg._Kept), as is the report of the last (g, tol, rank_tol) checked
+    against f and k, with g told by identity while it lives: asked again,
+    it is read, and a copy of g is checked afresh.
     """
     kk, tol = as_operator(k), _check_tol(tol, "tol")
     if f.space != g.space:
@@ -389,32 +418,37 @@ def verify_dual_pair(
         raise DimMismatch(f"k has shape {kk.shape}, expected {(f.dim, g.dim)}")
     # checked before it keys the kept report
     rank_tol = _check_tol(rank_tol, "rank_tol", 1.0)
+    about = f._kept.about_k(kk)
     tag = (weakref.ref(g), tol, rank_tol)
-    report = _kept(f).last(kk, "pair", tag, lambda: _pair_report(f, g, kk, tol, rank_tol))
-    return replace(report)
+    kept = about.pair
+    if kept is None or kept[0] != tag:
+        kept = about.pair = (tag, _pair_report(f, g, about, tol, rank_tol))
+    return replace(kept[1])
 
 
 def _pair_report(
-    f: SampleField, g: SampleField, kk: OperatorMatrix, tol: float, rank_tol: float
+    f: SampleField, g: SampleField, about: _AboutK, tol: float, rank_tol: float
 ) -> DualPairReport:
-    """verify_dual_pair's report on checked operands, computed."""
-    n, n0 = f.dim, g.dim
-    sigma = _kept(f).k_svd(kk)
-    rank = _separated_rank(sigma, rank_tol, "k")
+    """verify_dual_pair's report on checked operands, computed; about holds
+    the answers about k that f keeps."""
+    n, n0, kk = f.dim, g.dim, about.k
+    rank = _separated_rank(about.values(), rank_tol, "k")
     # g's B is formed without its check: S_g can underflow where D cannot
     with np.errstate(over="ignore", invalid="ignore"):
         d = kk - _whitened_matrix(f) @ _whitened_rows(g).conj()
     _check_finite(d, "the pair mismatch k - B_f B_g*")
     # residuals are relative to ||k|| (1 when k = 0), squared ones to its square
-    scale = float(sigma[0]) if sigma.size and sigma[0] > 0.0 else 1.0
+    scale = about.norm() or 1.0
     # c3: <k h0, h> = integral of <h0, g(x)> <f(x), h>; c4, its adjoint
     # identity, and c5, the c4 identity in standard coordinates, read the
     # entries of the same residual matrix
-    d_max = float(np.max(np.abs(d), initial=0.0))
+    with np.errstate(over="ignore"):
+        d_max = float(np.max(np.abs(d), initial=0.0))
     c3 = c4 = c5 = d_max / scale
+    if not math.isfinite(c3):
+        raise NotRepresentable("a pair residual is outside double precision range")
     # the exact scaling of the docstring, for the norms below
-    t = math.ldexp(1.0, -math.frexp(max(d_max, scale))[1])
-    d, kk, scale = d * t, kk * t, scale * t
+    d, kk, scale = _times_two_to(-math.frexp(max(d_max, scale))[1], d, kk, scale)
 
     # c1: k h0 = T_f <h0, g(.)>;  c2: k* h = T_g <h, f(.)>
     d_adj = d.conj().T
@@ -439,7 +473,9 @@ def _pair_report(
             )
         onto_res = (res_k, res_k_star)
 
-    upper_f = _kept(f).b_svd().top ** 2
+    if not all(r is None or math.isfinite(r) for r in (c1, c2, *(onto_res or ()))):
+        raise NotRepresentable("a pair residual is outside double precision range")
+    upper_f = _b_svd(f).top ** 2
     return DualPairReport(
         residual_c1=c1,
         residual_c2=c2,
@@ -492,7 +528,7 @@ def canonical_dual(
     on = _on_range(f, kk, rank_tol, tol)
     # k* G B = k* U_k qh* diag(1/sc) p* vh, since G B = U_k (c* c)^-1 c* vh;
     # the small factors are multiplied first
-    vh = _kept(f).factor("B of f", rank_tol, right=True).vh
+    vh = _b_svd(f, right=True).ranked(rank_tol, "B of f").vh
     kk_star = adjoint(kk)
     left = kk_star @ on.k_u @ (on.qh.conj().T / on.sc) @ on.p.conj().T
     if on.k_s.size == f.dim:
@@ -501,7 +537,7 @@ def canonical_dual(
     else:
         projected = map_field(on.k_u @ on.k_u.conj().T, f)
         # k's singular values are the same bits whichever field keeps them
-        _kept(projected).asker(kk)("k_svd", lambda: _kept(f).k_svd(kk))
+        projected._kept.about_k(kk).s = f._kept.about_k(kk).values()
     # g's samples are its whitened rows divided by sqrt(w), which can overflow
     with np.errstate(over="ignore", invalid="ignore"):
         samples = (vh.T @ left.T) / np.sqrt(f.space.weight_array)[:, None]
@@ -566,7 +602,7 @@ def dual_frame_bounds_check(
         raise NotADualPair(
             f"pair identities fail (max residual {pair.max_residual():.3e})"
         )
-    b_f, b_g = (_kept(field).b_svd().top ** 2 for field in (f, g))
+    b_f, b_g = (_b_svd(field).top ** 2 for field in (f, g))
     if b_f <= 0.0 or b_g <= 0.0:
         raise NotADualPair("a zero field cannot certify reciprocal bounds")
     s_f = frame_operator(f)

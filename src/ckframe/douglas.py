@@ -51,7 +51,7 @@ def range_included(
     tol: float = DEFAULT_CHECK_TOL,
 ) -> bool:
     """True iff range(l1) sits inside range(l2) at the given tolerance."""
-    return _inclusion(l1, l2, rank_tol, tol, False)[1] is not None
+    return _inclusion(l1, l2, rank_tol, tol, False)[2]
 
 
 def minimal_multiplier(
@@ -67,8 +67,8 @@ def minimal_multiplier(
     NotRepresentable for a nonzero l1 unless it and its reciprocal, the
     frame check's lower bound, are both finite normal doubles.
     """
-    _, pinv_k, multiplier = _inclusion(l1, l2, rank_tol, tol, False)
-    return None if pinv_k is None else multiplier()
+    svd, coords, included, a = _inclusion(l1, l2, rank_tol, tol, False)
+    return _multiplier(a, svd, coords) if included else None
 
 
 def douglas_factor(
@@ -85,36 +85,35 @@ def douglas_factor(
     how far l1 is from range(l2).
     """
     tol = _check_tol(tol, "tol")
-    residual, pinv_k, multiplier = _inclusion(l1, l2, rank_tol, tol, True)
-    included = pinv_k is not None
+    svd, coords, included, a = _inclusion(l1, l2, rank_tol, tol, True)
     return DouglasResult(
         included=included,
+        # before the factor, which it refuses past double precision range
+        lambda_min=_multiplier(a, svd, coords) if included else None,
         # a copy the caller owns of the factor kept for l2's field
-        factor=pinv_k().copy() if included else None,
-        lambda_min=multiplier() if included else None,
-        residual=residual,
-        marginal=not included and residual < GRAY_ZONE_FACTOR * tol,
+        factor=coords.factor(svd).copy() if included else None,
+        residual=coords.distance,
+        marginal=not included and coords.distance < GRAY_ZONE_FACTOR * tol,
     )
 
 
 def _inclusion(l1, l2, rank_tol: float, tol: float, right: bool):
-    """linalg._Kept.inclusion of l1 against range(l2), asked as the field
-    whose handed-out B is l2 itself, if any (see linalg._kept_like), less
-    l2's SVD: (residual, pinv_k, multiplier), with a thunk for
-    ||pinv(l2) l1||^2 in place of the one for its root, which raises
-    NotRepresentable for a nonzero l1 where the frame check's lower bound,
-    its reciprocal, does (see linalg._check_multiplier)."""
-    a = as_operator(l1)
-    b = as_operator(l2)
+    """(svd, coords, included, l1) of linalg._Kept.inclusion of l1 against
+    range(l2), asked as the field whose handed-out B is l2 itself, if any
+    (see linalg._kept_like), with l2 factored as it is."""
+    a, b = as_operator(l1), as_operator(l2)
     if a.shape[0] != b.shape[0]:
         raise DimMismatch(
             f"operators map into different spaces: {a.shape[0]} vs {b.shape[0]} rows"
         )
-    _, residual, pinv_k, coords_norm = _kept_like(b).inclusion(a, "l2", rank_tol, tol, right)
+    return (*_kept_like(b).inclusion(lambda: b, a, "l2", rank_tol, tol, right), a)
 
-    def multiplier() -> float:
-        if a.any():
-            _check_multiplier(coords_norm(), "the Douglas multiplier")
-        return coords_norm() ** 2
 
-    return residual, pinv_k, multiplier
+def _multiplier(l1: OperatorMatrix, svd, coords) -> float:
+    """||pinv(l2) l1||^2 off coords, l1 read against svd, l2's SVD: it
+    raises NotRepresentable for a nonzero l1 where the frame check's lower
+    bound, its reciprocal, does (see linalg._check_multiplier)."""
+    x = coords.pinv_norm(svd)
+    if l1.any():
+        _check_multiplier(x, "the Douglas multiplier")
+    return x**2

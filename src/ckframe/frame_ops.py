@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,9 +26,8 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     OperatorMatrix,
     _check_multiplier,
+    _Coords,
     _hand_out,
-    _Kept,
-    _kept_for,
     _RankedSVD,
     as_operator,
 )
@@ -96,7 +95,7 @@ def whitened_synthesis_matrix(f: SampleField) -> OperatorMatrix:
     as f (see linalg._kept_like).  Raises NotRepresentable when the trace
     of S_f = B B* overflows, or underflows for a nonzero B, in doubles.
     """
-    return _hand_out(_whitened_matrix(f), _kept(f))
+    return _hand_out(_whitened_matrix(f), f._kept)
 
 
 def _whitened_matrix(f: SampleField) -> OperatorMatrix:
@@ -167,30 +166,30 @@ def ckframe_check(
     return _frame_check(f, as_operator(k), rank_tol, tol)[0]
 
 
-def _kept(f: SampleField) -> _Kept:
-    """What is kept for f (see linalg._Kept), made on first use."""
-    return _kept_for(f, _whitened_matrix)
+def _b_svd(f: SampleField, right: bool = False) -> _RankedSVD:
+    """linalg._Kept.b_svd of f, with B built from f when it is factored."""
+    return f._kept.b_svd(lambda: _whitened_matrix(f), right)
 
 
 def _frame_check(
     f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float, right: bool = False,
     name: str = "B of f",
-) -> tuple[CkFrameReport, _RankedSVD, Optional[Callable[[], np.ndarray]], Optional[float]]:
+) -> tuple[CkFrameReport, _RankedSVD, Optional[_Coords]]:
     """ckframe_check, also handing back the ranked SVD of B it was read from
-    (the one with vh when right is set) and, on inclusion, a thunk for the
-    kept read-only pinv(B) k, read off that SVD, which needs right set,
-    and x = ||pinv(B) k|| (0.0 when k = 0), of which the lower bound is
-    A = x^-2 (else both None).  name is what a RankAmbiguous message
-    calls B.
+    (the one with vh when right is set) and, on inclusion (else None), k
+    read against it (see linalg._Coords), whose pinv_norm is x =
+    ||pinv(B) k|| (0.0 when k = 0), of which the lower bound is A = x^-2.
+    name is what a RankAmbiguous message calls B.
 
-    Both factorizations of B and the answers about k are kept for f (see
-    linalg._Kept), so asking again about the same (f, k) factors nothing.
+    B's SVD and the answers about k are kept for f (see linalg._Kept), so
+    asking again about the same (f, k) factors nothing.
     """
     if kk.shape[0] != f.dim:
         raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
-    b, residual, pinv_k, coords_norm = _kept(f).inclusion(kk, name, rank_tol, tol, right)
-    included = pinv_k is not None
-    x = coords_norm() if included else None
+    b, coords, included = f._kept.inclusion(
+        lambda: _whitened_matrix(f), kk, name, rank_tol, tol, right
+    )
+    x = coords.pinv_norm(b) if included else None
     degenerate = not kk.any()
     if degenerate:
         lower = math.inf
@@ -203,7 +202,7 @@ def _frame_check(
         bounds=FrameBounds(lower=lower, upper=b.top**2, kind=CK_FRAME),
         range_included=included,
         is_ck_frame=included,
-        residuals={"range_inclusion": residual},
+        residuals={"range_inclusion": coords.distance},
         degenerate=degenerate,
     )
-    return report, b, pinv_k, x
+    return report, b, coords if included else None

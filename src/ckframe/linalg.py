@@ -8,10 +8,8 @@ between "zero" and "clearly nonzero" are rejected rather than guessed at.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
-import threading
 import weakref
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -209,193 +207,145 @@ def _owned(a: np.ndarray) -> np.ndarray:
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether complex arrays a and b have one shape, dtype and raw bytes,
-    so that -0.0 and 0.0 differ, compared 8 bytes at a time: how an asker
-    tells its k from the held one."""
+    so that -0.0 and 0.0 differ, compared 8 bytes at a time: how a _Kept
+    tells the k it is asked about from the held one."""
     if a.shape != b.shape or a.dtype != b.dtype:
         return False
     return np.array_equal(*(np.ascontiguousarray(x).view(np.uint64) for x in (a, b)))
 
 
 class _Kept:
-    """What is kept about a matrix B, which b() returns: its one thin SVD
-    (see _thin_svd), taken before any rank is decided, whose vh is formed
-    from the kept w once a caller reads it.  Each rank_tol's ranked SVD is
-    a slice of it, and ||B|| is its sigma_max, for every caller.  And, in
-    about_k, an owned read-only copy of one operator k with the answers
-    about it: k's singular values before its rank is decided (see k_svd)
-    and, when k has fewer columns than rows or a range(k) question finds
-    it rank-deficient, its left vectors (see k_left); per rank_tol, U_r* k,
-    the distance of k from range(B), the minimal-norm factor
-    pinv(B) k = vh* Sigma_r^-1 U_r* k (once vh is formed) and its norm; the
-    compression of S_f to range(k); and the DualPairReport of the last
-    (g, tol, rank_tol) checked with B's field as f, beside a weak
-    reference to g (see last): one g at a time, told by identity, so a
-    copy of g is checked afresh.  ||k|| is the top kept singular value of
-    k, which the compression and verify_dual_pair rank, so no answer
-    depends on which question came first; the distance is 0.0, with no
-    residual formed, when B is onto.  No kept array is handed to a caller.
-    A live field's _Kept is found by the field (see _kept_for) and by
-    identity of the B handed out for it (see _kept_like); any other l2 of
-    a Douglas face gets a throwaway _Kept.
-    An asker tells its k from the held one by comparing raw bytes once, so
-    a k changed in place, or differing only in the sign of a zero, gets
-    answers for its own bytes; asking about another k drops the previous
-    k's answers.  The same LAPACK call on the same bytes returns the same
-    bits, so an answer is bit-identical to computing it again; a compute()
-    that raises keeps no answer.  Threads asking at once can at worst
-    compute an answer twice, as each asker only reads and fills the
-    answers about its own k.
+    """What the questions about one matrix B found out, so that asking
+    again factors nothing.  Each live field owns one (see SampleField._kept),
+    which a Douglas face given the B handed out for it reads (see
+    _kept_like).  svd is B's one thin SVD (see _thin_svd), taken before any
+    rank is decided, whose vh is formed from the kept w once a caller reads
+    it: each rank_tol's ranked SVD is a slice of it, and ||B|| is its
+    sigma_max for every caller.  B is not held: whoever asks passes a
+    function that builds it.  about holds the answers about the last
+    operator k asked about.  The same LAPACK call on the same bytes returns
+    the same bits, so a kept answer is bit-identical to computing it again;
+    a computation that raises keeps nothing.  Threads asking at once can at
+    worst compute an answer twice, as each fills only the _AboutK of its
+    own k, which another k replaces whole.  No kept array is handed out.
     """
 
-    __slots__ = ("b", "svd", "about_k", "__weakref__")
+    __slots__ = ("svd", "about", "__weakref__")
 
-    def __init__(self, b) -> None:
-        self.b = b
+    def __init__(self) -> None:
         self.svd: Optional[_RankedSVD] = None
-        self.about_k: tuple[Optional[np.ndarray], dict] = (None, {})
+        self.about: Optional[_AboutK] = None
 
-    def _about(self, k: np.ndarray) -> tuple[np.ndarray, dict]:
-        """The held copy of k and the answers about it, begun afresh when
-        k's bytes are not the held ones."""
-        about = self.about_k
-        if about[0] is None or not _same_bytes(about[0], k):
-            # published at once, so that the askers a compute() makes about
-            # the same k fill this answer set rather than a set of their own
-            about = self.about_k = (_owned(np.array(k, copy=True)), {})
-        return about
-
-    def asker(self, k: np.ndarray):
-        """ask(name, compute): the answer about the operator k kept under
-        name, else compute(), kept there."""
-        about = self._about(k)
-
-        def ask(name, compute):
-            kept = about[1].get(name)
-            if kept is None:
-                kept = compute()
-                with _LOCK:
-                    kept = about[1].setdefault(name, kept)
-                    self.about_k = about
-            return kept
-
-        return ask
-
-    def last(self, k: np.ndarray, name: str, tag: tuple, compute):
-        """The answer about the operator k kept under name if it was
-        computed for a tag equal to tag, else compute(), kept there for tag
-        in place of the answer for any other: one tag at a time."""
-        about = self._about(k)
-        kept = about[1].get(name)
-        if kept is None or kept[0] != tag:
-            kept = (tag, compute())
-            with _LOCK:
-                about[1][name] = kept
-                self.about_k = about
-        return kept[1]
-
-    def k_svd(self, k: np.ndarray) -> np.ndarray:
-        """k's singular values, owned, kept with the other answers about k,
-        for every reader of ||k|| or rank(k).  A k with at least as many
-        columns as rows may be onto H, and then no question needs a basis of
-        range(k), so its values are taken alone; a narrower k is never onto,
-        and its values come with the left vectors that every range(k)
-        question reads (see k_left), from one SVD.  No rank is decided
-        here, so a question that needs only ||k|| raises no RankAmbiguous
-        about k."""
-        ask = self.asker(k)
-
-        def compute():
-            if k.shape[1] >= k.shape[0]:
-                return _owned(np.linalg.svd(k, compute_uv=False))
-            u, s, _ = np.linalg.svd(k, full_matrices=False)
-            ask("k_u", lambda: _owned(u))
-            return _owned(s)
-
-        return ask("k_svd", compute)
-
-    def k_left(self, k: np.ndarray, r: int) -> np.ndarray:
-        """U_k, the first r left singular vectors of k, where r is the rank
-        decided on k_svd: an orthonormal basis of range(k), owned.  All of
-        them are kept with the other answers about k, from k's SVD with
-        vectors, taken on first need unless k_svd took it with the values."""
-        u = self.asker(k)("k_u", lambda: _owned(np.linalg.svd(k, full_matrices=False)[0]))
-        return u if r == u.shape[1] else _owned(u[:, :r])
-
-    def k_norm(self, k: np.ndarray) -> float:
-        """||k||, the top kept singular value of k; 0.0 for an all-zero k,
-        without an SVD."""
-        return float(self.k_svd(k)[0]) if k.any() else 0.0
-
-    def b_svd(self, right: bool = False) -> _RankedSVD:
-        """B's one thin SVD, unranked, with vh when right is set: vh is formed
-        from the kept w (see _RankedSVD.with_vh), so B is factored once."""
+    def b_svd(self, build, right: bool = False) -> _RankedSVD:
+        """B's one thin SVD, unranked, with vh when right is set, formed from
+        the kept w (see _RankedSVD.with_vh); build() returns B to factor."""
         svd = self.svd
         if svd is None or (right and svd.vh is None):
-            b = self.b()
+            b = build()
             svd = (_thin_svd(b, right) if svd is None else svd.with_vh(b)).owned()
-            with _LOCK:
-                if self.svd is None or self.svd.vh is None:
-                    self.svd = svd
+            if self.svd is None or self.svd.vh is None:
+                self.svd = svd
         return svd
 
-    def factor(self, name: str, rank_tol: float, right: bool = False) -> _RankedSVD:
-        """B's kept SVD ranked at rank_tol (name is what a RankAmbiguous
-        message calls B), with vh when right is set."""
-        return self.b_svd(right).ranked(rank_tol, name)
+    def about_k(self, k: np.ndarray) -> _AboutK:
+        """The answers about the operator k: the held ones when k has their
+        k's bytes, else new ones, which replace them."""
+        about = self.about
+        if about is None or not _same_bytes(about.k, k):
+            about = self.about = _AboutK(k)
+        return about
 
-    def inclusion(self, k: np.ndarray, name: str, rank_tol: float, tol: float, right: bool):
-        """Whether range(k) sits inside range(B), by Douglas's lemma.
-
-        Returns (svd, distance, pinv_k, coords_norm): the ranked SVD of B
-        that decided it (see factor); ||k - U_r U_r* k|| / ||k||, the
-        relative distance of k from range(B) (0.0 when k = 0, and exactly
-        0.0, with no residual formed, when B is onto, as U_r U_r* is then
-        the identity); and, when that is within tol (else both None),
-        thunks for the minimal-norm factor pinv(B) k = vh* coords, read-only,
-        which needs right set, and for ||coords|| = ||pinv(B) k||, where
-        coords = Sigma_r^-1 U_r* k is read off that SVD so that it matches
-        its vh.  U_r* k, the distance, pinv(B) k and its norm are kept with
-        the other answers about k.
-        """
+    def inclusion(self, build, k: np.ndarray, name: str, rank_tol: float, tol: float, right: bool):
+        """Whether range(k) sits inside range(B), by Douglas's lemma:
+        (svd, coords, included) for svd B's SVD ranked at rank_tol (name is
+        what a RankAmbiguous message calls B) and coords k read against it."""
         tol = _check_tol(tol, "tol")
-        svd = self.factor(name, rank_tol, right)
-        ask = self.asker(k)
-        proj = ask(("proj", rank_tol), lambda: _owned(svd.u.conj().T @ k))
-
-        def residual() -> float:
-            k_norm = self.k_norm(k)
-            return operator_norm(k - svd.u @ proj) / k_norm if k_norm > 0.0 else 0.0
-
-        distance = 0.0 if svd.onto else ask(("residual", rank_tol), residual)
-        if not distance <= tol:
-            return svd, distance, None, None
-        coords = proj / svd.s[:, None]
-        return (
-            svd,
-            distance,
-            lambda: ask(("pinv_k", rank_tol), lambda: _owned(svd.vh.conj().T @ coords)),
-            lambda: ask(("coords_norm", rank_tol), lambda: operator_norm(coords)),
-        )
+        svd = self.b_svd(build, right).ranked(rank_tol, name)
+        # kept by the rank, all that tells one rank_tol's slice from another's
+        about, r = self.about_k(k), svd.s.size
+        coords = about.coords.get(r) or about.coords.setdefault(r, _Coords(svd, about))
+        return svd, coords, coords.distance <= tol
 
 
-#: The _Kept of each live field; an entry goes when its field is collected.
-_KEPT: weakref.WeakKeyDictionary[object, _Kept] = weakref.WeakKeyDictionary()
+class _AboutK:
+    """The answers about one operator k, beside k, a read-only C-ordered
+    copy of it, so that they do not hang on the layout of the k a caller
+    passed, each made on first need: s and u, k's singular values and left
+    vectors (see values); coords, k read against each ranked SVD of B, by
+    its rank (see _Kept.inclusion); on_range, the compression of S_f to range(k) per
+    (rank_tol, tol) (see atoms_duals._on_range); and pair, the
+    DualPairReport of the last g, tol and rank_tol checked with B's field
+    as f, tagged with a weak reference to g (see verify_dual_pair)."""
+
+    __slots__ = ("k", "s", "u", "coords", "on_range", "pair")
+
+    def __init__(self, k: np.ndarray) -> None:
+        self.k = _owned(np.array(k, order="C"))
+        self.s = self.u = self.pair = None
+        self.coords: dict[int, _Coords] = {}
+        self.on_range: dict = {}
+
+    def values(self) -> np.ndarray:
+        """k's singular values, with no rank decided, which every reader of
+        ||k|| and rank(k) reads.  A k with at least as many columns as rows
+        may be onto H, and then no question needs a basis of range(k), so
+        its values are taken alone; a narrower k is never onto, and its
+        values come with u, from one SVD."""
+        if self.s is None:
+            k = self.k
+            if k.shape[1] >= k.shape[0]:
+                self.s = _owned(np.linalg.svd(k, compute_uv=False))
+            else:
+                u, s, _ = np.linalg.svd(k, full_matrices=False)
+                self.u, self.s = _owned(u), _owned(s)
+        return self.s
+
+    def norm(self) -> float:
+        """||k||; 0.0 for an all-zero k, without an SVD.  NotRepresentable
+        when it overflows, as it can for finite entries."""
+        return float(_check_finite(self.values()[:1], "||k||")[0]) if self.k.any() else 0.0
+
+
+
+class _Coords:
+    """k read against B = U_r Sigma_r vh: proj = U_r* k and distance =
+    ||k - U_r U_r* k|| / ||k||, the relative distance of k from range(B)
+    (0.0 when k = 0, and exactly 0.0, with no residual formed, when B is
+    onto); once asked for, x = ||pinv(B) k|| and the minimal-norm factor
+    pinv(B) k = vh* coords, of coords = Sigma_r^-1 U_r* k.  svd, passed to
+    each, is the SVD that proj was read off, with vh for the factor."""
+
+    __slots__ = ("proj", "distance", "x", "pinv_k")
+
+    def __init__(self, svd: _RankedSVD, about: _AboutK) -> None:
+        k_norm = 0.0 if svd.onto else about.norm()
+        # a sum in either product can overflow where ||k|| does not
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.proj = _owned(svd.u.conj().T @ about.k)
+            residual = about.k - svd.u @ self.proj if k_norm > 0.0 else None
+        self.distance = 0.0
+        if k_norm > 0.0:
+            self.distance = operator_norm(_check_finite(residual, "k - U_r U_r* k")) / k_norm
+        self.x = self.pinv_k = None
+
+    def pinv_norm(self, svd: _RankedSVD) -> float:
+        """x; inf when coords overflow, which _check_multiplier refuses."""
+        if self.x is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                coords = self.proj / svd.s[:, None]
+            self.x = operator_norm(coords) if np.isfinite(coords).all() else math.inf
+        return self.x
+
+    def factor(self, svd: _RankedSVD) -> np.ndarray:
+        """pinv(B) k, read-only."""
+        if self.pinv_k is None:
+            self.pinv_k = _owned(svd.vh.conj().T @ (self.proj / svd.s[:, None]))
+        return self.pinv_k
+
+
 #: By id(B), each B that whitened_synthesis_matrix handed out: weak refs to
 #: B and to its field's _Kept, so nothing is kept alive; it goes with B.
 _HANDED: dict[int, tuple[weakref.ref, weakref.ref]] = {}
-#: Makes storing an answer and publishing the k it is about atomic.
-_LOCK = threading.Lock()
-
-
-def _kept_for(field, b_of) -> _Kept:
-    """The _Kept of a live field, made on first use.  Its b() builds B with
-    b_of from a shallow copy of field, which shares its read-only parts:
-    holding the field itself would keep it alive."""
-    kept = _KEPT.get(field)
-    if kept is None:
-        twin = copy.copy(field)
-        kept = _KEPT.setdefault(field, _Kept(lambda: b_of(twin)))
-    return kept
 
 
 def _hand_out(b: np.ndarray, kept: _Kept) -> np.ndarray:
@@ -409,11 +359,11 @@ def _hand_out(b: np.ndarray, kept: _Kept) -> np.ndarray:
 def _kept_like(b: np.ndarray) -> _Kept:
     """The _Kept of the live field whose handed-out B is b itself while b
     and the array it views are read-only, so b has that B's bytes; else a
-    throwaway _Kept of b, as for a copy of a B, whatever its bytes."""
+    throwaway _Kept, as for a copy of a B, whatever its bytes."""
     ref, kept = _HANDED.get(id(b), (None, None))
     if ref is None or ref() is not b or b.flags.writeable or b.base.flags.writeable:
-        return _Kept(lambda: b)
-    return kept() or _Kept(lambda: b)
+        return _Kept()
+    return kept() or _Kept()
 
 
 def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:

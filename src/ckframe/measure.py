@@ -8,6 +8,7 @@ slot and conjugate-linear in the second, everywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .errors import (
     NonPositiveWeight,
     SpaceMismatch,
 )
+from .linalg import _Kept
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,16 @@ class SampleField:
     @property
     def dim(self) -> int:
         return int(self.samples.shape[1])
+
+    @cached_property
+    def _kept(self) -> _Kept:
+        """What the questions about this field found out (see linalg._Kept),
+        made on first use; no dataclass field, so fields() and repr skip it."""
+        return _Kept()
+
+    def __getstate__(self) -> dict:
+        # a pickled field is its value: the kept answers hold weak references
+        return {name: value for name, value in vars(self).items() if name != "_kept"}
 
 
 def hilbert_inner(u, v) -> complex:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import ckframe
 from ckframe import SampleField, ScalarField, make_measure_space
+from ckframe import atoms_duals, frame_ops
 from ckframe.frame_ops import analysis, synthesis, synthesis_matrix
 from ckframe.linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL
 from ckframe.measure import l2_norm
@@ -487,6 +488,21 @@ def counted_factorizations(monkeypatch) -> Counter:
 
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     return counts
+
+
+def counted_builds(monkeypatch) -> list:
+    """The field of each B built from now on, by frame_ops._whitened_rows,
+    patched in both modules that hold it."""
+    built = []
+    rows = frame_ops._whitened_rows
+
+    def counted_rows(field):
+        built.append(field)
+        return rows(field)
+
+    for module in (frame_ops, atoms_duals):
+        monkeypatch.setattr(module, "_whitened_rows", counted_rows)
+    return built
 
 
 def diagnose(labels, weights, samples, k) -> dict:

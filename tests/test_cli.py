@@ -1,6 +1,8 @@
 """Command-line entry point: exit codes, output routing, tolerance overrides."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
@@ -9,7 +11,10 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ckframe.cli import main
 from ckframe.errors import BadParams
@@ -443,6 +448,121 @@ def test_a_pair_whose_s_g_underflows_keeps_the_residuals_of_the_unscaled_pair(se
             doc[key] = [[[x * 2.0**-530 for x in cell] for cell in row] for row in doc[key]]
     assert reports[1] == reports[0]
     assert "error" not in reports[0][1]
+
+
+def real_spec(weights, f, k, g=None) -> dict:
+    """A spec whose matrices hold the real numbers f (atoms x n), k (n x n0)
+    and g (atoms x n0)."""
+    doc = {
+        "space": {"labels": [f"x{i}" for i in range(len(weights))], "weights": weights},
+        "dim_h": len(f[0]),
+        "dim_h0": len(k[0]),
+        "field_f": [[[x, 0.0] for x in row] for row in f],
+        "operator_k": [[[x, 0.0] for x in row] for row in k],
+    }
+    if g is not None:
+        doc["field_g"] = [[[x, 0.0] for x in row] for row in g]
+    return doc
+
+
+#: Specs at the edges of double precision, with the exit code of each
+#: command that exited 3 on them, leaking numpy warnings to stderr.
+EXTREME_SPECS = {
+    # U_r* k / sigma overflows before the multiplier is checked
+    "overflowing_douglas_factor": (
+        real_spec([1.0], [[1e-150]], [[1e160]]),
+        {"bounds": 1, "atoms": 1, "dual": 1, "douglas": 1, "sandwich": 1},
+    ),
+    # every entry of k is finite, ||k|| is not
+    "pair_whose_k_norm_overflows": (
+        real_spec(
+            [1.0] * 3,
+            [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+            [[1e308, 1e308, 1e308], [1e308, -1e308, 1e308]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        ),
+        {"verify-pair": 1},
+    ),
+    # c3 = |D| / ||k|| = 1e464: ||k|| scaled by 2^-1011 underflows
+    "pair_whose_residuals_overflow": (
+        real_spec([1.0], [[1e150]], [[1e-160]], [[1e154]]),
+        {"verify-pair": 1},
+    ),
+    # D = k and ||k|| subnormal: 2^1063 is past double range
+    "pair_of_subnormal_scale": (
+        real_spec([1.0], [[1e-150]], [[1e-320]], [[1e-300]]),
+        {"verify-pair": 1},
+    ),
+    # a ck-frame whose mismatch entries, about 1e284, overflow when squared
+    "atoms_with_a_huge_mismatch": (
+        real_spec([1.7], [[3e150]], [[1e300 / 3]]),
+        {"bounds": 0, "atoms": 0, "dual": 0, "douglas": 0, "sandwich": 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", sorted(EXTREME_SPECS))
+def test_extreme_specs_exit_zero_or_one_without_stderr(name, fmt, tmp_path, capsys):
+    doc, codes = EXTREME_SPECS[name]
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(doc))
+    for cmd, code in codes.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([cmd, str(path), "--format", fmt]) == code, cmd
+        captured = capsys.readouterr()
+        assert captured.err == "", cmd
+        if fmt == "text":
+            continue
+        results = json.loads(captured.out)["results"]
+        if code == 1 and name != "pair_of_subnormal_scale":
+            assert results["error"] == "NotRepresentable", cmd
+        elif name == "pair_of_subnormal_scale":
+            # D is k itself: every residual is 1
+            assert [results[f"residual_c{i}"] for i in range(1, 6)] == [1.0] * 5
+            assert not results["holds"]
+        elif cmd == "atoms":
+            assert results["reconstruction_residual"] < 1e-15
+
+
+#: Decimal exponents of the scales in test_every_command_exits_cleanly_at_extreme_scales.
+EXTREME_EXPONENTS = [-320, -300, -160, -150, 0, 150, 154, 160, 300, 307, 308]
+
+
+@settings(max_examples=60, deadline=None)
+# each exited 3: ||k|| overflows (NaN distance); U_r U_r* k overflows in a
+# sum; U_r* k / sigma divides inf by inf; a sandwich margin's ratio overflows
+@example(seed=0, atoms=1, n=1, n0=2, exponents=(-320, -320, -320, 308))
+@example(seed=0, atoms=2, n=3, n0=3, exponents=(-320, 150, -320, 308))
+@example(seed=4, atoms=4, n=3, n0=1, exponents=(-320, 150, -320, 308))
+@example(seed=2, atoms=3, n=2, n0=2, exponents=(307, -300, -320, -300))
+@given(
+    seed=st.integers(0, 2**16),
+    atoms=st.integers(1, 4),
+    n=st.integers(1, 3),
+    n0=st.integers(1, 3),
+    exponents=st.tuples(*[st.sampled_from(EXTREME_EXPONENTS)] * 4),
+)
+def test_every_command_exits_cleanly_at_extreme_scales(seed, atoms, n, n0, exponents, tmp_path_factory):
+    # w, f, g and k, entries of magnitude below 1.5, each times 10^e
+    rng = np.random.default_rng(seed)
+    e_w, e_f, e_g, e_k = (10.0**e for e in exponents)
+    doc = real_spec(
+        list(rng.uniform(0.5, 1.5, atoms) * e_w),
+        (rng.uniform(-1.5, 1.5, (atoms, n)) * e_f).tolist(),
+        (rng.uniform(-1.5, 1.5, (n, n0)) * e_k).tolist(),
+        (rng.uniform(-1.5, 1.5, (atoms, n0)) * e_g).tolist(),
+    )
+    path = tmp_path_factory.mktemp("extreme") / "spec.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("bounds", "atoms", "dual", "verify-pair", "douglas", "sandwich"):
+        for fmt in ("json", "text"):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main([cmd, str(path), "--format", fmt])
+            assert code in (0, 1, 2) and err.getvalue() == "", (cmd, fmt, code, err.getvalue())
 
 
 def test_row_lengths_checked_before_allocation(tmp_path, capsys):

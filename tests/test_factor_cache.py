@@ -1,31 +1,23 @@
-"""What ckframe.linalg keeps for a live field (linalg._Kept): the one thin
-SVD of its whitened synthesis matrix B, taken once before any rank is
-decided (u, s and the small right factor w, with vh = w Q.T formed once
-atom_coefficient_map, canonical_dual or douglas_factor reads it), of
-which every rank_tol reads a slice and every caller reads ||B|| = s[0],
-and, for one operator k at a time, held beside a copy of that k: k's
-singular values (||k|| is the top one), taken without vectors unless k has
-fewer columns than rows, and k's left vectors once a question needs a
-basis of range(k) that B's SVD does not give; per rank_tol, U_r* k, the
-inclusion distance (only when B is not onto: otherwise it is 0.0), the
-minimal-norm factor pinv(B) k (once atom_coefficient_map or
-douglas_factor asks for it) and its norm; the compression of S_f to
-range(k); and the dual-pair report of the last (g, tol, rank_tol), with a
-weak reference to g, so one g at a time, told by identity.  A k is told
-from the held one by comparing bytes.  whitened_synthesis_matrix
-hands out a read-only B and records it by identity, so a Douglas face
-whose l2 is that very array asks as its field; any other l2, a copy with
-the same bytes included, is answered from scratch and registers nothing.
-A second question about the same (f, k) takes no factorization of B,
-gets bit-identical answers, and still raises what a cold field raises.
-No kept array is handed to a caller.
+"""What a live field keeps (f._kept, a linalg._Kept): the one thin SVD of
+its whitened synthesis matrix B, taken once before any rank is decided,
+and the answers about the last operator k asked about, told by its bytes:
+k's singular values and left vectors, k read against B per rank, the
+compression of S_f to range(k) and the last dual-pair report, told by g's
+identity.  A Douglas face given the very B that whitened_synthesis_matrix
+handed out asks as its field; any other l2 is answered from scratch.
 
-A spec read back with parse_problem holds new field objects, so nothing
-is kept for them yet (a "cold" field), as in one CLI process."""
+One hypothesis state machine (CallHistory, at the end) asks every public
+face in drawn orders and checks each answer against the same call on
+fresh copies, bit for bit; the tests before it pin what is factored and
+built, and what the property cannot see.  A spec read back with
+parse_problem holds new field objects, so nothing is kept for them yet (a
+"cold" field), as in one CLI process."""
 
 import ast
 import dataclasses
 import gc
+import itertools
+import pickle
 import struct
 import sys
 import weakref
@@ -34,12 +26,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from ckframe import (
     CkFrameError,
-    NotRepresentable,
     RankAmbiguous,
     SampleField,
     atoms_duals,
@@ -65,10 +57,9 @@ from ckframe.frame_ops import (
 from ckframe.harness import GENERATOR_KINDS, emit_spec, generate_example, parse_problem
 from ckframe.linalg import (
     _HANDED,
-    _KEPT,
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
-    _Kept,
+    _AboutK,
     _kept_like,
     _same_bytes,
     _thin_svd,
@@ -77,10 +68,10 @@ from ckframe.linalg import (
 import helpers
 from helpers import (
     ckframe_instance,
+    counted_builds,
     counted_factorizations,
     crandn,
     diagnose,
-    excluded_instance,
     fresh_copy,
     parseval_field,
     random_space,
@@ -137,19 +128,24 @@ def outcome(name, f, k):
 
 def kept_factor(f):
     """The one thin SVD of the whitened synthesis matrix kept for f, or None."""
-    kept = _KEPT.get(f)
-    return None if kept is None else kept.svd
+    return f._kept.svd
 
 
-def arrays_in(x):
-    """Every ndarray reachable from a kept entry."""
-    if isinstance(x, np.ndarray):
-        return [x]
-    if dataclasses.is_dataclass(x):
-        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
-    if isinstance(x, (tuple, list)):
-        return [a for v in x for a in arrays_in(v)]
-    return []
+def kept_objects(x) -> list:
+    """x and every object reachable from it through the slots of the kept
+    answers (ckframe.linalg's slotted classes), the fields of dataclasses
+    and the items of dicts and tuples."""
+    if isinstance(x, dict):
+        parts = list(x.values())
+    elif isinstance(x, tuple):
+        parts = list(x)
+    elif dataclasses.is_dataclass(x):
+        parts = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    elif type(x).__module__ == "ckframe.linalg" and hasattr(type(x), "__slots__"):
+        parts = [getattr(x, name) for name in type(x).__slots__ if name != "__weakref__"]
+    else:
+        parts = []
+    return [x, *(y for part in parts for y in kept_objects(part))]
 
 
 def qr_modes(monkeypatch, b=None) -> list:
@@ -182,21 +178,6 @@ def svd_modes(monkeypatch, a=None) -> list:
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     return modes
-
-
-def counted_builds(monkeypatch) -> list:
-    """The field of each B built from now on, by frame_ops._whitened_rows,
-    patched in both modules that hold it."""
-    built = []
-    rows = frame_ops._whitened_rows
-
-    def counted_rows(field):
-        built.append(field)
-        return rows(field)
-
-    for module in (frame_ops, atoms_duals):
-        monkeypatch.setattr(module, "_whitened_rows", counted_rows)
-    return built
 
 
 def test_a_second_call_on_a_field_takes_no_svd_of_b(monkeypatch):
@@ -376,19 +357,12 @@ def test_the_budget_diagnosis_asks_what_the_benchmarked_one_asks():
 
 def test_nested_asks_on_a_cold_field_keep_their_answers(monkeypatch):
     # the compression is asked for first; the frame check and k's SVD it
-    # asks for inside fill the same answer set, so none is lost when the
-    # compression is stored.  k has fewer columns than rows, so its left
+    # asks for inside fill the same answers about k, so none is lost when
+    # the compression is stored.  k has fewer columns than rows, so its left
     # vectors come with its singular values, from one SVD
     spec = parse_problem(emit_spec(generate_example("random_bessel_pair", {}, 0)))
     f, k = spec.field_f, spec.operator_k
     sandwich_check(f, k)
-    assert set(_KEPT[f].about_k[1]) == {
-        "k_svd",
-        "k_u",
-        ("proj", DEFAULT_RANK_TOL),
-        ("coords_norm", DEFAULT_RANK_TOL),
-        ("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL),
-    }
     counts = counted_factorizations(monkeypatch)
     ckframe_check(f, k)
     assert not counts, dict(counts)
@@ -403,23 +377,17 @@ def test_nested_asks_on_a_cold_field_keep_their_answers(monkeypatch):
 def test_k_keeps_the_singular_values_of_the_svd_its_shape_calls_for(shape, rank):
     rng = np.random.default_rng(sum(shape))
     k = with_rank(rng, *shape, min(shape) - (rank == "deficient"))
-    kept = _Kept(lambda: None)
-    sigma = kept.k_svd(k)
-    answers = kept.about_k[1]
+    about = _AboutK(k)
+    sigma = about.values()
     if shape[1] < shape[0]:
         # never onto: the vectors of the same SVD are kept beside the values
         u, values, _ = np.linalg.svd(k, full_matrices=False)
-        assert bits(answers["k_u"]) == bits(u)
+        assert bits(about.u) == bits(u)
     else:
         values = np.linalg.svd(k, compute_uv=False)
-        assert "k_u" not in answers
+        assert about.u is None
     assert bits(sigma) == bits(values)
     assert not sigma.flags.writeable and sigma.base is None
-    # k's left vectors, sliced to the rank decided on the kept values
-    r = int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * sigma[0]))
-    u = kept.k_left(k, r)
-    assert bits(u) == bits(np.linalg.svd(k, full_matrices=False)[0][:, :r])
-    assert not u.flags.writeable and u.base is None
 
 
 def rank_deficient_wide_instance(seed=0):
@@ -448,7 +416,7 @@ def test_a_rank_deficient_wide_k_takes_its_vectors_once_whatever_asked_first(fir
     # question that needs a basis of range(k)
     assert modes == ["values", "vectors"]
     assert answers == cold
-    assert _KEPT[f].about_k[1]["k_u"].shape == (3, 3)
+    assert f._kept.about.u.shape == (3, 3)
 
 
 #: Specs whose k is onto H (the first four) and specs whose k is not, the
@@ -489,79 +457,6 @@ def dual_pair(seed=0):
     spec = parse_problem(emit_spec(generate_example("random_ckframe", {}, seed)))
     dual = canonical_dual(spec.field_f, spec.operator_k)
     return dual.projected_frame, dual.dual_field, spec.operator_k
-
-
-def test_a_second_pair_check_builds_no_b_and_reads_the_kept_report(monkeypatch):
-    f, g, k = dual_pair()
-    args = (f, g, k, 1e-9, 1e-12)
-    cold = bits(verify_dual_pair(*map(fresh_copy, args[:2]), *args[2:]))
-    first = verify_dual_pair(*args)
-    built = counted_builds(monkeypatch)
-    counts = counted_factorizations(monkeypatch)
-    second = verify_dual_pair(*args)
-    assert not built and not counts, (built, dict(counts))
-    assert bits(second) == bits(first) == cold
-    # each caller gets its own report, never the kept one
-    kept = _KEPT[f].about_k[1]["pair"][1]
-    assert second is not first and kept is not first and kept is not second
-
-
-@pytest.mark.parametrize("change", ["copy_of_g", "tol", "rank_tol", "collected_g"])
-def test_a_pair_check_of_another_g_or_tolerance_is_computed_afresh(change, monkeypatch):
-    f, g, k = dual_pair()
-    g = fresh_copy(g)
-    tol, rank_tol = DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL
-    verify_dual_pair(f, g, k, tol, rank_tol)
-    old = _KEPT[f].about_k[1]["pair"]
-    if change == "copy_of_g":
-        # same bytes, another object: told apart by identity
-        g = fresh_copy(g)
-    elif change == "tol":
-        tol = 1e-6
-    elif change == "rank_tol":
-        rank_tol = 1e-12
-    else:
-        samples, collected = g.samples, weakref.ref(g)
-        g = None
-        gc.collect()
-        assert collected() is None and old[0][0]() is None
-        g = SampleField(f.space, samples)
-    cold = bits(verify_dual_pair(fresh_copy(f), fresh_copy(g), k, tol, rank_tol))
-    built = counted_builds(monkeypatch)
-    assert bits(verify_dual_pair(f, g, k, tol, rank_tol)) == cold
-    assert built == [f, g]
-    # the new report replaced the old one: one g at a time, and asking
-    # again reads it
-    kept = _KEPT[f].about_k[1]["pair"]
-    assert kept is not old and kept[0] == (weakref.ref(g), tol, rank_tol)
-    built.clear()
-    assert bits(verify_dual_pair(f, g, k, tol, rank_tol)) == cold
-    assert not built
-
-
-def test_a_pair_check_that_raises_keeps_nothing(monkeypatch):
-    space = make_measure_space(["a", "b"], [1.0, 1.0])
-    f = SampleField(space, np.ones((2, 2)))
-    g = SampleField(space, np.eye(2))
-    # sigma(k) = (1, 1e-9) sits in the ambiguous band of rank(k), cold and warm
-    ambiguous = np.diag([1.0, 1e-9]).astype(complex)
-    for _ in range(2):
-        with pytest.raises(RankAmbiguous, match="^rank of k"):
-            verify_dual_pair(f, g, ambiguous)
-        assert "pair" not in _KEPT[f].about_k[1]
-    # a mismatch k - B_f B_g* past double range, after a report was kept:
-    # the kept report stays, and asking for it again builds nothing
-    k = np.eye(2, dtype=complex)
-    report = bits(verify_dual_pair(f, g, k))
-    kept = _KEPT[f].about_k[1]["pair"]
-    huge = SampleField(space, np.full((2, 2), 1e308))
-    for _ in range(2):
-        with pytest.raises(NotRepresentable, match="pair mismatch"):
-            verify_dual_pair(f, huge, k)
-        assert _KEPT[f].about_k[1]["pair"] is kept
-    built = counted_builds(monkeypatch)
-    assert bits(verify_dual_pair(f, g, k)) == report
-    assert not built
 
 
 def test_a_field_reads_only_its_own_entries(monkeypatch):
@@ -634,33 +529,6 @@ def test_warm_and_cold_fields_give_bit_identical_results(kind, seed, scales, ord
     assert bits(cframe_bounds(parse_problem(text).field_f).upper) == bits(check.bounds.upper)
 
 
-def test_operands_mutated_in_place_get_the_cold_answer_for_their_new_bytes():
-    # f spans a proper subspace: k_out escapes it, k_in does not
-    rng = np.random.default_rng(11)
-    f, k_out = excluded_instance(rng, 4, 3, 12)
-    k_in = synthesis_matrix(f) @ crandn(rng, 12, 3)
-    l2_new = crandn(rng, 4, 12)
-    # cold answers: the temporary field and what it kept die with the call
-    cold_check = bits(ckframe_check(SampleField(f.space, f.samples), k_out))
-    cold_douglas = bits(
-        (douglas_factor(k_out, l2_new), range_included(k_out, l2_new), minimal_multiplier(k_out, l2_new))
-    )
-
-    k = k_in.copy()
-    assert ckframe_check(f, k).is_ck_frame
-    k[...] = k_out
-    assert bits(ckframe_check(f, k)) == cold_check
-
-    # a writable copy of f's B, answered for its bytes before and after
-    # they change
-    l2 = np.array(whitened_synthesis_matrix(f))
-    assert not douglas_factor(k_out, l2).included
-    l2[...] = l2_new
-    assert bits(
-        (douglas_factor(k_out, l2), range_included(k_out, l2), minimal_multiplier(k_out, l2))
-    ) == cold_douglas
-
-
 def douglas_answers(k, l2):
     return bits((douglas_factor(k, l2), range_included(k, l2), minimal_multiplier(k, l2)))
 
@@ -687,36 +555,13 @@ def test_operands_are_recognised_by_their_bytes(monkeypatch):
     # and no ||k|| are taken)
     assert bits(ckframe_check(f, signed)) == cold_signed
     assert dict(counts) == {"norm2": 1}
-    assert bits(_KEPT[f].about_k[0]) == bits(signed)
+    assert bits(f._kept.about.k) == bits(signed)
     ckframe_check(f, k)
     counts.clear()
     # each of the three faces factors the flipped copy itself, and its
     # answers are its own
     assert douglas_answers(k, flipped) == cold_flipped != douglas_answers(k, b)
     assert counts["svd"] == 3, dict(counts)
-
-
-def test_arrays_handed_to_callers_cannot_change_later_answers():
-    rng = np.random.default_rng(12)
-    f, k = ckframe_instance(rng, 4, 3, 12)
-    cold = {name: outcome(name, SampleField(f.space, f.samples), k) for name in ENTRY_POINTS}
-    # the Douglas factor and the atom map both come from the pinv(B) k kept
-    # for f: each is a fresh writable array the caller owns, so writing
-    # into one changes neither the other nor the next one handed out
-    handed = {
-        "douglas_factor": lambda field: douglas_factor(k, whitened_synthesis_matrix(field)).factor,
-        "atom_coefficient_map": lambda field: atom_coefficient_map(field, k).matrix,
-        "inverse_on_range": lambda field: inverse_on_range(field, k),
-    }
-    cold_arrays = {name: bits(hand(fresh_copy(f))) for name, hand in handed.items()}
-    for name in [*handed, *reversed(handed)]:
-        array = handed[name](f)
-        assert array.flags.writeable and array.flags.owndata, name
-        array[...] = 7.0
-        again = handed[name](f)
-        assert again is not array and bits(again) == cold_arrays[name], name
-    for name in ENTRY_POINTS:
-        assert outcome(name, f, k) == cold[name], name
 
 
 def test_a_factor_is_read_off_one_factorization_when_lapack_rotates_its_basis(monkeypatch):
@@ -759,43 +604,13 @@ def test_a_factor_is_read_off_one_factorization_when_lapack_rotates_its_basis(mo
     assert len(seen) == 1
 
 
-def test_a_field_keeps_the_answers_about_one_k_at_a_time():
-    rng = np.random.default_rng(13)
-    f, k = ckframe_instance(rng, 4, 3, 12)
-    synth = synthesis_matrix(f)
-    for _ in range(100):
-        k = synth @ crandn(rng, 12, 3)
-        ckframe_check(f, k)
-        sandwich_check(f, k)
-        ckframe_check(f, k, rank_tol=1e-12)
-        # and one pair report, for the last g checked
-        for _ in range(2):
-            g = SampleField(f.space, crandn(rng, 12, 3))
-            verify_dual_pair(f, g, k)
-    kept = _KEPT[f]
-    held, answers = kept.about_k
-    assert held is not k and bits(held) == bits(k)
-    # one unranked SVD of B serves both rank_tols; k (4 x 3) keeps the left
-    # vectors of its one SVD for the compression
-    assert set(answers) == {
-        "k_svd",
-        "k_u",
-        "pair",
-        *(("proj", rank_tol) for rank_tol in (DEFAULT_RANK_TOL, 1e-12)),
-        *(("coords_norm", rank_tol) for rank_tol in (DEFAULT_RANK_TOL, 1e-12)),
-        ("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL),
-    }
-    assert kept.svd.s.shape == (f.dim,)
-    assert answers["pair"][0] == (weakref.ref(g), DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL)
-
-
 def test_the_douglas_faces_ask_as_a_live_field_and_register_nothing(monkeypatch):
     rng = np.random.default_rng(15)
     f, k = ckframe_instance(rng, 4, 3, 12)
     ckframe_check(f, k)
-    kept = _KEPT[f]
+    kept = f._kept
     b = whitened_synthesis_matrix(f)
-    registered = (len(_KEPT), len(_HANDED))
+    registered = len(_HANDED)
     counts = counted_factorizations(monkeypatch)
     assert range_included(k, b) and minimal_multiplier(k, b) > 0.0
     assert not counts
@@ -806,13 +621,13 @@ def test_the_douglas_faces_ask_as_a_live_field_and_register_nothing(monkeypatch)
     # SVD; minimal_multiplier reads f's factorization
     assert counts["qr"] == 1 and "svd" not in counts, dict(counts)
     # they asked as f: f now holds other, and asking again takes nothing
-    assert bits(kept.about_k[0]) == bits(other)
+    assert bits(kept.about.k) == bits(other)
     counts.clear()
     douglas_factor(other, b)
     assert not counts, dict(counts)
     # a raw l2 that is no live field's B is answered, but registers nothing
     assert douglas_factor(other, crandn(rng, 4, 12)).included
-    assert (len(_KEPT), len(_HANDED)) == registered
+    assert len(_HANDED) == registered
 
 
 # ---------------------------------------------------------------------------
@@ -859,10 +674,10 @@ def test_the_handed_out_b_is_read_only():
         b.setflags(write=True)
     with pytest.raises(ValueError):
         b[0, 0] = 1.0
-    assert _kept_like(b) is _KEPT[f]
+    assert _kept_like(b) is f._kept
     # the array it views made writable again: b no longer stands for f
     b.base.setflags(write=True)
-    assert _kept_like(b) is not _KEPT[f]
+    assert _kept_like(b) is not f._kept
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -872,7 +687,7 @@ def test_a_copy_of_b_is_answered_cold_and_registers_nothing(order, monkeypatch):
     b = whitened_synthesis_matrix(f)
     ckframe_check(f, k)
     warm = douglas_answers(k, b)
-    registered = (len(_KEPT), len(_HANDED))
+    registered = len(_HANDED)
     copy = np.array(b, order=order)
     assert copy.flags.writeable and _same_bytes(copy, b)
     counts = counted_factorizations(monkeypatch)
@@ -884,7 +699,7 @@ def test_a_copy_of_b_is_answered_cold_and_registers_nothing(order, monkeypatch):
     counts.clear()
     assert douglas_answers(k, copy) == warm
     assert counts["svd"] == 3, dict(counts)
-    assert (len(_KEPT), len(_HANDED)) == registered
+    assert len(_HANDED) == registered
 
 
 def test_a_b_that_outlives_its_field_keeps_nothing_alive():
@@ -893,7 +708,7 @@ def test_a_b_that_outlives_its_field_keeps_nothing_alive():
     cold = douglas_answers(k, np.array(whitened_synthesis_matrix(fresh_copy(f))))
     ckframe_check(f, k)
     b = whitened_synthesis_matrix(f)
-    kept = weakref.ref(_KEPT[f])
+    kept = weakref.ref(f._kept)
     assert _HANDED[id(b)][0]() is b and _HANDED[id(b)][1]() is kept()
     del f
     gc.collect()
@@ -974,31 +789,7 @@ def test_rank_ambiguity_is_raised_again_on_a_warm_field():
     assert kept_factor(f) is held
 
 
-def test_unrepresentable_inputs_are_raised_again_on_a_warm_field():
-    # A = 1 / ||pinv(B) k||^2 = 1e400 for k = 1e-200 I, on a field that a
-    # well-scaled k has already warmed
-    space = make_measure_space(["a", "b"], [1.0, 1.0])
-    f = SampleField(space, np.eye(2))
-    assert ckframe_check(f, np.eye(2)).is_ck_frame
-    for _ in range(2):
-        with pytest.raises(NotRepresentable):
-            ckframe_check(f, 1e-200 * np.eye(2))
-        with pytest.raises(NotRepresentable):
-            atom_coefficient_map(f, 1e-200 * np.eye(2))
-    # S_f = B B* overflows: no B is handed out, no answer is kept, and
-    # every call raises
-    huge = SampleField(make_measure_space(["a", "b"], [1e308, 1e308]), 1e200 * np.eye(2))
-    handed = len(_HANDED)
-    for _ in range(2):
-        with pytest.raises(NotRepresentable):
-            ckframe_check(huge, np.eye(2))
-        with pytest.raises(NotRepresentable):
-            whitened_synthesis_matrix(huge)
-    assert _KEPT[huge].svd is None and _KEPT[huge].about_k == (None, {})
-    assert len(_HANDED) == handed
-
-
-def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
+def test_kept_answers_fill_every_slot_own_small_arrays_and_die_with_their_field():
     rng = np.random.default_rng(3)
     f, k = ckframe_instance(rng, 3, 2, 16)
     g = SampleField(f.space, crandn(rng, 16, 2))
@@ -1007,54 +798,47 @@ def test_kept_factor_owns_small_arrays_and_dies_with_its_field():
     sandwich_check(f, k)
     ckframe_check(f, k, rank_tol=1e-12)
     verify_dual_pair(f, g, k)
-    # one SVD for both rank_tols, and vh, one column per atom, formed once
-    entry = kept_factor(f)
-    assert entry.u.shape == (3, 3) and entry.s.shape == (3,) and entry.w.shape == (3, 3)
-    vh = entry.vh
-    assert vh.shape == (3, 16)
-    kept = _KEPT[f]
-    held, answers = kept.about_k
-    # B is onto, so no distance is kept: it is 0.0 without being formed;
-    # pinv(B) k is kept at the one rank_tol the atoms were asked at
-    assert set(answers) == {
-        "k_svd",
-        "k_u",
-        ("proj", DEFAULT_RANK_TOL),
-        ("proj", 1e-12),
-        ("coords_norm", DEFAULT_RANK_TOL),
-        ("coords_norm", 1e-12),
-        ("pinv_k", DEFAULT_RANK_TOL),
-        ("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL),
-        "pair",
-    }
-    pinv_k = answers[("pinv_k", DEFAULT_RANK_TOL)]
-    assert pinv_k.shape == (16, 2)
+    kept = f._kept
+    objects = kept_objects(kept)
+    # every slot of every kept answer is filled: B is of rank 3 at both
+    # rank_tols, so they read one _Coords, and the atoms formed its factor
+    slotted = [x for x in objects if hasattr(type(x), "__slots__") and type(x).__module__ == "ckframe.linalg"]
+    assert {type(x).__name__ for x in slotted} == {"_Kept", "_AboutK", "_Coords"}
+    for x in slotted:
+        assert all(getattr(x, name) is not None for name in type(x).__slots__ if name != "__weakref__")
+    about = kept.about
+    assert len(about.coords) == 1 and len(about.on_range) == 1
+    # one SVD, vh included, with one column per atom
+    assert kept.svd.u.shape == (3, 3) and kept.svd.w.shape == (3, 3) and kept.svd.vh.shape == (3, 16)
     # the pair report is kept beside a weak reference to g, not g itself
-    (g_ref, *_), report = answers["pair"]
+    (g_ref, *_), report = about.pair
     assert g_ref() is g
     # k (3 x 2) keeps its singular values and the left vectors of the same
-    # SVD, which the compression reads, not its right factor, which nothing
-    # reads
+    # SVD, which the compression reads, not its right factor
     u, sigma, k_right = np.linalg.svd(k, full_matrices=False)
-    compression = answers[("on_range", DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL)]
-    assert bits(answers["k_svd"]) == bits(sigma) and bits(answers["k_u"]) == bits(u)
-    for answer in (answers["k_svd"], answers["k_u"], compression):
-        assert all(bits(array) != bits(k_right) for array in arrays_in(answer))
-    entries = {"svd": entry, **answers, "k": held}
-    assert _kept_like(whitened_synthesis_matrix(f)) is kept
-    for value in entries.values():
-        for array in arrays_in(value):
-            assert array.base is None
-            assert not array.flags.writeable
-            assert f.space.n_atoms not in array.shape or array is vh or array is pinv_k
-    refs = [weakref.ref(entry) for entry in entries.values() if dataclasses.is_dataclass(entry)]
-    refs += [weakref.ref(kept), weakref.ref(report)]
+    assert bits(about.s) == bits(sigma) and bits(about.u) == bits(u)
+    arrays = [x for x in objects if isinstance(x, np.ndarray)]
+    (pinv_k,) = [coords.pinv_k for coords in about.coords.values()]
+    for array in arrays:
+        assert array.base is None and not array.flags.writeable
+        assert f.space.n_atoms not in array.shape or array is kept.svd.vh or array is pinv_k
+        assert bits(array) != bits(k_right)
+    refs = [weakref.ref(x) for x in [kept, kept.svd, report, *arrays]]
     del g
     gc.collect()
     assert g_ref() is None
-    del f, kept, entries, entry, answer, vh, held, answers, compression, pinv_k, report
+    del f, kept, objects, slotted, about, report, arrays, array, pinv_k, x
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_a_field_pickles_as_its_value_without_its_kept_answers():
+    f, g, k = dual_pair()
+    report = bits(verify_dual_pair(f, g, k))
+    unpickled = pickle.loads(pickle.dumps(f))
+    assert "_kept" in vars(f) and "_kept" not in vars(unpickled)
+    assert bits(unpickled.samples) == bits(f.samples)
+    assert bits(verify_dual_pair(unpickled, fresh_copy(g), k)) == report
 
 
 # ---------------------------------------------------------------------------
@@ -1133,3 +917,169 @@ def test_only_the_commands_that_rank_k_find_it_ambiguous(rank):
         for entry_point in (sandwich_check, canonical_dual):
             with pytest.raises(RankAmbiguous, match="^rank of k: singular value 1.000e-09"):
                 entry_point(f, k)
+
+
+# ---------------------------------------------------------------------------
+# one call history against fresh copies: whatever a field was asked before,
+# every answer is the same call's on fresh copies of its operands, bit for bit
+
+#: The public faces, each of which reads what its field keeps.
+HISTORY_FACES = [
+    "ckframe_check", "douglas_factor", "atom_coefficient_map", "canonical_dual",
+    "verify_dual_pair", "sandwich_check", "subspace_cframe_margin", "inverse_on_range",
+]
+#: The faces whose every answer is kept, so that the same question asked
+#: again factors nothing and builds no B.  A failure is never kept.
+ASKED_AGAIN_FOR_FREE = {
+    "ckframe_check", "douglas_factor", "atom_coefficient_map", "verify_dual_pair",
+    "subspace_cframe_margin",
+}
+TOLERANCES = st.lists(
+    st.tuples(st.sampled_from([DEFAULT_CHECK_TOL, 1e-6, 1e-12]), st.sampled_from([DEFAULT_RANK_TOL, 1e-12, 1e-6])),
+    min_size=1,
+    max_size=3,
+)
+K_NAMES = st.sampled_from(["inside", "leaky", "escaping", "zero", "rank_one", "ambiguous"])
+
+
+def answer(face, f, g, k, b, tol, rank_tol):
+    """bits of face's answer on these operands, after each array it handed
+    out was overwritten (a kept one would be read-only, or change later
+    answers), or "raised" with the type and message of its library error."""
+    try:
+        if face == "douglas_factor":
+            result = douglas_factor(k, b, rank_tol, tol)
+            handed = [result.factor]
+            result = (result, range_included(k, b, rank_tol, tol), minimal_multiplier(k, b, rank_tol, tol))
+        elif face == "verify_dual_pair":
+            result, handed = verify_dual_pair(f, g, k, tol, rank_tol), []
+        elif face == "atom_coefficient_map":
+            result = atom_coefficient_map(f, k, rank_tol, tol)
+            handed = [result.matrix]
+            result = (result, verify_atomic_decomposition(f, k, result))
+        else:
+            result = getattr(atoms_duals, face, getattr(frame_ops, face, None))(f, k, rank_tol, tol)
+            handed = [result] if isinstance(result, np.ndarray) else []
+    except CkFrameError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    answered = bits(result)
+    for array in handed:
+        if array is not None:
+            array[...] = 7.0
+    return answered
+
+
+class CallHistory(RuleBasedStateMachine):
+    """One field f in C^n over a few atoms, whose B may have a singular
+    value of 1e-7 sigma_max (a rank that the drawn rank_tol decides) or be
+    of rank n - 1, asked every public question in a drawn order, at drawn
+    tolerances, about a k drawn from a pool of shape (n, n0) (inside
+    range(B), 1e-7 outside it, escaping it, zero, rank one, and with a
+    singular value in the rank band of the default rank_tol), which may be
+    copied, written in place or replaced, and a g (random, the canonical
+    dual of (f, k), or that dual off by 1e-7) that may be copied or dropped
+    and collected.  The Douglas faces get f's handed-out B, a read-only
+    copy of it, or a writable copy that may be rewritten in place."""
+
+    @initialize(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 4),
+        extra=st.integers(-1, 3),
+        wide=st.sampled_from([-1, 0, 2]),
+        deficient=st.booleans(),
+        small=st.booleans(),
+        k=K_NAMES,
+    )
+    def setup(self, seed, n, extra, wide, deficient, small, k):
+        rng = self.rng = np.random.default_rng(seed)
+        atoms, n0 = n + extra, max(1, n + wide)
+        space = random_space(rng, atoms)
+        u, s, vh = np.linalg.svd(crandn(rng, n, atoms), full_matrices=False)
+        s[s.size - 1] *= 0.0 if deficient else 1.0
+        s[s.size - 1 - deficient] *= 1e-7 if small and s.size > 1 + deficient else 1.0
+        b = (u * s) @ vh
+        self.f = SampleField(space, b.T / np.sqrt(space.weight_array)[:, None])
+        inside = b @ crandn(rng, atoms, n0)
+        u, s, vh = np.linalg.svd(inside, full_matrices=False)
+        r = int(np.count_nonzero(s > 1e-6 * s[0]))
+        s[r:] = 0.0
+        s[r - 1] = 1e-9 * s[0] if r > 1 else s[r - 1]
+        escaping = crandn(rng, n, n0)
+        self.pool = {
+            "inside": inside,
+            "leaky": inside + 1e-7 * np.linalg.norm(inside, 2) * (escaping - range_projector(b) @ escaping),
+            "escaping": escaping,
+            "zero": np.zeros((n, n0), dtype=complex),
+            "rank_one": b @ with_rank(rng, atoms, n0, 1),
+            "ambiguous": (u * s) @ vh,
+        }
+        self.k = self.pool[k].copy()
+        self.g = SampleField(space, crandn(rng, atoms, n0))
+        self.b = whitened_synthesis_matrix(self.f)
+        self.writable = np.array(self.b)
+
+    @rule(name=K_NAMES, how=st.sampled_from(["replace", "write_in_place", "copy"]))
+    def change_k(self, name, how):
+        if how == "replace":
+            self.k = self.pool[name].copy()
+        elif how == "write_in_place":
+            self.k[...] = self.pool[name]
+        else:
+            self.k = self.k.copy()
+
+    @rule(kind=st.sampled_from(["random", "dual", "near_dual", "copy"]), collect=st.booleans(),
+          tolerances=TOLERANCES)
+    def change_g(self, kind, collect, tolerances):
+        samples = self.g.samples
+        if kind == "random":
+            samples = crandn(self.rng, *samples.shape)
+        elif kind != "copy":
+            # the canonical dual of fresh copies, which leaves f cold
+            try:
+                dual = canonical_dual(fresh_copy(self.f), self.k).dual_field.samples
+                samples = dual * (1.0 if kind == "dual" else 1.0 + 1e-7)
+            except CkFrameError:
+                pass
+        if collect:
+            # g is freed at once, so that the new g may take its address: a
+            # pair report kept for g must not be read as the new g's
+            self.ask(["verify_dual_pair"], "handed", tolerances[:1])
+            self.g = None
+        self.g = SampleField(self.f.space, samples)
+        if collect:
+            # g holds no cycle and was freed at once, so the young generation
+            # is enough: a full collection of hypothesis's heap takes 30 ms
+            gc.collect(0)
+            self.ask(["verify_dual_pair"], "handed", tolerances[:1])
+
+    @rule(scale=st.sampled_from([1.0, 2.0, -1.0]))
+    def rewrite_writable_b(self, scale):
+        self.writable[...] = scale * self.b
+
+    @rule(order=st.permutations(HISTORY_FACES), l2=st.sampled_from(["handed", "copy", "writable"]),
+          tolerances=TOLERANCES)
+    def ask(self, order, l2, tolerances):
+        """Every face in the drawn order at each drawn (tol, rank_tol), each
+        asked twice in a row."""
+        f, g, k = self.f, self.g, self.k
+        fresh_f, fresh_g = fresh_copy(f), fresh_copy(g)
+        if l2 == "handed":
+            b, cold_b = self.b, whitened_synthesis_matrix(fresh_f)
+        else:
+            b = self.writable if l2 == "writable" else np.array(self.b)
+            b.flags.writeable = l2 == "writable"
+            cold_b = np.array(b)
+        for (tol, rank_tol), face in itertools.product(tolerances, order):
+            cold = answer(face, fresh_f, fresh_g, k.copy(), cold_b, tol, rank_tol)
+            assert answer(face, f, g, k, b, tol, rank_tol) == cold, face
+            with pytest.MonkeyPatch.context() as patch:
+                counts, built = counted_factorizations(patch), counted_builds(patch)
+                assert answer(face, f, g, k, b, tol, rank_tol) == cold, face
+            # asked again, a kept answer is read off what f kept
+            kept = face in ASKED_AGAIN_FOR_FREE and cold[0] != "raised"
+            if kept and (face != "douglas_factor" or l2 == "handed"):
+                assert not counts and not built, (face, dict(counts), len(built))
+
+
+CallHistory.TestCase.settings = settings(max_examples=50, stateful_step_count=25, deadline=None)
+test_every_answer_is_that_of_fresh_copies_whatever_was_asked_before = CallHistory.TestCase

@@ -41,7 +41,13 @@ from ckframe.harness import (
     spec_digest,
 )
 from ckframe.linalg import pseudoinverse
-from helpers import counted_factorizations, oracle_spec_text, reference_emit_report, strip_wall_time
+from helpers import (
+    counted_builds,
+    counted_factorizations,
+    oracle_spec_text,
+    reference_emit_report,
+    strip_wall_time,
+)
 
 MINIMAL_SPEC = """
 {
@@ -1055,6 +1061,24 @@ def test_command_factorization_counts_are_pinned(command, monkeypatch):
     counts = counted_factorizations(monkeypatch)
     run_command(spec, command)
     assert dense_and_qr(counts) == FACTORIZATIONS[command], dict(counts)
+
+
+#: B built per command on a cold gen-default spec (random_bessel_pair for
+#: verify-pair, random_ckframe otherwise): f's, once, for its SVD, which
+#: douglas takes of the B it hands out itself.  dual also builds f's for
+#: vh, and the projected frame's and the dual's each for the pair mismatch
+#: and for its SVD; verify-pair builds f's for the mismatch and for its
+#: SVD, and g's for the mismatch.
+B_BUILDS = {"bounds": 1, "atoms": 1, "dual": 6, "verify-pair": 3, "douglas": 1, "sandwich": 1}
+
+
+@pytest.mark.parametrize("command", sorted(B_BUILDS))
+def test_command_b_builds_are_pinned(command, monkeypatch):
+    kind = "random_bessel_pair" if command == "verify-pair" else "random_ckframe"
+    spec = cold_spec(kind)
+    built = counted_builds(monkeypatch)
+    run_command(spec, command)
+    assert len(built) == B_BUILDS[command]
 
 
 @pytest.mark.parametrize("command", sorted(ONTO_FACTORIZATIONS))
