@@ -257,8 +257,8 @@ class _Kept:
 
     def inclusion(self, build, k: np.ndarray, name: str, rank_tol: float, tol: float, right: bool):
         """Whether range(k) sits inside range(B), by Douglas's lemma:
-        (svd, coords, included) for svd B's SVD ranked at rank_tol (name is
-        what a RankAmbiguous message calls B) and coords k read against it."""
+        (svd, coords, included), svd B's SVD (built as in b_svd) ranked at
+        rank_tol (B is name in a RankAmbiguous message), coords k against it."""
         tol = _check_tol(tol, "tol")
         svd = self.b_svd(build, right).ranked(rank_tol, name)
         # kept by the rank, all that tells one rank_tol's slice from another's
