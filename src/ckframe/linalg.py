@@ -315,7 +315,7 @@ class _Coords:
     pinv(B) k = vh* coords, of coords = Sigma_r^-1 U_r* k.  svd, passed to
     each, is the SVD that proj was read off, with vh for the factor."""
 
-    __slots__ = ("proj", "distance", "x", "pinv_k")
+    __slots__ = ("distance", "proj", "x", "pinv_k")
 
     def __init__(self, svd: _RankedSVD, about: _AboutK) -> None:
         k_norm = 0.0 if svd.onto else about.norm()
