@@ -155,9 +155,9 @@ def atom_coefficient_map(
         )
     # the bound is finite, but m is sqrt(w) m divided by sqrt(w), which can overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = coords.factor(svd) / np.sqrt(f.space.weight_array)[:, None]
+        matrix = coords.factor(svd.vh) / np.sqrt(f.space.weight_array)[:, None]
     return CoefficientMap(
-        matrix=_check_finite(matrix, "the atom coefficient map"), bound=coords.pinv_norm(svd)
+        matrix=_check_finite(matrix, "the atom coefficient map"), bound=coords.pinv_norm()
     )
 
 

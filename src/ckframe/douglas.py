@@ -67,8 +67,8 @@ def minimal_multiplier(
     NotRepresentable for a nonzero l1 unless it and its reciprocal, the
     frame check's lower bound, are both finite normal doubles.
     """
-    svd, coords, included, a = _inclusion(l1, l2, rank_tol, tol, False)
-    return _multiplier(a, svd, coords) if included else None
+    _, coords, included, a = _inclusion(l1, l2, rank_tol, tol, False)
+    return _multiplier(a, coords) if included else None
 
 
 def douglas_factor(
@@ -89,31 +89,34 @@ def douglas_factor(
     return DouglasResult(
         included=included,
         # before the factor, which it refuses past double precision range
-        lambda_min=_multiplier(a, svd, coords) if included else None,
+        lambda_min=_multiplier(a, coords) if included else None,
         # a copy the caller owns of the factor kept for l2's field
-        factor=coords.factor(svd).copy() if included else None,
+        factor=coords.factor(svd.vh).copy() if included else None,
         residual=coords.distance,
         marginal=not included and coords.distance < GRAY_ZONE_FACTOR * tol,
     )
 
 
 def _inclusion(l1, l2, rank_tol: float, tol: float, right: bool):
-    """(svd, coords, included, l1) of linalg._Kept.inclusion of l1 against
-    range(l2), asked as the field whose handed-out B is l2 itself, if any
-    (see linalg._kept_like), with l2 factored as it is."""
+    """(svd, coords, included, l1): l2's SVD ranked at rank_tol, with vh
+    when right is set, and linalg._Kept.inclusion of l1 against it, asked
+    as the field whose handed-out B is l2 itself, if any (see
+    linalg._kept_like), with l2 factored as it is."""
     a, b = as_operator(l1), as_operator(l2)
     if a.shape[0] != b.shape[0]:
         raise DimMismatch(
             f"operators map into different spaces: {a.shape[0]} vs {b.shape[0]} rows"
         )
-    return (*_kept_like(b).inclusion(lambda: b, a, "l2", rank_tol, tol, right), a)
+    tol, kept = _check_tol(tol, "tol"), _kept_like(b)
+    svd = kept.b_svd(lambda: b, right).ranked(rank_tol, "l2")
+    return (svd, *kept.inclusion(svd, a, tol), a)
 
 
-def _multiplier(l1: OperatorMatrix, svd, coords) -> float:
-    """||pinv(l2) l1||^2 off coords, l1 read against svd, l2's SVD: it
-    raises NotRepresentable for a nonzero l1 where the frame check's lower
-    bound, its reciprocal, does (see linalg._check_multiplier)."""
-    x = coords.pinv_norm(svd)
+def _multiplier(l1: OperatorMatrix, coords) -> float:
+    """||pinv(l2) l1||^2 off coords, l1 read against l2's SVD: it raises
+    NotRepresentable for a nonzero l1 where the frame check's lower bound,
+    its reciprocal, does (see linalg._check_multiplier)."""
+    x = coords.pinv_norm()
     if l1.any():
         _check_multiplier(x, "the Douglas multiplier")
     return x**2

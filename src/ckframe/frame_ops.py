@@ -26,6 +26,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     OperatorMatrix,
     _check_multiplier,
+    _check_tol,
     _Coords,
     _hand_out,
     _RankedSVD,
@@ -182,14 +183,14 @@ def _frame_check(
     name is what a RankAmbiguous message calls B.
 
     B's SVD and the answers about k are kept for f (see linalg._Kept), so
-    asking again about the same (f, k) factors nothing.
+    asking again about the same (f, k) factors nothing; every ask checks x.
     """
     if kk.shape[0] != f.dim:
         raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
-    b, coords, included = f._kept.inclusion(
-        lambda: _whitened_matrix(f), kk, name, rank_tol, tol, right
-    )
-    x = coords.pinv_norm(b) if included else None
+    tol = _check_tol(tol, "tol")
+    b = _b_svd(f, right).ranked(rank_tol, name)
+    coords, included = f._kept.inclusion(b, kk, tol)
+    x = coords.pinv_norm() if included else None
     degenerate = not kk.any()
     if degenerate:
         lower = math.inf

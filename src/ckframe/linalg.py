@@ -255,16 +255,14 @@ class _Kept:
             about = self.about = _AboutK(k)
         return about
 
-    def inclusion(self, build, k: np.ndarray, name: str, rank_tol: float, tol: float, right: bool):
-        """Whether range(k) sits inside range(B), by Douglas's lemma:
-        (svd, coords, included), svd B's SVD (built as in b_svd) ranked at
-        rank_tol (B is name in a RankAmbiguous message), coords k against it."""
-        tol = _check_tol(tol, "tol")
-        svd = self.b_svd(build, right).ranked(rank_tol, name)
+    def inclusion(self, svd: _RankedSVD, k: np.ndarray, tol: float) -> tuple[_Coords, bool]:
+        """(coords, included): k read against svd, a ranked slice of B's
+        SVD, and whether range(k) sits inside range(B) at the checked tol,
+        by Douglas's lemma."""
         # kept by the rank, all that tells one rank_tol's slice from another's
         about, r = self.about_k(k), svd.s.size
         coords = about.coords.get(r) or about.coords.setdefault(r, _Coords(svd, about))
-        return svd, coords, coords.distance <= tol
+        return coords, coords.distance <= tol
 
 
 class _AboutK:
@@ -308,14 +306,13 @@ class _AboutK:
 
 
 class _Coords:
-    """k read against B = U_r Sigma_r vh: proj = U_r* k and distance =
-    ||k - U_r U_r* k|| / ||k||, the relative distance of k from range(B)
-    (0.0 when k = 0, and exactly 0.0, with no residual formed, when B is
-    onto); once asked for, x = ||pinv(B) k|| and the minimal-norm factor
-    pinv(B) k = vh* coords, of coords = Sigma_r^-1 U_r* k.  svd, passed to
-    each, is the SVD that proj was read off, with vh for the factor."""
+    """k read against B = U_r Sigma_r vh: proj = U_r* k, s = Sigma_r and
+    distance = ||k - U_r U_r* k|| / ||k||, the relative distance of k from
+    range(B) (0.0 when k = 0, and exactly 0.0, with no residual formed,
+    when B is onto); once asked for, x = ||pinv(B) k|| and the minimal-norm
+    factor pinv(B) k = vh* coords, of coords = Sigma_r^-1 U_r* k."""
 
-    __slots__ = ("distance", "proj", "x", "pinv_k")
+    __slots__ = ("distance", "proj", "s", "x", "pinv_k")
 
     def __init__(self, svd: _RankedSVD, about: _AboutK) -> None:
         k_norm = 0.0 if svd.onto else about.norm()
@@ -326,20 +323,21 @@ class _Coords:
         self.distance = 0.0
         if k_norm > 0.0:
             self.distance = operator_norm(_check_finite(residual, "k - U_r U_r* k")) / k_norm
-        self.x = self.pinv_k = None
+        self.s, self.x, self.pinv_k = _owned(svd.s), None, None
 
-    def pinv_norm(self, svd: _RankedSVD) -> float:
+    def pinv_norm(self) -> float:
         """x; inf when coords overflow, which _check_multiplier refuses."""
         if self.x is None:
             with np.errstate(over="ignore", invalid="ignore"):
-                coords = self.proj / svd.s[:, None]
+                coords = self.proj / self.s[:, None]
             self.x = operator_norm(coords) if np.isfinite(coords).all() else math.inf
         return self.x
 
-    def factor(self, svd: _RankedSVD) -> np.ndarray:
-        """pinv(B) k, read-only."""
+    def factor(self, vh: np.ndarray) -> np.ndarray:
+        """pinv(B) k, read-only; vh is the right factor of the SVD that proj
+        was read off."""
         if self.pinv_k is None:
-            self.pinv_k = _owned(svd.vh.conj().T @ (self.proj / svd.s[:, None]))
+            self.pinv_k = _owned(vh.conj().T @ (self.proj / self.s[:, None]))
         return self.pinv_k
 
 

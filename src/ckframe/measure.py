@@ -124,9 +124,10 @@ class SampleField:
         made on first use; no dataclass field, so fields() and repr skip it."""
         return _Kept()
 
-    def __getstate__(self) -> dict:
-        # a pickled field is its value: the kept answers hold weak references
-        return {name: value for name, value in vars(self).items() if name != "_kept"}
+    def __reduce__(self):
+        # a field is its value: a copy or an unpickled field is made anew, its
+        # samples frozen, without the kept answers, which hold weak references
+        return SampleField, (self.space, self.samples)
 
 
 def hilbert_inner(u, v) -> complex:

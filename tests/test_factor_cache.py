@@ -14,6 +14,7 @@ parse_problem holds new field objects, so nothing is kept for them yet (a
 "cold" field), as in one CLI process."""
 
 import ast
+import copy
 import dataclasses
 import gc
 import itertools
@@ -32,6 +33,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from ckframe import (
     CkFrameError,
+    NotRepresentable,
     RankAmbiguous,
     SampleField,
     atoms_duals,
@@ -789,6 +791,41 @@ def test_rank_ambiguity_is_raised_again_on_a_warm_field():
     assert kept_factor(f) is held
 
 
+def test_unrepresentable_inputs_are_raised_again_on_a_warm_field(monkeypatch):
+    # A = 1 / ||pinv(B) k||^2 = 1e400 for k = 1e-200 I, on a field that a
+    # well-scaled k has already warmed
+    space = make_measure_space(["a", "b"], [1.0, 1.0])
+    f, k = SampleField(space, np.eye(2)), np.eye(2, dtype=complex)
+    assert ckframe_check(f, k).is_ck_frame
+    for _ in range(2):
+        for entry_point in (ckframe_check, atom_coefficient_map):
+            with pytest.raises(NotRepresentable, match="lower frame bound"):
+                entry_point(f, 1e-200 * k)
+    # a mismatch k - B_f B_g* past double range, after a report was kept:
+    # the kept report stays, and asking for it again builds nothing
+    f, g = SampleField(space, np.ones((2, 2))), SampleField(space, np.eye(2))
+    report = bits(verify_dual_pair(f, g, k))
+    kept = f._kept.about.pair
+    huge = SampleField(space, np.full((2, 2), 1e308))
+    for _ in range(2):
+        with pytest.raises(NotRepresentable, match="pair mismatch"):
+            verify_dual_pair(f, huge, k)
+        assert f._kept.about.pair is kept
+    built = counted_builds(monkeypatch)
+    assert bits(verify_dual_pair(f, g, k)) == report and not built
+    # S_f = B B* overflows: no B is handed out, no answer is kept, and
+    # every call raises
+    huge = SampleField(make_measure_space(["a", "b"], [1e308, 1e308]), 1e200 * np.eye(2))
+    handed = len(_HANDED)
+    for _ in range(2):
+        with pytest.raises(NotRepresentable, match="frame operator"):
+            ckframe_check(huge, k)
+        with pytest.raises(NotRepresentable, match="frame operator"):
+            whitened_synthesis_matrix(huge)
+    assert huge._kept.svd is None and huge._kept.about is None
+    assert len(_HANDED) == handed
+
+
 def test_kept_answers_fill_every_slot_own_small_arrays_and_die_with_their_field():
     rng = np.random.default_rng(3)
     f, k = ckframe_instance(rng, 3, 2, 16)
@@ -835,10 +872,16 @@ def test_kept_answers_fill_every_slot_own_small_arrays_and_die_with_their_field(
 def test_a_field_pickles_as_its_value_without_its_kept_answers():
     f, g, k = dual_pair()
     report = bits(verify_dual_pair(f, g, k))
-    unpickled = pickle.loads(pickle.dumps(f))
-    assert "_kept" in vars(f) and "_kept" not in vars(unpickled)
-    assert bits(unpickled.samples) == bits(f.samples)
-    assert bits(verify_dual_pair(unpickled, fresh_copy(g), k)) == report
+    for unpickled in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert "_kept" in vars(f) and "_kept" not in vars(unpickled)
+        assert bits(unpickled.samples) == bits(f.samples)
+        # its samples are frozen anew, so no write can make its answers stale
+        for array in (unpickled.samples, unpickled.samples.base):
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+        with pytest.raises(ValueError):
+            unpickled.samples[...] = 3.0
+        assert bits(verify_dual_pair(unpickled, fresh_copy(g), k)) == report
 
 
 # ---------------------------------------------------------------------------
