@@ -219,17 +219,12 @@ class _OnRange:
     singular values of k (k_s[0] = ||k||) and B = U Sigma V*,
     c = Sigma_r U_r* U_k = p diag(sc) qh is B* restricted to range(k), so
     the compression M = U_k* S_f U_k = c* c has eigenvalues sc^2 and
-    S_f U_k = U_r Sigma_r c; a is the ck-frame lower bound A.  k_s is
-    ranked here off the singular values of k kept for f with the other
-    answers about k (linalg._AboutK).  When k and B are both onto H,
-    range(k) is H and any orthonormal basis of H serves: U_k is U_r, so
-    c = Sigma_r, p = qh = I and sc = sigma with no SVD of c taken, and
-    no left vector of k.  Otherwise U_k is k's kept left vectors
-    (linalg._AboutK.u), sliced to the rank decided on k_s.  It is kept
-    per (f, k), so its arrays are owned and read-only.
+    S_f U_k = U_r Sigma_r c.  x = ||pinv(B) k|| is A^-1/2 for the ck-frame
+    lower bound A: the margins read x, so none squares a ratio of the size
+    of x before it divides by A.  Built on each ask (see _on_range).
     """
 
-    a: float
+    x: float
     b: _RankedSVD
     k_u: np.ndarray
     k_s: np.ndarray
@@ -246,12 +241,12 @@ class _OnRange:
         if self.p.shape[0] != self.p.shape[1]:
             sv = np.linalg.svd(sv[:, None] * self.p, compute_uv=False)
         lo_margin = (self.b.top / sv[0]) ** 2 - 1.0
-        hi_margin = 1.0 - self.a * (self.k_s[-1] / sv[-1]) ** 2
+        hi_margin = 1.0 - (self.k_s[-1] / sv[-1] / self.x) ** 2
         return lo_margin, hi_margin
 
     def restricted_margins(self) -> tuple[np.float64, np.float64]:
         """subspace_cframe_margin's two margins, read off this factorization."""
-        lo_margin = (self.sc[-1] / self.k_s[-1]) ** 2 / self.a - 1.0
+        lo_margin = (self.sc[-1] / self.k_s[-1] * self.x) ** 2 - 1.0
         hi_margin = 1.0 - (self.sc[0] / self.b.top) ** 2
         return lo_margin, hi_margin
 
@@ -266,15 +261,12 @@ def _least_margin(margins) -> float:
 
 
 def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -> _OnRange:
-    """The _OnRange of (f, k), kept for f with its other answers about k."""
-    # checked before they key the kept compressions
-    tol, rank_tol = _check_tol(tol, "tol"), _check_tol(rank_tol, "rank_tol", 1.0)
-    kept = f._kept.about_k(kk).on_range
-    return kept.get((rank_tol, tol)) or kept.setdefault((rank_tol, tol), _compress(f, kk, rank_tol, tol))
-
-
-def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -> _OnRange:
-    report, b, _ = _frame_check(f, kk, rank_tol, tol)
+    """The _OnRange of (f, k), built from what f keeps: B's ranked SVD, x
+    and k's singular values and left vectors.  When k and B are onto H,
+    U_k is U_r and c = Sigma_r, so p = qh = I and sc = sigma, with no
+    factorization; otherwise U_k is k's left vectors sliced to its rank,
+    and c takes one SVD."""
+    report, b, coords = _frame_check(f, kk, rank_tol, tol)
     if report.degenerate:
         raise DegenerateOperator("k = 0 holds vacuously; no closed-range certificate")
     if not report.is_ck_frame:
@@ -282,30 +274,24 @@ def _compress(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
             "f does not reproduce k: range inclusion residual "
             f"{report.residuals['range_inclusion']:.3e}"
         )
-    # k's singular values, kept for f with the other answers about k, ranked
-    # here; at full rank they are held as they are, not copied again
     about = f._kept.about_k(kk)
     k_s = about.values()
     r = _separated_rank(k_s, rank_tol, "k")
-    if r < k_s.size:
-        k_s = _owned(k_s[:r])
+    k_s = k_s[:r]
     if r == f.dim and b.onto:
-        # k and B onto H: U_r is a basis of range(k) = H, and c = Sigma_r
-        eye = _owned(np.eye(r, dtype=complex))
+        eye = np.eye(r, dtype=complex)
         k_u, p, sc, qh = b.u, eye, b.s, eye
     else:
-        # U_k, an orthonormal basis of range(k), from k's SVD with vectors
-        # unless its values came with them
         if about.u is None:
             about.u = _owned(np.linalg.svd(about.k, full_matrices=False)[0])
-        k_u = about.u if r == about.u.shape[1] else _owned(about.u[:, :r])
+        k_u = about.u[:, :r]
         c = b.s[:, None] * (b.u.conj().T @ k_u)
-        p, sc, qh = (_owned(x) for x in np.linalg.svd(c, full_matrices=False))
+        p, sc, qh = np.linalg.svd(c, full_matrices=False)
     # a passed check leaves this only when tol lets a retained direction of
     # k escape range(B); rank is judged by the cutoff that decided B's rank
     if sc.size < r or sc[-1] <= rank_tol * b.top:
         raise NotInvertibleOnRange("frame operator drops rank on range(k)")
-    return _OnRange(report.bounds.lower, b, k_u, k_s, p, sc, qh)
+    return _OnRange(coords.pinv_norm(), b, k_u, k_s, p, sc, qh)
 
 
 def inverse_on_range(
@@ -551,7 +537,8 @@ def canonical_dual(
         )
 
     lower_bound = 1.0 / on.b.top**2
-    upper_bound = (float(on.k_s[0]) / float(on.k_s[-1])) ** 2 / on.a
+    with np.errstate(over="ignore"):
+        upper_bound = float((on.k_s[0] / on.k_s[-1] * on.x) ** 2)
 
     # the dual's optimal bounds as a frame against k*, decided on its own B
     best = _frame_check(dual, kk_star, rank_tol, tol, name="B of the dual field g")[0]

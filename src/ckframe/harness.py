@@ -26,12 +26,13 @@ from . import atoms_duals, douglas, frame_ops
 from .errors import (
     BadParams,
     CkFrameError,
+    DimMismatch,
     ParseError,
     UnknownKind,
     ValidationError,
 )
-from .linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, _as_number, _check_tol
-from .measure import MeasureSpace, SampleField, make_measure_space
+from .linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, _as_number, _check_tol, as_operator
+from .measure import MeasureSpace, SampleField, _same_space, make_measure_space
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -40,7 +41,9 @@ STATUS_DEGENERATE = "degenerate"
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Parsed problem instance."""
+    """Parsed problem instance: its fields live over space, else
+    SpaceMismatch, and operator_k is field_f.dim x field_g.dim (any column
+    count without a g), else DimMismatch, so that parse(emit(s)) == s."""
 
     space: MeasureSpace
     field_f: SampleField
@@ -49,6 +52,14 @@ class ProblemSpec:
     rank_tol: Optional[float] = None
     check_tol: Optional[float] = None
     options: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        fields = [field for field in (self.field_f, self.field_g) if field is not None]
+        for field in fields:
+            _same_space(self, field)
+        shape, dims = self.operator_k.shape, tuple(field.dim for field in fields)
+        if len(shape) != 2 or shape[: len(dims)] != dims:
+            raise DimMismatch(f"operator_k has shape {shape}; it must be 2-D and begin with {dims}")
 
     @property
     def dim_h(self) -> int:
@@ -532,10 +543,10 @@ def _douglas_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[st
 
 
 def _sandwich_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
-    """Two-sided bounds of the inverted frame operator on range(operator_k)."""
-    sandwich = atoms_duals.sandwich_check(spec.field_f, spec.operator_k, rank_tol, tol)
-    # reads the compression to range(k) that sandwich_check kept
-    restricted = atoms_duals.subspace_cframe_margin(spec.field_f, spec.operator_k, rank_tol, tol)
+    """sandwich_check's and subspace_cframe_margin's margins, off one compression."""
+    on = atoms_duals._on_range(spec.field_f, as_operator(spec.operator_k), rank_tol, tol)
+    sandwich = atoms_duals._least_margin(on.sandwich_margins)
+    restricted = atoms_duals._least_margin(on.restricted_margins)
     results = {"sandwich_margin": sandwich, "restricted_margin": restricted}
     ok = sandwich >= -tol and restricted >= -tol
     return (STATUS_OK if ok else STATUS_FAILED), results

@@ -269,19 +269,19 @@ class _AboutK:
     """The answers about one operator k, beside k, a read-only C-ordered
     copy of it, so that they do not hang on the layout of the k a caller
     passed, each made on first need: s and u, k's singular values and left
-    vectors (see values); coords, k read against each ranked SVD of B, by
-    its rank (see _Kept.inclusion); on_range, the compression of S_f to range(k) per
-    (rank_tol, tol) (see atoms_duals._on_range); and pair, the
-    DualPairReport of the last g, tol and rank_tol checked with B's field
-    as f, tagged with a weak reference to g (see verify_dual_pair)."""
+    vectors (see values), which the compression of S_f to range(k) reads
+    (see atoms_duals._on_range, which keeps nothing of its own); coords, k
+    read against each ranked SVD of B, by its rank (see _Kept.inclusion);
+    and pair, the DualPairReport of the last g, tol and rank_tol checked
+    with B's field as f, tagged with a weak reference to g (see
+    verify_dual_pair)."""
 
-    __slots__ = ("k", "s", "u", "coords", "on_range", "pair")
+    __slots__ = ("k", "s", "u", "coords", "pair")
 
     def __init__(self, k: np.ndarray) -> None:
         self.k = _owned(np.array(k, order="C"))
         self.s = self.u = self.pair = None
         self.coords: dict[int, _Coords] = {}
-        self.on_range: dict = {}
 
     def values(self) -> np.ndarray:
         """k's singular values, with no rank decided, which every reader of
@@ -302,7 +302,6 @@ class _AboutK:
         """||k||; 0.0 for an all-zero k, without an SVD.  NotRepresentable
         when it overflows, as it can for finite entries."""
         return float(_check_finite(self.values()[:1], "||k||")[0]) if self.k.any() else 0.0
-
 
 
 class _Coords:

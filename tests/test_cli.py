@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ckframe.atoms_duals import sandwich_check, subspace_cframe_margin
 from ckframe.cli import main
 from ckframe.errors import BadParams
 from ckframe.harness import (
@@ -26,7 +27,7 @@ from ckframe.harness import (
     parse_problem,
     run_command,
 )
-from helpers import strip_wall_time
+from helpers import fresh_copy, strip_wall_time
 
 BROKEN_PAIR = {
     "space": {"labels": ["a", "b"], "weights": [1.0, 1.0]},
@@ -529,6 +530,23 @@ def test_extreme_specs_exit_zero_or_one_without_stderr(name, fmt, tmp_path, caps
 #: Decimal exponents of the scales in test_every_command_exits_cleanly_at_extreme_scales.
 EXTREME_EXPONENTS = [-320, -300, -160, -150, 0, 150, 154, 160, 300, 307, 308]
 
+#: A spec at extreme scales on which bounds, atoms, dual and douglas exit 0:
+#: sandwich exited 1 on it (NotRepresentable) while its margins squared
+#: sc / k_s, of the size of 1 / sqrt(A), before they divided by A.
+SANDWICH_AT_EXTREME_SCALES = {"seed": 2, "atoms": 3, "n": 2, "n0": 2, "exponents": (307, -300, -320, -300)}
+
+
+def extreme_spec(seed, atoms, n, n0, exponents) -> dict:
+    """w, f, g and k, entries of magnitude below 1.5, each times 10^e."""
+    rng = np.random.default_rng(seed)
+    e_w, e_f, e_g, e_k = (10.0**e for e in exponents)
+    return real_spec(
+        list(rng.uniform(0.5, 1.5, atoms) * e_w),
+        (rng.uniform(-1.5, 1.5, (atoms, n)) * e_f).tolist(),
+        (rng.uniform(-1.5, 1.5, (n, n0)) * e_k).tolist(),
+        (rng.uniform(-1.5, 1.5, (atoms, n0)) * e_g).tolist(),
+    )
+
 
 @settings(max_examples=60, deadline=None)
 # each exited 3: ||k|| overflows (NaN distance); U_r U_r* k overflows in a
@@ -536,7 +554,7 @@ EXTREME_EXPONENTS = [-320, -300, -160, -150, 0, 150, 154, 160, 300, 307, 308]
 @example(seed=0, atoms=1, n=1, n0=2, exponents=(-320, -320, -320, 308))
 @example(seed=0, atoms=2, n=3, n0=3, exponents=(-320, 150, -320, 308))
 @example(seed=4, atoms=4, n=3, n0=1, exponents=(-320, 150, -320, 308))
-@example(seed=2, atoms=3, n=2, n0=2, exponents=(307, -300, -320, -300))
+@example(**SANDWICH_AT_EXTREME_SCALES)
 @given(
     seed=st.integers(0, 2**16),
     atoms=st.integers(1, 4),
@@ -545,17 +563,9 @@ EXTREME_EXPONENTS = [-320, -300, -160, -150, 0, 150, 154, 160, 300, 307, 308]
     exponents=st.tuples(*[st.sampled_from(EXTREME_EXPONENTS)] * 4),
 )
 def test_every_command_exits_cleanly_at_extreme_scales(seed, atoms, n, n0, exponents, tmp_path_factory):
-    # w, f, g and k, entries of magnitude below 1.5, each times 10^e
-    rng = np.random.default_rng(seed)
-    e_w, e_f, e_g, e_k = (10.0**e for e in exponents)
-    doc = real_spec(
-        list(rng.uniform(0.5, 1.5, atoms) * e_w),
-        (rng.uniform(-1.5, 1.5, (atoms, n)) * e_f).tolist(),
-        (rng.uniform(-1.5, 1.5, (n, n0)) * e_k).tolist(),
-        (rng.uniform(-1.5, 1.5, (atoms, n0)) * e_g).tolist(),
-    )
+    params = {"seed": seed, "atoms": atoms, "n": n, "n0": n0, "exponents": exponents}
     path = tmp_path_factory.mktemp("extreme") / "spec.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(extreme_spec(**params)))
     for cmd in ("bounds", "atoms", "dual", "verify-pair", "douglas", "sandwich"):
         for fmt in ("json", "text"):
             out, err = io.StringIO(), io.StringIO()
@@ -563,6 +573,26 @@ def test_every_command_exits_cleanly_at_extreme_scales(seed, atoms, n, n0, expon
                 warnings.simplefilter("error")
                 code = main([cmd, str(path), "--format", fmt])
             assert code in (0, 1, 2) and err.getvalue() == "", (cmd, fmt, code, err.getvalue())
+            if params == SANDWICH_AT_EXTREME_SCALES and cmd != "verify-pair":
+                assert code == 0, (cmd, fmt)
+
+
+SANDWICH_SPECS = [(kind, seed) for kind in GENERATOR_KINDS for seed in range(3)] + [("extreme", None)]
+
+
+@pytest.mark.parametrize("kind,seed", SANDWICH_SPECS)
+def test_the_sandwich_report_holds_the_margins_of_the_faces_on_fresh_copies(kind, seed):
+    # one compression serves both margins; each face builds its own
+    if kind == "extreme":
+        text = json.dumps(extreme_spec(**SANDWICH_AT_EXTREME_SCALES))
+    else:
+        text = emit_spec(generate_example(kind, {}, seed))
+    results = run_command(parse_problem(text), "sandwich").results
+    spec = parse_problem(text)
+    f, k = spec.field_f, spec.operator_k
+    faces = {"sandwich_margin": sandwich_check, "restricted_margin": subspace_cframe_margin}
+    for name, face in faces.items():
+        assert np.float64(results[name]).tobytes() == np.float64(face(fresh_copy(f), k)).tobytes(), name
 
 
 def test_row_lengths_checked_before_allocation(tmp_path, capsys):

@@ -64,6 +64,7 @@ from ckframe.linalg import (
     _AboutK,
     _kept_like,
     _same_bytes,
+    _separated_rank,
     _thin_svd,
     operator_norm,
 )
@@ -180,6 +181,19 @@ def svd_modes(monkeypatch, a=None) -> list:
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     return modes
+
+
+def svd_shapes(monkeypatch) -> list:
+    """The shape of the matrix of each np.linalg.svd from now on."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
 
 
 def test_a_second_call_on_a_field_takes_no_svd_of_b(monkeypatch):
@@ -745,7 +759,8 @@ def test_threads_asking_one_field_about_different_k_get_their_own_answers():
     ks = [synth @ crandn(rng, 12, 3) for _ in range(6)] + [crandn(rng, 4, 3) for _ in range(2)]
 
     def answers(field, k):
-        # the frame check and the compression on range(k), both kept per k
+        # the frame check, kept per k, and the compression on range(k), built
+        # from what the check kept
         return (outcome("ckframe_check", field, k), outcome("sandwich_check", field, k))
 
     cold = [answers(SampleField(f.space, f.samples), k) for k in ks]
@@ -844,7 +859,7 @@ def test_kept_answers_fill_every_slot_own_small_arrays_and_die_with_their_field(
     for x in slotted:
         assert all(getattr(x, name) is not None for name in type(x).__slots__ if name != "__weakref__")
     about = kept.about
-    assert len(about.coords) == 1 and len(about.on_range) == 1
+    assert len(about.coords) == 1
     # one SVD, vh included, with one column per atom
     assert kept.svd.u.shape == (3, 3) and kept.svd.w.shape == (3, 3) and kept.svd.vh.shape == (3, 16)
     # the pair report is kept beside a weak reference to g, not g itself
@@ -973,10 +988,7 @@ HISTORY_FACES = [
 ]
 #: The faces whose every answer is kept, so that the same question asked
 #: again factors nothing and builds no B.  A failure is never kept.
-ASKED_AGAIN_FOR_FREE = {
-    "ckframe_check", "douglas_factor", "atom_coefficient_map", "verify_dual_pair",
-    "subspace_cframe_margin",
-}
+ASKED_AGAIN_FOR_FREE = {"ckframe_check", "douglas_factor", "atom_coefficient_map", "verify_dual_pair"}
 TOLERANCES = st.lists(
     st.tuples(st.sampled_from([DEFAULT_CHECK_TOL, 1e-6, 1e-12]), st.sampled_from([DEFAULT_RANK_TOL, 1e-12, 1e-6])),
     min_size=1,
@@ -1117,11 +1129,19 @@ class CallHistory(RuleBasedStateMachine):
             assert answer(face, f, g, k, b, tol, rank_tol) == cold, face
             with pytest.MonkeyPatch.context() as patch:
                 counts, built = counted_factorizations(patch), counted_builds(patch)
+                shapes = svd_shapes(patch)
                 assert answer(face, f, g, k, b, tol, rank_tol) == cold, face
             # asked again, a kept answer is read off what f kept
             kept = face in ASKED_AGAIN_FOR_FREE and cold[0] != "raised"
             if kept and (face != "douglas_factor" or l2 == "handed"):
                 assert not counts and not built, (face, dict(counts), len(built))
+            elif face == "subspace_cframe_margin" and cold[0] != "raised":
+                # the compression is built again off what f kept: no B and no
+                # QR, and one SVD, of c (rank(B) x rank(k)), unless k and B
+                # are both onto H
+                c = (kept_factor(f).ranked(rank_tol, "B").s.size, _separated_rank(f._kept.about.s, rank_tol, "k"))
+                assert not built and set(counts) <= {"svd"}, (dict(counts), len(built))
+                assert shapes == ([] if c == (f.dim, f.dim) else [c]), (shapes, c)
 
 
 CallHistory.TestCase.settings = settings(max_examples=50, stateful_step_count=25, deadline=None)

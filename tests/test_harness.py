@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from ckframe import (
     BadParams,
     CkFrameError,
+    DimMismatch,
     ParseError,
     SampleField,
+    SpaceMismatch,
     UnknownKind,
     ValidationError,
     make_measure_space,
@@ -244,6 +246,39 @@ def test_digest_format_and_sensitivity():
     assert len(spec_digest(a)) == len("sha256:") + 64
     assert spec_digest(a) != spec_digest(b)
     assert spec_digest(a) == spec_digest(generate_example("onb", {"n": 2}))
+
+
+TWO_ATOMS = make_measure_space(["a", "b"], [1.0, 1.0])
+THREE_ATOMS = make_measure_space(["a", "b", "c"], [1.0, 1.0, 1.0])
+
+
+def test_a_spec_refuses_a_field_over_another_space():
+    # its text would write two sample rows where three atoms ask for three,
+    # and parse_problem would refuse it at field_f
+    f = SampleField(TWO_ATOMS, np.eye(2))
+    with pytest.raises(SpaceMismatch):
+        ProblemSpec(space=THREE_ATOMS, field_f=f, operator_k=np.eye(2))
+    with pytest.raises(SpaceMismatch):
+        ProblemSpec(space=TWO_ATOMS, field_f=f, operator_k=np.eye(2), field_g=SampleField(THREE_ATOMS, np.eye(3, 2)))
+    # a field over an equal space is over the spec's space
+    spec = ProblemSpec(space=make_measure_space(["a", "b"], [1.0, 1.0]), field_f=f, operator_k=np.eye(2))
+    assert parse_problem(emit_spec(spec)) == spec
+
+
+def test_a_spec_refuses_an_operator_of_another_shape():
+    f = SampleField(TWO_ATOMS, np.eye(2))
+    g = SampleField(TWO_ATOMS, np.ones((2, 3)))
+    # three rows for a 2-dimensional field would be refused at operator_k
+    for k in (np.eye(3, 2), np.ones(2), np.ones((2, 2, 1))):
+        with pytest.raises(DimMismatch, match=r"begin with \(2,\)$"):
+            ProblemSpec(space=TWO_ATOMS, field_f=f, operator_k=k)
+    with pytest.raises(DimMismatch, match=r"begin with \(2, 3\)$"):
+        ProblemSpec(space=TWO_ATOMS, field_f=f, operator_k=np.eye(2), field_g=g)
+    # without a g, any column count is written and read back
+    spec = ProblemSpec(space=TWO_ATOMS, field_f=f, operator_k=np.ones((2, 3)))
+    assert parse_problem(emit_spec(spec)) == spec
+    spec = ProblemSpec(space=TWO_ATOMS, field_f=f, operator_k=np.ones((2, 3)), field_g=g)
+    assert parse_problem(emit_spec(spec)) == spec
 
 
 # ---------------------------------------------------------------------------
@@ -994,10 +1029,12 @@ def test_report_bytes_of_odd_matrices_match_the_element_by_element_writer(m):
         assert '"unbounded"' in emit_report(report)
 
 
-@given(complex_matrices(rows=st.just(2), cols=st.integers(1, 3), finite=True), complex_matrices())
-def test_spec_text_matches_the_oracle_on_random_odd_matrices(f_samples, k):
-    # a field's samples are finite, but a library-built spec's k may be
-    # empty or hold infinities and NaN
+@given(complex_matrices(rows=st.just(2), cols=st.integers(1, 3), finite=True), st.data())
+def test_spec_text_matches_the_oracle_on_random_odd_matrices(f_samples, data):
+    # a field's samples are finite, but a library-built spec's k may have
+    # no columns or hold infinities and NaN; it has one row per dimension
+    # of the field, as a spec refuses any other shape
+    k = data.draw(complex_matrices(rows=st.just(f_samples.shape[1])))
     base = minimal_spec()
     spec = ProblemSpec(space=base.space, field_f=SampleField(base.space, f_samples), operator_k=k)
     text = oracle_spec_text(spec)
