@@ -5,8 +5,9 @@ field over it, the operator k, and optionally a second field.  Complex
 scalars are [re, im] pairs; matrices are row-major nested arrays.  Spec
 files serialize floats at full precision (parse/emit round-trips), while
 reports use fixed %.12e formatting so identical runs are byte-identical
-apart from the wall_time entry.  Specs and JSON reports write their
-matrices through one row writer, _matrix_chunks, straight from the arrays.
+apart from the wall_time entry.  The spec text and both report formats are
+written by one walk over the value tree, _walk, each from a layout table of
+its own; finite matrices go a row at a time, straight from their arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass, field as dc_field
 from itertools import chain
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,8 +43,9 @@ STATUS_DEGENERATE = "degenerate"
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Parsed problem instance: its fields live over space, else
-    SpaceMismatch, and operator_k is field_f.dim x field_g.dim (any column
-    count without a g), else DimMismatch, so that parse(emit(s)) == s."""
+    SpaceMismatch; operator_k is field_f.dim x field_g.dim (at least one
+    column without a g), else DimMismatch, and finite, else ValueError, as
+    a field's samples are; so parse(emit(s)) == s."""
 
     space: MeasureSpace
     field_f: SampleField
@@ -60,6 +62,10 @@ class ProblemSpec:
         shape, dims = self.operator_k.shape, tuple(field.dim for field in fields)
         if len(shape) != 2 or shape[: len(dims)] != dims:
             raise DimMismatch(f"operator_k has shape {shape}; it must be 2-D and begin with {dims}")
+        if shape[1] == 0:
+            raise DimMismatch("operator_k must have at least one column")
+        if not np.isfinite(self.operator_k).all():
+            raise ValueError("operator_k must be finite")
 
     @property
     def dim_h(self) -> int:
@@ -267,13 +273,9 @@ def _spec_from_text(text: str) -> ProblemSpec:
 
 
 def _spec_chunks(spec: ProblemSpec) -> Iterator[str]:
-    """The canonical spec text, piece by piece.
-
-    The text is what json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    gives for the spec as a JSON document.  json.dumps writes the small
-    entries; the matrices are written one row at a time from their float
-    arrays in the same layout.
-    """
+    """The canonical spec text, piece by piece: what
+    json.dumps(doc, sort_keys=True, indent=2) + "\n" gives for the spec as
+    a JSON document, its matrices written a row at a time from their arrays."""
     doc: dict[str, Any] = {
         "space": {"labels": list(spec.space.labels), "weights": list(spec.space.weights)},
         "dim_h": spec.dim_h,
@@ -288,43 +290,8 @@ def _spec_chunks(spec: ProblemSpec) -> Iterator[str]:
         doc["tolerances"] = tols
     if spec.options:
         doc["options"] = spec.options
-    separator = "{\n  "
-    for key in sorted(doc):
-        yield f"{separator}{json.dumps(key)}: "
-        separator = ",\n  "
-        value = doc[key]
-        if isinstance(value, np.ndarray):
-            yield from _matrix_chunks(value, "[\n        %r,\n        %r\n      ]", "  ", _spec_entry)
-        else:
-            yield _spec_entry(value)
-    yield "\n}\n"
-
-
-def _spec_entry(value) -> str:
-    """value as json.dumps(indent=2) lays it out at the depth of a top-level entry."""
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-
-
-def _pairs(m: np.ndarray) -> np.ndarray:
-    """A complex matrix's cells as [re, im] float pairs, shape m.shape + (2,)."""
-    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(*m.shape, 2)
-
-
-def _matrix_chunks(m: np.ndarray, cell: str, pad: str, nested) -> Iterator[str]:
-    """A complex matrix as nested [re, im] pairs closing at indent pad, one
-    row per chunk, each pair laid out by the template cell.  An empty or
-    non-finite matrix goes whole to nested(pairs as lists), the writer's
-    own walk, which spells empty rows, NaN and infinities its way."""
-    pairs = _pairs(m)
-    if pairs.size == 0 or not np.isfinite(pairs).all():
-        yield nested(pairs.tolist())
-        return
-    row_text = f"{pad}  [\n" + ",\n".join([pad + "    " + cell] * m.shape[1]) + f"\n{pad}  ]"
-    separator = "[\n"
-    for row in pairs:
-        yield separator + row_text % tuple(row.ravel().tolist())
-        separator = ",\n"
-    yield f"\n{pad}]"
+    yield from _walk(doc, _SPEC, 0)
+    yield "\n"
 
 
 def emit_spec(spec: ProblemSpec) -> str:
@@ -341,120 +308,137 @@ def spec_digest(spec: ProblemSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# canonical report serialization
+# writing: one walk over a value tree, one layout table per output
 
 
-def _canonical_fragment(value, indent: int) -> str:
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
+class _Layout(NamedTuple):
+    """How one output spells a value tree; _walk reads nothing else."""
+
+    leaf: Callable[[Any], str]  # a scalar
+    inline: Callable[[Any], bool]  # whether a list or tuple is written as one leaf, [a, b]
+    key: Callable[[Any], str]  # a dict key, before its value
+    index: Callable[[int], str]  # a list index, before its item
+    lead: str  # between a key or an index and a leaf
+    brackets: dict[type, tuple[str, str]]  # a dict's and a list's; a "\n" puts the closing on its own line
+    separator: str  # after every item but the last
+    cell: str  # the template of a matrix cell's real or imaginary part
+
+
+def _json_leaf(value) -> str:
     if isinstance(value, float):
         if math.isnan(value):
             raise ValueError("NaN is not serializable in a report")
         return '"unbounded"' if math.isinf(value) else f"{value:.12e}"
-    if isinstance(value, str):
+    if value is None or isinstance(value, (int, str)):
         return json.dumps(value)
-    if isinstance(value, np.ndarray):
-        return "".join(
-            _matrix_chunks(value, "[%.12e, %.12e]", pad, lambda pairs: _canonical_fragment(pairs, indent))
-        )
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        scalars = all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        )
-        if scalars:
-            return "[" + ", ".join(_canonical_fragment(v, 0) for v in value) + "]"
-        inner = ",\n".join(pad + "  " + _canonical_fragment(v, indent + 1) for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            pad + "  " + json.dumps(str(k)) + ": " + _canonical_fragment(value[k], indent + 1)
-            for k in sorted(value, key=str)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
-def report_to_json(report: RunReport) -> str:
-    doc = {
-        "command": report.command,
-        "inputs_digest": report.inputs_digest,
-        "status": report.status,
-        "results": report.results,
-        "wall_time": report.wall_time,
-    }
-    return _canonical_fragment(doc, 0) + "\n"
-
-
-def _text_value(value, indent: int, lines: list[str], label: str) -> None:
-    pad = "  " * indent
-    if isinstance(value, np.ndarray):
-        value = _pairs(value).tolist()
-    if isinstance(value, dict):
-        lines.append(f"{pad}{label}:")
-        for k in sorted(value, key=str):
-            _text_value(value[k], indent + 1, lines, str(k))
-    elif isinstance(value, (list, tuple)) and any(isinstance(v, (list, tuple, dict)) for v in value):
-        lines.append(f"{pad}{label}:")
-        for i, v in enumerate(value):
-            _text_value(v, indent + 1, lines, f"[{i}]")
-    else:
-        lines.append(f"{pad}{label}: {_text_scalar(value)}")
-
-
-def _text_scalar(value) -> str:
+def _text_leaf(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
         return "unbounded" if math.isinf(value) else f"{value:.12e}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_text_scalar(v) for v in value) + "]"
     return str(value)
 
 
-def report_to_text(report: RunReport) -> str:
-    lines = [
-        "ckframe report",
-        f"command: {report.command}",
-        f"status: {report.status}",
-        f"inputs_digest: {report.inputs_digest}",
-        f"wall_time: {report.wall_time:.3e}s",
-    ]
-    results = report.results
-    if report.command == "verify-pair" and "residual_c1" in results:
-        lines.append("conditions:")
-        lines.append("  condition  residual            pass")
-        for i in range(1, 6):
-            r = results[f"residual_c{i}"]
-            ok = "yes" if r <= results.get("tolerance", DEFAULT_CHECK_TOL) else "no"
-            lines.append(f"  c{i}         {r:.12e}  {ok}")
-        rest = {k: v for k, v in results.items() if not k.startswith("residual_c")}
+_BRACKETS = {dict: ("{", "\n}"), list: ("[", "\n]")}
+#: The spec text: json.dumps(sort_keys=True, indent=2)'s layout, floats at full precision.
+_SPEC = _Layout(
+    leaf=json.dumps, inline=lambda items: False, key=lambda key: json.dumps(str(key)) + ": ",
+    index=lambda i: "", lead="", brackets=_BRACKETS, separator=",", cell="%r",
+)
+#: The report layouts, by the name --format gives them.  A vacuously
+#: infinite bound is spelled unbounded; JSON writes numbers-only lists inline.
+_WRITERS = {
+    "json": _SPEC._replace(
+        leaf=_json_leaf,
+        inline=lambda items: all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items),
+        cell="%.12e",
+    ),
+    "text": _Layout(
+        leaf=_text_leaf, inline=lambda items: not any(isinstance(v, (list, tuple, dict)) for v in items),
+        key=lambda key: f"{key}:", index=lambda i: f"[{i}]:", lead=" ",
+        brackets=dict.fromkeys((dict, list), ("", "")), separator="", cell="%.12e",
+    ),
+}
+
+
+def _walk(value, layout: _Layout, depth: int, head: str = "") -> Iterator[str]:
+    """value in layout at depth, chunk by chunk, the first chunk led by head.
+
+    The one recursive writer.  A dict's items come sorted by str key.  A
+    complex array is its rows of [re, im] pairs: _matrix_chunks writes it
+    when it is finite and not empty, and it is walked as nested lists when
+    not.  Any other value, and a list or tuple that layout.inline takes
+    whole, is a leaf."""
+    if isinstance(value, np.ndarray):
+        pairs = np.ascontiguousarray(value, dtype=complex).view(float).reshape(*value.shape, 2)
+        if pairs.size and np.isfinite(pairs).all():  # the first row, layout.cell for every part
+            row = "".join(_walk(pairs[0].tolist(), layout._replace(leaf=lambda part: layout.cell), depth + 1))
+            yield from _matrix_chunks(pairs, row, layout, depth, head)
+            return
+        value = pairs.tolist()
+    if isinstance(value, dict):
+        kind, items = dict, [(layout.key(key), value[key]) for key in sorted(value, key=str)]
+    elif not isinstance(value, (list, tuple)):
+        yield head + layout.lead + layout.leaf(value)
+        return
+    elif layout.inline(value):
+        yield head + layout.lead + "[" + ", ".join(map(layout.leaf, value)) + "]"
+        return
     else:
-        rest = results
-    for k in sorted(rest, key=str):
-        _text_value(rest[k], 0, lines, str(k))
-    return "\n".join(lines) + "\n"
+        kind, items = list, [(layout.index(i), item) for i, item in enumerate(value)]
+    opening, closing = layout.brackets[kind]
+    if not items:
+        yield head + opening + closing.strip()
+        return
+    pad = "  " * (depth + 1)
+    for label, item in items:
+        yield from _walk(item, layout, depth + 1, f"{head}{opening}\n{pad}{label}")
+        head, opening = layout.separator, ""
+    yield closing.replace("\n", "\n" + "  " * depth)
 
 
-#: The report writers, by the name --format gives them.
-_WRITERS = {"json": report_to_json, "text": report_to_text}
+def _matrix_chunks(pairs: np.ndarray, row: str, layout: _Layout, depth: int, head: str) -> Iterator[str]:
+    """A matrix, given as its [re, im] pairs, in layout at depth, one row
+    per chunk: each row's parts fill the template row."""
+    opening, closing = layout.brackets[list]
+    pad = "  " * (depth + 1)
+    for i, parts in enumerate(pairs):
+        yield f"{head}{opening}\n{pad}{layout.index(i)}" + row % tuple(parts.ravel().tolist())
+        head, opening = layout.separator, ""
+    yield closing.replace("\n", "\n" + "  " * depth)
 
 
 def emit_report(report: RunReport, fmt: str = "json") -> str:
-    """Render a report deterministically as canonical JSON or text."""
+    """Render a report deterministically as canonical JSON or text.
+
+    JSON writes the report as one object.  Text writes a header of its
+    own, with a table of the five conditions for verify-pair, and then
+    the other results one per line."""
     if fmt not in _WRITERS:
         raise ValueError(f"unknown format {fmt!r}")
-    return _WRITERS[fmt](report)
+    tree, depth, head = vars(report), 0, ""  # the report's five fields as one object
+    if fmt == "text":
+        tree, lines = report.results, [
+            "ckframe report",
+            f"command: {report.command}",
+            f"status: {report.status}",
+            f"inputs_digest: {report.inputs_digest}",
+            f"wall_time: {report.wall_time:.3e}s",
+        ]
+        if report.command == "verify-pair" and "residual_c1" in tree:
+            lines += ["conditions:", "  condition  residual            pass"]
+            for i in range(1, 6):
+                r = tree[f"residual_c{i}"]
+                ok = "yes" if r <= tree.get("tolerance", DEFAULT_CHECK_TOL) else "no"
+                lines.append(f"  c{i}         {r:.12e}  {ok}")
+            tree = {k: v for k, v in tree.items() if not k.startswith("residual_c")}
+        depth, head = -1, "\n".join(lines)
+    return "".join([*_walk(tree, _WRITERS[fmt], depth, head), "\n"])
 
 
 # ---------------------------------------------------------------------------

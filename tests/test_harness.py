@@ -4,11 +4,12 @@ import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ckframe import (
@@ -421,15 +422,20 @@ def test_spec_text_matches_the_oracle_on_fixed_labels_and_values():
 
 
 @pytest.mark.parametrize(
-    "k",
-    [np.array([[np.nan, 1.0], [np.inf, -np.inf]]), np.zeros((2, 0))],
-    ids=["non-finite", "no-columns"],
+    "k, error",
+    [
+        (np.array([[np.nan, 1.0], [0.0, 1.0]]), ValueError),
+        (np.array([[1.0, np.inf], [-np.inf, 1.0]]), ValueError),
+        (np.zeros((2, 0)), DimMismatch),
+    ],
+    ids=["nan", "infinite", "no-columns"],
 )
-def test_spec_text_matches_the_oracle_on_odd_operators(k):
-    # only a hand-built spec can carry these; json spells them its own way
+def test_a_spec_refuses_an_operator_that_its_text_could_not_carry(k, error):
+    # parse_problem refuses such a k in a spec text, so no spec may hold one
     base = minimal_spec()
-    spec = ProblemSpec(space=base.space, field_f=base.field_f, operator_k=k)
-    assert emit_spec(spec) == oracle_spec_text(spec)
+    with pytest.raises(error) as refused:
+        ProblemSpec(space=base.space, field_f=base.field_f, operator_k=k)
+    assert type(refused.value) is error
 
 
 # ---------------------------------------------------------------------------
@@ -946,6 +952,22 @@ def test_report_rejects_unknown_format_and_nan():
         emit_report(poisoned, "json")
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["dual", "atoms"])
+def test_the_report_writer_holds_little_more_than_the_report(command, fmt):
+    # the chunks that "".join holds and the joined text, ~2x; writing each
+    # matrix as nested lists, or as a list of lines, goes past 2.5x
+    spec = generate_example("random_ckframe", {"n": 32, "n0": 16, "atoms": 256})
+    report = run_command(spec, command)
+    tracemalloc.start()
+    try:
+        text = emit_report(report, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
+
+
 # ---------------------------------------------------------------------------
 # report bytes against the element-by-element writer
 
@@ -968,10 +990,30 @@ def complex_matrices(draw, rows=st.integers(0, 4), cols=st.integers(0, 4), finit
     return values.view(complex).reshape(shape)
 
 
+#: Every leaf and every inline rule of both report formats: empty dict,
+#: list and tuple, a tuple of floats, a list of strings, a float beside
+#: None, ints, both infinities, and a list of dicts.
+WRITTEN_SHAPES = {
+    "empty_dict": {},
+    "empty_list": [],
+    "empty_tuple": (),
+    "floats": (1.5, -0.0, 5e-324),
+    "notes": ["a note", "\u00e9 \"quoted\""],
+    "onto": [0.25, None],
+    "count": -7,
+    "counts": [3, 10**20],
+    "floor": -math.inf,
+    "upper": math.inf,
+    "items": [{"x": 1.0, "y": [2, -math.inf]}, {}, {"z": None}],
+}
+
+
 @st.composite
 def matrix_results(draw):
-    """A results dict with the scalars a runner returns and one to three
-    matrices, each at a depth of 0 to 3 nested dicts."""
+    """A results dict with the scalars a runner returns, values of the kinds
+    in WRITTEN_SHAPES, and one to three matrices, each at a depth of 0 to 3
+    nested dicts."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
     results = {
         "lower": draw(st.floats(allow_nan=False)),
         "upper": math.inf,
@@ -979,6 +1021,11 @@ def matrix_results(draw):
         "factor": None,
         "kind": "ckFrame",
         "onto": [draw(st.floats(allow_nan=False)), None],
+        "count": draw(st.integers()),
+        "floats": tuple(draw(st.lists(finite, max_size=3))),
+        "notes": draw(st.lists(st.text(max_size=5), max_size=3)),
+        "empty": draw(st.sampled_from([{}, [], ()])),
+        "items": draw(st.lists(st.dictionaries(st.sampled_from("xyz"), finite | st.none()), max_size=2)),
     }
     for _ in range(draw(st.integers(1, 3))):
         node = results
@@ -1003,6 +1050,8 @@ def assert_written_as_reference(results):
 
 
 @given(matrix_results())
+@example(WRITTEN_SHAPES)
+@example({"shapes": WRITTEN_SHAPES, "m": np.eye(2, dtype=complex), "list": [WRITTEN_SHAPES]})
 def test_report_bytes_match_the_element_by_element_writer(results):
     assert_written_as_reference(results)
 
@@ -1031,12 +1080,16 @@ def test_report_bytes_of_odd_matrices_match_the_element_by_element_writer(m):
 
 @given(complex_matrices(rows=st.just(2), cols=st.integers(1, 3), finite=True), st.data())
 def test_spec_text_matches_the_oracle_on_random_odd_matrices(f_samples, data):
-    # a field's samples are finite, but a library-built spec's k may have
-    # no columns or hold infinities and NaN; it has one row per dimension
-    # of the field, as a spec refuses any other shape
+    # k has one row per dimension of the field, as a spec refuses any other
+    # shape; a k with no columns or a non-finite part is refused too
     k = data.draw(complex_matrices(rows=st.just(f_samples.shape[1])))
     base = minimal_spec()
-    spec = ProblemSpec(space=base.space, field_f=SampleField(base.space, f_samples), operator_k=k)
+    field_f = SampleField(base.space, f_samples)
+    if k.shape[1] == 0 or not np.isfinite(k).all():
+        with pytest.raises(DimMismatch if k.shape[1] == 0 else ValueError):
+            ProblemSpec(space=base.space, field_f=field_f, operator_k=k)
+        return
+    spec = ProblemSpec(space=base.space, field_f=field_f, operator_k=k)
     text = oracle_spec_text(spec)
     assert emit_spec(spec) == text
     assert spec_digest(spec) == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
