@@ -514,7 +514,7 @@ def canonical_dual(
     on = _on_range(f, kk, rank_tol, tol)
     # k* G B = k* U_k qh* diag(1/sc) p* vh, since G B = U_k (c* c)^-1 c* vh;
     # the small factors are multiplied first
-    vh = _b_svd(f, right=True).ranked(rank_tol, "B of f").vh
+    vh = _b_svd(f, right=True).vh[: on.b.s.size]  # the rank of B is on.b's
     kk_star = adjoint(kk)
     left = kk_star @ on.k_u @ (on.qh.conj().T / on.sc) @ on.p.conj().T
     if on.k_s.size == f.dim:

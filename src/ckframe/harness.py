@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
@@ -39,13 +39,19 @@ STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 STATUS_DEGENERATE = "degenerate"
 
+#: The tolerances a spec may hold, each in (0, upper): from 1 up a rank_tol counts no direction.
+_TOLERANCE_UPPERS = {"rank_tol": 1.0, "check_tol": math.inf}
+
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Parsed problem instance: its fields live over space, else
     SpaceMismatch; operator_k is field_f.dim x field_g.dim (at least one
     column without a g), else DimMismatch, and finite, else ValueError, as
-    a field's samples are; so parse(emit(s)) == s."""
+    a field's samples are; a tolerance given is kept as the float
+    linalg._check_tol makes of it, rank_tol in (0, 1) and check_tol in
+    (0, inf), else ValidationError at tolerances.<name>; so
+    parse(emit(s)) == s."""
 
     space: MeasureSpace
     field_f: SampleField
@@ -53,7 +59,6 @@ class ProblemSpec:
     field_g: Optional[SampleField] = None
     rank_tol: Optional[float] = None
     check_tol: Optional[float] = None
-    options: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         fields = [field for field in (self.field_f, self.field_g) if field is not None]
@@ -66,6 +71,9 @@ class ProblemSpec:
             raise DimMismatch("operator_k must have at least one column")
         if not np.isfinite(self.operator_k).all():
             raise ValueError("operator_k must be finite")
+        for key, upper in _TOLERANCE_UPPERS.items():
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _check_tol(getattr(self, key), f"tolerances.{key}", upper))
 
     @property
     def dim_h(self) -> int:
@@ -157,17 +165,12 @@ def _matrix_from_lists(value: list, rows: int, cols: int) -> Optional[np.ndarray
     return pairs.view(complex).reshape(rows, cols)
 
 
-# json.dumps writes options back recursing once per level: keep well inside 1000
-MAX_OPTIONS_DEPTH = 500
-
-
 def parse_problem(text: str) -> ProblemSpec:
     """Parse and validate a problem-spec JSON document.
 
     Raises ParseError for text _decode_json refuses and ValidationError
-    (carrying the JSON path) for schema violations: tolerances and options
-    must be objects ({} when absent or null), and options may nest at most
-    MAX_OPTIONS_DEPTH levels deep and hold finite numbers only.
+    (carrying the JSON path) for schema violations: tolerances must be an
+    object ({} when absent or null) and its values ProblemSpec's.
 
     The cyclic garbage collector is paused, process-wide, until the
     parsed JSON tree is dropped, and switched back on on the way out only
@@ -196,7 +199,7 @@ def _spec_from_text(text: str) -> ProblemSpec:
     doc = _decode_json(text, "invalid JSON")
     _require(isinstance(doc, dict), "top level must be an object", "")
 
-    known = {"space", "dim_h", "dim_h0", "field_f", "operator_k", "field_g", "tolerances", "options"}
+    known = {"space", "dim_h", "dim_h0", "field_f", "operator_k", "field_g", "tolerances"}
     for key in doc:
         _require(key in known, f"unknown key '{key}'", key)
     for key in ("space", "dim_h", "dim_h0", "field_f", "operator_k"):
@@ -242,24 +245,11 @@ def _spec_from_text(text: str) -> ProblemSpec:
         g_samples = _as_matrix(doc["field_g"], n_atoms, dim_h0, "field_g")
         field_g = SampleField(space, g_samples)
 
-    for key in ("tolerances", "options"):  # optional objects: absent or null reads as {}
-        doc[key] = {} if doc.get(key) is None else doc[key]
-        _require(isinstance(doc[key], dict), "expected an object", key)
-    tols, options = doc["tolerances"], doc["options"]
-    uppers = {"rank_tol": 1.0, "check_tol": math.inf}  # each tolerance lies in (0, upper)
-    for key in tols:
-        _require(key in uppers, f"unknown key '{key}'", f"tolerances.{key}")
-        tols[key] = _check_tol(tols[key], f"tolerances.{key}", uppers[key])
-
-    level = [options]  # its arrays and objects a level deeper each pass, without recursion
-    for _ in range(MAX_OPTIONS_DEPTH):
-        if not level:
-            break
-        values = [c for v in level for c in (v.values() if isinstance(v, dict) else v)]
-        _require(all(math.isfinite(c) for c in values if isinstance(c, float)),
-                 "numbers in options must be finite", "options")
-        level = [c for c in values if isinstance(c, (dict, list))]
-    _require(not level, f"options nest deeper than {MAX_OPTIONS_DEPTH} levels", "options")
+    tols = {} if doc.get("tolerances") is None else doc["tolerances"]  # absent or null reads as {}
+    _require(isinstance(tols, dict), "expected an object", "tolerances")
+    for key, tol in tols.items():  # a null tolerance is no number, where an absent one is None
+        _require(key in _TOLERANCE_UPPERS, f"unknown key '{key}'", f"tolerances.{key}")
+        _require(tol is not None, "expected a number, got NoneType", f"tolerances.{key}")
 
     return ProblemSpec(
         space=space,
@@ -268,7 +258,6 @@ def _spec_from_text(text: str) -> ProblemSpec:
         field_g=field_g,
         rank_tol=tols.get("rank_tol"),
         check_tol=tols.get("check_tol"),
-        options=options,
     )
 
 
@@ -284,12 +273,9 @@ def _spec_chunks(spec: ProblemSpec) -> Iterator[str]:
         "operator_k": spec.operator_k,
         "field_g": spec.field_g.samples if spec.field_g is not None else None,
     }
-    tols = {key: tol for key, tol in (("rank_tol", spec.rank_tol), ("check_tol", spec.check_tol))
-            if tol is not None}
+    tols = {key: getattr(spec, key) for key in _TOLERANCE_UPPERS if getattr(spec, key) is not None}
     if tols:
         doc["tolerances"] = tols
-    if spec.options:
-        doc["options"] = spec.options
     yield from _walk(doc, _SPEC, 0)
     yield "\n"
 
@@ -359,7 +345,8 @@ _WRITERS = {
         cell="%.12e",
     ),
     "text": _Layout(
-        leaf=_text_leaf, inline=lambda items: not any(isinstance(v, (list, tuple, dict)) for v in items),
+        leaf=_text_leaf,
+        inline=lambda items: not any(isinstance(v, (list, tuple, dict, np.ndarray)) for v in items),
         key=lambda key: f"{key}:", index=lambda i: f"[{i}]:", lead=" ",
         brackets=dict.fromkeys((dict, list), ("", "")), separator="", cell="%.12e",
     ),

@@ -257,8 +257,6 @@ def oracle_spec_text(spec):
         tols["check_tol"] = spec.check_tol
     if tols:
         doc["tolerances"] = tols
-    if spec.options:
-        doc["options"] = spec.options
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

@@ -124,22 +124,33 @@ def test_degenerate_exit_zero(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "degenerate"
 
 
-# options 990 levels deep: the decoder may read them, but they would be
-# written back past the interpreter's recursion limit
-DEEP_OPTIONS = json.dumps(BROKEN_PAIR)[:-1] + ', "options": ' + '{"a": ' * 990 + "{}" + "}" * 991
+def with_check_tol(literal):
+    """BROKEN_PAIR's text with tolerances.check_tol spelled literal."""
+    return json.dumps(BROKEN_PAIR)[:-1] + ', "tolerances": {"check_tol": ' + literal + "}}"
 
 
 # an integer literal past Python's 4,300-digit conversion limit, where the
 # decoder raises a plain ValueError; an interpreter without the limit
-# (3.10 before 3.10.7, or the limit set to 0) refuses the weight and dim_h
-# by their own checks but keeps the integer in options
+# (3.10 before 3.10.7, or the limit set to 0) refuses each further on
 HUGE_LITERAL = "9" * 5000
-HUGE_INTEGERS = [
-    json.dumps(BROKEN_PAIR).replace('"weights": [1.0', '"weights": [' + HUGE_LITERAL),
-    json.dumps(BROKEN_PAIR).replace('"dim_h": 2', '"dim_h": ' + HUGE_LITERAL),
+DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(HUGE_LITERAL)
+
+
+def huge_at(text, path):
+    """text, and what its error line names: the decoder's limit, else path."""
+    return text, "invalid JSON: Exceeds the limit" if DIGIT_LIMIT else f"at '{path}'"
+
+
+#: Spec texts that exit 2, each with what its one error line names.
+MALFORMED = [
+    (b"{oops", "invalid JSON: "),
+    (b"\xff\xfe" + json.dumps(BROKEN_PAIR).encode(), "not UTF-8"),
+    (b"[" * 200000, "invalid JSON: "),
+    (with_check_tol("1e999"), "number must be finite at 'tolerances.check_tol'"),
+    huge_at(json.dumps(BROKEN_PAIR).replace('"weights": [1.0', '"weights": [' + HUGE_LITERAL), "space.weights[0]"),
+    huge_at(json.dumps(BROKEN_PAIR).replace('"dim_h": 2', '"dim_h": ' + HUGE_LITERAL), "field_f[0]"),
+    huge_at(with_check_tol(HUGE_LITERAL), "tolerances.check_tol"),
 ]
-if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(HUGE_LITERAL):
-    HUGE_INTEGERS.append(json.dumps(BROKEN_PAIR)[:-1] + ', "options": {"n": ' + HUGE_LITERAL + "}}")
 
 
 def assert_one_input_error_line(err):
@@ -148,31 +159,35 @@ def assert_one_input_error_line(err):
 
 def test_malformed_spec_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    not_utf8 = b"\xff\xfe" + json.dumps(BROKEN_PAIR).encode()
-    overflow = json.dumps(BROKEN_PAIR)[:-1] + ', "options": {"y": 1e999}}'
-    bad = [b"{oops", not_utf8, b"[" * 200000, DEEP_OPTIONS.encode(), overflow.encode()]
-    bad += [text.encode() for text in HUGE_INTEGERS]
-    for text in bad:
-        path.write_bytes(text)
+    for text, names in MALFORMED:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["bounds", str(path)]) == 2, text[:8]
-        assert_one_input_error_line(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert_one_input_error_line(err)
+        assert names in err, err[:200]
+
+
+@pytest.mark.parametrize("value", ["null", "{}", "0", "[]"])
+def test_options_exit_two_as_an_unknown_key(value, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(BROKEN_PAIR)[:-1] + f', "options": {value}}}')
+    assert main(["bounds", str(path)]) == 2
+    assert capsys.readouterr().err == "ckframe: input error: unknown key 'options' at 'options'\n"
 
 
 @pytest.mark.parametrize("value", ["0", "false", '""', "[]"])
-@pytest.mark.parametrize("key", ["options", "tolerances"])
-def test_an_optional_object_that_is_not_an_object_exits_two(key, value, tmp_path, capsys):
+def test_an_optional_object_that_is_not_an_object_exits_two(value, tmp_path, capsys):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(BROKEN_PAIR)[:-1] + f', "{key}": {value}}}')
+    path.write_text(json.dumps(BROKEN_PAIR)[:-1] + f', "tolerances": {value}}}')
     assert main(["bounds", str(path)]) == 2
-    assert capsys.readouterr().err == f"ckframe: input error: expected an object at '{key}'\n"
+    assert capsys.readouterr().err == "ckframe: input error: expected an object at 'tolerances'\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("key", ["options", "tolerances"])
-def test_a_null_optional_object_reads_as_an_absent_one(key, fmt, tmp_path, capsys):
+def test_a_null_optional_object_reads_as_an_absent_one(fmt, tmp_path, capsys):
     absent, null = tmp_path / "absent.json", tmp_path / "null.json"
     absent.write_text(json.dumps(BROKEN_PAIR))
-    null.write_text(json.dumps(dict(BROKEN_PAIR, **{key: None})))
+    null.write_text(json.dumps(dict(BROKEN_PAIR, tolerances=None)))
     reports = []
     for path in (absent, null):
         assert main(["bounds", str(path), "--format", fmt]) == 0

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,14 +24,13 @@ from ckframe import (
     ValidationError,
     make_measure_space,
 )
-from ckframe import harness
+from ckframe import atoms_duals, harness, linalg
 from ckframe.atoms_duals import atom_coefficient_map, canonical_dual, sandwich_check, verify_dual_pair
 from ckframe.douglas import douglas_factor, minimal_multiplier, range_included
 from ckframe.frame_ops import ckframe_check, frame_operator, whitened_synthesis_matrix
 from ckframe.harness import (
     COMMANDS,
     GENERATOR_KINDS,
-    MAX_OPTIONS_DEPTH,
     ProblemSpec,
     RunReport,
     STATUS_DEGENERATE,
@@ -130,6 +130,10 @@ def test_parse_rejects_bad_tolerances():
     assert exc.value.path == "tolerances.check_tol"
     with pytest.raises(ValidationError):
         parse_problem(spec_with(tolerances={"typo_tol": 1e-8}))
+    # a null tolerance is no number, where a spec's None is an absent one
+    with pytest.raises(ValidationError) as exc:
+        parse_problem(spec_with(tolerances={"rank_tol": None}))
+    assert str(exc.value) == "expected a number, got NoneType at 'tolerances.rank_tol'"
     # a rank_tol from 1 up counts no direction, caught when the spec is read
     for rank_tol in (1, 2):
         with pytest.raises(ValidationError) as exc:
@@ -194,38 +198,53 @@ def test_parse_leaves_the_collector_as_it_found_it(text, error, enabled):
         (gc.enable if was else gc.disable)()
 
 
-def test_parse_accepts_tolerances_and_options():
-    text = spec_with(tolerances={"check_tol": 1e-6, "rank_tol": 1e-9}, options={"note": "x"})
-    spec = parse_problem(text)
+def test_parse_accepts_tolerances():
+    spec = parse_problem(spec_with(tolerances={"check_tol": 1e-6, "rank_tol": 1e-9}))
     assert spec.check_tol == 1e-6
     assert spec.rank_tol == 1e-9
-    assert spec.options == {"note": "x"}
 
 
-def test_options_nest_at_most_max_options_depth():
-    def nested(depth):
-        value = []
-        for _ in range(depth - 1):
-            value = {"a": value}
-        return value
+#: Tolerance values of every kind a caller may hand ProblemSpec: floats
+#: (non-finite included), ints, bools, 400-digit ints and numpy scalars.
+tolerance_values = st.one_of(
+    st.floats(),
+    st.floats(min_value=5e-324, max_value=1.0),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.integers(10**399, 10**400 - 1).map(lambda i: -i if i % 2 else i),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
 
-    # the deepest options accepted are written back and digested
-    spec = parse_problem(spec_with(options=nested(MAX_OPTIONS_DEPTH)))
-    assert parse_problem(emit_spec(spec)) == spec
-    assert spec_digest(spec).startswith("sha256:")
-    with pytest.raises(ValidationError) as exc:
-        parse_problem(spec_with(options=nested(MAX_OPTIONS_DEPTH + 1)))
-    assert exc.value.path == "options"
+
+def outcome(call):
+    """What call() returns, or the path of the ValidationError it raises."""
+    try:
+        return call()
+    except ValidationError as exc:
+        return exc.path
 
 
-def test_options_hold_finite_numbers_only():
-    for options in ('{"x": NaN}', '{"x": Infinity}', '{"x": [1, {"y": -Infinity}]}', '{"x": {"y": [1e999]}}'):
-        with pytest.raises(ValidationError) as exc:
-            parse_problem(spec_with()[:-1] + ', "options": ' + options + "}")
-        assert exc.value.path == "options"
-    # the largest finite double and integers past it are kept
-    spec = parse_problem(spec_with(options={"x": [1.7976931348623157e308, -(10**400)]}))
-    assert spec.options == {"x": [1.7976931348623157e308, -(10**400)]}
+@given(st.none() | tolerance_values, st.none() | tolerance_values)
+@example(5.0, None)
+@example(None, True)
+@example(None, 1)
+def test_a_spec_holds_exactly_the_tolerances_its_text_may_hold(rank_tol, check_tol):
+    # the tolerances as the constructor is handed them, and as a document spells them
+    tols = {"rank_tol": rank_tol, "check_tol": check_tol}
+    spelled = {key: v.item() if isinstance(v, np.generic) else v for key, v in tols.items() if v is not None}
+    base = minimal_spec()
+    built = outcome(lambda: ProblemSpec(base.space, base.field_f, base.operator_k, **tols))
+    parsed = outcome(lambda: parse_problem(spec_with(tolerances=spelled)))
+    if isinstance(built, ProblemSpec):
+        assert parsed == built
+        assert parse_problem(emit_spec(built)) == built
+        assert all(type(getattr(built, key)) is float for key in spelled)
+    else:
+        assert built == parsed
+        assert built in {f"tolerances.{key}" for key in spelled}
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +309,6 @@ def test_a_spec_refuses_an_operator_of_another_shape():
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-300, 0.1, 1.0, 2.0, -7.0, 1e16, 3e20]
 
 
-def json_trees(floats):
-    """JSON values whose float leaves come from floats."""
-    return st.recursive(
-        st.none() | st.booleans() | st.integers(-(10**20), 10**20) | floats | st.text(max_size=6),
-        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
-        max_leaves=8,
-    )
-
-
-json_values = json_trees(st.floats(allow_nan=False, allow_infinity=False))
 positive_floats = st.floats(min_value=5e-324, max_value=1e300)
 #: A spec's rank_tol lies in (0, 1).
 rank_tols = st.floats(min_value=5e-324, max_value=1.0, exclude_max=True)
@@ -308,8 +317,8 @@ rank_tols = st.floats(min_value=5e-324, max_value=1.0, exclude_max=True)
 @st.composite
 def edited_specs(draw):
     """A generated spec of any kind with random labels (non-ASCII and
-    control characters included), special cell and weight values,
-    tolerances and options."""
+    control characters included), special cell and weight values and
+    tolerances."""
     kind = draw(st.sampled_from(GENERATOR_KINDS))
     spec = generate_example(kind, {}, seed=draw(st.integers(0, 20)))
     n = spec.space.n_atoms
@@ -336,7 +345,6 @@ def edited_specs(draw):
         field_g=field_g,
         rank_tol=tols.get("rank_tol"),
         check_tol=tols.get("check_tol"),
-        options=draw(st.dictionaries(st.text(max_size=5), json_values, max_size=3)),
     )
 
 
@@ -365,10 +373,6 @@ def is_rfc_8259(text):
     return True
 
 
-def set_option(doc, value):
-    doc["options"]["nested"] = [{"x": value}]
-
-
 def set_weight(doc, value):
     doc["space"]["weights"][0] = value
 
@@ -384,17 +388,10 @@ def set_tolerance(doc, value):
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
-@given(
-    edited_specs(),
-    st.dictionaries(st.text(max_size=5), json_trees(non_finite | st.floats()), max_size=3),
-    st.sampled_from([None, set_option, set_weight, set_cell, set_tolerance]),
-    non_finite,
-)
-def test_every_accepted_spec_is_written_back_as_rfc_8259_json(spec, options, place, value):
-    # a valid spec with options that may hold NaN and infinities, and maybe
-    # a non-finite number nested in options or as a weight, cell or tolerance
+@given(edited_specs(), st.sampled_from([None, set_weight, set_cell, set_tolerance]), non_finite)
+def test_every_accepted_spec_is_written_back_as_rfc_8259_json(spec, place, value):
+    # a valid spec, maybe with a non-finite weight, cell or tolerance
     doc = json.loads(emit_spec(spec))
-    doc["options"] = options
     if place is not None:
         place(doc, value)
     text = json.dumps(doc)
@@ -415,7 +412,6 @@ def test_spec_text_matches_the_oracle_on_fixed_labels_and_values():
         field_f=SampleField(space, np.array([[-0.0, 1e-300j], [3e20, 2.0 - 0.0j]])),
         operator_k=base.operator_k,
         rank_tol=1e-9,
-        options={"note": "\u00fc", "n": 3},
     )
     assert emit_spec(spec) == oracle_spec_text(spec)
     assert '"\\u00e9\\u96ea"' in emit_spec(spec)
@@ -724,6 +720,35 @@ def test_rank_of_k_is_decided_once_for_every_command():
         assert report.results["message"].startswith("rank of k: singular value 1.000e-09")
 
 
+#: The ranks each command decides, by the name of the matrix they are of:
+#: dual decides k's again in verify_dual_pair, which checks P f on its own.
+RANKS_DECIDED = {
+    "bounds": {"B of f": 1},
+    "atoms": {"B of f": 1},
+    "dual": {"B of f": 1, "k": 2, "B of the dual field g": 1},
+    "douglas": {"l2": 1},
+    "sandwich": {"B of f": 1, "k": 1},
+}
+
+
+@pytest.mark.parametrize("n, n0", [(4, 2), (3, 3), (2, 4)], ids=["n0<n", "n0=n", "n0>n"])
+@pytest.mark.parametrize("command", sorted(RANKS_DECIDED))
+def test_each_command_decides_each_rank_as_often_as_pinned(command, n, n0, monkeypatch):
+    # a spec read from its text keeps nothing its generation factored
+    spec = parse_problem(emit_spec(generate_example("random_ckframe", {"n": n, "n0": n0, "atoms": 12}, seed=1)))
+    decided = Counter()
+    separated_rank = linalg._separated_rank
+
+    def counted(sigma, rank_tol, name):
+        decided[name] += 1
+        return separated_rank(sigma, rank_tol, name)
+
+    for module in (linalg, atoms_duals):
+        monkeypatch.setattr(module, "_separated_rank", counted)
+    assert run_command(spec, command).status == STATUS_OK
+    assert decided == RANKS_DECIDED[command]
+
+
 def test_an_ambiguous_rank_names_its_matrix():
     # sigma(B) = (1, 3e-9): the Douglas faces take B as their raw l2
     spec = generate_example("scaled_onb", {"scales": [1.0, 3e-9]})
@@ -992,7 +1017,7 @@ def complex_matrices(draw, rows=st.integers(0, 4), cols=st.integers(0, 4), finit
 
 #: Every leaf and every inline rule of both report formats: empty dict,
 #: list and tuple, a tuple of floats, a list of strings, a float beside
-#: None, ints, both infinities, and a list of dicts.
+#: None, ints, both infinities, a list of dicts and a list holding a matrix.
 WRITTEN_SHAPES = {
     "empty_dict": {},
     "empty_list": [],
@@ -1005,6 +1030,7 @@ WRITTEN_SHAPES = {
     "floor": -math.inf,
     "upper": math.inf,
     "items": [{"x": 1.0, "y": [2, -math.inf]}, {}, {"z": None}],
+    "matrices": [np.eye(2, dtype=complex), 0.5],
 }
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 import ckframe
 from ckframe.cli import main
+from ckframe.harness import parse_problem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,6 +46,12 @@ def test_readme_command_lines_exit_as_their_comments_say(tmp_path, monkeypatch, 
         assert argv[0] == "ckframe", line
         assert main(argv[1:]) == int(comment.removeprefix(" exit ")), line
         assert capsys.readouterr().err == "", line
+
+
+def test_readme_spec_format_example_parses():
+    spec = parse_problem(code_block("### Problem-spec format", "json"))
+    assert (spec.dim_h, spec.dim_h0, spec.field_g) == (2, 2, None)
+    assert (spec.rank_tol, spec.check_tol) == (1e-10, 1e-8)
 
 
 def test_readme_names_every_exported_function_and_class():
