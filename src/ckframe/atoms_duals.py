@@ -156,9 +156,8 @@ def atom_coefficient_map(
     # the bound is finite, but m is sqrt(w) m divided by sqrt(w), which can overflow
     with np.errstate(over="ignore", invalid="ignore"):
         matrix = coords.factor(svd.vh) / np.sqrt(f.space.weight_array)[:, None]
-    return CoefficientMap(
-        matrix=_check_finite(matrix, "the atom coefficient map"), bound=coords.pinv_norm()
-    )
+    matrix = _check_finite(matrix, "the atom coefficient map")
+    return CoefficientMap(matrix=matrix, bound=coords.pinv_norm("the atom bound"))
 
 
 def verify_atomic_decomposition(
@@ -170,7 +169,9 @@ def verify_atomic_decomposition(
 
     Also checks the recorded bound constant against the actual weighted
     coefficient norms; any excess, relative to the bound, is folded into
-    the returned residual.  A zero k or bound divides by 1.
+    the returned residual.  A zero k or bound divides by 1.  Norms are taken
+    as in _scaled_mismatch; a mismatch k - T_f m or weighted coefficients
+    sqrt(w) m that are not finite raise NotRepresentable.
     """
     kk = as_operator(k)
     if m.matrix.ndim != 2:
@@ -182,18 +183,37 @@ def verify_atomic_decomposition(
         raise DimMismatch("coefficient map shape does not match field")
 
     w = f.space.weight_array
-    mismatch = kk - f.samples.T @ (w[:, None] * m.matrix)
-    # ||k|| as a frame check of the same k kept it for f; both scaled as in
-    # _pair_report, so that no square of an entry overflows
-    k_norm = f._kept.about_k(kk).norm() or 1.0
-    top = max(float(np.max(np.abs(mismatch), initial=0.0)), k_norm)
-    mismatch, k_norm = _times_two_to(-math.frexp(top)[1], mismatch, k_norm)
+    # ||k|| is read as a frame check of the same k kept it for f
+    _, mismatch, _, k_norm = _scaled_mismatch(
+        f._kept.about_k(kk), lambda: f.samples.T @ (w[:, None] * m.matrix), "the atomic mismatch"
+    )
     worst = _max_column_norm(mismatch) / k_norm
     # the weighted L2 norm of m h is the plain norm of sqrt(w) m h, whose
-    # entries are of the size of the bound, where those of m can overflow
-    worst_coeff_norm = _max_column_norm(np.sqrt(w)[:, None] * m.matrix)
-    bound_excess = max(0.0, worst_coeff_norm - m.bound) / (m.bound or 1.0)
-    return max(worst, bound_excess)
+    # entries are of the size of the bound, where those of m can overflow;
+    # it and the bound are scaled as the mismatch is
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.sqrt(w)[:, None] * m.matrix
+        top = _check_finite(np.max(np.abs(coeffs), initial=0.0), "the weighted coefficients")
+    e = -math.frexp(max(top, m.bound))[1]
+    coeffs, bound = _times_two_to(e, coeffs, m.bound)
+    excess = max(0.0, _max_column_norm(coeffs) - bound)
+    return max(worst, excess / bound if m.bound else _times_two_to(-e, excess)[0])
+
+
+def _scaled_mismatch(about: _AboutK, product, what: str) -> tuple:
+    """(max|D| / ||k||, D, k, ||k||) for D = k - product(), k from about,
+    and ||k|| read as 1 when k = 0, the last three times the power of two
+    that brings the larger of ||k|| and max|D| into [1/2, 1), so that no
+    square in a norm of them overflows, exactly but where a value is
+    subnormal.  A D or max|D| / ||k|| that is not finite raises
+    NotRepresentable naming what."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = about.k - product()
+        d_max = float(np.max(np.abs(d), initial=0.0))
+    scale = about.norm() or 1.0
+    if not math.isfinite(d_max / scale):
+        raise NotRepresentable(f"{what} is outside double precision range")
+    return d_max / scale, *_times_two_to(-math.frexp(max(d_max, scale))[1], d, about.k, scale)
 
 
 def _max_column_norm(m: np.ndarray) -> float:
@@ -291,7 +311,7 @@ def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
     # k escape range(B); rank is judged by the cutoff that decided B's rank
     if sc.size < r or sc[-1] <= rank_tol * b.top:
         raise NotInvertibleOnRange("frame operator drops rank on range(k)")
-    return _OnRange(coords.pinv_norm(), b, k_u, k_s, p, sc, qh)
+    return _OnRange(coords.pinv_norm("the lower frame bound"), b, k_u, k_s, p, sc, qh)
 
 
 def inverse_on_range(
@@ -390,7 +410,8 @@ def verify_dual_pair(
     and D's largest entry into [1/2, 1), so no square or product of
     entries overflows; the scaling is exact, so a residual in range keeps
     its bits.  g's B enters D unchecked, as S_g may underflow where D
-    does not; a D or a residual that is not finite raises NotRepresentable.
+    does not; a D, a residual or a lower_bound_cert that is not finite
+    raises NotRepresentable (a zero f's cert is the vacuous inf).
     ||k||, rank(k) and ||B_f|| of lower_bound_cert = 1 / ||B_f||^2 are
     read off k's singular values and B_f's SVD, kept for f (see
     linalg._Kept), as is the report of the last (g, tol, rank_tol) checked
@@ -417,24 +438,17 @@ def _pair_report(
 ) -> DualPairReport:
     """verify_dual_pair's report on checked operands, computed; about holds
     the answers about k that f keeps."""
-    n, n0, kk = f.dim, g.dim, about.k
+    n, n0 = f.dim, g.dim
     rank = _separated_rank(about.values(), rank_tol, "k")
-    # g's B is formed without its check: S_g can underflow where D cannot
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = kk - _whitened_matrix(f) @ _whitened_rows(g).conj()
-    _check_finite(d, "the pair mismatch k - B_f B_g*")
-    # residuals are relative to ||k|| (1 when k = 0), squared ones to its square
-    scale = about.norm() or 1.0
     # c3: <k h0, h> = integral of <h0, g(x)> <f(x), h>; c4, its adjoint
     # identity, and c5, the c4 identity in standard coordinates, read the
-    # entries of the same residual matrix
-    with np.errstate(over="ignore"):
-        d_max = float(np.max(np.abs(d), initial=0.0))
-    c3 = c4 = c5 = d_max / scale
-    if not math.isfinite(c3):
-        raise NotRepresentable("a pair residual is outside double precision range")
-    # the exact scaling of the docstring, for the norms below
-    d, kk, scale = _times_two_to(-math.frexp(max(d_max, scale))[1], d, kk, scale)
+    # entries of the same residual matrix; residuals are relative to ||k||
+    # (1 when k = 0), squared ones to its square.  g's B is formed without
+    # its check: S_g can underflow where D cannot
+    c3, d, kk, scale = _scaled_mismatch(
+        about, lambda: _whitened_matrix(f) @ _whitened_rows(g).conj(), "the pair mismatch"
+    )
+    c4 = c5 = c3
 
     # c1: k h0 = T_f <h0, g(.)>;  c2: k* h = T_g <h, f(.)>
     d_adj = d.conj().T
@@ -461,7 +475,9 @@ def _pair_report(
 
     if not all(r is None or math.isfinite(r) for r in (c1, c2, *(onto_res or ()))):
         raise NotRepresentable("a pair residual is outside double precision range")
+    # ||B_f||^2 can be subnormal: its reciprocal is refused, as inf reads as vacuous
     upper_f = _b_svd(f).top ** 2
+    cert = _check_finite(1.0 / upper_f, "the lower bound certificate") if upper_f else math.inf
     return DualPairReport(
         residual_c1=c1,
         residual_c2=c2,
@@ -470,7 +486,7 @@ def _pair_report(
         residual_c5=c5,
         holds=max(c1, c2, c3, c4, c5) <= tol,
         onto_variant_residuals=onto_res,
-        lower_bound_cert=1.0 / upper_f if upper_f > 0.0 else math.inf,
+        lower_bound_cert=cert,
         notes=tuple(notes),
     )
 
@@ -537,8 +553,9 @@ def canonical_dual(
         )
 
     lower_bound = 1.0 / on.b.top**2
+    # checked as a margin is: the square can overflow where A does not
     with np.errstate(over="ignore"):
-        upper_bound = float((on.k_s[0] / on.k_s[-1] * on.x) ** 2)
+        upper_bound = float(_check_finite((on.k_s[0] / on.k_s[-1] * on.x) ** 2, "the upper bound"))
 
     # the dual's optimal bounds as a frame against k*, decided on its own B
     best = _frame_check(dual, kk_star, rank_tol, tol, name="B of the dual field g")[0]

@@ -19,7 +19,6 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     GRAY_ZONE_FACTOR,
     OperatorMatrix,
-    _check_multiplier,
     _check_tol,
     _kept_like,
     as_operator,
@@ -67,8 +66,8 @@ def minimal_multiplier(
     NotRepresentable for a nonzero l1 unless it and its reciprocal, the
     frame check's lower bound, are both finite normal doubles.
     """
-    _, coords, included, a = _inclusion(l1, l2, rank_tol, tol, False)
-    return _multiplier(a, coords) if included else None
+    _, coords, included = _inclusion(l1, l2, rank_tol, tol, False)
+    return coords.pinv_norm("the Douglas multiplier") ** 2 if included else None
 
 
 def douglas_factor(
@@ -85,11 +84,11 @@ def douglas_factor(
     how far l1 is from range(l2).
     """
     tol = _check_tol(tol, "tol")
-    svd, coords, included, a = _inclusion(l1, l2, rank_tol, tol, True)
+    svd, coords, included = _inclusion(l1, l2, rank_tol, tol, True)
     return DouglasResult(
         included=included,
         # before the factor, which it refuses past double precision range
-        lambda_min=_multiplier(a, coords) if included else None,
+        lambda_min=coords.pinv_norm("the Douglas multiplier") ** 2 if included else None,
         # a copy the caller owns of the factor kept for l2's field
         factor=coords.factor(svd.vh).copy() if included else None,
         residual=coords.distance,
@@ -98,8 +97,7 @@ def douglas_factor(
 
 
 def _inclusion(l1, l2, rank_tol: float, tol: float, right: bool):
-    """(svd, coords, included, l1): l2's SVD ranked at rank_tol, with vh
-    when right is set, and linalg._Kept.inclusion of l1 against it, asked
+    """linalg._Kept.ask of l1 against l2, with vh when right is set, asked
     as the field whose handed-out B is l2 itself, if any (see
     linalg._kept_like), with l2 factored as it is."""
     a, b = as_operator(l1), as_operator(l2)
@@ -107,16 +105,4 @@ def _inclusion(l1, l2, rank_tol: float, tol: float, right: bool):
         raise DimMismatch(
             f"operators map into different spaces: {a.shape[0]} vs {b.shape[0]} rows"
         )
-    tol, kept = _check_tol(tol, "tol"), _kept_like(b)
-    svd = kept.b_svd(lambda: b, right).ranked(rank_tol, "l2")
-    return (svd, *kept.inclusion(svd, a, tol), a)
-
-
-def _multiplier(l1: OperatorMatrix, coords) -> float:
-    """||pinv(l2) l1||^2 off coords, l1 read against l2's SVD: it raises
-    NotRepresentable for a nonzero l1 where the frame check's lower bound,
-    its reciprocal, does (see linalg._check_multiplier)."""
-    x = coords.pinv_norm()
-    if l1.any():
-        _check_multiplier(x, "the Douglas multiplier")
-    return x**2
+    return _kept_like(b).ask(lambda: b, a, rank_tol, tol, right, "l2")

@@ -25,8 +25,6 @@ from .linalg import (
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
     OperatorMatrix,
-    _check_multiplier,
-    _check_tol,
     _Coords,
     _hand_out,
     _RankedSVD,
@@ -187,16 +185,11 @@ def _frame_check(
     """
     if kk.shape[0] != f.dim:
         raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
-    tol = _check_tol(tol, "tol")
-    b = _b_svd(f, right).ranked(rank_tol, name)
-    coords, included = f._kept.inclusion(b, kk, tol)
-    x = coords.pinv_norm() if included else None
-    degenerate = not kk.any()
-    if degenerate:
+    b, coords, included = f._kept.ask(lambda: _whitened_matrix(f), kk, rank_tol, tol, right, name)
+    if coords.zero:
         lower = math.inf
     elif included:
-        _check_multiplier(x, "the lower frame bound")
-        lower = float(np.float64(x) ** -2)
+        lower = float(np.float64(coords.pinv_norm("the lower frame bound")) ** -2)
     else:
         lower = 0.0
     report = CkFrameReport(
@@ -204,6 +197,6 @@ def _frame_check(
         range_included=included,
         is_ck_frame=included,
         residuals={"range_inclusion": coords.distance},
-        degenerate=degenerate,
+        degenerate=coords.zero,
     )
     return report, b, coords if included else None

@@ -127,11 +127,13 @@ def _as_complex(value, path: str) -> complex:
 def _as_matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
     _require(isinstance(value, list), "expected a nested array", path)
     _require(len(value) == rows, f"expected {rows} rows, got {len(value)}", path)
-    # check the shape against the data present before allocating for it
+    # check the shape against the data present before allocating for it; a
+    # row names the key cols is read from, as cols may have thousands of digits
+    name = "dim_h" if path == "field_f" else "dim_h0"
     for i, row in enumerate(value):
         _require(
             isinstance(row, list) and len(row) == cols,
-            f"expected a row of {cols} complex pairs",
+            f"expected a row of {name} complex pairs",
             f"{path}[{i}]",
         )
     fast = _matrix_from_lists(value, rows, cols)

@@ -112,18 +112,6 @@ def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _check_multiplier(coords_norm: float, what: str) -> None:
-    """Raise NotRepresentable, naming what, unless the Douglas multiplier
-    lambda_min = x^2 of x = coords_norm = ||pinv(B) k|| > 0 and the lower
-    bound A = x^-2 are both finite normal doubles.  They are one number,
-    so every face that reports either refuses the same (f, k)."""
-    with np.errstate(over="ignore", under="ignore"):
-        square = np.float64(coords_norm) ** 2
-    tiny = np.finfo(float).tiny
-    if not tiny <= square <= 1.0 / tiny:
-        raise NotRepresentable(f"{what} is outside double precision range")
-
-
 @dataclass(frozen=True)
 class _RankedSVD:
     """Thin SVD of a matrix m, or a slice of it to a separated rank r.
@@ -255,14 +243,18 @@ class _Kept:
             about = self.about = _AboutK(k)
         return about
 
-    def inclusion(self, svd: _RankedSVD, k: np.ndarray, tol: float) -> tuple[_Coords, bool]:
-        """(coords, included): k read against svd, a ranked slice of B's
-        SVD, and whether range(k) sits inside range(B) at the checked tol,
-        by Douglas's lemma."""
+    def ask(self, build, k, rank_tol: float, tol: float, right: bool, name: str) -> tuple:
+        """(svd, coords, included): B's SVD ranked at rank_tol, with vh when
+        right is set (build() returns B to factor, and name is what a
+        RankAmbiguous message calls it), k read against it, and whether
+        range(k) sits inside range(B) at tol, checked first, by Douglas's
+        lemma."""
+        tol = _check_tol(tol, "tol")
+        svd = self.b_svd(build, right).ranked(rank_tol, name)
         # kept by the rank, all that tells one rank_tol's slice from another's
         about, r = self.about_k(k), svd.s.size
         coords = about.coords.get(r) or about.coords.setdefault(r, _Coords(svd, about))
-        return coords, coords.distance <= tol
+        return svd, coords, coords.distance <= tol
 
 
 class _AboutK:
@@ -271,7 +263,7 @@ class _AboutK:
     passed, each made on first need: s and u, k's singular values and left
     vectors (see values), which the compression of S_f to range(k) reads
     (see atoms_duals._on_range, which keeps nothing of its own); coords, k
-    read against each ranked SVD of B, by its rank (see _Kept.inclusion);
+    read against each ranked SVD of B, by its rank (see _Kept.ask);
     and pair, the DualPairReport of the last g, tol and rank_tol checked
     with B's field as f, tagged with a weak reference to g (see
     verify_dual_pair)."""
@@ -305,13 +297,14 @@ class _AboutK:
 
 
 class _Coords:
-    """k read against B = U_r Sigma_r vh: proj = U_r* k, s = Sigma_r and
-    distance = ||k - U_r U_r* k|| / ||k||, the relative distance of k from
-    range(B) (0.0 when k = 0, and exactly 0.0, with no residual formed,
-    when B is onto); once asked for, x = ||pinv(B) k|| and the minimal-norm
-    factor pinv(B) k = vh* coords, of coords = Sigma_r^-1 U_r* k."""
+    """k read against B = U_r Sigma_r vh: proj = U_r* k, s = Sigma_r, zero,
+    whether k = 0, and distance = ||k - U_r U_r* k|| / ||k||, the relative
+    distance of k from range(B) (0.0 when k = 0, and exactly 0.0, with no
+    residual formed, when B is onto); once asked for, x = ||pinv(B) k|| and
+    the minimal-norm factor pinv(B) k = vh* coords, of coords =
+    Sigma_r^-1 U_r* k."""
 
-    __slots__ = ("distance", "proj", "s", "x", "pinv_k")
+    __slots__ = ("distance", "proj", "s", "zero", "x", "pinv_k")
 
     def __init__(self, svd: _RankedSVD, about: _AboutK) -> None:
         k_norm = 0.0 if svd.onto else about.norm()
@@ -322,14 +315,21 @@ class _Coords:
         self.distance = 0.0
         if k_norm > 0.0:
             self.distance = operator_norm(_check_finite(residual, "k - U_r U_r* k")) / k_norm
-        self.s, self.x, self.pinv_k = _owned(svd.s), None, None
+        self.s, self.zero, self.x, self.pinv_k = _owned(svd.s), not about.k.any(), None, None
 
-    def pinv_norm(self) -> float:
-        """x; inf when coords overflow, which _check_multiplier refuses."""
+    def pinv_norm(self, what: str) -> float:
+        """x, which the lower frame bound A = x^-2, the Douglas multiplier
+        lambda_min = x^2 and the atom bound all are: NotRepresentable,
+        naming what a face reports of it, unless k = 0 or x^2 and x^-2 are
+        both finite normal doubles, so that every face refuses the same
+        (f, k).  x is inf when coords overflow."""
         if self.x is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 coords = self.proj / self.s[:, None]
             self.x = operator_norm(coords) if np.isfinite(coords).all() else math.inf
+        tiny = np.finfo(float).tiny
+        if not (self.zero or tiny <= self.x * self.x <= 1.0 / tiny):
+            raise NotRepresentable(f"{what} is outside double precision range")
         return self.x
 
     def factor(self, vh: np.ndarray) -> np.ndarray:

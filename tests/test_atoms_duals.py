@@ -1,6 +1,8 @@
 """Atomic coefficient maps, the inverse of the frame operator on range(k),
 dual-pair verification, and the canonical dual construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -157,6 +159,22 @@ def test_verify_zero_map_against_nonzero_k():
     k = np.eye(2)
     zero = CoefficientMap(matrix=np.zeros((2, 2), dtype=complex), bound=0.0)
     assert verify_atomic_decomposition(f, k, zero) == pytest.approx(1.0)
+
+
+def test_verify_scales_a_large_finite_map_without_a_warning():
+    # sqrt(w) m and the bound are scaled by a power of two before their
+    # norms are taken, as the mismatch is, so entries of 1e170 square
+    # without overflow, and a map in range keeps its bits
+    f, k = onb_field(), np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_atomic_decomposition(f, k, CoefficientMap(np.ones((2, 2)), 0.0)) == 1.4142135623730951
+        huge = CoefficientMap(1e170 * np.ones((2, 2)), 1.0)
+        assert verify_atomic_decomposition(f, k, huge) == 1.4142135623730952e170
+        # T_f m sums two entries of 1e308: the mismatch is not finite
+        ones = SampleField(f.space, np.ones((2, 2)))
+        with pytest.raises(NotRepresentable, match="atomic mismatch"):
+            verify_atomic_decomposition(ones, k, CoefficientMap(1e308 * np.ones((2, 2)), 1.0))
 
 
 def test_verify_kernel_perturbation_leaves_residual_unchanged():
@@ -484,6 +502,28 @@ def test_a_pair_mismatch_outside_double_precision_is_refused():
     g = SampleField(space, 1e300 * np.eye(2))
     with pytest.raises(NotRepresentable, match="pair mismatch"):
         verify_dual_pair(f, g, np.eye(2))
+
+
+def test_a_dual_upper_bound_outside_double_precision_is_refused():
+    # A = x^-2 = 1e-300 is in range, but the certified upper bound
+    # (||k|| ||pinv(k)|| x)^2 = (1e7 * 1e150)^2 is not
+    f = SampleField(make_measure_space(["a", "b"], [1.0, 1.0]), 1e-150 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotRepresentable, match="upper bound"):
+            canonical_dual(f, np.diag([1.0, 1e-7]))
+
+
+def test_a_pair_lower_bound_certificate_outside_double_precision_is_refused():
+    # ||B_f||^2 = 1.5 tiny / 8 passes the check of S_f's trace but is
+    # subnormal, so 1 / ||B_f||^2 overflows: refused, not read as vacuous
+    c = np.sqrt(1.5 * np.finfo(float).tiny / 8)
+    space = make_measure_space([f"x{i}" for i in range(8)], [1.0] * 8)
+    f, g = SampleField(space, c * np.eye(8)), SampleField(space, np.eye(8) / c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotRepresentable, match="certificate"):
+            verify_dual_pair(f, g, np.eye(8))
 
 
 def test_atomic_residual_does_not_depend_on_the_scale_of_k():

@@ -136,6 +136,11 @@ HUGE_LITERAL = "9" * 5000
 DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(HUGE_LITERAL)
 
 
+# an integer literal within the limit, which the decoder reads: a message
+# that spelled it out would run to thousands of characters
+LONG_LITERAL = "9" * 4000
+
+
 def huge_at(text, path):
     """text, and what its error line names: the decoder's limit, else path."""
     return text, "invalid JSON: Exceeds the limit" if DIGIT_LIMIT else f"at '{path}'"
@@ -150,6 +155,8 @@ MALFORMED = [
     huge_at(json.dumps(BROKEN_PAIR).replace('"weights": [1.0', '"weights": [' + HUGE_LITERAL), "space.weights[0]"),
     huge_at(json.dumps(BROKEN_PAIR).replace('"dim_h": 2', '"dim_h": ' + HUGE_LITERAL), "field_f[0]"),
     huge_at(with_check_tol(HUGE_LITERAL), "tolerances.check_tol"),
+    (json.dumps(BROKEN_PAIR).replace('"dim_h": 2', '"dim_h": ' + LONG_LITERAL), "dim_h complex pairs"),
+    (json.dumps(BROKEN_PAIR).replace('"dim_h0": 2', '"dim_h0": ' + LONG_LITERAL), "dim_h0 complex pairs"),
 ]
 
 
@@ -164,7 +171,7 @@ def test_malformed_spec_exit_two(tmp_path, capsys):
         assert main(["bounds", str(path)]) == 2, text[:8]
         err = capsys.readouterr().err
         assert_one_input_error_line(err)
-        assert names in err, err[:200]
+        assert names in err and len(err) < 200, err[:200]
 
 
 @pytest.mark.parametrize("value", ["null", "{}", "0", "[]"])
@@ -508,6 +515,12 @@ EXTREME_SPECS = {
     "pair_of_subnormal_scale": (
         real_spec([1.0], [[1e-150]], [[1e-320]], [[1e-300]]),
         {"verify-pair": 1},
+    ),
+    # the dual's certified upper bound (||k|| ||pinv(k)|| x)^2 = 1e314
+    # overflows, where A = x^-2 = 1e-300 and every other face is in range
+    "dual_whose_upper_bound_overflows": (
+        real_spec([1.0, 1.0], [[1e-150, 0.0], [0.0, 1e-150]], [[1.0, 0.0], [0.0, 1e-7]]),
+        {"bounds": 0, "atoms": 0, "douglas": 0, "sandwich": 0, "dual": 1},
     ),
     # a ck-frame whose mismatch entries, about 1e284, overflow when squared
     "atoms_with_a_huge_mismatch": (

@@ -15,11 +15,13 @@ check, the atom coefficient map, the three Douglas faces, the canonical
 dual and the eigenvalue sandwich.  A face that raises gives the name of
 its error.  Problems come from the existing generator kinds."""
 
+import dataclasses
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ckframe import CkFrameError, SampleField, make_measure_space
@@ -49,20 +51,42 @@ def _outcome(call):
         return type(exc).__name__
 
 
-def verdicts(f, k) -> dict:
-    """Each face's answer to whether f reproduces k."""
-    b = whitened_synthesis_matrix(f)
+def answers(f, k) -> dict:
+    """Each face's answer to whether f reproduces k, or the name of the
+    error it raises."""
+
+    def atoms():
+        m = atom_coefficient_map(f, k)
+        return m, verify_atomic_decomposition(f, k, m)
+
     return {
-        "bounds": _outcome(lambda: ckframe_check(f, k).is_ck_frame),
-        "atoms": _outcome(
-            lambda: verify_atomic_decomposition(f, k, atom_coefficient_map(f, k)) <= TOL
-        ),
-        "range_included": _outcome(lambda: range_included(k, b)),
-        "douglas_factor": _outcome(lambda: douglas_factor(k, b).included),
-        "minimal_multiplier": _outcome(lambda: minimal_multiplier(k, b) is not None),
-        "dual": _outcome(lambda: canonical_dual(f, k).pair.holds),
-        "sandwich": _outcome(lambda: sandwich_check(f, k) >= -TOL),
+        "bounds": _outcome(lambda: ckframe_check(f, k)),
+        "atoms": _outcome(atoms),
+        "range_included": _outcome(lambda: range_included(k, whitened_synthesis_matrix(f))),
+        "douglas_factor": _outcome(lambda: douglas_factor(k, whitened_synthesis_matrix(f))),
+        "minimal_multiplier": _outcome(lambda: minimal_multiplier(k, whitened_synthesis_matrix(f))),
+        "dual": _outcome(lambda: canonical_dual(f, k)),
+        "sandwich": _outcome(lambda: sandwich_check(f, k)),
     }
+
+
+#: How each face's answer reads as a verdict.
+VERDICTS = {
+    "bounds": lambda report: report.is_ck_frame,
+    "atoms": lambda atoms: atoms[1] <= TOL,
+    "range_included": bool,
+    "douglas_factor": lambda result: result.included,
+    "minimal_multiplier": lambda lam: lam is not None,
+    "dual": lambda dual: dual.pair.holds,
+    "sandwich": lambda margin: margin >= -TOL,
+}
+
+
+def verdicts(f, k) -> dict:
+    """Each face's verdict on whether f reproduces k, or the name of the
+    error it raises."""
+    out = answers(f, k)
+    return {face: a if isinstance(a, str) else VERDICTS[face](a) for face, a in out.items()}
 
 
 def one_verdict(f, k) -> dict:
@@ -144,6 +168,50 @@ def test_rescaling_f_k_and_the_weights_keeps_the_verdict(problem, cf, pf, ck, pk
     space = make_measure_space(f.space.labels, cw * f.space.weight_array)
     scaled = SampleField(space, cf * pf * f.samples)
     assert one_verdict(scaled, ck * pk * k) == one_verdict(f, k)
+
+
+def reported_numbers(answer) -> np.ndarray:
+    """Every number in a face's answer, flattened, as complex."""
+    if isinstance(answer, SampleField):
+        answer = answer.samples
+    if dataclasses.is_dataclass(answer):
+        answer = [getattr(answer, field.name) for field in dataclasses.fields(answer)]
+    if isinstance(answer, dict):
+        answer = list(answer.values())
+    if isinstance(answer, (list, tuple)):
+        return np.concatenate([reported_numbers(a) for a in answer] + [np.zeros(0)])
+    if answer is None or isinstance(answer, (bool, str)):
+        return np.zeros(0)
+    return np.ravel(np.asarray(answer, dtype=complex))
+
+
+#: Exponents of the powers of two that rescale f, the weights and k.
+two_exponents = st.integers(-500, 500)
+
+
+@given(problems(), two_exponents, two_exponents, two_exponents)
+# the dual's certified upper bound, (1e7 * 1e150)^2, read inf
+@example(
+    problem=(SampleField(make_measure_space(["a", "b"], [1.0, 1.0]), 1e-150 * np.eye(2)), np.diag([1.0, 1e-7])),
+    a=0,
+    b=0,
+    c=0,
+)
+def test_at_extreme_scales_every_face_answers_in_range_or_refuses(problem, a, b, c):
+    # each face raises, NotRepresentable where a number it reports is
+    # outside double range, or answers with finite numbers, but for the
+    # vacuous lower bound inf of k = 0; no numpy warning escapes
+    f, k = problem
+    space = make_measure_space(f.space.labels, 2.0**b * f.space.weight_array)
+    f, k = SampleField(space, 2.0**a * f.samples), 2.0**c * k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = answers(f, k)
+    report = out["bounds"]
+    if not isinstance(report, str) and report.degenerate:
+        out["bounds"] = dataclasses.replace(report, bounds=dataclasses.replace(report.bounds, lower=0.0))
+    for face, answer in out.items():
+        assert np.isfinite(reported_numbers(answer)).all(), (face, answer)
 
 
 @given(problems(), st.integers(0, 2**16))
