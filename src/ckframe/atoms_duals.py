@@ -145,13 +145,13 @@ def atom_coefficient_map(
     NotRepresentable
         If an entry of m is outside double precision range.
     """
-    kk, tol = as_operator(k), _check_tol(tol, "tol")
-    # pinv(B) k and its norm, kept for f, are read off the same SVD
-    report, svd, coords = _frame_check(f, kk, rank_tol, tol, right=True)
+    # pinv(B) k and its norm, kept for f, are read off the same SVD, and tol
+    # is checked by the inclusion decision (see linalg._Kept.ask)
+    report, svd, coords = _frame_check(f, as_operator(k), rank_tol, tol, right=True)
     if not report.range_included:
         raise RangeNotIncluded(
             f"range inclusion residual {report.residuals['range_inclusion']:.3e} "
-            f"exceeds tolerance {tol:.1e}"
+            f"exceeds tolerance {float(tol):.1e}"
         )
     # the bound is finite, but m is sqrt(w) m divided by sqrt(w), which can overflow
     with np.errstate(over="ignore", invalid="ignore"):

@@ -5,8 +5,9 @@ report (JSON or text); `gen` writes example spec files.  Exit codes:
 0 checks passed (or vacuous/degenerate), 1 checks failed, 2 input
 error, 3 internal error.  CKFRAME_TOL overrides the default check
 tolerance; a spec's own tolerances and --tol take precedence over it.
-Each is a number in (0, inf), a spec's rank_tol one in (0, 1).  A spec
-file is read as UTF-8 (RFC 8259), whatever the locale.
+Each is a number in (0, inf), and in (0, 1) for a spec's rank_tol and for
+every command but verify-pair, which grade a range inclusion by it.  A
+spec file is read as UTF-8 (RFC 8259), whatever the locale.
 """
 
 from __future__ import annotations

@@ -17,9 +17,7 @@ from .errors import DimMismatch
 from .linalg import (
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
-    GRAY_ZONE_FACTOR,
     OperatorMatrix,
-    _check_tol,
     _kept_like,
     as_operator,
 )
@@ -66,7 +64,7 @@ def minimal_multiplier(
     NotRepresentable for a nonzero l1 unless it and its reciprocal, the
     frame check's lower bound, are both finite normal doubles.
     """
-    _, coords, included = _inclusion(l1, l2, rank_tol, tol, False)
+    _, coords, included, _ = _inclusion(l1, l2, rank_tol, tol, False)
     return coords.pinv_norm("the Douglas multiplier") ** 2 if included else None
 
 
@@ -83,8 +81,7 @@ def douglas_factor(
     minimal_multiplier).  Otherwise both are None and the result records
     how far l1 is from range(l2).
     """
-    tol = _check_tol(tol, "tol")
-    svd, coords, included = _inclusion(l1, l2, rank_tol, tol, True)
+    svd, coords, included, marginal = _inclusion(l1, l2, rank_tol, tol, True)
     return DouglasResult(
         included=included,
         # before the factor, which it refuses past double precision range
@@ -92,7 +89,7 @@ def douglas_factor(
         # a copy the caller owns of the factor kept for l2's field
         factor=coords.factor(svd.vh).copy() if included else None,
         residual=coords.distance,
-        marginal=not included and coords.distance < GRAY_ZONE_FACTOR * tol,
+        marginal=marginal,
     )
 
 

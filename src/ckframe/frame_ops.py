@@ -185,7 +185,7 @@ def _frame_check(
     """
     if kk.shape[0] != f.dim:
         raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
-    b, coords, included = f._kept.ask(lambda: _whitened_matrix(f), kk, rank_tol, tol, right, name)
+    b, coords, included, _ = f._kept.ask(lambda: _whitened_matrix(f), kk, rank_tol, tol, right, name)
     if coords.zero:
         lower = math.inf
     elif included:

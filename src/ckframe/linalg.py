@@ -70,8 +70,8 @@ def _as_number(value, path: str) -> float:
 
 def _check_tol(value, name: str, upper: float = math.inf) -> float:
     """value as a tolerance: its _as_number, if in (0, upper), else
-    ValidationError at name.  upper is inf for a tol, which grades a verdict,
-    and 1 for a rank_tol, which decides a rank: from 1 up none would count."""
+    ValidationError at name.  upper is inf for a pair's tol; 1 for a rank_tol
+    and an inclusion's tol, as from 1 up no sigma counts, every k is included."""
     tol = _as_number(value, name)
     if not 0.0 < tol < upper:
         raise ValidationError(f"tolerance must lie in (0, {upper:g}), got {tol!r}", name)
@@ -244,17 +244,19 @@ class _Kept:
         return about
 
     def ask(self, build, k, rank_tol: float, tol: float, right: bool, name: str) -> tuple:
-        """(svd, coords, included): B's SVD ranked at rank_tol, with vh when
-        right is set (build() returns B to factor, and name is what a
-        RankAmbiguous message calls it), k read against it, and whether
-        range(k) sits inside range(B) at tol, checked first, by Douglas's
-        lemma."""
-        tol = _check_tol(tol, "tol")
+        """(svd, coords, included, marginal): B's SVD ranked at rank_tol, with
+        vh when right is set (build() returns B to factor, and name is what a
+        RankAmbiguous message calls it), k read against it, and the inclusion
+        decision every face reads: range(k) sits inside range(B) when
+        coords.distance <= tol, in (0, 1) and checked first, and is marginal
+        when it does not but coords.distance < GRAY_ZONE_FACTOR * tol."""
+        tol = _check_tol(tol, "tol", 1.0)
         svd = self.b_svd(build, right).ranked(rank_tol, name)
         # kept by the rank, all that tells one rank_tol's slice from another's
         about, r = self.about_k(k), svd.s.size
         coords = about.coords.get(r) or about.coords.setdefault(r, _Coords(svd, about))
-        return svd, coords, coords.distance <= tol
+        included = coords.distance <= tol
+        return svd, coords, included, not included and coords.distance < GRAY_ZONE_FACTOR * tol
 
 
 class _AboutK:

@@ -260,6 +260,40 @@ def test_a_spec_rank_tol_from_one_up_exits_two(rank_tol, tmp_path, capsys):
     assert err.endswith("at 'tolerances.rank_tol'\n")
 
 
+#: One unit atom (1, 0) and k = e2, orthogonal to its synthesis range.
+ORTHOGONAL = {
+    "space": {"labels": ["a"], "weights": [1.0]},
+    "dim_h": 2,
+    "dim_h0": 1,
+    "field_f": [[[1, 0], [0, 0]]],
+    "operator_k": [[[0, 0]], [[1, 0]]],
+}
+
+
+@pytest.mark.parametrize("where", ["flag", "env", "spec"])
+@pytest.mark.parametrize("command", ["bounds", "atoms", "douglas", "dual", "sandwich"])
+def test_an_inclusion_tolerance_of_two_exits_two(command, where, tmp_path, monkeypatch, capsys):
+    # the distance of k from the synthesis range is at most 1: at tol = 2
+    # k = e2 counted as included, and each command failed as NotRepresentable
+    doc = dict(ORTHOGONAL, tolerances={"check_tol": 2}) if where == "spec" else ORTHOGONAL
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.delenv("CKFRAME_TOL", raising=False)
+    if where == "env":
+        monkeypatch.setenv("CKFRAME_TOL", "2")
+    assert main([command, str(path), *(["--tol", "2"] if where == "flag" else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_input_error_line(captured.err)
+    assert captured.err.endswith("tolerance must lie in (0, 1), got 2.0 at 'tol'\n")
+
+
+def test_a_pair_tolerance_of_two_is_taken(broken_pair_spec, capsys):
+    # a pair residual can exceed 1, so verify-pair grades at any positive tol
+    assert main(["verify-pair", broken_pair_spec, "--tol", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["tolerance"] == 2.0
+
+
 def test_invalid_env_tolerance_exit_two(onb_spec, monkeypatch, capsys):
     monkeypatch.setenv("CKFRAME_TOL", "tight")
     assert main(["bounds", onb_spec]) == 2

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from ckframe import RankAmbiguous
-from ckframe.atoms_duals import atom_coefficient_map, canonical_dual, sandwich_check
+from ckframe.atoms_duals import (
+    atom_coefficient_map,
+    canonical_dual,
+    sandwich_check,
+    verify_atomic_decomposition,
+)
 from ckframe.cli import main
 from ckframe.douglas import minimal_multiplier
 from ckframe.frame_ops import ckframe_check, frame_operator, whitened_synthesis_matrix
@@ -48,14 +53,32 @@ def test_the_monomials_on_the_interval_meet_their_closed_forms(n, half):
     report = ckframe_check(f, k)
     assert report.is_ck_frame
     lambda_min = minimal_multiplier(k, whitened_synthesis_matrix(f))
-    bound = atom_coefficient_map(f, k).bound
-    faces = {"A": report.bounds.lower, "1/lambda_min": 1.0 / lambda_min, "bound^-2": bound**-2}
+    cmap = atom_coefficient_map(f, k)
+    faces = {"A": report.bounds.lower, "1/lambda_min": 1.0 / lambda_min, "bound^-2": cmap.bound**-2}
     for name, a in faces.items():
         assert abs(a - exact_a) <= grade * exact_a, name
     assert abs(report.bounds.upper - exact_upper) <= grade * exact_upper
+    # the reconstruction residual is rounding, about eps kappa(B), and no
+    # grade of the inclusion, which the map's existence already is
+    assert verify_atomic_decomposition(f, k, cmap) <= grade
 
     assert canonical_dual(f, k).pair.max_residual() <= grade
     assert sandwich_check(f, k) >= -DEFAULT_CHECK_TOL
+
+
+def test_the_monomials_at_n_11_are_included_by_every_inclusion_face_below_their_rounding(tmp_path, capsys):
+    # at tol = 1e-9 the reconstruction residual, about eps kappa(B) = 1.1e-9,
+    # exceeds tol while k's distance from range(B) is exactly 0.0: atoms
+    # reads the inclusion decision, as bounds and douglas do
+    f, k = monomial_interval(11, 11)
+    path = tmp_path / "monomials.json"
+    path.write_text(emit_spec(ProblemSpec(space=f.space, field_f=f, operator_k=k)))
+    results = {}
+    for command in ("bounds", "atoms", "douglas"):
+        assert main([command, str(path), "--tol", "1e-9"]) == 0, command
+        results[command] = json.loads(capsys.readouterr().out)["results"]
+    assert results["bounds"]["residuals"]["range_inclusion"] == 0.0
+    assert results["atoms"]["reconstruction_residual"] > 1e-9
 
 
 def test_the_monomials_at_n_12_leave_the_rank_of_b_ambiguous(tmp_path, capsys):

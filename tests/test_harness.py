@@ -858,8 +858,6 @@ def verdict(call, spec, tol):
     """What call(spec, tol) returns, or the library error it raises, as text."""
     try:
         out = call(spec, tol)
-    except ValidationError:
-        raise
     except CkFrameError as exc:
         return type(exc).__name__, str(exc)
     return repr((out.status, out.results) if isinstance(out, RunReport) else out)
@@ -872,7 +870,26 @@ def verdict(call, spec, tol):
 @pytest.mark.parametrize("taker", sorted(TOLERANCE_TAKERS))
 def test_a_numpy_or_fraction_tolerance_grades_as_the_equal_float(taker, spec, tol):
     call = TOLERANCE_TAKERS[taker][0]
-    assert verdict(call, spec(), tol) == verdict(call, spec(), float(tol))
+    expected = verdict(call, spec(), float(tol))
+    # an integer tolerance is 1 or more, which only the pair check takes
+    refused = tol >= 1 and taker != "verify_dual_pair"
+    assert (expected[0] == "ValidationError") == refused, expected
+    assert verdict(call, spec(), tol) == expected
+
+
+@pytest.mark.parametrize("tol", [1.0, 2.0], ids=["one", "above-one"])
+@pytest.mark.parametrize("taker", sorted(TOLERANCE_TAKERS))
+def test_an_inclusion_tolerance_must_lie_below_one(taker, tol):
+    # the relative distance of k from range(B) is at most 1, so from 1 up
+    # every k would count as included; the pair residuals can exceed 1
+    call = TOLERANCE_TAKERS[taker][0]
+    if taker == "verify_dual_pair":
+        assert call(dual_pair_spec(), tol).holds
+        assert run_command(dual_pair_spec(), "verify-pair", tol_override=tol).status == STATUS_OK
+        return
+    with pytest.raises(ValidationError, match=r"^tolerance must lie in \(0, 1\)") as exc:
+        call(leaky_spec(), tol)
+    assert exc.value.path == "tol"
 
 
 #: Each entry point that decides a rank by rank_tol, called on f = diag(1, 2)
