@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import BadParams, CkFrameError, ParseError, UnknownKind, ValidationError
 from .harness import (
+    _CHECK_TOL_UPPERS,
     _RUNNERS,
     _WRITERS,
     GENERATOR_KINDS,
@@ -69,13 +70,14 @@ def main(argv=None) -> int:
             _write(args.out, emit_spec(spec))
             return 0
 
-        tol = None if args.tol is None else _check_tol(args.tol, "--tol")
+        upper = _CHECK_TOL_UPPERS[args.command]
+        tol = None if args.tol is None else _check_tol(args.tol, "--tol", upper)
         env_tol = os.environ.get("CKFRAME_TOL")
         try:
             default_tol = float(env_tol) if env_tol is not None else DEFAULT_CHECK_TOL
         except ValueError as exc:
             raise ValidationError(f"CKFRAME_TOL is not a number: {env_tol!r}") from exc
-        default_tol = _check_tol(default_tol, "CKFRAME_TOL")
+        default_tol = _check_tol(default_tol, "CKFRAME_TOL", upper)
         try:
             text = Path(args.spec).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, _as_number, _check_tol, as_operator
-from .measure import MeasureSpace, SampleField, _same_space, make_measure_space
+from .measure import MeasureSpace, SampleField, _frozen_array, _same_space, make_measure_space
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -48,7 +48,8 @@ class ProblemSpec:
     """Parsed problem instance: its fields live over space, else
     SpaceMismatch; operator_k is field_f.dim x field_g.dim (at least one
     column without a g), else DimMismatch, and finite, else ValueError, as
-    a field's samples are; a tolerance given is kept as the float
+    a field's samples are, and is kept, as they are, read-only over
+    immutable bytes; a tolerance given is kept as the float
     linalg._check_tol makes of it, rank_tol in (0, 1) and check_tol in
     (0, inf), else ValidationError at tolerances.<name>; so
     parse(emit(s)) == s."""
@@ -71,6 +72,7 @@ class ProblemSpec:
             raise DimMismatch("operator_k must have at least one column")
         if not np.isfinite(self.operator_k).all():
             raise ValueError("operator_k must be finite")
+        object.__setattr__(self, "operator_k", _frozen_array(self.operator_k, complex))
         for key, upper in _TOLERANCE_UPPERS.items():
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, _check_tol(getattr(self, key), f"tolerances.{key}", upper))
@@ -94,9 +96,9 @@ class RunReport:
     """Result envelope for one command run.
 
     results holds the command's values as its runner returned them: dicts,
-    lists, floats, bools, strings and None, with each matrix a 2-D complex
-    ndarray.  A vacuously infinite bound is math.inf, which both writers
-    print as "unbounded".  emit_report serializes them.
+    lists, tuples, floats, bools, strings and None, with each matrix a 2-D
+    complex ndarray.  A vacuously infinite bound is math.inf, which both
+    writers print as "unbounded".  emit_report serializes them.
     """
 
     command: str
@@ -437,15 +439,8 @@ def emit_report(report: RunReport, fmt: str = "json") -> str:
 def _bounds_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
     """Optimal frame bounds and range inclusion for (field_f, operator_k)."""
     report = frame_ops.ckframe_check(spec.field_f, spec.operator_k, rank_tol, tol)
-    results = {
-        "lower": report.bounds.lower,
-        "upper": report.bounds.upper,
-        "kind": report.bounds.kind,
-        "range_included": report.range_included,
-        "is_ck_frame": report.is_ck_frame,
-        "degenerate": report.degenerate,
-        "residuals": report.residuals,
-    }
+    results = {**vars(report), **vars(report.bounds)}  # the report's fields, bounds spelled out
+    del results["bounds"]
     if report.degenerate:
         return STATUS_DEGENERATE, results
     return (STATUS_OK if report.is_ck_frame else STATUS_FAILED), results
@@ -480,23 +475,8 @@ def _verify_pair_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tupl
     """Check the five dual-pair identities for (field_f, field_g, operator_k)."""
     if spec.field_g is None:
         raise ValidationError("verify-pair requires field_g", "field_g")
-    pair = atoms_duals.verify_dual_pair(
-        spec.field_f, spec.field_g, spec.operator_k, tol, rank_tol
-    )
-    onto = pair.onto_variant_residuals
-    results = {
-        "residual_c1": pair.residual_c1,
-        "residual_c2": pair.residual_c2,
-        "residual_c3": pair.residual_c3,
-        "residual_c4": pair.residual_c4,
-        "residual_c5": pair.residual_c5,
-        "holds": pair.holds,
-        "lower_bound_cert": pair.lower_bound_cert,
-        "onto_variant_residuals": list(onto) if onto is not None else None,
-        "notes": list(pair.notes),
-        "tolerance": tol,
-    }
-    return (STATUS_OK if pair.holds else STATUS_FAILED), results
+    pair = atoms_duals.verify_dual_pair(spec.field_f, spec.field_g, spec.operator_k, tol, rank_tol)
+    return (STATUS_OK if pair.holds else STATUS_FAILED), {**vars(pair), "tolerance": tol}
 
 
 def _douglas_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
@@ -504,15 +484,8 @@ def _douglas_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[st
     l2 = frame_ops.whitened_synthesis_matrix(spec.field_f)
     result = douglas.douglas_factor(spec.operator_k, l2, rank_tol, tol)
     agree = result.included == (result.factor is not None) == (result.lambda_min is not None)
-    results = {
-        "included": result.included,
-        "residual": result.residual,
-        "marginal": result.marginal,
-        "factor": result.factor,
-        "lambda_min": result.lambda_min,
-        "predicates_agree": agree,
-    }
-    return (STATUS_OK if agree and result.included else STATUS_FAILED), results
+    status = STATUS_OK if agree and result.included else STATUS_FAILED
+    return status, {**vars(result), "predicates_agree": agree}
 
 
 def _sandwich_results(spec: ProblemSpec, rank_tol: float, tol: float) -> tuple[str, dict]:
@@ -534,6 +507,9 @@ _RUNNERS = {
     "sandwich": _sandwich_results,
 }
 COMMANDS = tuple(_RUNNERS)
+#: Each command's check tolerance lies in (0, upper): every command but
+#: verify-pair grades a range inclusion by it, a relative distance of at most 1.
+_CHECK_TOL_UPPERS = {**dict.fromkeys(_RUNNERS, 1.0), "verify-pair": math.inf}
 
 
 def run_command(
@@ -545,17 +521,21 @@ def run_command(
     """Execute one command against a spec and wrap the outcome.
 
     Tolerance resolution: explicit override, else the spec's check_tol,
-    else the supplied default; a tol_override or default_tol that
-    linalg._check_tol refuses raises ValidationError naming it.  Library
-    errors become status=failed with the originating error class name in
-    the results; schema errors (e.g. verify-pair without field_g) propagate.
+    else the supplied default.  default_tol, and the one of the other two
+    that is used, must lie below the command's _CHECK_TOL_UPPERS, else
+    ValidationError at tol_override, tolerances.check_tol or default_tol.
+    Library errors become status=failed with the originating error class
+    name in the results; schema errors (e.g. verify-pair without field_g)
+    propagate.
     """
     if command not in _RUNNERS:
         raise ValidationError(f"unknown command '{command}'", "command")
-    default_tol = _check_tol(default_tol, "default_tol")
-    tol = _check_tol(tol_override, "tol_override") if tol_override is not None else (
-        spec.check_tol if spec.check_tol is not None else default_tol
-    )
+    upper = _CHECK_TOL_UPPERS[command]
+    tol = _check_tol(default_tol, "default_tol", upper)
+    if tol_override is not None:
+        tol = _check_tol(tol_override, "tol_override", upper)
+    elif spec.check_tol is not None:
+        tol = _check_tol(spec.check_tol, "tolerances.check_tol", upper)
     rank_tol = spec.rank_tol if spec.rank_tol is not None else DEFAULT_RANK_TOL
     digest = spec_digest(spec)
     start = time.perf_counter()

@@ -270,7 +270,17 @@ ORTHOGONAL = {
 }
 
 
-@pytest.mark.parametrize("where", ["flag", "env", "spec"])
+#: Where an inclusion tolerance of 2 comes in, and the name it is refused at:
+#: CKFRAME_TOL is checked whenever it is set, also under a --tol that overrides it.
+INCLUSION_TOL_SOURCES = {
+    "flag": "--tol",
+    "env": "CKFRAME_TOL",
+    "env-under-flag": "CKFRAME_TOL",
+    "spec": "tolerances.check_tol",
+}
+
+
+@pytest.mark.parametrize("where", INCLUSION_TOL_SOURCES)
 @pytest.mark.parametrize("command", ["bounds", "atoms", "douglas", "dual", "sandwich"])
 def test_an_inclusion_tolerance_of_two_exits_two(command, where, tmp_path, monkeypatch, capsys):
     # the distance of k from the synthesis range is at most 1: at tol = 2
@@ -279,13 +289,14 @@ def test_an_inclusion_tolerance_of_two_exits_two(command, where, tmp_path, monke
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     monkeypatch.delenv("CKFRAME_TOL", raising=False)
-    if where == "env":
+    if where.startswith("env"):
         monkeypatch.setenv("CKFRAME_TOL", "2")
-    assert main([command, str(path), *(["--tol", "2"] if where == "flag" else [])]) == 2
+    flag = {"flag": ["--tol", "2"], "env-under-flag": ["--tol", "1e-8"]}.get(where, [])
+    assert main([command, str(path), *flag]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_one_input_error_line(captured.err)
-    assert captured.err.endswith("tolerance must lie in (0, 1), got 2.0 at 'tol'\n")
+    assert captured.err.endswith(f"tolerance must lie in (0, 1), got 2.0 at '{INCLUSION_TOL_SOURCES[where]}'\n")
 
 
 def test_a_pair_tolerance_of_two_is_taken(broken_pair_spec, capsys):

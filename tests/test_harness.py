@@ -1,5 +1,6 @@
 """Problem-spec JSON schema, example generators, and command dispatch."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -25,9 +26,15 @@ from ckframe import (
     make_measure_space,
 )
 from ckframe import atoms_duals, harness, linalg
-from ckframe.atoms_duals import atom_coefficient_map, canonical_dual, sandwich_check, verify_dual_pair
-from ckframe.douglas import douglas_factor, minimal_multiplier, range_included
-from ckframe.frame_ops import ckframe_check, frame_operator, whitened_synthesis_matrix
+from ckframe.atoms_duals import (
+    DualPairReport,
+    atom_coefficient_map,
+    canonical_dual,
+    sandwich_check,
+    verify_dual_pair,
+)
+from ckframe.douglas import DouglasResult, douglas_factor, minimal_multiplier, range_included
+from ckframe.frame_ops import CkFrameReport, FrameBounds, ckframe_check, frame_operator, whitened_synthesis_matrix
 from ckframe.harness import (
     COMMANDS,
     GENERATOR_KINDS,
@@ -432,6 +439,21 @@ def test_a_spec_refuses_an_operator_that_its_text_could_not_carry(k, error):
     with pytest.raises(error) as refused:
         ProblemSpec(space=base.space, field_f=base.field_f, operator_k=k)
     assert type(refused.value) is error
+
+
+def test_a_spec_keeps_operator_k_read_only():
+    # as a field keeps its samples: parsed, generated or built, k cannot be
+    # written through the spec, nor the spec through the caller's array
+    base = minimal_spec()
+    k = np.eye(2)
+    built = ProblemSpec(space=base.space, field_f=base.field_f, operator_k=k)
+    for spec in (base, generate_example("random_ckframe", {}), built):
+        with pytest.raises(ValueError):
+            spec.operator_k[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            spec.operator_k.flags.writeable = True
+    k[0, 0] = 5.0
+    assert built.operator_k[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -882,14 +904,14 @@ def test_a_numpy_or_fraction_tolerance_grades_as_the_equal_float(taker, spec, to
 def test_an_inclusion_tolerance_must_lie_below_one(taker, tol):
     # the relative distance of k from range(B) is at most 1, so from 1 up
     # every k would count as included; the pair residuals can exceed 1
-    call = TOLERANCE_TAKERS[taker][0]
+    call, name = TOLERANCE_TAKERS[taker]
     if taker == "verify_dual_pair":
         assert call(dual_pair_spec(), tol).holds
         assert run_command(dual_pair_spec(), "verify-pair", tol_override=tol).status == STATUS_OK
         return
     with pytest.raises(ValidationError, match=r"^tolerance must lie in \(0, 1\)") as exc:
         call(leaky_spec(), tol)
-    assert exc.value.path == "tol"
+    assert exc.value.path == name
 
 
 #: Each entry point that decides a rank by rank_tol, called on f = diag(1, 2)
@@ -1097,6 +1119,41 @@ def assert_written_as_reference(results):
 @example({"shapes": WRITTEN_SHAPES, "m": np.eye(2, dtype=complex), "list": [WRITTEN_SHAPES]})
 def test_report_bytes_match_the_element_by_element_writer(results):
     assert_written_as_reference(results)
+
+
+#: A dual pair whose k = e1 maps H0 = C into H = C^2: k* is onto and k is
+#: not, so onto_variant_residuals holds a None beside a residual.
+HALF_ONTO_PAIR = {
+    "space": {"labels": ["a", "b"], "weights": [2.0, 0.5]},
+    "dim_h": 2,
+    "dim_h0": 1,
+    "field_f": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    "operator_k": [[[1, 0]], [[0, 0]]],
+    "field_g": [[[0.5, 0]], [[0, 0]]],
+}
+
+
+def field_names(cls) -> set:
+    return {field.name for field in dataclasses.fields(cls)}
+
+
+#: Each report's keys: its result object's fields and the one key it adds.
+REPORT_KEYS = {
+    "bounds": field_names(CkFrameReport) - {"bounds"} | field_names(FrameBounds),
+    "douglas": field_names(DouglasResult) | {"predicates_agree"},
+    "verify-pair": field_names(DualPairReport) | {"tolerance"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_KEYS))
+def test_a_report_takes_its_keys_from_its_result_object(command):
+    report = run_command(parse_problem(json.dumps(HALF_ONTO_PAIR)), command)
+    assert report.status == STATUS_OK
+    assert set(report.results) == REPORT_KEYS[command]
+    if command == "verify-pair":
+        assert report.results["onto_variant_residuals"][0] is None
+    for fmt in ("json", "text"):
+        assert emit_report(report, fmt) == reference_emit_report(report, fmt)
 
 
 @pytest.mark.parametrize(
