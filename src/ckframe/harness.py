@@ -18,6 +18,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
@@ -52,7 +53,8 @@ class ProblemSpec:
     immutable bytes; a tolerance given is kept as the float
     linalg._check_tol makes of it, rank_tol in (0, 1) and check_tol in
     (0, inf), else ValidationError at tolerances.<name>; so
-    parse(emit(s)) == s."""
+    parse(emit(s)) == s.  As every field is immutable, the spec keeps its
+    spec_digest once taken."""
 
     space: MeasureSpace
     field_f: SampleField
@@ -84,6 +86,15 @@ class ProblemSpec:
     @property
     def dim_h0(self) -> int:
         return int(self.operator_k.shape[1])
+
+    @cached_property
+    def _digest(self) -> str:
+        """spec_digest of this spec, taken on first use; no dataclass
+        field, so fields() and repr skip it."""
+        digest = hashlib.sha256()
+        for chunk in _spec_chunks(self):
+            digest.update(chunk.encode())
+        return "sha256:" + digest.hexdigest()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProblemSpec):
@@ -290,11 +301,9 @@ def emit_spec(spec: ProblemSpec) -> str:
 
 
 def spec_digest(spec: ProblemSpec) -> str:
-    """sha256 of the canonical spec text, hashed chunk by chunk."""
-    digest = hashlib.sha256()
-    for chunk in _spec_chunks(spec):
-        digest.update(chunk.encode())
-    return "sha256:" + digest.hexdigest()
+    """sha256 of the canonical spec text, hashed chunk by chunk once per
+    spec, which keeps it."""
+    return spec._digest
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +673,9 @@ def generate_example(kind: str, params: dict, seed: int = 0) -> ProblemSpec:
             mix = rng.standard_normal((atoms, n0)) + 1j * rng.standard_normal((atoms, n0))
             k = frame_ops.synthesis_matrix(field_f) @ mix
             spec = ProblemSpec(space=space, field_f=field_f, operator_k=k)
-            check = frame_ops.ckframe_check(field_f, k)
+            # checked on a field of its own: a generated spec, as a parsed
+            # one, holds no kept answers
+            check = frame_ops.ckframe_check(SampleField(space, field_f.samples), k)
             if not check.is_ck_frame:
                 raise BadParams(
                     "generated instance failed its own frame check; "

@@ -119,15 +119,19 @@ class _RankedSVD:
     u (rows, ·), s (·,) descending and w (·, ·) are the factors of the one
     SVD taken (see _thin_svd): of m itself when m is square or tall, where
     w is also m's right factor vh; of the triangular factor R.T of a wide
-    m = R.T Q.T, where vh = w Q.T is None until it is asked for.  u, s and
-    w are the same bits whether or not vh was formed.  ranked slices all
-    four to the rank decided on s, so every rank_tol reads the one SVD.
+    m = R.T Q.T, where vh = w Q.T is None until it is asked for, and
+    reflectors holds Q as the Householder factorization left it, (h, tau)
+    of np.linalg.qr(m.T, mode="raw"), until then.  u, s and w are the same
+    bits whether or not vh was formed.  ranked slices u, s, w and vh to the
+    rank decided on s, so every rank_tol reads the one SVD; a slice keeps
+    no reflectors, as vh is formed on the unranked w only.
     """
 
     u: np.ndarray
     s: np.ndarray
     w: np.ndarray
     vh: Optional[np.ndarray] = None
+    reflectors: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def top(self) -> float:
@@ -151,19 +155,37 @@ class _RankedSVD:
 
     def owned(self) -> _RankedSVD:
         """The same factorization with owned read-only arrays: holding it
-        keeps none of LAPACK's output buffers alive."""
+        keeps none of LAPACK's output buffers alive but the reflectors,
+        which are not copied: h views the one array the factorization wrote
+        them to, which holds nothing else."""
         w = _owned(self.w)
         vh = w if self.vh is self.w else None if self.vh is None else _owned(self.vh)
-        return _RankedSVD(_owned(self.u), _owned(self.s), w, vh)
+        for a in self.reflectors or ():
+            a.setflags(write=False)
+        return _RankedSVD(_owned(self.u), _owned(self.s), w, vh, self.reflectors)
 
-    def with_vh(self, m) -> _RankedSVD:
-        """This factorization of m with vh formed.  A wide m takes only the
-        reduced QR of its transpose, for Q: its R is the same bits as the
-        one factored before (see _thin_svd), so w Q.T pairs with u."""
+    def with_vh(self) -> _RankedSVD:
+        """This factorization with vh formed, and its reflectors dropped.
+
+        A wide m's vh.T = Q w.T is the product of the kept Householder
+        reflectors in compact-WY form (Joffrain et al., "Accumulating
+        Householder transformations, revisited", ACM TOMS 32(2), 2006):
+        Q = I - V T V*, with V the unit lower-trapezoidal reflector block,
+        V_1 its top square, and T = (I + diag(tau) striu(V* V))^-1 diag(tau),
+        so that vh.T = [w.T; 0] - V T (V_1* w.T).  Its one solve, of a unit
+        upper-triangular system, divides by no tau, which LAPACK sets to 0
+        for a zero subcolumn."""
         if self.vh is not None:
             return self
-        q = np.linalg.qr(as_operator(m).T)[0]
-        return replace(self, vh=self.w @ q.T)
+        h, tau = self.reflectors
+        rows = h.shape[0]  # h is V.T above its diagonal, R.T on and below it
+        vt = np.triu(h, 1)
+        vt[:, :rows] += np.eye(rows)
+        unit = np.eye(rows) + tau[:, None] * np.triu(vt.conj() @ vt.T, 1)
+        y = np.linalg.solve(unit, tau[:, None] * (vt[:, :rows].conj() @ self.w.T))
+        vh = -(y.T @ vt)
+        vh[:, :rows] += self.w
+        return replace(self, vh=vh, reflectors=None)
 
 
 def _thin_svd(a: np.ndarray, right: bool = False) -> _RankedSVD:
@@ -173,17 +195,20 @@ def _thin_svd(a: np.ndarray, right: bool = False) -> _RankedSVD:
     A wide a (more columns than rows) is factored through the QR of its
     transpose, as in Chan's R-SVD (Golub and Van Loan, Matrix Computations,
     4th ed., 8.6): a.T = Q R gives a = R.T Q.T, whose rows of Q.T are
-    orthonormal, so the SVD U Sigma W* of the square R.T gives a's u and s,
-    and vh = W* Q.T costs the orthogonal factor Q only when right is set.
-    R comes off the same Householder factorization in both modes, so u, s
-    and w are bit-identical whether or not vh is formed.
+    orthonormal, so the SVD U Sigma W* of the square R.T gives a's u and s.
+    The one Householder factorization is kept in raw form, R in its upper
+    triangle and Q's reflectors below it, so vh = W* Q.T is formed from
+    them only when right is set or vh is later asked for (see
+    _RankedSVD.with_vh): u, s and w are the same bits either way.
     """
     if a.shape[0] >= a.shape[1]:
         u, s, w = np.linalg.svd(a, full_matrices=False)
         return _RankedSVD(u, s, w, w)
-    q, tri = np.linalg.qr(a.T) if right else (None, np.linalg.qr(a.T, mode="r"))
-    u, s, w = np.linalg.svd(tri.T, full_matrices=False)
-    return _RankedSVD(u, s, w, None if q is None else w @ q.T)
+    h, tau = np.linalg.qr(a.T, mode="raw")
+    # R is the upper triangle of h.T's top square, bit for bit mode "r"'s
+    u, s, w = np.linalg.svd(np.triu(h.T[: a.shape[0]]).T, full_matrices=False)
+    svd = _RankedSVD(u, s, w, None, (h, tau))
+    return svd.with_vh() if right else svd
 
 
 def _owned(a: np.ndarray) -> np.ndarray:
@@ -207,15 +232,17 @@ class _Kept:
     again factors nothing.  Each live field owns one (see SampleField._kept),
     which a Douglas face given the B handed out for it reads (see
     _kept_like).  svd is B's one thin SVD (see _thin_svd), taken before any
-    rank is decided, whose vh is formed from the kept w once a caller reads
-    it: each rank_tol's ranked SVD is a slice of it, and ||B|| is its
-    sigma_max for every caller.  B is not held: whoever asks passes a
-    function that builds it.  about holds the answers about the last
-    operator k asked about.  The same LAPACK call on the same bytes returns
-    the same bits, so a kept answer is bit-identical to computing it again;
-    a computation that raises keeps nothing.  Threads asking at once can at
-    worst compute an answer twice, as each fills only the _AboutK of its
-    own k, which another k replaces whole.  No kept array is handed out.
+    rank is decided, whose vh is formed from the kept w and, for a wide B,
+    the reflectors of its one QR, the size of B, once a caller reads it:
+    each rank_tol's ranked SVD is a slice of it, and ||B|| is its sigma_max
+    for every caller.  B is not held: whoever asks passes a function that
+    builds it, which only the first ask calls.  about holds the answers
+    about the last operator k asked about.  The same LAPACK call on the
+    same bytes returns the same bits, so a kept answer is bit-identical to
+    computing it again; a computation that raises keeps nothing.  Threads
+    asking at once can at worst compute an answer twice, as each fills only
+    the _AboutK of its own k, which another k replaces whole.  No kept array
+    is handed out.
     """
 
     __slots__ = ("svd", "about", "__weakref__")
@@ -226,13 +253,16 @@ class _Kept:
 
     def b_svd(self, build, right: bool = False) -> _RankedSVD:
         """B's one thin SVD, unranked, with vh when right is set, formed from
-        the kept w (see _RankedSVD.with_vh); build() returns B to factor."""
+        the kept reflectors and w (see _RankedSVD.with_vh), cold or warm,
+        so it is the same bits whichever question came first; build()
+        returns B to factor, which only the first ask does."""
         svd = self.svd
-        if svd is None or (right and svd.vh is None):
-            b = build()
-            svd = (_thin_svd(b, right) if svd is None else svd.with_vh(b)).owned()
-            if self.svd is None or self.svd.vh is None:
-                self.svd = svd
+        if svd is None:
+            svd = _thin_svd(build()).owned()
+        if right and svd.vh is None:
+            svd = svd.with_vh().owned()
+        if self.svd is None or self.svd.vh is None:
+            self.svd = svd
         return svd
 
     def about_k(self, k: np.ndarray) -> _AboutK:

@@ -21,6 +21,7 @@ import itertools
 import pickle
 import struct
 import sys
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -37,6 +38,7 @@ from ckframe import (
     RankAmbiguous,
     SampleField,
     atoms_duals,
+    cli,
     frame_ops,
     make_measure_space,
 )
@@ -154,7 +156,7 @@ def kept_objects(x) -> list:
 def qr_modes(monkeypatch, b=None) -> list:
     """The mode of each np.linalg.qr from now on of the transpose of the
     wide matrix b (of any matrix when b is None), which is how a wide B is
-    factored: "r" for its left factor alone, "reduced" when vh is formed."""
+    factored: "raw", once, whose reflectors later form vh without a QR."""
     modes = []
     qr = np.linalg.qr
 
@@ -204,7 +206,7 @@ def test_a_second_call_on_a_field_takes_no_svd_of_b(monkeypatch):
     modes = qr_modes(monkeypatch, b)
 
     ckframe_check(f, k)
-    assert modes == ["r"]
+    assert modes == ["raw"]
     # the sandwich command alone takes 7 and a qr on a cold field: after the
     # check, only the SVDs of k, of its compression and of the sandwich remain
     counts.clear()
@@ -216,19 +218,20 @@ def test_a_second_call_on_a_field_takes_no_svd_of_b(monkeypatch):
     for name in ("cframe_bounds", "inverse_on_range", "subspace_cframe_margin"):
         ENTRY_POINTS[name](f, k)
         assert not modes, name
-    # the dual is read off vh: the first call forms it with the Q of one
-    # reduced QR, and f keeps it
+    # the dual is read off vh: the first call forms it from the reflectors
+    # kept by the check, with no QR and no build of B, and f keeps it
+    built = counted_builds(monkeypatch)
     canonical_dual(f, k)
-    assert modes == ["reduced"]
-    modes.clear()
+    assert not modes
+    assert f not in built
     canonical_dual(f, k)
     assert not modes
 
 
 def test_atoms_takes_its_own_full_svd_and_reseeds(monkeypatch):
     # the coefficient map is read off vh: atoms forms it once from the kept
-    # w and the Q of one more QR, f keeps it, and douglas_factor reads it;
-    # the checks never form it
+    # w and reflectors, with no second QR, f keeps it, and douglas_factor
+    # reads it; the checks never form it
     text = emit_spec(generate_example("random_ckframe", {}))
     spec = parse_problem(text)
     f, k = spec.field_f, spec.operator_k
@@ -239,8 +242,9 @@ def test_atoms_takes_its_own_full_svd_and_reseeds(monkeypatch):
     assert kept_factor(f).w.shape == (f.dim, f.dim)
     counts = counted_factorizations(monkeypatch)
     atom_coefficient_map(f, k)
-    assert dict(counts) == {"qr": 1}
-    assert modes == ["r", "reduced"]
+    assert not counts
+    assert modes == ["raw"]
+    assert kept_factor(f).reflectors is None
     modes.clear()
     atom_coefficient_map(f, k)
     douglas_factor(k, b)
@@ -252,7 +256,7 @@ def test_atoms_takes_its_own_full_svd_and_reseeds(monkeypatch):
     atom_coefficient_map(cold.field_f, cold.operator_k)
     ckframe_check(cold.field_f, cold.operator_k)
     cframe_bounds(cold.field_f)
-    assert modes == ["reduced"]
+    assert modes == ["raw"]
     assert bits(kept_factor(cold.field_f)) == bits(kept_factor(f))
 
 
@@ -268,11 +272,66 @@ def test_the_left_factor_is_the_same_bits_with_or_without_vh(shape):
         assert bits((left.u, left.s, left.top, left.w)) == bits(
             (with_vh.u, with_vh.s, with_vh.top, with_vh.w)
         )
-        # vh formed later from the kept w is the one formed at once
-        assert bits(left.with_vh(b)) == bits(with_vh)
+        # vh formed later from the kept reflectors and the unranked w, then
+        # ranked, is the one formed at once
+        later = _thin_svd(b).with_vh().ranked(DEFAULT_RANK_TOL, "b")
+        assert bits(later) == bits(with_vh)
         r = with_vh.s.size
         assert np.allclose(with_vh.vh @ with_vh.vh.conj().T, np.eye(r), atol=1e-13)
         assert np.allclose((with_vh.u * with_vh.s) @ with_vh.vh, b, atol=1e-13 * with_vh.top)
+
+
+def wide_b(case: str) -> np.ndarray:
+    """A wide B whose Householder factorization of B.T is a corner case."""
+    rng = np.random.default_rng(len(case))
+    if case == "zero column":
+        b = crandn(rng, 3, 8)
+        b[:, 2] = 0.0
+        return b
+    if case == "zero":
+        return np.zeros((3, 8), dtype=complex)
+    if case == "duplicated atoms":
+        # an orthonormal basis with its last atom split into two half-weight
+        # copies: the first reflectors meet zero subcolumns, so tau = 0
+        f = SampleField(make_measure_space("abcd", [1.0, 1.0, 0.5, 0.5]), np.eye(3)[[0, 1, 2, 2]])
+        return np.array(whitened_synthesis_matrix(f))
+    if case == "one row":
+        return crandn(rng, 1, 7)
+    return crandn(rng, 4, 1) @ crandn(rng, 1, 10)  # rank 1
+
+
+@pytest.mark.parametrize("case", ["zero column", "zero", "duplicated atoms", "one row", "rank 1"])
+def test_vh_is_formed_from_the_kept_reflectors_of_a_wide_b(case):
+    b = wide_b(case)
+    svd = _thin_svd(b)
+    h, tau = svd.reflectors
+    assert svd.vh is None and h.shape == b.shape
+    assert (tau == 0).any() == (case in ("zero", "duplicated atoms"))
+    # a field keeps them as factored, read-only, not copied
+    kept = svd.owned().reflectors
+    assert kept[0] is h and kept[1] is tau and not h.flags.writeable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        formed = svd.with_vh()
+    assert formed.reflectors is None and bits(formed.w) == bits(svd.w)
+    vh, m = formed.vh, b.shape[0]
+    assert np.abs(vh @ vh.conj().T - np.eye(m)).max() <= 1e-13
+    assert np.abs((formed.u * formed.s) @ vh - b).max() <= 1e-13 * formed.top
+    # the Q of a reduced QR of B.T, as vh was formed before
+    assert np.abs(vh - svd.w @ np.linalg.qr(b.T)[0].T).max() <= 1e-14
+
+
+def test_a_cold_dual_takes_one_qr_of_b(monkeypatch, tmp_path):
+    text = emit_spec(generate_example("random_ckframe", {}))
+    spec = parse_problem(text)
+    modes = qr_modes(monkeypatch, whitened_synthesis_matrix(parse_problem(text).field_f))
+    canonical_dual(spec.field_f, spec.operator_k)
+    assert modes == ["raw"]
+    modes.clear()
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert cli.main(["dual", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert modes == ["raw"]
 
 
 SMALL = {"n": 8, "n0": 8, "atoms": 32}
@@ -303,22 +362,23 @@ def assert_diagnosis_budget(arrays, monkeypatch) -> tuple[dict, dict]:
     factor R.T) takes vectors.  Without the memo one lib_dense diagnosis
     took 14 SVDs and 29 norm(., 2), and without the onto rule 6 SVDs.
 
-    B is built 6 times: f's for its SVD and again for its Q, f's and the
-    dual's for the pair mismatch, the dual's for its SVD and f's handed out
-    for the Douglas faces.  The second pair check reads the report kept for
-    (f, g, k); it took 8 builds when it was checked again."""
+    B is built 5 times: f's for its SVD, f's and the dual's for the pair
+    mismatch, the dual's for its SVD and f's handed out for the Douglas
+    faces.  f's vh is formed from the reflectors of its one QR, with no
+    build of B.  The second pair check reads the report kept for (f, g, k);
+    it took 8 builds when it was checked again."""
     counts = counted_factorizations(monkeypatch)
     modes = qr_modes(monkeypatch)
     svds = svd_modes(monkeypatch)
     built = counted_builds(monkeypatch)
     diagnosis = diagnose(*arrays)
-    assert dict(counts) == {"svd": 3, "qr": 3, "norm2": 2}
-    # f's B for the check, its Q for atom_coefficient_map's vh, and the
+    assert dict(counts) == {"svd": 3, "qr": 2, "norm2": 2}
+    # f's B once, whose reflectors form atom_coefficient_map's vh, and the
     # dual's B once
-    assert modes == ["r", "reduced", "r"]
+    assert modes == ["raw", "raw"]
     # f's R.T, k, and the dual's R.T
     assert svds == ["vectors", "values", "vectors"]
-    assert len(built) == 6
+    assert len(built) == 5
     return diagnosis, counts
 
 
@@ -633,9 +693,10 @@ def test_the_douglas_faces_ask_as_a_live_field_and_register_nothing(monkeypatch)
     other = crandn(rng, 4, 3)
     douglas_factor(other, b)
     minimal_multiplier(other, b)
-    # douglas_factor forms vh from f's w and the Q of one QR, taking no
-    # SVD; minimal_multiplier reads f's factorization
-    assert counts["qr"] == 1 and "svd" not in counts, dict(counts)
+    # douglas_factor forms vh from f's w and the reflectors of f's one QR,
+    # taking no QR and no SVD of B, only x's norm(., 2); minimal_multiplier
+    # reads f's factorization and that x
+    assert dict(counts) == {"norm2": 1}, dict(counts)
     # they asked as f: f now holds other, and asking again takes nothing
     assert bits(kept.about.k) == bits(other)
     counts.clear()

@@ -383,3 +383,66 @@ def test_the_canonical_pair_enjoys_the_reciprocal_lower_bounds(problem):
     assert min(margins) >= -TOL, margins
     cold = dual_frame_bounds_check(fresh_copy(dual.projected_frame), fresh_copy(dual.dual_field), k)
     assert [struct.pack("<d", m) for m in cold] == [struct.pack("<d", m) for m in margins]
+
+
+# ---------------------------------------------------------------------------
+# Douglas's algebra: x(k) = ||pinv(B) k|| is a norm on the operators whose
+# range sits inside range(B) (Douglas, Proc. AMS 17, 1966)
+
+#: How each command reports x = ||pinv(B) k||.
+X_OF = {
+    "bounds": lambda results: results["lower"] ** -0.5,
+    "douglas": lambda results: results["lambda_min"] ** 0.5,
+    "atoms": lambda results: results["bound_constant"],
+}
+
+
+def x_by_command(f, k) -> dict:
+    """x as bounds (A = x^-2), douglas (lambda_min = x^2) and atoms (the
+    atom bound) each report it, after checking that each finds f a
+    ck-frame for k."""
+    spec = ProblemSpec(space=f.space, field_f=f, operator_k=k)
+    out = {}
+    for command, x in X_OF.items():
+        report = run_command(spec, command)
+        assert report.status == "ok", (command, report.results)
+        out[command] = x(report.results)
+    return out
+
+
+def second_operator(f, k1, seed, c):
+    """A k2 of k1's shape with range inside range(B), the synthesis of
+    random coefficients scaled by c, of which f is a ck-frame; other draws
+    are not taken."""
+    b = whitened_synthesis_matrix(f)
+    k2 = c * (b @ crandn(np.random.default_rng(seed), b.shape[1], k1.shape[1]))
+    ck_frame_report(f, k2)
+    return k2
+
+
+@given(problems(), unitary_seeds, magnitudes)
+def test_x_of_a_sum_is_at_most_the_sum_of_the_xs(problem, seed, c):
+    # pinv(B) (k1 + k2) = pinv(B) k1 + pinv(B) k2, so x is subadditive, and
+    # the sum's range sits inside range(B): f is a ck-frame for it
+    f, k1 = problem
+    ck_frame_report(f, k1)
+    k2 = second_operator(f, k1, seed, c)
+    x1, x2, x12 = (x_by_command(f, k) for k in (k1, k2, k1 + k2))
+    slack = 64 * EPS * condition(f) ** 2
+    for command in X_OF:
+        assert x12[command] <= (x1[command] + x2[command]) * (1 + slack), command
+
+
+@given(problems(), unitary_seeds, magnitudes)
+def test_x_of_a_concatenation_lies_between_the_larger_x_and_the_root_sum_of_squares(problem, seed, c):
+    # pinv(B) [k1 k2] = [pinv(B) k1  pinv(B) k2], whose norm is at least
+    # either block's and at most the root of the sum of their squares; f
+    # is a ck-frame for the concatenation, whose range is the span of both
+    f, k1 = problem
+    ck_frame_report(f, k1)
+    k2 = second_operator(f, k1, seed, c)
+    x1, x2, x12 = (x_by_command(f, k) for k in (k1, k2, np.hstack([k1, k2])))
+    slack = 64 * EPS * condition(f) ** 2
+    for command in X_OF:
+        assert max(x1[command], x2[command]) <= x12[command] * (1 + slack), command
+        assert x12[command] ** 2 <= (x1[command] ** 2 + x2[command] ** 2) * (1 + slack), command
