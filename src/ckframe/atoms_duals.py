@@ -30,6 +30,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .frame_ops import (
+    _ask,
     _b_svd,
     _frame_check,
     _whitened_matrix,
@@ -147,17 +148,16 @@ def atom_coefficient_map(
     """
     # pinv(B) k and its norm, kept for f, are read off the same SVD, and tol
     # is checked by the inclusion decision (see linalg._Kept.ask)
-    report, svd, coords = _frame_check(f, as_operator(k), rank_tol, tol, right=True)
-    if not report.range_included:
+    _, coords, included = _ask(f, as_operator(k), rank_tol, tol)
+    if not included:
         raise RangeNotIncluded(
-            f"range inclusion residual {report.residuals['range_inclusion']:.3e} "
-            f"exceeds tolerance {float(tol):.1e}"
+            f"range inclusion residual {coords.distance:.3e} exceeds tolerance {float(tol):.1e}"
         )
     # the bound is finite, but m is sqrt(w) m divided by sqrt(w), which can overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = coords.factor(svd.vh) / np.sqrt(f.space.weight_array)[:, None]
+        matrix = coords.factor(f._kept.right_factor()) / np.sqrt(f.space.weight_array)[:, None]
     matrix = _check_finite(matrix, "the atom coefficient map")
-    return CoefficientMap(matrix=matrix, bound=coords.pinv_norm("the atom bound"))
+    return CoefficientMap(matrix=matrix, bound=coords.x)
 
 
 def verify_atomic_decomposition(
@@ -286,14 +286,11 @@ def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
     U_k is U_r and c = Sigma_r, so p = qh = I and sc = sigma, with no
     factorization; otherwise U_k is k's left vectors sliced to its rank,
     and c takes one SVD."""
-    report, b, coords = _frame_check(f, kk, rank_tol, tol)
-    if report.degenerate:
+    b, coords, included = _ask(f, kk, rank_tol, tol)
+    if coords.zero:
         raise DegenerateOperator("k = 0 holds vacuously; no closed-range certificate")
-    if not report.is_ck_frame:
-        raise NotInvertibleOnRange(
-            "f does not reproduce k: range inclusion residual "
-            f"{report.residuals['range_inclusion']:.3e}"
-        )
+    if not included:
+        raise NotInvertibleOnRange(f"f does not reproduce k: range inclusion residual {coords.distance:.3e}")
     about = f._kept.about_k(kk)
     k_s = about.values()
     r = _separated_rank(k_s, rank_tol, "k")
@@ -311,7 +308,7 @@ def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
     # k escape range(B); rank is judged by the cutoff that decided B's rank
     if sc.size < r or sc[-1] <= rank_tol * b.top:
         raise NotInvertibleOnRange("frame operator drops rank on range(k)")
-    return _OnRange(coords.pinv_norm("the lower frame bound"), b, k_u, k_s, p, sc, qh)
+    return _OnRange(coords.x, b, k_u, k_s, p, sc, qh)
 
 
 def inverse_on_range(
@@ -526,11 +523,11 @@ def canonical_dual(
     NotRepresentable if a sample of g is outside double precision range;
     degenerate and non-frame inputs raise as in inverse_on_range.
     """
-    kk, tol = as_operator(k), _check_tol(tol, "tol")
+    kk = as_operator(k)  # tol is checked by the inclusion decision (see linalg._Kept.ask)
     on = _on_range(f, kk, rank_tol, tol)
     # k* G B = k* U_k qh* diag(1/sc) p* vh, since G B = U_k (c* c)^-1 c* vh;
     # the small factors are multiplied first
-    vh = _b_svd(f, right=True).vh[: on.b.s.size]  # the rank of B is on.b's
+    vh = f._kept.right_factor()[: on.b.s.size]  # the rank of B is on.b's
     kk_star = adjoint(kk)
     left = kk_star @ on.k_u @ (on.qh.conj().T / on.sc) @ on.p.conj().T
     if on.k_s.size == f.dim:
@@ -549,7 +546,7 @@ def canonical_dual(
     if not pair.holds:
         raise CanonicalDualFailed(
             f"constructed dual fails the pair identities (max residual "
-            f"{pair.max_residual():.3e} > {tol:.1e})"
+            f"{pair.max_residual():.3e} > {float(tol):.1e})"
         )
 
     lower_bound = 1.0 / on.b.top**2
@@ -558,7 +555,7 @@ def canonical_dual(
         upper_bound = float(_check_finite((on.k_s[0] / on.k_s[-1] * on.x) ** 2, "the upper bound"))
 
     # the dual's optimal bounds as a frame against k*, decided on its own B
-    best = _frame_check(dual, kk_star, rank_tol, tol, name="B of the dual field g")[0]
+    best = _frame_check(dual, kk_star, rank_tol, tol, name="B of the dual field g")
     best_lower = best.bounds.lower
     best_upper = best.bounds.upper
     if best_lower < lower_bound * (1.0 - tol):

@@ -48,7 +48,7 @@ def range_included(
     tol: float = DEFAULT_CHECK_TOL,
 ) -> bool:
     """True iff range(l1) sits inside range(l2) at the given tolerance."""
-    return _inclusion(l1, l2, rank_tol, tol, False)[2]
+    return _inclusion(l1, l2, rank_tol, tol)[2]
 
 
 def minimal_multiplier(
@@ -64,7 +64,7 @@ def minimal_multiplier(
     NotRepresentable for a nonzero l1 unless it and its reciprocal, the
     frame check's lower bound, are both finite normal doubles.
     """
-    _, coords, included, _ = _inclusion(l1, l2, rank_tol, tol, False)
+    _, coords, included, _ = _inclusion(l1, l2, rank_tol, tol)
     return coords.pinv_norm("the Douglas multiplier") ** 2 if included else None
 
 
@@ -81,25 +81,26 @@ def douglas_factor(
     minimal_multiplier).  Otherwise both are None and the result records
     how far l1 is from range(l2).
     """
-    svd, coords, included, marginal = _inclusion(l1, l2, rank_tol, tol, True)
+    kept, coords, included, marginal = _inclusion(l1, l2, rank_tol, tol)
     return DouglasResult(
         included=included,
         # before the factor, which it refuses past double precision range
         lambda_min=coords.pinv_norm("the Douglas multiplier") ** 2 if included else None,
         # a copy the caller owns of the factor kept for l2's field
-        factor=coords.factor(svd.vh).copy() if included else None,
+        factor=coords.factor(kept.right_factor()).copy() if included else None,
         residual=coords.distance,
         marginal=marginal,
     )
 
 
-def _inclusion(l1, l2, rank_tol: float, tol: float, right: bool):
-    """linalg._Kept.ask of l1 against l2, with vh when right is set, asked
-    as the field whose handed-out B is l2 itself, if any (see
-    linalg._kept_like), with l2 factored as it is."""
+def _inclusion(l1, l2, rank_tol: float, tol: float) -> tuple:
+    """(kept, coords, included, marginal): linalg._Kept.ask of l1 against
+    l2 by kept, the _Kept of the field whose handed-out B is l2 itself, if
+    any (see linalg._kept_like), with l2 factored as it is."""
     a, b = as_operator(l1), as_operator(l2)
     if a.shape[0] != b.shape[0]:
         raise DimMismatch(
             f"operators map into different spaces: {a.shape[0]} vs {b.shape[0]} rows"
         )
-    return _kept_like(b).ask(lambda: b, a, rank_tol, tol, right, "l2")
+    kept = _kept_like(b)
+    return kept, *kept.ask(lambda: b, a, rank_tol, tol, "l2")[1:]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .linalg import (
     DEFAULT_CHECK_TOL,
     DEFAULT_RANK_TOL,
     OperatorMatrix,
-    _Coords,
     _hand_out,
     _RankedSVD,
     as_operator,
@@ -137,7 +135,7 @@ def cframe_bounds(f: SampleField) -> FrameBounds:
     for k = I on H at the default tolerances.  f is a frame when H sits
     inside range(B); the lower bound is then ||pinv(B)||^-2, else 0.0 (a
     Bessel field), and the upper bound is sigma_max(B)^2."""
-    report = _frame_check(f, np.eye(f.dim, dtype=complex), DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL)[0]
+    report = _frame_check(f, np.eye(f.dim, dtype=complex), DEFAULT_RANK_TOL, DEFAULT_CHECK_TOL)
     return replace(report.bounds, kind=C_FRAME if report.range_included else C_BESSEL)
 
 
@@ -162,41 +160,39 @@ def ckframe_check(
     the inclusion verdict.  The k = 0 case is vacuously a frame and
     flagged ``degenerate``.
     """
-    return _frame_check(f, as_operator(k), rank_tol, tol)[0]
+    return _frame_check(f, as_operator(k), rank_tol, tol)
 
 
-def _b_svd(f: SampleField, right: bool = False) -> _RankedSVD:
+def _b_svd(f: SampleField) -> _RankedSVD:
     """linalg._Kept.b_svd of f, with B built from f when it is factored."""
-    return f._kept.b_svd(lambda: _whitened_matrix(f), right)
+    return f._kept.b_svd(lambda: _whitened_matrix(f))
+
+
+def _ask(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float, name: str = "B of f") -> tuple:
+    """(svd, coords, included): linalg._Kept.ask of f about the operator k,
+    after the dimension check, with f's B called name in a RankAmbiguous
+    message.  On inclusion coords.x = ||pinv(B) k|| (0.0 when k = 0), of
+    which the lower frame bound is A = x^-2, is range-checked here, once
+    per ask (see linalg._Coords.pinv_norm).  B's SVD and the answers about
+    k are kept for f (see linalg._Kept): asking again factors nothing."""
+    if kk.shape[0] != f.dim:
+        raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
+    svd, coords, included, _ = f._kept.ask(lambda: _whitened_matrix(f), kk, rank_tol, tol, name)
+    if included:
+        coords.pinv_norm("the lower frame bound")
+    return svd, coords, included
 
 
 def _frame_check(
-    f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float, right: bool = False,
-    name: str = "B of f",
-) -> tuple[CkFrameReport, _RankedSVD, Optional[_Coords]]:
-    """ckframe_check, also handing back the ranked SVD of B it was read from
-    (the one with vh when right is set) and, on inclusion (else None), k
-    read against it (see linalg._Coords), whose pinv_norm is x =
-    ||pinv(B) k|| (0.0 when k = 0), of which the lower bound is A = x^-2.
-    name is what a RankAmbiguous message calls B.
-
-    B's SVD and the answers about k are kept for f (see linalg._Kept), so
-    asking again about the same (f, k) factors nothing; every ask checks x.
-    """
-    if kk.shape[0] != f.dim:
-        raise DimMismatch(f"k maps into dim {kk.shape[0]}, field has dim {f.dim}")
-    b, coords, included, _ = f._kept.ask(lambda: _whitened_matrix(f), kk, rank_tol, tol, right, name)
-    if coords.zero:
-        lower = math.inf
-    elif included:
-        lower = float(np.float64(coords.pinv_norm("the lower frame bound")) ** -2)
-    else:
-        lower = 0.0
-    report = CkFrameReport(
-        bounds=FrameBounds(lower=lower, upper=b.top**2, kind=CK_FRAME),
+    f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float, name: str = "B of f"
+) -> CkFrameReport:
+    """ckframe_check of the operator k, read off _ask (name as there)."""
+    svd, coords, included = _ask(f, kk, rank_tol, tol, name)
+    lower = math.inf if coords.zero else float(np.float64(coords.x) ** -2) if included else 0.0
+    return CkFrameReport(
+        bounds=FrameBounds(lower=lower, upper=svd.top**2, kind=CK_FRAME),
         range_included=included,
         is_ck_frame=included,
         residuals={"range_inclusion": coords.distance},
         degenerate=coords.zero,
     )
-    return report, b, coords if included else None

@@ -119,12 +119,13 @@ class _RankedSVD:
     u (rows, ·), s (·,) descending and w (·, ·) are the factors of the one
     SVD taken (see _thin_svd): of m itself when m is square or tall, where
     w is also m's right factor vh; of the triangular factor R.T of a wide
-    m = R.T Q.T, where vh = w Q.T is None until it is asked for, and
+    m = R.T Q.T, where vh = w Q.T is None until with_vh forms it, and
     reflectors holds Q as the Householder factorization left it, (h, tau)
     of np.linalg.qr(m.T, mode="raw"), until then.  u, s and w are the same
-    bits whether or not vh was formed.  ranked slices u, s, w and vh to the
-    rank decided on s, so every rank_tol reads the one SVD; a slice keeps
-    no reflectors, as vh is formed on the unranked w only.
+    bits whether or not vh was formed.  ranked slices u, s and w to the
+    rank decided on s, so every rank_tol reads the one SVD; a slice holds
+    no vh, which is formed on the unranked w only and sliced by its reader
+    (see _Coords.factor).
     """
 
     u: np.ndarray
@@ -144,14 +145,10 @@ class _RankedSVD:
         return self.s.size == self.u.shape[0]
 
     def ranked(self, rank_tol: float, name: str) -> _RankedSVD:
-        """The factors sliced to the _separated_rank r of s (name is what a
-        RankAmbiguous message calls m).  vh is sliced too: a product of the
-        sliced w would differ in its bits at r = 1 (gemv, not gemm)."""
+        """u, s and w sliced to the _separated_rank r of s (name is what a
+        RankAmbiguous message calls m); at full rank, m's own factors."""
         r = _separated_rank(self.s, rank_tol, name)
-        if r == self.s.size:
-            return self
-        vh = None if self.vh is None else self.vh[:r]
-        return _RankedSVD(self.u[:, :r], self.s[:r], self.w[:r], vh)
+        return self if r == self.s.size else _RankedSVD(self.u[:, :r], self.s[:r], self.w[:r])
 
     def owned(self) -> _RankedSVD:
         """The same factorization with owned read-only arrays: holding it
@@ -188,9 +185,9 @@ class _RankedSVD:
         return replace(self, vh=vh, reflectors=None)
 
 
-def _thin_svd(a: np.ndarray, right: bool = False) -> _RankedSVD:
+def _thin_svd(a: np.ndarray) -> _RankedSVD:
     """The one SVD taken of the complex matrix a, before any rank is
-    decided, with vh when right is set.
+    decided.
 
     A wide a (more columns than rows) is factored through the QR of its
     transpose, as in Chan's R-SVD (Golub and Van Loan, Matrix Computations,
@@ -198,8 +195,8 @@ def _thin_svd(a: np.ndarray, right: bool = False) -> _RankedSVD:
     orthonormal, so the SVD U Sigma W* of the square R.T gives a's u and s.
     The one Householder factorization is kept in raw form, R in its upper
     triangle and Q's reflectors below it, so vh = W* Q.T is formed from
-    them only when right is set or vh is later asked for (see
-    _RankedSVD.with_vh): u, s and w are the same bits either way.
+    them only when it is asked for (see _RankedSVD.with_vh): u, s and w
+    are the same bits either way.
     """
     if a.shape[0] >= a.shape[1]:
         u, s, w = np.linalg.svd(a, full_matrices=False)
@@ -207,8 +204,7 @@ def _thin_svd(a: np.ndarray, right: bool = False) -> _RankedSVD:
     h, tau = np.linalg.qr(a.T, mode="raw")
     # R is the upper triangle of h.T's top square, bit for bit mode "r"'s
     u, s, w = np.linalg.svd(np.triu(h.T[: a.shape[0]]).T, full_matrices=False)
-    svd = _RankedSVD(u, s, w, None, (h, tau))
-    return svd.with_vh() if right else svd
+    return _RankedSVD(u, s, w, None, (h, tau))
 
 
 def _owned(a: np.ndarray) -> np.ndarray:
@@ -232,10 +228,11 @@ class _Kept:
     again factors nothing.  Each live field owns one (see SampleField._kept),
     which a Douglas face given the B handed out for it reads (see
     _kept_like).  svd is B's one thin SVD (see _thin_svd), taken before any
-    rank is decided, whose vh is formed from the kept w and, for a wide B,
-    the reflectors of its one QR, the size of B, once a caller reads it:
-    each rank_tol's ranked SVD is a slice of it, and ||B|| is its sigma_max
-    for every caller.  B is not held: whoever asks passes a function that
+    rank is decided: each rank_tol's ranked SVD is a slice of it, and ||B||
+    is its sigma_max for every caller.  For a wide B it holds the
+    reflectors of its one QR, the size of B, until the first face to read
+    vh on an included k forms vh from them (see right_factor); a refused
+    face forms none.  B is not held: whoever asks passes a function that
     builds it, which only the first ask calls.  about holds the answers
     about the last operator k asked about.  The same LAPACK call on the
     same bytes returns the same bits, so a kept answer is bit-identical to
@@ -251,19 +248,22 @@ class _Kept:
         self.svd: Optional[_RankedSVD] = None
         self.about: Optional[_AboutK] = None
 
-    def b_svd(self, build, right: bool = False) -> _RankedSVD:
-        """B's one thin SVD, unranked, with vh when right is set, formed from
-        the kept reflectors and w (see _RankedSVD.with_vh), cold or warm,
-        so it is the same bits whichever question came first; build()
-        returns B to factor, which only the first ask does."""
+    def b_svd(self, build) -> _RankedSVD:
+        """B's one thin SVD, unranked; build() returns B to factor, which
+        only the first ask does."""
         svd = self.svd
         if svd is None:
-            svd = _thin_svd(build()).owned()
-        if right and svd.vh is None:
-            svd = svd.with_vh().owned()
-        if self.svd is None or self.svd.vh is None:
-            self.svd = svd
+            svd = self.svd = _thin_svd(build()).owned()
         return svd
+
+    def right_factor(self) -> np.ndarray:
+        """B's right factor vh, unranked, read after an ask: formed on first
+        read from the kept w and reflectors (see _RankedSVD.with_vh), with
+        which it replaces svd whole, the same bits whichever face reads first."""
+        svd = self.svd
+        if svd.vh is None:
+            svd = self.svd = svd.with_vh().owned()
+        return svd.vh
 
     def about_k(self, k: np.ndarray) -> _AboutK:
         """The answers about the operator k: the held ones when k has their
@@ -273,15 +273,15 @@ class _Kept:
             about = self.about = _AboutK(k)
         return about
 
-    def ask(self, build, k, rank_tol: float, tol: float, right: bool, name: str) -> tuple:
-        """(svd, coords, included, marginal): B's SVD ranked at rank_tol, with
-        vh when right is set (build() returns B to factor, and name is what a
-        RankAmbiguous message calls it), k read against it, and the inclusion
+    def ask(self, build, k, rank_tol: float, tol: float, name: str) -> tuple:
+        """(svd, coords, included, marginal): B's SVD ranked at rank_tol
+        (build() returns B to factor, and name is what a RankAmbiguous
+        message calls it), k read against it, and the inclusion
         decision every face reads: range(k) sits inside range(B) when
         coords.distance <= tol, in (0, 1) and checked first, and is marginal
         when it does not but coords.distance < GRAY_ZONE_FACTOR * tol."""
         tol = _check_tol(tol, "tol", 1.0)
-        svd = self.b_svd(build, right).ranked(rank_tol, name)
+        svd = self.b_svd(build).ranked(rank_tol, name)
         # kept by the rank, all that tells one rank_tol's slice from another's
         about, r = self.about_k(k), svd.s.size
         coords = about.coords.get(r) or about.coords.setdefault(r, _Coords(svd, about))
@@ -351,10 +351,11 @@ class _Coords:
 
     def pinv_norm(self, what: str) -> float:
         """x, which the lower frame bound A = x^-2, the Douglas multiplier
-        lambda_min = x^2 and the atom bound all are: NotRepresentable,
-        naming what a face reports of it, unless k = 0 or x^2 and x^-2 are
-        both finite normal doubles, so that every face refuses the same
-        (f, k).  x is inf when coords overflow."""
+        lambda_min = x^2 and the atom bound all read: NotRepresentable,
+        naming what, the lower frame bound or the Douglas multiplier,
+        unless k = 0 or x^2 and x^-2 are both finite normal doubles, so
+        that every face refuses the same (f, k).  x is inf when coords
+        overflow."""
         if self.x is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 coords = self.proj / self.s[:, None]
@@ -365,10 +366,11 @@ class _Coords:
         return self.x
 
     def factor(self, vh: np.ndarray) -> np.ndarray:
-        """pinv(B) k, read-only; vh is the right factor of the SVD that proj
-        was read off."""
+        """pinv(B) k, read-only; vh is the unranked right factor of the SVD
+        that proj was read off (see _Kept.right_factor), sliced here to its
+        rank, as vh formed on a sliced w would differ in its bits."""
         if self.pinv_k is None:
-            self.pinv_k = _owned(vh.conj().T @ (self.proj / self.s[:, None]))
+            self.pinv_k = _owned(vh[: self.s.size].conj().T @ (self.proj / self.s[:, None]))
         return self.pinv_k
 
 
@@ -407,5 +409,6 @@ def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:
         If some singular value falls in the gray zone where the rank
         decision would be unstable.
     """
-    svd = _thin_svd(as_operator(m), right=True).ranked(rank_tol, "m")
-    return (svd.vh.conj().T / svd.s) @ svd.u.conj().T
+    svd = _thin_svd(as_operator(m)).with_vh()
+    ranked = svd.ranked(rank_tol, "m")
+    return (svd.vh[: ranked.s.size].conj().T / ranked.s) @ ranked.u.conj().T

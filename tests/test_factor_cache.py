@@ -35,11 +35,13 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 from ckframe import (
     CkFrameError,
     NotRepresentable,
+    RangeNotIncluded,
     RankAmbiguous,
     SampleField,
     atoms_duals,
     cli,
     frame_ops,
+    linalg,
     make_measure_space,
 )
 from ckframe.atoms_duals import (
@@ -266,19 +268,23 @@ def test_the_left_factor_is_the_same_bits_with_or_without_vh(shape):
     full = crandn(rng, *shape)
     # and a rank-deficient b, whose rank is decided on the same singular values
     for b in (full, full[:, :1] @ full[:1, :]):
-        left = _thin_svd(b).ranked(DEFAULT_RANK_TOL, "b")
-        with_vh = _thin_svd(b, right=True).ranked(DEFAULT_RANK_TOL, "b")
-        assert (left.vh is None) == (shape[0] < shape[1])
+        unranked, formed = _thin_svd(b), _thin_svd(b).with_vh()
+        assert (unranked.vh is None) == (shape[0] < shape[1])
+        left, with_vh = (svd.ranked(DEFAULT_RANK_TOL, "b") for svd in (unranked, formed))
         assert bits((left.u, left.s, left.top, left.w)) == bits(
             (with_vh.u, with_vh.s, with_vh.top, with_vh.w)
         )
-        # vh formed later from the kept reflectors and the unranked w, then
-        # ranked, is the one formed at once
-        later = _thin_svd(b).with_vh().ranked(DEFAULT_RANK_TOL, "b")
-        assert bits(later) == bits(with_vh)
+        # vh formed later from the kept reflectors and the unranked w, as a
+        # field's _Kept forms it from its owned factors, is the one formed
+        # at once, ranked or not
+        later = _thin_svd(b).owned().with_vh()
+        assert bits(later) == bits(formed)
+        assert bits(later.ranked(DEFAULT_RANK_TOL, "b")) == bits(with_vh)
+        # a ranked slice holds no vh; its reader slices the unranked one
         r = with_vh.s.size
-        assert np.allclose(with_vh.vh @ with_vh.vh.conj().T, np.eye(r), atol=1e-13)
-        assert np.allclose((with_vh.u * with_vh.s) @ with_vh.vh, b, atol=1e-13 * with_vh.top)
+        vh = formed.vh[:r]
+        assert np.allclose(vh @ vh.conj().T, np.eye(r), atol=1e-13)
+        assert np.allclose((with_vh.u * with_vh.s) @ vh, b, atol=1e-13 * with_vh.top)
 
 
 def wide_b(case: str) -> np.ndarray:
@@ -332,6 +338,27 @@ def test_a_cold_dual_takes_one_qr_of_b(monkeypatch, tmp_path):
     path.write_text(text)
     assert cli.main(["dual", str(path), "--out", str(tmp_path / "report.json")]) == 0
     assert modes == ["raw"]
+
+
+def test_a_refused_face_forms_no_vh_and_the_first_reader_forms_it_once(monkeypatch):
+    # a wide B of rank 1 whose range, the first axis, misses half of k = I
+    f = SampleField(make_measure_space("abc", [1.0, 1.0, 1.0]), np.array([[1.0, 0], [1, 0], [2, 0]]))
+    b, k = whitened_synthesis_matrix(f), np.eye(2, dtype=complex)
+    with pytest.raises(RangeNotIncluded):
+        atom_coefficient_map(f, k)
+    assert not douglas_factor(k, b).included
+    # as after a check, the kept SVD holds the reflectors and no vh
+    assert kept_factor(f).vh is None and kept_factor(f).reflectors is not None
+    formed = []
+    with_vh = linalg._RankedSVD.with_vh
+    monkeypatch.setattr(linalg._RankedSVD, "with_vh", lambda svd: formed.append(svd) or with_vh(svd))
+    # the first face to read vh on an included k forms it, once, for all
+    included = np.array([[1.0], [0.0]], dtype=complex)
+    atom_coefficient_map(f, included)
+    assert len(formed) == 1 and kept_factor(f).reflectors is None
+    douglas_factor(included, b)
+    canonical_dual(f, included)
+    assert len(formed) == 1 and kept_factor(f).vh.shape == (2, 3)
 
 
 SMALL = {"n": 8, "n0": 8, "atoms": 32}

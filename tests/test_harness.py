@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -30,7 +31,9 @@ from ckframe.atoms_duals import (
     DualPairReport,
     atom_coefficient_map,
     canonical_dual,
+    inverse_on_range,
     sandwich_check,
+    subspace_cframe_margin,
     verify_dual_pair,
 )
 from ckframe.douglas import DouglasResult, douglas_factor, minimal_multiplier, range_included
@@ -872,6 +875,8 @@ TOLERANCE_TAKERS = {
     "verify_dual_pair": (lambda s, tol: verify_dual_pair(s.field_f, s.field_g, s.operator_k, tol=tol), "tol"),
     "atom_coefficient_map": (lambda s, tol: atom_coefficient_map(s.field_f, s.operator_k, tol=tol), "tol"),
     "sandwich_check": (lambda s, tol: sandwich_check(s.field_f, s.operator_k, tol=tol), "tol"),
+    "inverse_on_range": (lambda s, tol: inverse_on_range(s.field_f, s.operator_k, tol=tol), "tol"),
+    "subspace_cframe_margin": (lambda s, tol: subspace_cframe_margin(s.field_f, s.operator_k, tol=tol), "tol"),
     "canonical_dual": (lambda s, tol: canonical_dual(s.field_f, s.operator_k, tol=tol), "tol"),
     "douglas_factor": (
         lambda s, tol: douglas_factor(s.operator_k, whitened_synthesis_matrix(s.field_f), tol=tol),
@@ -948,6 +953,31 @@ def test_an_inclusion_tolerance_must_lie_below_one(taker, tol):
     with pytest.raises(ValidationError, match=r"^tolerance must lie in \(0, 1\)") as exc:
         call(leaky_spec(), tol)
     assert exc.value.path == name
+
+
+#: The library faces that grade range(k) inside range(B) by their tol.
+INCLUSION_FACES = sorted(
+    set(TOLERANCE_TAKERS) - {"run_command-tol_override", "run_command-default_tol", "verify_dual_pair"}
+)
+
+
+@pytest.mark.parametrize("shape", ["right", "wrong"])
+@pytest.mark.parametrize("taker", INCLUSION_FACES)
+def test_every_inclusion_face_refuses_a_bad_tolerance_alike(taker, shape):
+    # one inclusion decision checks tol, after the dimension check, so a
+    # wrong-shape k is a DimMismatch whatever tol is, and a right-shape k
+    # with a bad tol is refused against (0, 1) by every face
+    call = TOLERANCE_TAKERS[taker][0]
+    spec = leaky_spec()
+    if shape == "wrong":
+        # a ProblemSpec refuses a k of the wrong shape, so hand one over bare
+        wrong = np.eye(3, 2, dtype=complex)
+        with pytest.raises(DimMismatch):
+            call(types.SimpleNamespace(field_f=spec.field_f, operator_k=wrong), -1.0)
+        return
+    with pytest.raises(ValidationError, match=r"^tolerance must lie in \(0, 1\), got -1\.0 at 'tol'$") as exc:
+        call(spec, -1.0)
+    assert exc.value.path == "tol"
 
 
 #: Each entry point that decides a rank by rank_tol, called on f = diag(1, 2)

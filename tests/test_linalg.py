@@ -257,10 +257,10 @@ def test_operator_norm_of_a_zero_matrix_takes_no_svd(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "shape,right",
+    "shape,formed",
     [((16, 32), True), ((96, 384), True), ((15, 32), False), ((16, 31), False)],
 )
-def test_operator_norm_of_a_wide_matrix_through_its_triangular_factor(shape, right, monkeypatch):
+def test_operator_norm_of_a_wide_matrix_through_its_triangular_factor(shape, formed, monkeypatch):
     # operator_norm takes norm(m, 2) of a wide m as it is, with no QR; the
     # one SVD that _thin_svd takes of it goes through the R of m.T = Q R,
     # and its sigma_max agrees with that norm, with vh formed or not
@@ -270,9 +270,9 @@ def test_operator_norm_of_a_wide_matrix_through_its_triangular_factor(shape, rig
     norm = operator_norm(m)
     assert norm == direct
     assert dict(counts) == {"norm2": 1}
-    svd = _thin_svd(m, right)
+    svd = _thin_svd(m).with_vh() if formed else _thin_svd(m)
     assert counts["qr"] == 1 and counts["svd"] == 1 and counts["norm2"] == 1
     assert svd.top == pytest.approx(direct, rel=1e-13)
-    assert (svd.vh is not None) == right
-    if right:
+    assert (svd.vh is not None) == formed
+    if formed:
         np.testing.assert_allclose((svd.u * svd.s) @ svd.vh, m, atol=1e-12)
