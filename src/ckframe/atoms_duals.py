@@ -43,7 +43,6 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     OperatorMatrix,
     _AboutK,
-    _owned,
     _RankedSVD,
     _check_finite,
     _check_tol,
@@ -282,10 +281,10 @@ def _least_margin(margins) -> float:
 
 def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -> _OnRange:
     """The _OnRange of (f, k), built from what f keeps: B's ranked SVD, x
-    and k's singular values and left vectors.  When k and B are onto H,
-    U_k is U_r and c = Sigma_r, so p = qh = I and sc = sigma, with no
-    factorization; otherwise U_k is k's left vectors sliced to its rank,
-    and c takes one SVD."""
+    and k's singular values and left vectors, which only _AboutK factors.
+    When k and B are onto H, U_k is U_r and c = Sigma_r, so p = qh = I and
+    sc = sigma, with no factorization; otherwise U_k is _AboutK.left sliced
+    to the rank of k, and c takes one SVD."""
     b, coords, included = _ask(f, kk, rank_tol, tol)
     if coords.zero:
         raise DegenerateOperator("k = 0 holds vacuously; no closed-range certificate")
@@ -299,9 +298,7 @@ def _on_range(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float) -
         eye = np.eye(r, dtype=complex)
         k_u, p, sc, qh = b.u, eye, b.s, eye
     else:
-        if about.u is None:
-            about.u = _owned(np.linalg.svd(about.k, full_matrices=False)[0])
-        k_u = about.u[:, :r]
+        k_u = about.left()[:, :r]
         c = b.s[:, None] * (b.u.conj().T @ k_u)
         p, sc, qh = np.linalg.svd(c, full_matrices=False)
     # a passed check leaves this only when tol lets a retained direction of
@@ -439,12 +436,11 @@ def _pair_report(
     rank = _separated_rank(about.values(), rank_tol, "k")
     # c3: <k h0, h> = integral of <h0, g(x)> <f(x), h>; c4, its adjoint
     # identity, and c5, the c4 identity in standard coordinates, read the
-    # entries of the same residual matrix; residuals are relative to ||k||
-    # (1 when k = 0), squared ones to its square.  g's B is formed without
-    # its check: S_g can underflow where D cannot
-    c3, d, kk, scale = _scaled_mismatch(
-        about, lambda: _whitened_matrix(f) @ _whitened_rows(g).conj(), "the pair mismatch"
-    )
+    # entries of the same residual matrix, relative to ||k|| (1 when k = 0),
+    # squared ones to its square.  f's B, built once, is factored too if f
+    # keeps no SVD; g's is unchecked, as S_g can underflow where D cannot
+    b = _whitened_matrix(f)
+    c3, d, kk, scale = _scaled_mismatch(about, lambda: b @ _whitened_rows(g).conj(), "the pair mismatch")
     c4 = c5 = c3
 
     # c1: k h0 = T_f <h0, g(.)>;  c2: k* h = T_g <h, f(.)>
@@ -473,7 +469,7 @@ def _pair_report(
     if not all(r is None or math.isfinite(r) for r in (c1, c2, *(onto_res or ()))):
         raise NotRepresentable("a pair residual is outside double precision range")
     # ||B_f||^2 can be subnormal: its reciprocal is refused, as inf reads as vacuous
-    upper_f = _b_svd(f).top ** 2
+    upper_f = f._kept.b_svd(lambda: b).top ** 2
     cert = _check_finite(1.0 / upper_f, "the lower bound certificate") if upper_f else math.inf
     return DualPairReport(
         residual_c1=c1,

@@ -293,12 +293,11 @@ class _AboutK:
     """The answers about one operator k, beside k, a read-only C-ordered
     copy of it, so that they do not hang on the layout of the k a caller
     passed, each made on first need: s and u, k's singular values and left
-    vectors (see values), which the compression of S_f to range(k) reads
-    (see atoms_duals._on_range, which keeps nothing of its own); coords, k
-    read against each ranked SVD of B, by its rank (see _Kept.ask);
-    and pair, the DualPairReport of the last g, tol and rank_tol checked
-    with B's field as f, tagged with a weak reference to g (see
-    verify_dual_pair)."""
+    vectors (see values and left), which the compression of S_f to range(k)
+    reads (see atoms_duals._on_range); coords, k read against each ranked SVD
+    of B, by its rank (see _Kept.ask); and pair, the DualPairReport of the
+    last g, tol and rank_tol checked with B's field as f, tagged with a
+    weak reference to g (see verify_dual_pair)."""
 
     __slots__ = ("k", "s", "u", "coords", "pair")
 
@@ -312,15 +311,24 @@ class _AboutK:
         ||k|| and rank(k) reads.  A k with at least as many columns as rows
         may be onto H, and then no question needs a basis of range(k), so
         its values are taken alone; a narrower k is never onto, and its
-        values come with u, from one SVD."""
+        values come with u, from one SVD (see left)."""
         if self.s is None:
-            k = self.k
-            if k.shape[1] >= k.shape[0]:
-                self.s = _owned(np.linalg.svd(k, compute_uv=False))
+            if self.k.shape[1] >= self.k.shape[0]:
+                self.s = _owned(np.linalg.svd(self.k, compute_uv=False))
             else:
-                u, s, _ = np.linalg.svd(k, full_matrices=False)
-                self.u, self.s = _owned(u), _owned(s)
+                self.left()
         return self.s
+
+    def left(self) -> np.ndarray:
+        """k's left singular vectors, unranked, of its one SVD with vectors,
+        which also gives a narrow k's s, set first, so that a thread that
+        sees u sees s; a wider k's s is taken alone (see values)."""
+        if self.u is None:
+            u, s, _ = np.linalg.svd(self.k, full_matrices=False)
+            if self.k.shape[1] < self.k.shape[0]:
+                self.s = _owned(s)
+            self.u = _owned(u)
+        return self.u
 
     def norm(self) -> float:
         """||k||; 0.0 for an all-zero k, without an SVD.  NotRepresentable
@@ -329,37 +337,33 @@ class _AboutK:
 
 
 class _Coords:
-    """k read against B = U_r Sigma_r vh: proj = U_r* k, s = Sigma_r, zero,
+    """k read against B = U_r Sigma_r vh: coords = Sigma_r^-1 U_r* k, zero,
     whether k = 0, and distance = ||k - U_r U_r* k|| / ||k||, the relative
     distance of k from range(B) (0.0 when k = 0, and exactly 0.0, with no
-    residual formed, when B is onto); once asked for, x = ||pinv(B) k|| and
-    the minimal-norm factor pinv(B) k = vh* coords, of coords =
-    Sigma_r^-1 U_r* k."""
+    residual formed, when B is onto); once asked for, x = ||pinv(B) k|| =
+    ||coords|| and the minimal-norm factor pinv(B) k = vh* coords."""
 
-    __slots__ = ("distance", "proj", "s", "zero", "x", "pinv_k")
+    __slots__ = ("distance", "coords", "zero", "x", "pinv_k")
 
     def __init__(self, svd: _RankedSVD, about: _AboutK) -> None:
         k_norm = 0.0 if svd.onto else about.norm()
-        # a sum in either product can overflow where ||k|| does not
+        # a sum in either product, or a quotient, can overflow where ||k|| does not
         with np.errstate(over="ignore", invalid="ignore"):
-            self.proj = _owned(svd.u.conj().T @ about.k)
-            residual = about.k - svd.u @ self.proj if k_norm > 0.0 else None
-        self.distance = 0.0
-        if k_norm > 0.0:
-            self.distance = operator_norm(_check_finite(residual, "k - U_r U_r* k")) / k_norm
-        self.s, self.zero, self.x, self.pinv_k = _owned(svd.s), not about.k.any(), None, None
+            proj = svd.u.conj().T @ about.k
+            residual = about.k - svd.u @ proj if k_norm > 0.0 else None
+            self.coords = _owned(proj / svd.s[:, None])
+        self.distance = k_norm and operator_norm(_check_finite(residual, "k - U_r U_r* k")) / k_norm
+        self.zero, self.x, self.pinv_k = not about.k.any(), None, None
 
     def pinv_norm(self, what: str) -> float:
         """x, which the lower frame bound A = x^-2, the Douglas multiplier
         lambda_min = x^2 and the atom bound all read: NotRepresentable,
         naming what, the lower frame bound or the Douglas multiplier,
         unless k = 0 or x^2 and x^-2 are both finite normal doubles, so
-        that every face refuses the same (f, k).  x is inf when coords
-        overflow."""
+        that each face reporting a function of x (not range_included)
+        refuses the same (f, k).  x is inf when coords overflow."""
         if self.x is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                coords = self.proj / self.s[:, None]
-            self.x = operator_norm(coords) if np.isfinite(coords).all() else math.inf
+            self.x = operator_norm(self.coords) if np.isfinite(self.coords).all() else math.inf
         tiny = np.finfo(float).tiny
         if not (self.zero or tiny <= self.x * self.x <= 1.0 / tiny):
             raise NotRepresentable(f"{what} is outside double precision range")
@@ -367,10 +371,10 @@ class _Coords:
 
     def factor(self, vh: np.ndarray) -> np.ndarray:
         """pinv(B) k, read-only; vh is the unranked right factor of the SVD
-        that proj was read off (see _Kept.right_factor), sliced here to its
-        rank, as vh formed on a sliced w would differ in its bits."""
+        that coords were read off (see _Kept.right_factor), sliced here to
+        its rank, as vh formed on a sliced w would differ in its bits."""
         if self.pinv_k is None:
-            self.pinv_k = _owned(vh[: self.s.size].conj().T @ (self.proj / self.s[:, None]))
+            self.pinv_k = _owned(vh[: self.coords.shape[0]].conj().T @ self.coords)
         return self.pinv_k
 
 

@@ -233,6 +233,9 @@ def test_every_face_refuses_the_same_unrepresentable_multiplier(scale):
     f = SampleField(space, np.eye(2))
     k = scale * np.eye(2, dtype=complex)
     b = whitened_synthesis_matrix(f)
+    # range_included reports no number of the size of c, so it refuses no
+    # scale: range(c I) sits inside range(I) at every one
+    assert range_included(k, b) is True
     faces = {
         "bounds": lambda: ckframe_check(SampleField(space, np.eye(2)), k).bounds.lower,
         "minimal_multiplier": lambda: minimal_multiplier(k, b),
