@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .frame_ops import (
     _ask,
-    _b_svd,
     _frame_check,
     _whitened_matrix,
     _whitened_rows,
@@ -410,7 +409,7 @@ def verify_dual_pair(
     read off k's singular values and B_f's SVD, kept for f (see
     linalg._Kept), as is the report of the last (g, tol, rank_tol) checked
     against f and k, with g told by identity while it lives: asked again,
-    it is read, and a copy of g is checked afresh.
+    the frozen report kept is returned, and a copy of g is checked afresh.
     """
     kk, tol = as_operator(k), _check_tol(tol, "tol")
     if f.space != g.space:
@@ -424,7 +423,7 @@ def verify_dual_pair(
     kept = about.pair
     if kept is None or kept[0] != tag:
         kept = about.pair = (tag, _pair_report(f, g, about, tol, rank_tol))
-    return replace(kept[1])
+    return kept[1]
 
 
 def _pair_report(
@@ -599,7 +598,7 @@ def dual_frame_bounds_check(
         raise NotADualPair(
             f"pair identities fail (max residual {pair.max_residual():.3e})"
         )
-    b_f, b_g = (_b_svd(field).top ** 2 for field in (f, g))
+    b_f, b_g = (field._kept.b_svd(lambda: _whitened_matrix(field)).top ** 2 for field in (f, g))
     if b_f <= 0.0 or b_g <= 0.0:
         raise NotADualPair("a zero field cannot certify reciprocal bounds")
     s_f = frame_operator(f)

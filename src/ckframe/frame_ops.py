@@ -25,10 +25,9 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     OperatorMatrix,
     _hand_out,
-    _RankedSVD,
     as_operator,
 )
-from .measure import SampleField, ScalarField
+from .measure import SampleField, ScalarField, _frozen_array
 
 C_BESSEL = "cBessel"
 C_FRAME = "cFrame"
@@ -88,16 +87,18 @@ def whitened_synthesis_matrix(f: SampleField) -> OperatorMatrix:
     in those coordinates T_f has column i equal to sqrt(w_i) * f_i.  Ranks,
     norms, and pseudoinverses of T_f are computed through this matrix.
 
-    The B returned is read-only; a Douglas face given this very array asks
-    as f (see linalg._kept_like).  Raises NotRepresentable when the trace
-    of S_f = B B* overflows, or underflows for a nonzero B, in doubles.
+    The B returned is frozen, as a field's samples are, over bytes of its
+    own, so neither it nor its base can be made writable; a Douglas face
+    given this very array asks as f (see linalg._kept_like).  Raises
+    NotRepresentable when the trace of S_f = B B* overflows, or underflows
+    for a nonzero B, in doubles.
     """
-    return _hand_out(_whitened_matrix(f), f._kept)
+    return _hand_out(_frozen_array(_whitened_matrix(f), complex), f._kept)
 
 
 def _whitened_matrix(f: SampleField) -> OperatorMatrix:
-    """f's B, built as whitened_synthesis_matrix builds it but not handed
-    out: a view of read-only rows, so it cannot be made writable."""
+    """f's B, built as whitened_synthesis_matrix builds it but not copied
+    and never handed out: a read-only view of rows that nothing else holds."""
     rows = _whitened_rows(f)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         energy = np.vdot(rows, rows).real
@@ -161,11 +162,6 @@ def ckframe_check(
     flagged ``degenerate``.
     """
     return _frame_check(f, as_operator(k), rank_tol, tol)
-
-
-def _b_svd(f: SampleField) -> _RankedSVD:
-    """linalg._Kept.b_svd of f, with B built from f when it is factored."""
-    return f._kept.b_svd(lambda: _whitened_matrix(f))
 
 
 def _ask(f: SampleField, kk: OperatorMatrix, rank_tol: float, tol: float, name: str = "B of f") -> tuple:

@@ -225,21 +225,21 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
 
 class _Kept:
     """What the questions about one matrix B found out, so that asking
-    again factors nothing.  Each live field owns one (see SampleField._kept),
-    which a Douglas face given the B handed out for it reads (see
-    _kept_like).  svd is B's one thin SVD (see _thin_svd), taken before any
-    rank is decided: each rank_tol's ranked SVD is a slice of it, and ||B||
-    is its sigma_max for every caller.  For a wide B it holds the
-    reflectors of its one QR, the size of B, until the first face to read
-    vh on an included k forms vh from them (see right_factor); a refused
-    face forms none.  B is not held: whoever asks passes a function that
-    builds it, which only the first ask calls.  about holds the answers
-    about the last operator k asked about.  The same LAPACK call on the
-    same bytes returns the same bits, so a kept answer is bit-identical to
-    computing it again; a computation that raises keeps nothing.  Threads
-    asking at once can at worst compute an answer twice, as each fills only
-    the _AboutK of its own k, which another k replaces whole.  No kept array
-    is handed out.
+    again factors nothing.  Each live field owns one, made with it (see
+    measure.SampleField), which a Douglas face given the B handed out for
+    it reads (see _kept_like).  svd is B's one thin SVD (see _thin_svd),
+    taken before any rank is decided: each rank_tol's ranked SVD is a
+    slice of it, and ||B|| is its sigma_max for every caller.  For a wide B
+    it holds the reflectors of its one QR, the size of B, until the first
+    face to read vh on an included k forms vh from them (see
+    right_factor); a refused face forms none.  B is not held: whoever asks
+    passes a function that builds it, which only the first ask calls.
+    about holds the answers about the last operator k asked about.  The
+    same LAPACK call on the same bytes returns the same bits, so a kept
+    answer is bit-identical to computing it again; a computation that
+    raises keeps nothing.  Threads asking at once can at worst compute an
+    answer twice, as each fills only the _AboutK of its own k, which
+    another k replaces whole.  No kept array is handed out.
     """
 
     __slots__ = ("svd", "about", "__weakref__")
@@ -384,7 +384,7 @@ _HANDED: dict[int, tuple[weakref.ref, weakref.ref]] = {}
 
 
 def _hand_out(b: np.ndarray, kept: _Kept) -> np.ndarray:
-    """b, the read-only B of the field whose _Kept is kept, recorded in
+    """b, the frozen B of the field whose _Kept is kept, recorded in
     _HANDED so that a Douglas face given b itself asks as that field."""
     key, forget = id(b), _HANDED.pop
     _HANDED[key] = (weakref.ref(b, lambda _: forget(key, None)), weakref.ref(kept))
@@ -392,13 +392,11 @@ def _hand_out(b: np.ndarray, kept: _Kept) -> np.ndarray:
 
 
 def _kept_like(b: np.ndarray) -> _Kept:
-    """The _Kept of the live field whose handed-out B is b itself while b
-    and the array it views are read-only, so b has that B's bytes; else a
-    throwaway _Kept, as for a copy of a B, whatever its bytes."""
+    """The _Kept of the live field whose handed-out B is b itself, which,
+    frozen over bytes of its own, has that B's bytes for as long as it
+    lives; else a throwaway _Kept, as for a copy of a B, whatever its bytes."""
     ref, kept = _HANDED.get(id(b), (None, None))
-    if ref is None or ref() is not b or b.flags.writeable or b.base.flags.writeable:
-        return _Kept()
-    return kept() or _Kept()
+    return ref is not None and ref() is b and kept() or _Kept()
 
 
 def pseudoinverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> OperatorMatrix:

@@ -8,7 +8,6 @@ slot and conjugate-linear in the second, everywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -97,6 +96,9 @@ class SampleField:
     """Vector-valued function on the atoms: one length-dim vector per atom.
 
     ``samples`` has shape (n_atoms, dim); row i is the value at atom i.
+    _kept, made with the field and empty, holds what the questions about
+    it find out (see linalg._Kept); it is no dataclass field, so fields()
+    and repr skip it.
     """
 
     space: MeasureSpace
@@ -113,20 +115,15 @@ class SampleField:
         if a.shape[1] == 0:
             raise DimMismatch("sample vectors must have positive dimension")
         object.__setattr__(self, "samples", a)
+        object.__setattr__(self, "_kept", _Kept())
 
     @property
     def dim(self) -> int:
         return int(self.samples.shape[1])
 
-    @cached_property
-    def _kept(self) -> _Kept:
-        """What the questions about this field found out (see linalg._Kept),
-        made on first use; no dataclass field, so fields() and repr skip it."""
-        return _Kept()
-
     def __reduce__(self):
         # a field is its value: a copy or an unpickled field is made anew, its
-        # samples frozen, without the kept answers, which hold weak references
+        # samples frozen and its _Kept empty, as kept answers hold weak references
         return SampleField, (self.space, self.samples)
 
 

@@ -1,8 +1,10 @@
 """The report corpus of tests/corpus.py runs with no warning, and its
-gen-default results keep the verdicts frozen in
+gen-default and off-range results keep the verdicts frozen in
 tests/data/corpus_verdicts.json: each status, error class name and set of
-report keys.  A changed verdict fails here; a change in the last digits of
-a number does not, as no grade for the numbers has been measured yet."""
+report keys.  The off-range verdicts move with the inclusion threshold, as
+k lies about 1e-5 from range(B) there.  A changed verdict fails here; a
+change in the last digits of a number does not, as no grade for the
+numbers has been measured yet."""
 
 import json
 import warnings
@@ -23,11 +25,11 @@ def results():
 
 
 def test_the_corpus_runs_every_result_without_a_warning(results):
-    assert len(results) == 540
-    assert all(result.keys() in ({"reports"}, {"error"}) for result in results.values())
+    assert len(results) == 594
+    assert all(result.keys() in ({"reports", "bits"}, {"error", "bits"}) for result in results.values())
 
 
 def test_the_gen_default_verdicts_are_frozen(results):
     expected = json.loads(VERDICTS.read_text())
-    assert len(expected) == 270
+    assert len(expected) == 324
     assert corpus.verdicts(results) == expected

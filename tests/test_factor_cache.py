@@ -14,6 +14,7 @@ parse_problem holds new field objects, so nothing is kept for them yet (a
 "cold" field), as in one CLI process."""
 
 import ast
+import contextlib
 import copy
 import dataclasses
 import gc
@@ -778,10 +779,33 @@ def test_the_handed_out_b_is_read_only():
         b.setflags(write=True)
     with pytest.raises(ValueError):
         b[0, 0] = 1.0
+    # nor can the array it views be made writable: b stands for f while it lives
+    with pytest.raises(ValueError):
+        b.base.setflags(write=True)
     assert _kept_like(b) is f._kept
-    # the array it views made writable again: b no longer stands for f
-    b.base.setflags(write=True)
-    assert _kept_like(b) is not f._kept
+
+
+def test_a_handed_out_b_cannot_be_rewritten_under_its_answers():
+    f, k = ckframe_instance(np.random.default_rng(22), 4, 3, 12)
+    b = whitened_synthesis_matrix(f)
+    ckframe_check(f, k)
+    for array in (b, b.base):
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
+    # so the Douglas faces on b read f's kept answers, those of a fresh field
+    assert douglas_answers(k, b) == douglas_answers(k, whitened_synthesis_matrix(fresh_copy(f)))
+
+
+def test_a_rewrite_of_a_handed_out_b_leaves_no_stale_answer():
+    f = SampleField(make_measure_space(["a", "b"], [1.0, 1.0]), np.eye(2))
+    b, k = whitened_synthesis_matrix(f), np.eye(2)
+    assert douglas_factor(k, b).lambda_min == 1.0
+    # the base made writable, doubled and frozen again, were that possible
+    with contextlib.suppress(ValueError):
+        b.base.setflags(write=True)
+        b.base[...] *= 2
+        b.base.setflags(write=False)
+    assert bits(douglas_factor(k, b)) == bits(douglas_factor(k, np.array(b)))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -976,7 +1000,8 @@ def test_a_field_pickles_as_its_value_without_its_kept_answers():
     f, g, k = dual_pair()
     report = bits(verify_dual_pair(f, g, k))
     for unpickled in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
-        assert "_kept" in vars(f) and "_kept" not in vars(unpickled)
+        assert f._kept.about is not None and unpickled._kept is not f._kept
+        assert unpickled._kept.svd is None and unpickled._kept.about is None
         assert bits(unpickled.samples) == bits(f.samples)
         # its samples are frozen anew, so no write can make its answers stale
         for array in (unpickled.samples, unpickled.samples.base):
