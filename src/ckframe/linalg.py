@@ -125,7 +125,8 @@ class _RankedSVD:
     bits whether or not vh was formed.  ranked slices u, s and w to the
     rank decided on s, so every rank_tol reads the one SVD; a slice holds
     no vh, which is formed on the unranked w only and sliced by its reader
-    (see _Coords.factor).
+    (see _Coords.factor).  Each array is made read-only, not copied, when
+    it is built; only a ranked slice and h (of the QR's one array) are views.
     """
 
     u: np.ndarray
@@ -133,6 +134,11 @@ class _RankedSVD:
     w: np.ndarray
     vh: Optional[np.ndarray] = None
     reflectors: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    def __post_init__(self):
+        for a in (self.u, self.s, self.w, self.vh, *(self.reflectors or ())):
+            if a is not None:
+                _read_only(a)
 
     @property
     def top(self) -> float:
@@ -149,17 +155,6 @@ class _RankedSVD:
         RankAmbiguous message calls m); at full rank, m's own factors."""
         r = _separated_rank(self.s, rank_tol, name)
         return self if r == self.s.size else _RankedSVD(self.u[:, :r], self.s[:r], self.w[:r])
-
-    def owned(self) -> _RankedSVD:
-        """The same factorization with owned read-only arrays: holding it
-        keeps none of LAPACK's output buffers alive but the reflectors,
-        which are not copied: h views the one array the factorization wrote
-        them to, which holds nothing else."""
-        w = _owned(self.w)
-        vh = w if self.vh is self.w else None if self.vh is None else _owned(self.vh)
-        for a in self.reflectors or ():
-            a.setflags(write=False)
-        return _RankedSVD(_owned(self.u), _owned(self.s), w, vh, self.reflectors)
 
     def with_vh(self) -> _RankedSVD:
         """This factorization with vh formed, and its reflectors dropped.
@@ -207,11 +202,10 @@ def _thin_svd(a: np.ndarray) -> _RankedSVD:
     return _RankedSVD(u, s, w, None, (h, tau))
 
 
-def _owned(a: np.ndarray) -> np.ndarray:
-    """a made read-only, copied first if it is a view into another array."""
-    out = a if a.base is None else np.array(a, copy=True)
-    out.setflags(write=False)
-    return out
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, an array its caller just made, marked read-only, not copied."""
+    a.setflags(write=False)
+    return a
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -249,20 +243,20 @@ class _Kept:
         self.about: Optional[_AboutK] = None
 
     def b_svd(self, build) -> _RankedSVD:
-        """B's one thin SVD, unranked; build() returns B to factor, which
-        only the first ask does."""
+        """B's one thin SVD, unranked, kept as _thin_svd returns it, read-only;
+        build() returns B to factor, which only the first ask does."""
         svd = self.svd
         if svd is None:
-            svd = self.svd = _thin_svd(build()).owned()
+            svd = self.svd = _thin_svd(build())
         return svd
 
     def right_factor(self) -> np.ndarray:
         """B's right factor vh, unranked, read after an ask: formed on first
-        read from the kept w and reflectors (see _RankedSVD.with_vh), with
-        which it replaces svd whole, the same bits whichever face reads first."""
+        read from the kept w and reflectors by _RankedSVD.with_vh, whose
+        result replaces svd whole, the same bits whichever face reads first."""
         svd = self.svd
         if svd.vh is None:
-            svd = self.svd = svd.with_vh().owned()
+            svd = self.svd = svd.with_vh()
         return svd.vh
 
     def about_k(self, k: np.ndarray) -> _AboutK:
@@ -302,7 +296,7 @@ class _AboutK:
     __slots__ = ("k", "s", "u", "coords", "pair")
 
     def __init__(self, k: np.ndarray) -> None:
-        self.k = _owned(np.array(k, order="C"))
+        self.k = _read_only(np.array(k, order="C"))
         self.s = self.u = self.pair = None
         self.coords: dict[int, _Coords] = {}
 
@@ -314,7 +308,7 @@ class _AboutK:
         values come with u, from one SVD (see left)."""
         if self.s is None:
             if self.k.shape[1] >= self.k.shape[0]:
-                self.s = _owned(np.linalg.svd(self.k, compute_uv=False))
+                self.s = _read_only(np.linalg.svd(self.k, compute_uv=False))
             else:
                 self.left()
         return self.s
@@ -326,8 +320,8 @@ class _AboutK:
         if self.u is None:
             u, s, _ = np.linalg.svd(self.k, full_matrices=False)
             if self.k.shape[1] < self.k.shape[0]:
-                self.s = _owned(s)
-            self.u = _owned(u)
+                self.s = _read_only(s)
+            self.u = _read_only(u)
         return self.u
 
     def norm(self) -> float:
@@ -351,7 +345,7 @@ class _Coords:
         with np.errstate(over="ignore", invalid="ignore"):
             proj = svd.u.conj().T @ about.k
             residual = about.k - svd.u @ proj if k_norm > 0.0 else None
-            self.coords = _owned(proj / svd.s[:, None])
+            self.coords = _read_only(proj / svd.s[:, None])
         self.distance = k_norm and operator_norm(_check_finite(residual, "k - U_r U_r* k")) / k_norm
         self.zero, self.x, self.pinv_k = not about.k.any(), None, None
 
@@ -374,7 +368,7 @@ class _Coords:
         that coords were read off (see _Kept.right_factor), sliced here to
         its rank, as vh formed on a sliced w would differ in its bits."""
         if self.pinv_k is None:
-            self.pinv_k = _owned(vh[: self.coords.shape[0]].conj().T @ self.coords)
+            self.pinv_k = _read_only(vh[: self.coords.shape[0]].conj().T @ self.coords)
         return self.pinv_k
 
 

@@ -23,8 +23,15 @@ fresh `git archive`s, which hold the committed files only.
     python tests/corpus.py --verdicts SRC
 
 prints the verdict of each gen-default and off-range result (status,
-error class name and report keys) as tests/data/corpus_verdicts.json holds
-them.
+error class name, report keys and the message of a raised error) as
+tests/data/corpus_verdicts.json holds them.
+
+    python tests/corpus.py --numbers SRC
+
+prints the results object of each ok gen-default JSON report, by its key
+without tol_override (see case), as tests/data/corpus_numbers.json holds
+them: an ok result reports the same at every tol_override, which grades
+a result and changes none of its numbers.
 """
 
 from __future__ import annotations
@@ -124,18 +131,35 @@ def run_corpus() -> dict:
 
 
 def verdict(result: dict) -> list:
-    """[status, error class name or None, sorted report keys] of a result;
-    status "raised" when it raised."""
+    """[status, error class name or None, sorted report keys, message or
+    None] of a result; status "raised", with the error's message, when it
+    raised."""
     if "error" in result:
-        return ["raised", result["error"][0], []]
+        name, message = result["error"]
+        return ["raised", name, [], message]
     report = json.loads(result["reports"][0])
     results = report["results"]
-    return [report["status"], results.get("error"), sorted(results)]
+    return [report["status"], results.get("error"), sorted(results), None]
 
 
 def verdicts(results: dict) -> dict:
     """The verdicts of the gen-default and off-range results, by key."""
     return {key: verdict(result) for key, result in results.items() if " {} " in key or " off-range " in key}
+
+
+def case(key: str) -> str:
+    """key without its tol_override: the kind, size, seed and command."""
+    return key.rsplit(" tol=", 1)[0]
+
+
+def reported(results: dict) -> dict:
+    """The results object of the JSON report of each ok gen-default result,
+    by key."""
+    return {
+        key: json.loads(result["reports"][0])["results"]
+        for key, result in results.items()
+        if " {} " in key and verdict(result)[0] == "ok"
+    }
 
 
 def run_tree(src: str) -> dict:
@@ -170,6 +194,11 @@ def main(argv: list[str]) -> int:
     if argv[:1] == ["--verdicts"] and len(argv) == 2:
         found = verdicts(run_tree(argv[1]))
         print("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(found.items())) + "\n}")
+        return 0
+    if argv[:1] == ["--numbers"] and len(argv) == 2:
+        found = {case(key): value for key, value in reported(run_tree(argv[1])).items()}
+        lines = (f"{json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}" for k, v in sorted(found.items()))
+        print("{\n" + ",\n".join(lines) + "\n}")
         return 0
     print(__doc__, file=sys.stderr)
     return 2

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ckframe import (
+    CanonicalDualFailed,
     DegenerateOperator,
     DimMismatch,
     NotADualPair,
@@ -17,6 +18,7 @@ from ckframe import (
     RangeNotIncluded,
     RankAmbiguous,
     SampleField,
+    atoms_duals,
     make_measure_space,
 )
 from ckframe.atoms_duals import (
@@ -752,6 +754,89 @@ def test_canonical_dual_propagates_degeneracy():
         canonical_dual(scaled_field(), np.zeros((2, 2)))
     with pytest.raises(NotInvertibleOnRange):
         canonical_dual(doubled_atom_field(), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# each verification of the canonical dual refuses a fault in its construction
+
+
+def dual_with_faulted_rows(monkeypatch, fault, tol=1e-8):
+    """canonical_dual of the gen-default random_ckframe spec at seed 0, with
+    g's whitened rows R (B_g* = conj(R)) replaced by fault(f, k, R) where its
+    samples are built, so that the checks meet a g the construction did not
+    make."""
+    spec = generate_example("random_ckframe", {}, 0)
+    f, k = spec.field_f, spec.operator_k
+    sqrt_w = np.sqrt(f.space.weight_array)[:, None]
+    check = atoms_duals._check_finite
+
+    def faulted(a, what):
+        a = check(a, what)
+        return fault(f, k, a * sqrt_w) / sqrt_w if what == "the canonical dual field" else a
+
+    monkeypatch.setattr(atoms_duals, "_check_finite", faulted)
+    return canonical_dual(f, k, tol=tol)
+
+
+def unseen_part(f, rows):
+    """A random part, of the shape of rows, that B_f B_g* does not see: its
+    conjugate's columns lie in ker(B_f), orthogonal to range(B_f*)."""
+    b = np.asarray(whitened_synthesis_matrix(f))
+    kernel = np.eye(b.shape[1]) - np.linalg.pinv(b) @ b
+    return (kernel @ crandn(np.random.default_rng(0), *rows.shape)).conj()
+
+
+def lower_bound_direction(k, rows):
+    """The unit u in H0 at which ||B_g* u||^2 / ||k u||^2 attains g's lower
+    bound against k*, for B_g* = conj(rows) injective: u = pinv(B_g*) v,
+    with v the top right singular vector of k pinv(B_g*)."""
+    adjoint_pinv = np.linalg.pinv(rows.conj())
+    u = adjoint_pinv @ np.linalg.svd(k @ adjoint_pinv)[2][0].conj()
+    return u / np.linalg.norm(u)
+
+
+def test_the_dual_is_refused_when_it_fails_the_pair_identities(monkeypatch):
+    # a part along g's own rows, which lie in range(B_f*), moves B_f B_g*
+    raised = r"^constructed dual fails the pair identities \(max residual 9\.24"
+    with pytest.raises(CanonicalDualFailed, match=raised):
+        dual_with_faulted_rows(monkeypatch, lambda f, k, rows: rows + 1e-3 * rows)
+
+
+@pytest.mark.parametrize("times", [1, 10])
+def test_the_dual_is_refused_when_its_upper_bound_leaves_the_certified_interval(monkeypatch, times):
+    # the certified interval is [1/B_f, ||k||^2 ||pinv(k)||^2 / A], here
+    # [2.052010e-02, 4.116168e+01]; a part B_f B_g* does not see leaves every
+    # pair identity holding and raises g's upper bound ||B_g||^2, to inside
+    # the interval at 1x and past it at 10x
+    def fault(f, k, rows):
+        return rows + times * unseen_part(f, rows)
+
+    spec = generate_example("random_ckframe", {}, 0)
+    upper = np.linalg.eigvalsh(frame_operator(canonical_dual(spec.field_f, spec.operator_k).dual_field))[-1]
+    if times == 10:
+        raised = r"^dual upper bound \S+ over the certified 4\.116168e\+01$"
+        with pytest.raises(CanonicalDualFailed, match=raised):
+            dual_with_faulted_rows(monkeypatch, fault)
+        return
+    dual = dual_with_faulted_rows(monkeypatch, fault)
+    assert dual.pair.max_residual() <= 1e-15
+    assert 2 * upper < np.linalg.eigvalsh(frame_operator(dual.dual_field))[-1] <= dual.upper_bound
+
+
+@pytest.mark.parametrize("tol, raised", [(0.5, "dual lower bound"), (1e-3, "constructed dual fails the pair")])
+def test_the_dual_is_refused_when_its_lower_bound_leaves_the_certified_interval(monkeypatch, tol, raised):
+    # halving g along the direction that attains its lower bound quarters
+    # that bound and leaves a pair residual of 0.41: at tol 0.5 the pair
+    # check passes it and the lower-bound check refuses it, as
+    # ||k u|| <= sqrt(B_f) ||B_g* u|| + ||D u|| implies the certified bound
+    # only up to a factor that tends to 1 with tol; at tol 1e-3 the pair
+    # check refuses it first
+    def fault(f, k, rows):
+        u = lower_bound_direction(k, rows)
+        return rows @ (np.eye(u.size) - 0.5 * np.outer(u.conj(), u))
+
+    with pytest.raises(CanonicalDualFailed, match=f"^{raised}"):
+        dual_with_faulted_rows(monkeypatch, fault, tol)
 
 
 # ---------------------------------------------------------------------------

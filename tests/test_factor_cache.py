@@ -156,6 +156,17 @@ def kept_objects(x) -> list:
     return [x, *(y for part in parts for y in kept_objects(part))]
 
 
+def assert_read_only_as_built(svd) -> None:
+    """Every array of the _RankedSVD svd is read-only as it was built and
+    owns its data, but the reflectors' h, which by design views the one
+    array the Householder factorization wrote (see linalg._thin_svd)."""
+    h = svd.reflectors[0] if svd.reflectors else None
+    for array in (svd.u, svd.s, svd.w, svd.vh, *(svd.reflectors or ())):
+        if array is not None:
+            assert not array.flags.writeable
+            assert array.base is None or array is h
+
+
 def qr_modes(monkeypatch, b=None) -> list:
     """The mode of each np.linalg.qr from now on of the transpose of the
     wide matrix b (of any matrix when b is None), which is how a wide B is
@@ -271,14 +282,21 @@ def test_the_left_factor_is_the_same_bits_with_or_without_vh(shape):
     for b in (full, full[:, :1] @ full[:1, :]):
         unranked, formed = _thin_svd(b), _thin_svd(b).with_vh()
         assert (unranked.vh is None) == (shape[0] < shape[1])
+        # read-only when built, before vh is formed and after, with no copy
+        assert_read_only_as_built(unranked)
+        assert_read_only_as_built(formed)
         left, with_vh = (svd.ranked(DEFAULT_RANK_TOL, "b") for svd in (unranked, formed))
+        # a ranked slice views read-only factors, and is read-only itself
+        for svd in (left, with_vh):
+            assert not any(a.flags.writeable for a in (svd.u, svd.s, svd.w))
         assert bits((left.u, left.s, left.top, left.w)) == bits(
             (with_vh.u, with_vh.s, with_vh.top, with_vh.w)
         )
         # vh formed later from the kept reflectors and the unranked w, as a
-        # field's _Kept forms it from its owned factors, is the one formed
-        # at once, ranked or not
-        later = _thin_svd(b).owned().with_vh()
+        # field's _Kept forms it from its read-only factors, is the one
+        # formed at once, ranked or not
+        later = _thin_svd(b).with_vh()
+        assert_read_only_as_built(later)
         assert bits(later) == bits(formed)
         assert bits(later.ranked(DEFAULT_RANK_TOL, "b")) == bits(with_vh)
         # a ranked slice holds no vh; its reader slices the unranked one
@@ -315,7 +333,7 @@ def test_vh_is_formed_from_the_kept_reflectors_of_a_wide_b(case):
     assert svd.vh is None and h.shape == b.shape
     assert (tau == 0).any() == (case in ("zero", "duplicated atoms"))
     # a field keeps them as factored, read-only, not copied
-    kept = svd.owned().reflectors
+    kept = svd.reflectors
     assert kept[0] is h and kept[1] is tau and not h.flags.writeable
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -953,11 +971,18 @@ def test_unrepresentable_inputs_are_raised_again_on_a_warm_field(monkeypatch):
     assert len(_HANDED) == handed
 
 
-def test_kept_answers_fill_every_slot_own_small_arrays_and_die_with_their_field():
+@pytest.mark.parametrize("n0", [2, 3, 5])
+def test_kept_answers_fill_every_slot_own_small_arrays_and_die_with_their_field(n0):
     rng = np.random.default_rng(3)
-    f, k = ckframe_instance(rng, 3, 2, 16)
-    g = SampleField(f.space, crandn(rng, 16, 2))
+    f, k = ckframe_instance(rng, 3, n0, 16)
+    g = SampleField(f.space, crandn(rng, 16, n0))
     ckframe_check(f, k)
+    # before vh is formed, every kept array is read-only and owns its data,
+    # but the reflectors' h, a view by design
+    h, _ = kept_factor(f).reflectors
+    for array in kept_objects(f._kept):
+        if isinstance(array, np.ndarray):
+            assert not array.flags.writeable and (array.base is None or array is h)
     atom_coefficient_map(f, k)
     sandwich_check(f, k)
     ckframe_check(f, k, rank_tol=1e-12)
@@ -968,8 +993,11 @@ def test_kept_answers_fill_every_slot_own_small_arrays_and_die_with_their_field(
     # rank_tols, so they read one _Coords, and the atoms formed its factor
     slotted = [x for x in objects if hasattr(type(x), "__slots__") and type(x).__module__ == "ckframe.linalg"]
     assert {type(x).__name__ for x in slotted} == {"_Kept", "_AboutK", "_Coords"}
+    # but k's left vectors when k (3 x n0) is onto H: no question needs them
+    onto = n0 >= 3
     for x in slotted:
-        assert all(getattr(x, name) is not None for name in type(x).__slots__ if name != "__weakref__")
+        unfilled = {"__weakref__", "u"} if onto and isinstance(x, _AboutK) else {"__weakref__"}
+        assert all(getattr(x, name) is not None for name in type(x).__slots__ if name not in unfilled)
     about = kept.about
     assert len(about.coords) == 1
     # one SVD, vh included, with one column per atom
@@ -977,10 +1005,14 @@ def test_kept_answers_fill_every_slot_own_small_arrays_and_die_with_their_field(
     # the pair report is kept beside a weak reference to g, not g itself
     (g_ref, *_), report = about.pair
     assert g_ref() is g
-    # k (3 x 2) keeps its singular values and the left vectors of the same
-    # SVD, which the compression reads, not its right factor
+    # a narrow k (3 x 2) keeps its singular values and the left vectors of
+    # the same SVD, which the compression reads, not its right factor; a k
+    # onto H keeps its singular values alone
     u, sigma, k_right = np.linalg.svd(k, full_matrices=False)
-    assert bits(about.s) == bits(sigma) and bits(about.u) == bits(u)
+    if onto:
+        assert about.u is None and bits(about.s) == bits(np.linalg.svd(k, compute_uv=False))
+    else:
+        assert bits(about.s) == bits(sigma) and bits(about.u) == bits(u)
     arrays = [x for x in objects if isinstance(x, np.ndarray)]
     (pinv_k,) = [coords.pinv_k for coords in about.coords.values()]
     for array in arrays:
